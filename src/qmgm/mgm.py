@@ -86,7 +86,9 @@ def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily, lambdas)
 
     Binomial and poisson nodes use proximal Newton: iteratively reweighted
     quadratic approximations, each solved by penalized coordinate descent.
-    Returns per-lambda (intercept, beta, objective, iterations, converged).
+    A point counts as converged when the outer iterates settle and the last
+    inner solve converged.  Returns per-lambda (intercept, beta, objective,
+    iterations, converged).
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
@@ -113,11 +115,11 @@ def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily, lambdas)
                 mu = family.mean(lp)
                 w = family.variance(mu)
                 z = lp + (y - mu) / w
-                nb0, nbeta, _, _ = penalized_wls(X, w, z, b0, np.array(beta), lam)
+                nb0, nbeta, _, inner_conv = penalized_wls(X, w, z, b0, np.array(beta), lam)
                 delta = max(abs(nb0 - b0), float(np.max(np.abs(nbeta - beta), initial=0.0)))
                 b0, beta = nb0, nbeta
                 if delta < OUTER_TOL:
-                    conv = True
+                    conv = inner_conv
                     break
         mu = family.mean(b0 + X @ beta)
         obj = glm_deviance(family, y, mu) / (2.0 * n) + lam * float(np.abs(beta).sum())

@@ -10,7 +10,8 @@ interpolator.  Two routes are provided:
   the link-transformed targets by a penalized weighted least-squares
   coordinate descent.  Rows whose equation has no solution (tau outside the
   row's mid-probability range) carry no information and are dropped.  At
-  lambda = 0 this is the closed-form two-step estimator.
+  lambda = 0 this is the closed-form two-step estimator.  Its results carry
+  that penalized weighted least-squares objective.
 
 * method "descent": proximal gradient with backtracking line search on the
   probability-scale objective
@@ -173,6 +174,10 @@ def soft_threshold(v, t):
 
 WLS_SWEEP_MAX = 1000
 WLS_SWEEP_TOL = 1e-12
+# A column whose weighted variance is below this fraction of its weighted
+# mean square is constant on the weighted rows up to the rounding of the
+# centering; its slope is not identified beside the intercept and stays 0.
+WLS_FLAT_TOL = 1e-20
 
 
 def penalized_wls(X, w, z, b0, beta, lam, coef_weights=None, *,
@@ -182,35 +187,59 @@ def penalized_wls(X, w, z, b0, beta, lam, coef_weights=None, *,
         (1/(2n)) sum_i w_i (z_i - b0 - x_i' beta)^2
             + lam * sum_k cw_k |beta_k|
 
-    with an unpenalized intercept.  Mutates and returns beta; also returns
-    the sweep count and a convergence flag.
+    with an unpenalized intercept, in covariance-update form (Friedman,
+    Hastie & Tibshirani 2010): the weighted means are profiled out, the
+    centered Gram matrix G = Xc' W Xc / n and c = Xc' W zc / n are formed
+    once, and a sweep updates only beta and the running product G beta, at
+    O(m^2) cost whatever n is.  Sweeps stop when no slope moves by tol or
+    more.  Mutates and returns beta; also returns the sweep count and a
+    convergence flag.  With all row weights zero, b0 is returned as passed.
     """
     n, m = X.shape
     cw = np.ones(m) if coef_weights is None else np.asarray(coef_weights, float)
-    v = (w[:, None] * X ** 2).mean(axis=0)
-    wsum = w.sum()
-    r = z - b0 - X @ beta
+    wsum = float(w.sum())
+    if wsum > 0:
+        xbar = (w @ X) / wsum
+        zbar = float(w @ z) / wsum
+        Xc = X - xbar
+        WXc = Xc * w[:, None]
+        G = (WXc.T @ Xc) / n
+        c = (WXc.T @ (z - zbar)) / n
+        diag = np.diag(G).copy()
+        diag[diag <= WLS_FLAT_TOL * xbar ** 2 * (wsum / n)] = 0.0
+    else:
+        G, c, diag = np.zeros((m, m)), np.zeros(m), np.zeros(m)
+    Gb = (G @ beta).tolist()
+    G, c, diag = G.tolist(), c.tolist(), diag.tolist()
+    thresholds = (lam * cw).tolist()
+    b = beta.tolist()
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
         delta = 0.0
         for k in range(m):
-            old = beta[k]
-            rho = (w * X[:, k] * r).sum() / n + v[k] * old
-            new = (np.sign(rho) * max(abs(rho) - lam * cw[k], 0.0) / v[k]
-                   if v[k] > 0 else 0.0)
+            old = b[k]
+            gkk = diag[k]
+            new = 0.0
+            if gkk > 0.0:
+                rho = c[k] - Gb[k] + gkk * old
+                t = thresholds[k]
+                if rho > t:
+                    new = (rho - t) / gkk
+                elif rho < -t:
+                    new = (rho + t) / gkk
             if new != old:
-                r += X[:, k] * (old - new)
-                beta[k] = new
-                delta = max(delta, abs(new - old))
-        shift = (w * r).sum() / wsum if wsum > 0 else 0.0
-        if shift != 0.0:
-            b0 += shift
-            r -= shift
-            delta = max(delta, abs(shift))
+                step = new - old
+                Gb = [gb + gk * step for gb, gk in zip(Gb, G[k])]
+                b[k] = new
+                if abs(step) > delta:
+                    delta = abs(step)
         if delta < tol:
             converged = True
             break
+    beta[:] = b
+    if wsum > 0:
+        b0 = zbar - float(xbar @ beta)
     return b0, beta, sweeps, converged
 
 
@@ -227,9 +256,7 @@ def inverse_midquantile_targets(problem: NodeProblem, tau: float):
     z = problem.field.thresholds
     pi = problem.field.pi
     solvable = (tau >= pi[:, 0]) & (tau <= pi[:, -1])
-    xi = np.empty(problem.n)
-    for i in range(problem.n):
-        xi[i] = np.interp(tau, pi[i], z)
+    xi = _interp_rows(tau, pi, z)
     if problem.link == "identity":
         t = xi
     elif problem.link == "log":
@@ -240,6 +267,28 @@ def inverse_midquantile_targets(problem: NodeProblem, tau: float):
         v = np.clip(xi, 1e-6, 1.0 - 1e-6)
         t = np.log(v / (1.0 - v))
     return t, solvable
+
+
+def _interp_rows(x: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp[i], fp)`` for every row i of a row-wise
+    nondecreasing ``xp`` and a finite ``fp``, bit for bit, in one array
+    pass: the segment is the last knot at or below x, a knot hit exactly
+    returns its value, and x outside a row's range clamps to fp[0] or
+    fp[-1].  (np.interp's NaN retry cannot fire here: inside a segment the
+    divisor is positive, and the 0/0 of tied knots only arises in rows the
+    knot and clamp rules overwrite.)"""
+    k = fp.size
+    j = (xp <= x).sum(axis=1) - 1
+    lo = np.clip(j, 0, k - 2)
+    rows = np.arange(xp.shape[0])
+    x0, x1 = xp[rows, lo], xp[rows, lo + 1]
+    f0, f1 = fp[lo], fp[lo + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (f1 - f0) / (x1 - x0) * (x - x0) + f0
+    out[x0 == x] = f0[x0 == x]
+    out[j < 0] = fp[0]
+    out[j >= k - 1] = fp[-1]
+    return out
 
 
 def _weights_of(problem: NodeProblem, config: NodeFitConfig) -> np.ndarray:
@@ -438,13 +487,14 @@ def _inverse_path(problem, tau, lambdas, weights, nonzero_tol):
                 for _ in lambdas]
     b0 = float(np.average(targets, weights=w_rows))
     beta = np.zeros(problem.m)
+    w_pen = np.ones(problem.m) if weights is None else np.asarray(weights, float)
     results = []
     for lam in lambdas:
         lam = float(lam)
         b0, beta, sweeps, conv = penalized_wls(
-            problem.X, w_rows, targets, b0, np.array(beta), lam, weights)
-        w_pen = np.ones(problem.m) if weights is None else np.asarray(weights, float)
-        obj = smooth_objective(problem, b0, beta, tau) + _penalty(lam, w_pen, beta)
+            problem.X, w_rows, targets, b0, np.array(beta), lam, w_pen)
+        r = targets - b0 - problem.X @ beta
+        obj = float(w_rows @ (r * r)) / (2.0 * problem.n) + _penalty(lam, w_pen, beta)
         active = np.flatnonzero(np.abs(beta) > nonzero_tol)
         results.append(NodeFitResult(float(b0), np.array(beta), float(obj),
                                      sweeps, conv, active, 0.0))

@@ -51,22 +51,17 @@ class SelectionCriterion:
 CRITERION_NAMES = ("aic", "bic", "bicp", "bic2p", "bic3p")
 
 
-def build_problems(dataset: Dataset, threads: int = 1) -> list:
+def build_problems(dataset: Dataset) -> list:
     """Run the mid-CDF step for every node (shareable across level grids)."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_problem_worker, [(dataset, j) for j in range(dataset.p)]))
     return [NodeProblem.build(dataset, j) for j in range(dataset.p)]
 
 
-def _problem_worker(args):
-    dataset, j = args
-    return NodeProblem.build(dataset, j)
-
-
-def _path_worker(args):
-    problem, tau, lambdas, kw = args
-    return fit_lambda_path(problem, tau, lambdas, **kw)
+def _node_worker(args):
+    """All level paths of one node, building its mid-CDF step if needed."""
+    dataset, j, problem, levels, lambdas, kw = args
+    if problem is None:
+        problem = NodeProblem.build(dataset, j)
+    return [fit_lambda_path(problem, tau, lambdas, **kw) for tau in levels]
 
 
 def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *, weights=None,
@@ -78,37 +73,38 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *, weights=None,
 
     ``problems`` may carry prebuilt per-node mid-CDF fits so several level
     grids can share the expensive first step; ``method`` selects the path
-    solver (see penalized.fit_lambda_path).
+    solver (see penalized.fit_lambda_path).  With ``threads`` > 1 the nodes
+    run in a process pool, one task per node (its mid-CDF step, unless
+    prebuilt, and all its level paths); results do not depend on it.
     """
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
     lambdas = np.asarray(lambdas, dtype=float)
-    if problems is None:
-        problems = build_problems(dataset)
     p = dataset.p
     levels = list(grid.levels)
     kw = dict(weights=weights, method=method, max_iterations=max_iterations,
               tol=tol, nonzero_tol=nonzero_tol)
-    tasks = [(problems[j], tau, lambdas, kw) for j in range(p) for tau in levels]
+    tasks = [(dataset, j, None if problems is None else problems[j], levels,
+              lambdas, kw) for j in range(p)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(_path_worker, tasks, chunksize=1))
+            nodes = list(pool.map(_node_worker, tasks, chunksize=1))
     else:
-        paths = [_path_worker(t) for t in tasks]
+        nodes = [_node_worker(t) for t in tasks]
     L, M = len(levels), lambdas.size
     intercepts = np.zeros((p, L, M))
     betas = np.zeros((p, L, M, p - 1))
     converged = np.zeros((p, L, M), dtype=bool)
     iterations = np.zeros((p, L, M), dtype=int)
     objectives = np.zeros((p, L, M))
-    for idx, path in enumerate(paths):
-        j, l = divmod(idx, L)
-        for mi, res in enumerate(path):
-            intercepts[j, l, mi] = res.intercept
-            betas[j, l, mi] = res.beta
-            converged[j, l, mi] = res.converged
-            iterations[j, l, mi] = res.iterations
-            objectives[j, l, mi] = res.objective
+    for j, paths in enumerate(nodes):
+        for l, path in enumerate(paths):
+            for mi, res in enumerate(path):
+                intercepts[j, l, mi] = res.intercept
+                betas[j, l, mi] = res.beta
+                converged[j, l, mi] = res.converged
+                iterations[j, l, mi] = res.iterations
+                objectives[j, l, mi] = res.objective
     return CoefficientCube(intercepts, betas, lambdas, np.asarray(levels),
                            converged, iterations, objectives)
 

@@ -127,3 +127,27 @@ def test_warm_start_matches_cold_single(tiny_mixed):
     path = fit_glm_lasso_path(y, X, fam, lambdas)
     lone = fit_glm_lasso_path(y, X, fam, [lambdas[4]])
     assert path[4][1] == pytest.approx(lone[0][1], abs=1e-7)
+
+
+def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
+    # a point whose last proximal-Newton inner solve hit its sweep cap is
+    # not converged, even when the outer iterates settle
+    from qmgm import mgm
+
+    lambdas = default_lambda_grid(count=8)
+    original = mgm.penalized_wls
+
+    def one_sweep(*args, **kwargs):
+        return original(*args, **dict(kwargs, max_sweeps=1))
+
+    for j in (0, 2, 3):
+        y = tiny_mixed.values[:, j]
+        X = np.delete(tiny_mixed.values, j, axis=1)
+        fam = family_for(tiny_mixed.schema[j].kind)
+        assert fit_glm_lasso_path(y, X, fam, lambdas)[-1][4]
+        with monkeypatch.context() as mp:
+            mp.setattr(mgm, "penalized_wls", one_sweep)
+            cut = fit_glm_lasso_path(y, X, fam, lambdas)
+        assert not cut[-1][4], fam.name
+        if fam.name != "gaussian":
+            assert cut[-1][3] < mgm.OUTER_MAX_ITER, fam.name

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bruteforce import kkt_residual, penalized_wls_reference
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import DataError, validate_and_standardize
-from qmgm.midcdf import marginal_mid_quantile
+from qmgm.midcdf import MidCdfField, marginal_mid_quantile
 from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
                             fit_node_quantile, inverse_midquantile_targets,
                             lambda_max, null_fit, objective, penalized_wls,
@@ -268,6 +271,89 @@ def test_penalized_wls_matches_lstsq_at_zero_lambda():
     assert conv
     assert b0 == pytest.approx(ref[0], abs=1e-6)
     assert beta == pytest.approx(ref[1:], abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(12, 60), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       binary_rows=st.booleans(), lam=st.floats(1e-3, 0.5),
+       penalize_all=st.booleans())
+def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_rows,
+                                                           lam, penalize_all):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m)) * rng.uniform(0.3, 3.0, m) + rng.normal(size=m)
+    z = X @ (rng.normal(size=m) * rng.binomial(1, 0.5, m)) + rng.normal(size=n)
+    if binary_rows:
+        w = np.zeros(n)
+        w[rng.choice(n, rng.integers(m + 5, n + 1), replace=False)] = 1.0
+    else:
+        w = rng.uniform(0.05, 2.0, n)
+    cw = rng.uniform(0.2, 2.0, m)
+    if not penalize_all:
+        cw[0] = 0.0
+    b0, beta, _, conv = penalized_wls(X, w, z, 0.3, np.zeros(m), lam, cw)
+    # the residual-form reference crawls when a column's mean dwarfs its spread
+    rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.3, np.zeros(m), lam, cw,
+                                                   max_sweeps=10**5)
+    assert rconv
+    assert np.array_equal(beta != 0, rbeta != 0)
+    assert np.abs(beta - rbeta).max() <= 1e-8
+    assert abs(b0 - rb0) <= 1e-8
+    if conv:
+        assert kkt_residual(X, w, z, b0, beta, lam, cw) <= 1e-8
+
+
+def test_penalized_wls_flat_column_and_empty_weights():
+    # a column constant on the weighted rows is not identified beside the
+    # intercept and keeps a zero slope, even unpenalized
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(50, 3))
+    w = (rng.random(50) < 0.6).astype(float)
+    X[w > 0, 1] = 0.37
+    z = 2.0 * X[:, 0] + rng.normal(size=50)
+    b0, beta, _, conv = penalized_wls(X, w, z, 0.0, np.zeros(3), 0.0)
+    assert conv and beta[1] == 0.0
+    assert kkt_residual(X, w, z, b0, beta, 0.0) <= 1e-10
+    # no weighted rows: slopes drop to zero and the intercept is kept
+    b0, beta, _, conv = penalized_wls(X, np.zeros(50), z, 1.5, np.ones(3), 0.1)
+    assert conv and b0 == 1.5 and not beta.any()
+
+
+def test_inverse_path_objective_is_the_weighted_ls_objective(problems):
+    pr = problems[2]
+    tau, lambdas = 0.25, [0.3, 0.05]
+    weights = np.linspace(0.5, 1.5, pr.m)
+    t, solvable = inverse_midquantile_targets(pr, tau)
+    for lam, res in zip(lambdas, fit_lambda_path(pr, tau, lambdas, weights=weights)):
+        r = t - res.intercept - pr.X @ res.beta
+        want = ((solvable * r ** 2).sum() / (2 * pr.n)
+                + lam * (weights * np.abs(res.beta)).sum())
+        assert res.objective == pytest.approx(want, rel=1e-12)
+
+
+def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):
+    # rows with tied mid-probabilities, tau exactly on knots and tau outside
+    # every row's range, against the per-row np.interp loop
+    pr = problems[0]
+    rng = np.random.default_rng(8)
+    k = 6
+    z = np.sort(rng.normal(size=k))
+    pi = np.sort(rng.integers(0, 9, size=(40, k)) / 8.0, axis=1)
+    pi[:5] = np.sort(rng.random((5, k)), axis=1)
+    pi[5] = 0.5
+    field = MidCdfField(z, pi, np.diff(pi, axis=1) / np.diff(z))
+    X = np.zeros((40, pr.m))
+    custom = replace(pr, y=np.zeros(40), X=X, link="identity", field=field)
+    taus = np.concatenate((np.unique(pi), [1e-9, 0.03, 0.41, 0.999]))
+    taus = taus[(taus > 0) & (taus < 1)]
+    for tau in taus:
+        t, _ = inverse_midquantile_targets(custom, float(tau))
+        ref = np.array([np.interp(tau, pi[i], z) for i in range(40)])
+        assert np.array_equal(t.view(np.int64), ref.view(np.int64)), tau
+    for tau in (0.0625, 0.5, 0.9375):
+        t, _ = inverse_midquantile_targets(replace(pr, link="identity"), tau)
+        ref = np.array([np.interp(tau, row, pr.field.thresholds)
+                        for row in pr.field.pi])
+        assert np.array_equal(t.view(np.int64), ref.view(np.int64)), tau
 
 
 def test_config_validation():

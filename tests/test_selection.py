@@ -191,13 +191,16 @@ def test_fit_qmgm_single_level_matches_grid_object(dgp_500):
 
 
 def test_fit_qmgm_threads_deterministic(dgp_500):
+    # the node pool gives the serial cube bit for bit, whether each worker
+    # builds its node's mid-CDF step or receives it prebuilt
     ds, _ = dgp_500
     lambdas = default_lambda_grid(count=5)
     problems = build_problems(ds)
-    c1 = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems, threads=1)
-    c2 = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems, threads=2)
-    assert np.array_equal(c1.betas, c2.betas)
-    assert np.array_equal(c1.intercepts, c2.intercepts)
+    c1 = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems, threads=1)
+    for prebuilt in (problems, None):
+        c2 = fit_qmgm(ds, standard_levels(3), lambdas, problems=prebuilt, threads=2)
+        for name in ("intercepts", "betas", "converged", "iterations", "objectives"):
+            assert np.array_equal(getattr(c1, name), getattr(c2, name)), name
 
 
 def test_independent_appendix_columns_stay_disconnected():

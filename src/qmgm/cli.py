@@ -46,7 +46,6 @@ def _add_shared(parser, lambda_count: int):
                         choices=["aic", "bic", "bicp", "bic2p", "bic3p"])
     parser.add_argument("--cn", type=float, default=None,
                         help="override the BIC complexity constant")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--tolerance", type=float, default=1e-6,
                         help="absolute coefficient size that counts as an edge")
@@ -73,6 +72,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--R", type=int, default=20)
     p_sim.add_argument("--learners", default="qmgm7,mgm",
                        help="comma-separated: mgm and/or qmgm<L>")
+    p_sim.add_argument("--seed", type=int, default=0)
     _add_shared(p_sim, lambda_count=50)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -122,9 +122,9 @@ def _cmd_fit(args) -> int:
     dataset = validate_and_standardize(dataset)
     grid = _parse_tau_levels(args.tau_levels)
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
+    criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
     cube = fit_qmgm(dataset, grid, lambdas, nonzero_tol=args.tolerance,
                     threads=args.threads)
-    criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
     scores = score_path(cube, dataset, criterion, nonzero_tol=args.tolerance)
     index, lam = select_lambda(scores, lambdas)
     graph = estimate_edge_set(cube, index, args.tolerance)

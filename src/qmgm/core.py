@@ -290,13 +290,6 @@ class CoefficientCube:
         return k if k < j else k + 1
 
 
-def predictor_slot(j: int, node: int) -> int:
-    """Inverse of CoefficientCube.predictor_node."""
-    if node == j:
-        raise ValueError("a node is not a predictor of itself")
-    return node if node < j else node - 1
-
-
 @dataclass(frozen=True, eq=False)
 class EstimatedGraph:
     """Symmetric estimated graph with per-edge strength, sign and provenance.

@@ -121,35 +121,6 @@ def rearrange_monotone(values):
     return np.sort(values, axis=-1)
 
 
-def _logistic_irls(X1, t):
-    """Damped-Newton logistic fit of binary target t on design X1.
-
-    The ridge jitter damps the Newton step but leaves the maximum-likelihood
-    fixed point unchanged (the update direction solves
-    (X'WX + ridge I) d = X'(t - mu)).  Returns (coef, converged).
-    """
-    n, q = X1.shape
-    coef = np.zeros(q)
-    coef[0] = np.log((t.mean() + 1e-12) / (1.0 - t.mean() + 1e-12))
-    converged = False
-    for _ in range(IRLS_MAX_ITER):
-        mu = expit(X1 @ coef)
-        np.clip(mu, 1e-10, 1.0 - 1e-10, out=mu)
-        w = mu * (1.0 - mu)
-        H = (X1 * w[:, None]).T @ X1
-        H[np.diag_indices_from(H)] += IRLS_RIDGE
-        g = X1.T @ (t - mu)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
-        coef += step
-        if np.max(np.abs(step)) < IRLS_TOL:
-            converged = True
-            break
-    return coef, converged
-
-
 def fit_threshold_logits(dataset: Dataset, node: int) -> ThresholdLogitSet:
     """Fit one logistic regression per threshold of the given node.
 
@@ -172,22 +143,66 @@ def fit_threshold_logits(dataset: Dataset, node: int) -> ThresholdLogitSet:
 
 
 def _fit_threshold_logits_arrays(node, y, X, z) -> ThresholdLogitSet:
+    """Damped-Newton logistic fits of 1{y <= z_h} on [1, X] for every
+    threshold at once.
+
+    All thresholds share the design, so one iteration updates every
+    threshold still active: the per-threshold Hessians X'WX come from one
+    product with the row outer products x_i x_i', and the ridge jitter
+    damps each step without moving the maximum-likelihood fixed point
+    (the step solves (X'WX + ridge I) d = X'(t - mu)).  A threshold stops
+    on its own step size; one that reaches IRLS_MAX_ITER keeps its last
+    iterate and is flagged unconverged.
+    """
     n, m = X.shape
-    X1 = np.empty((n, m + 1))
+    q = m + 1
+    X1 = np.empty((n, q))
     X1[:, 0] = 1.0
     X1[:, 1:] = X
-    y_max = y.max()
     k = z.size
-    coefs = np.zeros((k, m + 1))
+    coefs = np.zeros((k, q))
     conv = np.ones(k, dtype=bool)
-    degen = np.zeros(k, dtype=bool)
-    for h in range(k):
-        if z[h] >= y_max:
-            degen[h] = True
-            continue
-        t = (y <= z[h]).astype(float)
-        coefs[h], conv[h] = _logistic_irls(X1, t)
+    degen = z >= y.max()
+    idx = np.flatnonzero(~degen)                  # thresholds still active
+    T = (y[None, :] <= z[idx, None]).astype(float)  # (threshold, row)
+    tbar = T.mean(axis=1)
+    C = np.zeros((idx.size, q))
+    C[:, 0] = np.log((tbar + 1e-12) / (1.0 - tbar + 1e-12))
+    outer = (X1[:, :, None] * X1[:, None, :]).reshape(n, q * q)
+    diag = np.arange(q)
+    for _ in range(IRLS_MAX_ITER):
+        if idx.size == 0:
+            break
+        mu = expit(C @ X1.T)
+        np.clip(mu, 1e-10, 1.0 - 1e-10, out=mu)
+        H = ((mu * (1.0 - mu)) @ outer).reshape(-1, q, q)
+        H[:, diag, diag] += IRLS_RIDGE
+        step = _newton_steps(H, (T - mu) @ X1)
+        C += step
+        done = np.max(np.abs(step), axis=1) < IRLS_TOL
+        if done.any():
+            coefs[idx[done]] = C[done]
+            keep = ~done
+            idx, C, T = idx[keep], C[keep], T[keep]
+    coefs[idx] = C
+    conv[idx] = False
     return ThresholdLogitSet(node, z, coefs, conv, degen)
+
+
+def _newton_steps(H, g):
+    """Solve H[s] d[s] = g[s] for every slice; a singular slice falls back
+    to least squares."""
+    try:
+        return np.linalg.solve(H, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.empty_like(g)
+    for s in range(g.shape[0]):
+        try:
+            steps[s] = np.linalg.solve(H[s], g[s])
+        except np.linalg.LinAlgError:
+            steps[s] = np.linalg.lstsq(H[s], g[s], rcond=None)[0]
+    return steps
 
 
 def _raw_cdf_matrix(logits: ThresholdLogitSet, X: np.ndarray) -> np.ndarray:

@@ -37,15 +37,15 @@ class SelectionCriterion:
         name = name.lower()
         if name == "aic":
             return cls("aic")
-        presets = {
-            "bic": 1.0,
-            "bicp": np.log(p - 1),
-            "bic2p": np.log(p - 1) / 2.0,
-            "bic3p": np.log(p - 1) / 3.0,
-        }
-        if name not in presets:
+        divisors = {"bicp": 1.0, "bic2p": 2.0, "bic3p": 3.0}
+        if name != "bic" and name not in divisors:
             raise DataError(f"unknown criterion {name!r}")
-        return cls("bic", float(cn if cn is not None else presets[name]))
+        if cn is None and name in divisors:
+            if p < 3:
+                raise DataError(f"criterion {name!r} needs at least 3 nodes: "
+                                f"its cn = log(p - 1) is not positive at p = {p}")
+            cn = np.log(p - 1) / divisors[name]
+        return cls("bic", float(cn if cn is not None else 1.0))
 
 
 CRITERION_NAMES = ("aic", "bic", "bicp", "bic2p", "bic3p")

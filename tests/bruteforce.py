@@ -8,6 +8,7 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy.special import expit
 
 
 def mid_quantile_oracle(sample, tau):
@@ -148,3 +149,46 @@ def kkt_residual(X, w, z, b0, beta, lam, coef_weights=None):
         else:
             worst = max(worst, abs(g) - t)
     return worst
+
+
+def logistic_irls_reference(y, X, z, *, max_iter=100, tol=1e-8, ridge=1e-6):
+    """Threshold logits fitted one threshold at a time.
+
+    For each threshold z_h below max(y), a damped-Newton (IRLS) logistic
+    fit of 1{y <= z_h} on [1, X], started at the intercept-only logit and
+    stopped when max |step| < tol; a singular Newton system falls back to
+    least squares.  Returns (coefficients, converged, degenerate) with the
+    shapes of ThresholdLogitSet; degenerate thresholds keep zero
+    coefficients and count as converged.
+    """
+    n, m = X.shape
+    X1 = np.column_stack([np.ones(n), X])
+    k = len(z)
+    coefs = np.zeros((k, m + 1))
+    converged = np.ones(k, dtype=bool)
+    degenerate = np.zeros(k, dtype=bool)
+    for h in range(k):
+        if z[h] >= y.max():
+            degenerate[h] = True
+            continue
+        t = (y <= z[h]).astype(float)
+        coef = np.zeros(m + 1)
+        coef[0] = np.log((t.mean() + 1e-12) / (1.0 - t.mean() + 1e-12))
+        converged[h] = False
+        for _ in range(max_iter):
+            mu = expit(X1 @ coef)
+            np.clip(mu, 1e-10, 1.0 - 1e-10, out=mu)
+            w = mu * (1.0 - mu)
+            H = (X1 * w[:, None]).T @ X1
+            H[np.diag_indices_from(H)] += ridge
+            g = X1.T @ (t - mu)
+            try:
+                step = np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(H, g, rcond=None)[0]
+            coef += step
+            if np.max(np.abs(step)) < tol:
+                converged[h] = True
+                break
+        coefs[h] = coef
+    return coefs, converged, degenerate

@@ -31,8 +31,10 @@ def test_fit_defaults_match_application_config():
     assert (args.lambda_min, args.lambda_max) == (0.001, 5.0)
     assert args.criterion == "bic"
     assert args.knn_k == 13
+    assert not hasattr(args, "seed")  # a fit draws no random numbers
     sim = build_parser().parse_args(["simulate"])
     assert sim.lambda_count == 50
+    assert sim.seed == 0
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -74,6 +76,42 @@ def test_fit_writes_document(small_csv, tmp_path, capsys):
     assert doc.meta["criterion"] == "bicp"
     assert doc.meta["tau_levels"] == [0.25, 0.5, 0.75]
     assert dot.read_text().startswith("graph")
+
+
+@pytest.fixture()
+def two_column_csv(tmp_path):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=80)
+    rows = [f"{a:.6f},{b:.6f}" for a, b in zip(x, x + rng.normal(size=80))]
+    csv_path = tmp_path / "pair.csv"
+    csv_path.write_text("a,b\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    schema_path = tmp_path / "pair.schema"
+    schema_path.write_text("a continuous\nb continuous\n", encoding="utf-8")
+    return csv_path, schema_path
+
+
+@pytest.mark.parametrize("criterion", ["bicp", "bic2p", "bic3p"])
+def test_fit_p2_log_p_criteria_exit_2(two_column_csv, tmp_path, capsys, criterion):
+    # cn = log(p - 1) vanishes at p = 2
+    csv_path, schema_path = two_column_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "1", "--lambda-count", "4",
+               "--criterion", criterion, "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"criterion '{criterion}' needs at least 3 nodes" in err
+    assert "log(p - 1)" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_fit_p2_bic_fits(two_column_csv, tmp_path):
+    csv_path, schema_path = two_column_csv
+    out = tmp_path / "g.json"
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "1", "--lambda-count", "4",
+               "--criterion", "bic", "--output", str(out)])
+    assert rc == 0
+    assert GraphDocument.load(out).node_names() == ["a", "b"]
 
 
 def test_fit_is_byte_deterministic(small_csv, tmp_path):

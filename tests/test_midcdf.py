@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,13 +7,14 @@ from scipy import stats
 
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import Dataset, VariableSpec, validate_and_standardize
-from qmgm.midcdf import (MidCdfAtPoint, conditional_mid_cdf,
-                         fit_threshold_logits, interpolate_midcdf,
-                         marginal_mid_cdf, marginal_mid_quantile,
-                         rearrange_monotone)
+from qmgm.midcdf import (MidCdfAtPoint, ThresholdLogitSet,
+                         _fit_threshold_logits_arrays, build_field,
+                         conditional_mid_cdf, fit_threshold_logits,
+                         interpolate_midcdf, marginal_mid_cdf,
+                         marginal_mid_quantile, rearrange_monotone)
 from qmgm.penalized import NodeProblem
 
-from bruteforce import mid_quantile_oracle
+from bruteforce import logistic_irls_reference, mid_quantile_oracle
 
 
 def test_rearrange_examples():
@@ -159,6 +162,87 @@ def test_t3_generator_node_marginal_cdf():
     z, F, _, _ = marginal_mid_cdf(dataset.values[:, 0])
     sel = np.linspace(0, z.size - 1, 200).astype(int)
     assert np.max(np.abs(F[sel] - stats.t.cdf(z[sel], df=3))) < 0.05
+
+
+def assert_matches_reference(logits, y, X):
+    coefs, converged, degenerate = logistic_irls_reference(y, X, logits.thresholds)
+    assert np.array_equal(logits.converged, converged)
+    assert np.array_equal(logits.degenerate, degenerate)
+    ok = converged & ~degenerate
+    np.testing.assert_allclose(logits.coefficients[ok], coefs[ok], rtol=0, atol=1e-9)
+    ref = ThresholdLogitSet(logits.node, logits.thresholds, coefs, converged,
+                            degenerate)
+    np.testing.assert_allclose(build_field(logits, X).pi, build_field(ref, X).pi,
+                               rtol=0, atol=1e-9)
+    return converged, degenerate
+
+
+def one_row_below_first_threshold():
+    """y falls with x, except the row with the largest x, which alone sits
+    at the first threshold: a separable threshold whose fit diverges."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(80, 2))
+    y = np.round(-X[:, 0] + 0.5 * rng.normal(size=80), 1)
+    top = np.argmax(X[:, 0])
+    y[top] = y.min() - 1.0
+    return y, X, top
+
+
+def generator_nodes(seed):
+    ds, _ = generate_sample(DgpVariant("main", 500, seed))
+    ds = validate_and_standardize(ds)
+    return [(fit_threshold_logits(ds, j), ds.values[:, j],
+             np.delete(ds.values, j, axis=1)) for j in range(ds.p)]
+
+
+@pytest.mark.parametrize("case", ["seed0", "seed1", "seed2", "seed3",
+                                  "separated", "degenerate_top", "marginal",
+                                  "singular_solve"])
+def test_stacked_threshold_logits_match_reference(case, monkeypatch):
+    # the stacked Newton loop over all thresholds of a node reproduces
+    # separate per-threshold IRLS fits: same flags, same fixed points
+    if case.startswith("seed"):
+        flags = [assert_matches_reference(*fit)[0]
+                 for fit in generator_nodes(int(case[4:]))]
+        assert not np.concatenate(flags).all()  # separated thresholds occur
+    elif case == "separated":
+        y, X, top = one_row_below_first_threshold()
+        z = np.array([y[top], np.median(y)])
+        assert (y <= z[0]).sum() == 1
+        logits = _fit_threshold_logits_arrays(0, y, X, z)
+        converged, degenerate = assert_matches_reference(logits, y, X)
+        assert list(converged) == [False, True] and not degenerate.any()
+    elif case == "degenerate_top":
+        y, X, _ = one_row_below_first_threshold()
+        z = np.quantile(np.unique(y), [0.2, 0.5, 1.0])
+        logits = _fit_threshold_logits_arrays(0, y, X, z)
+        _, degenerate = assert_matches_reference(logits, y, X)
+        assert list(degenerate) == [False, False, True]
+    elif case == "marginal":
+        sample = np.random.default_rng(5).poisson(3.0, 200).astype(float)
+        pr = NodeProblem.marginal(sample, link="identity")
+        assert pr.m == 0
+        assert_matches_reference(pr.logits, pr.y, pr.X)
+    else:
+        # the stacked solve fails; per slice, every other solve fails too
+        # and falls back to least squares (in the reference as well)
+        solve, calls, stacked = np.linalg.solve, itertools.count(), []
+
+        def flaky_solve(a, b):
+            if np.ndim(a) == 3:
+                stacked.append(a.shape[0])
+                raise np.linalg.LinAlgError("forced")
+            if next(calls) % 2:
+                raise np.linalg.LinAlgError("forced")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky_solve)
+        y, X, top = one_row_below_first_threshold()
+        z = np.array([y[top], np.median(y), y.max()])
+        logits = _fit_threshold_logits_arrays(0, y, X, z)
+        assert stacked and max(stacked) == 2
+        converged, _ = assert_matches_reference(logits, y, X)
+        assert list(converged) == [False, True, True]
 
 
 def test_fit_requires_validated_data(tiny_mixed):

@@ -11,7 +11,7 @@ from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    standard_levels, validate_and_standardize)
 from .io import (GraphDocument, document_from_adjacency, document_from_graph,
                  export_graph, load_csv, load_schema, parse_schema, save_csv)
-from .mgm import GlmFamily, deviance_block_loss, family_for, fit_mgm, glm_deviance
+from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
 from .midcdf import (MidCdfAtPoint, ThresholdLogitSet, conditional_mid_cdf,
                      fit_threshold_logits, interpolate_midcdf,
                      marginal_mid_quantile, rearrange_monotone)
@@ -20,8 +20,8 @@ from .penalized import (NodeFitConfig, NodeFitResult, NodeProblem,
                         inverse_midquantile_targets, lambda_max, null_fit,
                         objective, penalized_wls, smooth_gradient,
                         smooth_objective, soft_threshold)
-from .selection import (SelectionCriterion, aic_score, bic_score,
-                        build_problems, estimate_edge_set, fit_qmgm,
+from .selection import (SelectionCriterion, build_problems,
+                        estimate_edge_set, fit_qmgm, quantile_losses,
                         score_path, select_lambda)
 
 __version__ = "0.1.0"

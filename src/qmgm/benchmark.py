@@ -17,14 +17,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats
-from scipy.special import expit
 
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    VariableSpec, _readonly, standard_levels,
                    validate_and_standardize)
-from .mgm import deviance_block_loss, fit_mgm
+from .mgm import deviance_losses, fit_mgm
 from .selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                        estimate_edge_set, fit_qmgm, score_path, select_lambda)
+                        estimate_edge_set, fit_qmgm, quantile_losses,
+                        score_path, select_lambda)
 
 # Dependency structure of the generator: node -> parents (1-based).
 MAIN_EDGES = ((1, 2), (1, 3), (1, 5), (1, 6), (2, 8), (3, 4),
@@ -56,21 +56,21 @@ class TrueGraph:
 
 @dataclass(frozen=True)
 class DgpVariant:
-    """Which generator ('main' or 'binary'), sample size, and seed."""
+    """Generator kind ('main', the only one), sample size, and seed."""
 
     kind: str = "main"
     n: int = 500
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("main", "binary"):
+        if self.kind != "main":
             raise DataError(f"unknown generator variant {self.kind!r}")
         if self.n < 10:
             raise DataError("variant needs n >= 10")
 
 
-def true_graph(kind: str = "main") -> TrueGraph:
-    """Twelve-edge truth shared by both generator variants."""
+def true_graph() -> TrueGraph:
+    """Twelve-edge truth of the generator."""
     adj = np.zeros((10, 10), dtype=bool)
     for a, b in MAIN_EDGES:
         adj[a - 1, b - 1] = adj[b - 1, a - 1] = True
@@ -98,22 +98,12 @@ def poisson_quantile(u, rate):
     return out
 
 
-def bernoulli_quantile(u, prob):
-    """Bernoulli quantile 1{u > 1 - p}; p is clamped into [0, 1]."""
-    p = np.clip(np.asarray(prob, dtype=float), 0.0, 1.0)
-    return (np.asarray(u, dtype=float) > 1.0 - p).astype(float)
-
-
 def generate_sample(variant: DgpVariant):
     """Draw one dataset from the benchmark generator.
 
     Each row draws ten independent uniforms feeding the conditional quantile
     formulas in node order; the three discrete-uniform noise terms are drawn
     independently afterwards.  Identical seeds give bit-identical samples.
-
-    In the binary variant the probability of the last node, taken as
-    printed, always clamps to one, so that column is constant and the
-    resulting dataset fails validation; see the docs.
     """
     rng = np.random.default_rng(variant.seed)
     n = variant.n
@@ -134,28 +124,18 @@ def generate_sample(variant: DgpVariant):
     y5 = y[:, 4]
     y[:, 5] = np.floor((U[:, 5] + 0.5) * np.abs(y1)) + du6
     rate7 = np.abs(y3 + 5.0) ** -0.5 + np.abs(np.log(np.abs(y5) + 1.0))
-    if variant.kind == "main":
-        y[:, 6] = poisson_quantile(U[:, 6], rate7)
-    else:
-        p7 = expit(2.0 + np.abs(y3 + 5.0) ** -0.5 - np.abs(np.log(np.abs(y5) + 1.0)))
-        y[:, 6] = bernoulli_quantile(U[:, 6], p7)
+    y[:, 6] = poisson_quantile(U[:, 6], rate7)
     y7 = y[:, 6]
     y[:, 7] = (np.floor(U[:, 7] * y7 + np.abs(y[:, 1] + 0.5) ** 1.3)
                + du8 * np.floor(1.0 + np.abs(y5)))
     y[:, 8] = np.floor(1.0 + U[:, 8] * y[:, 7]) + du9
     y9 = y[:, 8]
-    if variant.kind == "main":
-        rate10 = np.exp(0.8 * U[:, 9] * np.log(np.abs(y9 + 0.1)))
-        y[:, 9] = poisson_quantile(U[:, 9], rate10)
-    else:
-        p10 = np.exp(3.0 + 0.8 * U[:, 9] * np.log(np.abs(y9 + 0.1)))
-        y[:, 9] = bernoulli_quantile(U[:, 9], p10)
+    rate10 = np.exp(0.8 * U[:, 9] * np.log(np.abs(y9 + 0.1)))
+    y[:, 9] = poisson_quantile(U[:, 9], rate10)
 
     kinds = ["continuous"] * 5 + ["count"] * 5
-    if variant.kind == "binary":
-        kinds[6] = kinds[9] = "binary"
     schema = tuple(VariableSpec(f"Y{j + 1}", kinds[j]) for j in range(10))
-    return Dataset(y, schema), true_graph(variant.kind)
+    return Dataset(y, schema), true_graph()
 
 
 def generate_null_sample(n: int, seed: int, n_continuous: int = 3, n_count: int = 3):
@@ -284,17 +264,17 @@ def run_learner(dataset: Dataset, truth: TrueGraph, learner: LearnerConfig,
     if learner.kind == "qmgm":
         cube = fit_qmgm(dataset, learner.levels, lambdas,
                         nonzero_tol=nonzero_tol, problems=problems)
-        block_loss = None
+        losses = quantile_losses(cube, dataset)
     else:
         cube = fit_mgm(dataset, lambdas, nonzero_tol=nonzero_tol)
-        block_loss = deviance_block_loss(dataset)
+        losses = deviance_losses(cube, dataset)
     graphs = [estimate_edge_set(cube, mi, nonzero_tol)
               for mi in range(cube.n_lambdas)]
     _, auc = roc_curve(truth, graphs)
     by_criterion = {}
     for cname in criteria:
         crit = SelectionCriterion.from_name(cname, dataset.p)
-        scores = score_path(cube, dataset, crit, block_loss=block_loss,
+        scores = score_path(cube, losses, crit, dataset.n,
                             nonzero_tol=nonzero_tol)
         mi, lam = select_lambda(scores, lambdas)
         rec = asdict(confusion_metrics(truth, graphs[mi]))
@@ -432,7 +412,7 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
                    os.path.join(outdir, "timing.csv"))
     write_rows_csv(run.detail_rows(), DETAIL_FIELDS,
                    os.path.join(outdir, "details.csv"))
-    truth = true_graph(run.variant_kind)
+    truth = true_graph()
     export_graph(document_from_adjacency([f"Y{i + 1}" for i in range(truth.p)],
                                          truth.adjacency),
                  os.path.join(outdir, "truth.json"))

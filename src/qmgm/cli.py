@@ -18,7 +18,7 @@ from .core import DataError, NumericalError, QuantileGrid, standard_levels, \
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
                  render_dot, save_csv)
 from .selection import (SelectionCriterion, estimate_edge_set, fit_qmgm,
-                        score_path, select_lambda)
+                        quantile_losses, score_path, select_lambda)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +67,6 @@ def build_parser() -> _Parser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run the synthetic benchmark")
-    p_sim.add_argument("--variant", default="main", choices=["main", "binary"])
     p_sim.add_argument("--n", type=int, default=500)
     p_sim.add_argument("--R", type=int, default=20)
     p_sim.add_argument("--learners", default="qmgm7,mgm",
@@ -125,7 +124,8 @@ def _cmd_fit(args) -> int:
     criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
     cube = fit_qmgm(dataset, grid, lambdas, nonzero_tol=args.tolerance,
                     threads=args.threads)
-    scores = score_path(cube, dataset, criterion, nonzero_tol=args.tolerance)
+    scores = score_path(cube, quantile_losses(cube, dataset), criterion,
+                        dataset.n, nonzero_tol=args.tolerance)
     index, lam = select_lambda(scores, lambdas)
     graph = estimate_edge_set(cube, index, args.tolerance)
     meta = {
@@ -151,7 +151,7 @@ def _cmd_simulate(args) -> int:
     learners = [nm.strip() for nm in args.learners.split(",") if nm.strip()]
     if not learners:
         raise DataError("no learners given")
-    variant = DgpVariant(args.variant, args.n, args.seed)
+    variant = DgpVariant(n=args.n, seed=args.seed)
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max,
                                   args.lambda_count)
     run = run_replications(learners, variant, args.R, lambdas=lambdas,

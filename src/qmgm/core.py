@@ -58,7 +58,6 @@ class VariableSpec:
     kind: str
     link: str = ""
     threshold_grid: np.ndarray | None = None
-    support_hint: tuple | None = None
     domain: str = ""
 
     def __post_init__(self):
@@ -85,8 +84,7 @@ class VariableSpec:
             object.__setattr__(self, "threshold_grid", _readonly(grid))
 
     def with_grid(self, grid: np.ndarray) -> "VariableSpec":
-        return VariableSpec(self.name, self.kind, self.link, grid,
-                            self.support_hint, self.domain)
+        return VariableSpec(self.name, self.kind, self.link, grid, self.domain)
 
 
 @dataclass(frozen=True, eq=False)

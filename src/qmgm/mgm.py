@@ -155,12 +155,15 @@ def fit_mgm(dataset: Dataset, lambdas, *, nonzero_tol: float = NONZERO_TOL) -> C
                            converged, iterations, objectives)
 
 
-def deviance_block_loss(dataset: Dataset):
-    """Block loss for the shared information criteria: the family deviance
-    replaces the quantile-loss sum."""
-    def loss(j, l, intercept, beta):
+def deviance_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
+    """loss[j, 0, m]: family deviance of node j's regression at lambda m, the
+    block loss the shared information criteria use for this baseline."""
+    loss = np.zeros(cube.intercepts.shape)
+    for j in range(cube.p):
         family = family_for(dataset.schema[j].kind)
+        y = dataset.values[:, j]
         X = np.delete(dataset.values, j, axis=1)
-        mu = family.mean(intercept + X @ beta)
-        return glm_deviance(family, dataset.values[:, j], mu)
+        for mi in range(cube.n_lambdas):
+            mu = family.mean(cube.intercepts[j, 0, mi] + X @ cube.betas[j, 0, mi])
+            loss[j, 0, mi] = glm_deviance(family, y, mu)
     return loss

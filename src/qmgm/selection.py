@@ -13,7 +13,7 @@ from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_NEGATIVE,
                    SIGN_POSITIVE, SIGN_UNDEFINED, quantile_loss)
 from .penalized import (CONVERGENCE_TOL, MAX_ITERATIONS, NodeProblem,
-                        _link_inverse, fit_lambda_path)
+                        fit_lambda_path)
 
 BIC_EPS_GUARD = 1e-12
 
@@ -167,71 +167,37 @@ def _complexity(kind: str, cn: float, n: int, p: int) -> float:
     return float(np.log(n) * np.log(p - 1) * cn / (2.0 * n))
 
 
-def _score(cube: CoefficientCube, lambda_index: int, dataset: Dataset,
-           kind: str, cn: float, block_loss, use_link_inverse: bool,
-           nonzero_tol: float) -> float:
-    p, n = dataset.p, dataset.n
-    per_coef = _complexity(kind, cn, n, p)
-    total = 0.0
-    for j in range(p):
+def quantile_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
+    """loss[j, l, m]: summed quantile loss of node j's regression at level l
+    and lambda m, with residuals against the bare linear predictor."""
+    loss = np.zeros(cube.intercepts.shape)
+    for j in range(cube.p):
         yj = dataset.values[:, j]
         Xj = np.delete(dataset.values, j, axis=1)
-        link = dataset.schema[j].link
         for l, tau in enumerate(cube.tau_levels):
-            b0 = cube.intercepts[j, l, lambda_index]
-            beta = cube.betas[j, l, lambda_index]
-            if block_loss is not None:
-                loss = float(block_loss(j, l, b0, beta))
-            else:
-                pred = b0 + Xj @ beta
-                if use_link_inverse:
-                    pred = _link_inverse(pred, link)[0]
-                loss = float(np.sum(quantile_loss(yj - pred, float(tau))))
-            nu = int(np.count_nonzero(np.abs(beta) > nonzero_tol))
-            total += np.log(loss + BIC_EPS_GUARD) + nu * per_coef
-    return float(total)
+            for mi in range(cube.n_lambdas):
+                pred = cube.intercepts[j, l, mi] + Xj @ cube.betas[j, l, mi]
+                loss[j, l, mi] = np.sum(quantile_loss(yj - pred, float(tau)))
+    return loss
 
 
-def bic_score(cube: CoefficientCube, lambda_index: int, dataset: Dataset,
-              criterion: SelectionCriterion, *, block_loss=None,
-              use_link_inverse: bool = False,
-              nonzero_tol: float = NONZERO_TOL) -> float:
-    """Quantile-loss BIC: per (node, level) block, the log of the summed
-    quantile loss plus nu * ln(n) ln(p-1) cn / (2n), where nu is the block's
-    active-set size.
-
-    Residuals are taken on the response scale against the bare linear
-    predictor; set ``use_link_inverse`` to apply the link inverse first.
-    ``block_loss(j, l, intercept, beta)`` replaces the quantile-loss sum
-    (the mean-based baseline plugs its deviance in here).
-    """
-    if criterion.kind != "bic":
-        raise DataError("bic_score requires a BIC criterion")
-    return _score(cube, lambda_index, dataset, "bic", criterion.cn,
-                  block_loss, use_link_inverse, nonzero_tol)
-
-
-def aic_score(cube: CoefficientCube, lambda_index: int, dataset: Dataset, *,
-              block_loss=None, use_link_inverse: bool = False,
-              nonzero_tol: float = NONZERO_TOL) -> float:
-    """Same block structure as the BIC with the complexity factor replaced
-    by the constant 2."""
-    return _score(cube, lambda_index, dataset, "aic", 1.0,
-                  block_loss, use_link_inverse, nonzero_tol)
-
-
-def score_path(cube: CoefficientCube, dataset: Dataset,
-               criterion: SelectionCriterion, *, block_loss=None,
-               use_link_inverse: bool = False,
+def score_path(cube: CoefficientCube, losses: np.ndarray,
+               criterion: SelectionCriterion, n: int, *,
                nonzero_tol: float = NONZERO_TOL) -> np.ndarray:
-    """Criterion scores along the whole lambda grid."""
-    args = dict(block_loss=block_loss, use_link_inverse=use_link_inverse,
-                nonzero_tol=nonzero_tol)
-    if criterion.kind == "aic":
-        return np.asarray([aic_score(cube, mi, dataset, **args)
-                           for mi in range(cube.n_lambdas)])
-    return np.asarray([bic_score(cube, mi, dataset, criterion, **args)
-                       for mi in range(cube.n_lambdas)])
+    """Criterion scores along the whole lambda grid from the block losses
+    ``losses[j, l, m]`` of an n-row fit (``quantile_losses``, or
+    ``mgm.deviance_losses`` for the mean-based baseline).
+
+    Per (node, level) block: the log of its loss plus nu times the
+    complexity per coefficient, where nu is the block's active-set size;
+    that is ln(n) ln(p-1) cn / (2n) for the BIC and 2 / (2n) for the AIC.
+    """
+    per_coef = _complexity(criterion.kind, criterion.cn, n, cube.p)
+    nu = np.count_nonzero(np.abs(cube.betas) > nonzero_tol, axis=3)
+    blocks = (np.log(losses + BIC_EPS_GUARD) + nu * per_coef).reshape(-1, cube.n_lambdas)
+    # A running sum adds the blocks node by node, level by level, at every
+    # grid size; a plain sum turns pairwise when there is a single lambda.
+    return np.cumsum(blocks, axis=0)[-1]
 
 
 def select_lambda(scores, lambda_grid):

@@ -10,6 +10,10 @@ from collections import Counter
 import numpy as np
 from scipy.special import expit
 
+from qmgm.core import quantile_loss
+from qmgm.mgm import family_for, glm_deviance
+from qmgm.penalized import _link_inverse
+
 
 def mid_quantile_oracle(sample, tau):
     """Marginal mid-quantile via the piecewise-linear inverse of the
@@ -192,3 +196,51 @@ def logistic_irls_reference(y, X, z, *, max_iter=100, tol=1e-8, ridge=1e-6):
                 break
         coefs[h] = coef
     return coefs, converged, degenerate
+
+
+BIC_EPS_GUARD = 1e-12
+
+
+def _complexity(kind, cn, n, p):
+    if kind == "aic":
+        return 2.0 / (2.0 * n)
+    return float(np.log(n) * np.log(p - 1) * cn / (2.0 * n))
+
+
+def score_reference(cube, lambda_index, dataset, kind, cn, block_loss,
+                    use_link_inverse, nonzero_tol):
+    """Criterion score at one lambda, one (node, level) block at a time:
+    the log of the block's loss (the quantile-loss sum, or
+    ``block_loss(j, l, intercept, beta)``) plus its active-set size times
+    the per-coefficient complexity, summed in node-then-level order."""
+    p, n = dataset.p, dataset.n
+    per_coef = _complexity(kind, cn, n, p)
+    total = 0.0
+    for j in range(p):
+        yj = dataset.values[:, j]
+        Xj = np.delete(dataset.values, j, axis=1)
+        link = dataset.schema[j].link
+        for l, tau in enumerate(cube.tau_levels):
+            b0 = cube.intercepts[j, l, lambda_index]
+            beta = cube.betas[j, l, lambda_index]
+            if block_loss is not None:
+                loss = float(block_loss(j, l, b0, beta))
+            else:
+                pred = b0 + Xj @ beta
+                if use_link_inverse:
+                    pred = _link_inverse(pred, link)[0]
+                loss = float(np.sum(quantile_loss(yj - pred, float(tau))))
+            nu = int(np.count_nonzero(np.abs(beta) > nonzero_tol))
+            total += np.log(loss + BIC_EPS_GUARD) + nu * per_coef
+    return float(total)
+
+
+def deviance_block_loss_reference(dataset):
+    """Per-block family deviance of the mean-based baseline, for
+    ``score_reference``."""
+    def loss(j, l, intercept, beta):
+        family = family_for(dataset.schema[j].kind)
+        X = np.delete(dataset.values, j, axis=1)
+        mu = family.mean(intercept + X @ beta)
+        return glm_deviance(family, dataset.values[:, j], mu)
+    return loss

@@ -238,7 +238,7 @@ def test_criterion_7_metrics_oracle():
 
 
 def test_criterion_8_determinism(tmp_path):
-    sim_args = ["simulate", "--variant", "main", "--n", "150", "--R", "3",
+    sim_args = ["simulate", "--n", "150", "--R", "3",
                 "--learners", "qmgm3,mgm", "--lambda-count", "12",
                 "--seed", "7", "--threads", "2"]
     for out in ("run1", "run2"):

@@ -3,13 +3,13 @@ import pytest
 from scipy import stats
 
 from qmgm.benchmark import (DgpVariant, LearnerConfig,
-                            RecoveryMetrics, TrueGraph, bernoulli_quantile,
+                            RecoveryMetrics, TrueGraph,
                             confusion_metrics, default_lambda_grid,
                             generate_null_sample, generate_sample,
                             metrics_from_counts, pair_counts,
                             poisson_quantile, roc_curve, run_replications,
                             true_graph)
-from qmgm.core import DataError, EstimatedGraph, empty_graph
+from qmgm.core import DataError, Dataset, EstimatedGraph, empty_graph
 
 from bruteforce import auc_oracle, metrics_oracle, pair_counts_oracle
 
@@ -30,11 +30,10 @@ def random_adj(rng, p, density=0.4):
 
 
 def test_true_graph_has_twelve_edges():
-    tg = true_graph("main")
+    tg = true_graph()
     assert tg.n_edges == 12
     assert tg.p == 10
     assert np.array_equal(tg.adjacency, tg.adjacency.T)
-    assert true_graph("binary").n_edges == 12
 
 
 def test_generator_determinism():
@@ -67,16 +66,6 @@ def test_t3_moments_of_first_node():
     assert q75 - q25 == pytest.approx(2 * stats.t.ppf(0.75, 3), rel=0.02)
 
 
-def test_binary_variant_shapes_and_degenerate_last_column():
-    ds, tg = generate_sample(DgpVariant("binary", 300, 3))
-    y7, y10 = ds.values[:, 6], ds.values[:, 9]
-    assert set(np.unique(y7)).issubset({0.0, 1.0})
-    # the printed probability for the last node always clamps to one, so the
-    # column is constant; downstream validation rejects it by design
-    assert np.all(y10 == 1.0)
-    assert tg.n_edges == 12
-
-
 def test_poisson_quantile_matches_scipy():
     rng = np.random.default_rng(0)
     u = rng.random(500)
@@ -90,13 +79,6 @@ def test_poisson_quantile_edge_cases():
     assert poisson_quantile(np.array([0.0]), 3.0)[0] == 0.0
     assert poisson_quantile(np.array([1e-12]), 3.0)[0] == 0.0
     assert poisson_quantile(np.array([0.999999]), 0.5)[0] >= 5
-
-
-def test_bernoulli_quantile():
-    u = np.array([0.1, 0.5, 0.9])
-    assert np.array_equal(bernoulli_quantile(u, 0.3), [0.0, 0.0, 1.0])
-    assert np.array_equal(bernoulli_quantile(u, 2.0), [1.0, 1.0, 1.0])
-    assert np.array_equal(bernoulli_quantile(u, -1.0), [0.0, 0.0, 0.0])
 
 
 def test_confusion_metrics_perfect():
@@ -207,6 +189,12 @@ def test_learner_config_parsing():
         LearnerConfig.from_name("glasso")
 
 
+def test_dgp_variant_accepts_only_main():
+    assert DgpVariant("main", 100, 3) == DgpVariant(n=100, seed=3)
+    with pytest.raises(DataError):
+        DgpVariant("binary", 100, 3)
+
+
 def test_default_lambda_grid():
     grid = default_lambda_grid()
     assert grid.size == 50
@@ -241,11 +229,19 @@ def test_run_replications_deterministic_and_thread_invariant():
     assert a.config_digest() == b.config_digest()
 
 
+def _constant_column_sample(variant):
+    """A main sample whose last column is constant, which validation rejects."""
+    ds, truth = generate_sample(variant)
+    values = ds.values.copy()
+    values[:, -1] = 1.0
+    return Dataset(values, ds.schema), truth
+
+
 def test_run_replications_records_failures():
-    # the binary variant produces a constant column, so every replication
-    # fails validation and is recorded rather than raised
-    run = run_replications(["mgm"], DgpVariant("binary", 60, 1), 2,
-                           lambdas=[0.5], criteria=("bic",))
+    # every replication fails validation and is recorded rather than raised
+    run = run_replications(["mgm"], DgpVariant("main", 60, 1), 2,
+                           lambdas=[0.5], criteria=("bic",),
+                           sample_fn=_constant_column_sample)
     assert len(run.failures) == 2
     assert len(run.records) == 0
     assert "constant column" in run.failures[0][2]

@@ -3,11 +3,11 @@ import pytest
 
 from qmgm.benchmark import default_lambda_grid
 from qmgm.core import DataError
-from qmgm.mgm import (GlmFamily, deviance_block_loss, family_for,
+from qmgm.mgm import (GlmFamily, deviance_losses, family_for,
                       fit_glm_lasso_path, fit_mgm, glm_deviance,
                       node_lambda_max)
-from qmgm.selection import aic_score, SelectionCriterion, \
-    estimate_edge_set, select_lambda, score_path
+from qmgm.selection import SelectionCriterion, estimate_edge_set, \
+    select_lambda, score_path
 
 
 def test_family_assignment():
@@ -75,14 +75,14 @@ def test_fit_mgm_cube_contract(tiny_mixed):
     # shared machinery applies unchanged
     g = estimate_edge_set(cube, 5, 1e-6)
     assert g.p == 4
+    losses = deviance_losses(cube, tiny_mixed)
+    assert losses.shape == (4, 1, 6)
     crit = SelectionCriterion.from_name("bic", 4)
-    scores = score_path(cube, tiny_mixed, crit,
-                        block_loss=deviance_block_loss(tiny_mixed))
+    scores = score_path(cube, losses, crit, tiny_mixed.n)
     idx, lam = select_lambda(scores, lambdas)
     assert 0 <= idx < 6
-    aic = aic_score(cube, idx, tiny_mixed,
-                    block_loss=deviance_block_loss(tiny_mixed))
-    assert np.isfinite(aic)
+    aic = score_path(cube, losses, SelectionCriterion("aic"), tiny_mixed.n)
+    assert np.all(np.isfinite(aic))
 
 
 def test_path_objectives_nonincreasing_in_lambda(tiny_mixed):

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
-from qmgm.core import (CoefficientCube, DataError, Dataset, SIGN_LABELS,
-                       VariableSpec, standard_levels, validate_and_standardize)
-from qmgm.selection import (SelectionCriterion, aic_score, bic_score,
+from qmgm.core import (CoefficientCube, DataError, Dataset, NONZERO_TOL,
+                       SIGN_LABELS, VariableSpec, standard_levels,
+                       validate_and_standardize)
+from qmgm.mgm import deviance_losses, fit_mgm
+from qmgm.selection import (CRITERION_NAMES, SelectionCriterion,
                             build_problems, estimate_edge_set, fit_qmgm,
-                            score_path, select_lambda)
+                            quantile_losses, score_path, select_lambda)
+
+from bruteforce import deviance_block_loss_reference, score_reference
 
 
 def cube_from_B(B, lambdas=(1.0,), taus=None):
@@ -102,8 +106,8 @@ def test_bic_complexity_increment():
     B[2, 0, 0] = 2e-6          # counted as active, numerically irrelevant
     cube1 = cube_from_B(B, taus=[0.5])
     crit = SelectionCriterion.from_name("bicp", p)
-    s0 = bic_score(cube0, 0, ds, crit)
-    s1 = bic_score(cube1, 0, ds, crit)
+    s0 = score_path(cube0, quantile_losses(cube0, ds), crit, n)[0]
+    s1 = score_path(cube1, quantile_losses(cube1, ds), crit, n)[0]
     expected = np.log(n) * np.log(p - 1) * crit.cn / (2 * n)
     assert s1 - s0 == pytest.approx(expected, rel=1e-4)
 
@@ -112,9 +116,8 @@ def test_bic_guard_for_zero_residuals():
     ds = linear_dataset()
     B = np.zeros((3, 1, 3))
     cube = cube_from_B(B, taus=[0.5])
-    loss = lambda j, l, b0, beta: 0.0
     crit = SelectionCriterion("bic", 1.0)
-    score = bic_score(cube, 0, ds, crit, block_loss=loss)
+    score = score_path(cube, np.zeros((3, 1, 1)), crit, ds.n)[0]
     assert score == pytest.approx(3 * np.log(1e-12))
 
 
@@ -135,17 +138,54 @@ def test_aic_examples():
     ds = linear_dataset()
     B = np.zeros((3, 1, 3))
     cube = cube_from_B(B, taus=[0.5])
-    unit_loss = lambda j, l, b0, beta: 1.0
-    assert aic_score(cube, 0, ds, block_loss=unit_loss) == pytest.approx(0.0, abs=1e-9)
-    r_loss = lambda j, l, b0, beta: 7.5
-    assert aic_score(cube, 0, ds, block_loss=r_loss) == pytest.approx(
+    aic = SelectionCriterion("aic")
+    unit_loss = np.ones((3, 1, 1))
+    assert score_path(cube, unit_loss, aic, ds.n)[0] == pytest.approx(0.0, abs=1e-9)
+    assert score_path(cube, np.full((3, 1, 1), 7.5), aic, ds.n)[0] == pytest.approx(
         3 * np.log(7.5), abs=1e-9)
     # one active coefficient costs 2/(2n) per block
     B[0, 0, 1] = 1.0
     cube1 = cube_from_B(B, taus=[0.5])
-    delta = (aic_score(cube1, 0, ds, block_loss=unit_loss)
-             - aic_score(cube, 0, ds, block_loss=unit_loss))
+    delta = (score_path(cube1, unit_loss, aic, ds.n)[0]
+             - score_path(cube, unit_loss, aic, ds.n)[0])
     assert delta == pytest.approx(1.0 / ds.n, abs=1e-12)
+
+
+def _last_lambda(cube):
+    """The cube restricted to its smallest lambda (a one-point grid)."""
+    return CoefficientCube(cube.intercepts[:, :, -1:], cube.betas[:, :, -1:],
+                           cube.lambda_grid[-1:], cube.tau_levels,
+                           cube.converged[:, :, -1:], cube.iterations[:, :, -1:],
+                           cube.objectives[:, :, -1:])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_score_path_equals_blockwise_reference(seed):
+    # one loss pass per cube scores every criterion exactly as the
+    # block-by-block sum did, for the quantile and deviance losses, on a
+    # short grid and on a one-lambda grid, at two edge tolerances
+    ds, _ = generate_sample(DgpVariant("main", 200, seed))
+    ds = validate_and_standardize(ds)
+    lambdas = default_lambda_grid(count=4)
+    problems = build_problems(ds)
+    fits = [(fit_qmgm(ds, standard_levels(L), lambdas, problems=problems),
+             quantile_losses, None) for L in (1, 3, 7)]
+    fits.append((fit_mgm(ds, lambdas), deviance_losses,
+                 deviance_block_loss_reference(ds)))
+    checked = 0
+    for full, losses_of, block_loss in fits:
+        for cube in (full, _last_lambda(full)):
+            losses = losses_of(cube, ds)
+            for name in CRITERION_NAMES:
+                crit = SelectionCriterion.from_name(name, ds.p)
+                for tol in (NONZERO_TOL, 0.05):
+                    got = score_path(cube, losses, crit, ds.n, nonzero_tol=tol)
+                    want = [score_reference(cube, mi, ds, crit.kind, crit.cn,
+                                            block_loss, False, tol)
+                            for mi in range(cube.n_lambdas)]
+                    assert got.tolist() == want, (cube.n_levels, name, tol)
+                    checked += cube.n_lambdas
+    assert checked == 4 * 5 * 2 * 5
 
 
 def test_select_lambda_rules():
@@ -174,7 +214,7 @@ def test_fit_qmgm_cube_shape_and_selection(dgp_500):
     assert cube.betas.shape == (10, 3, 8, 9)
     assert np.all(np.isfinite(cube.objectives))
     crit = SelectionCriterion.from_name("bicp", ds.p)
-    scores = score_path(cube, ds, crit)
+    scores = score_path(cube, quantile_losses(cube, ds), crit, ds.n)
     idx, lam = select_lambda(scores, lambdas)
     assert 0 <= idx < 8
     # the largest grid value keeps every model empty on standardized data

@@ -12,8 +12,7 @@ from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
 from .io import (GraphDocument, document_from_adjacency, document_from_graph,
                  export_graph, load_csv, load_schema, parse_schema, save_csv)
 from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
-from .midcdf import (MidCdfAtPoint, ThresholdLogitSet, conditional_mid_cdf,
-                     fit_threshold_logits, interpolate_midcdf,
+from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
                      marginal_mid_quantile, rearrange_monotone)
 from .penalized import (NodeFitConfig, NodeFitResult, NodeProblem,
                         fit_lambda_path, fit_node_quantile,

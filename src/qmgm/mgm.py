@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import expit, xlogy
 
 from .core import CoefficientCube, DataError, Dataset, NONZERO_TOL
+from .lasso import wls_path
 from .penalized import penalized_wls
 
 OUTER_MAX_ITER = 100
@@ -84,47 +85,56 @@ def node_lambda_max(y: np.ndarray, X: np.ndarray) -> float:
 def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily, lambdas):
     """Warm-started L1 path for one node; lambdas strictly decreasing.
 
-    Binomial and poisson nodes use proximal Newton: iteratively reweighted
-    quadratic approximations, each solved by penalized coordinate descent.
-    A point counts as converged when the outer iterates settle and the last
-    inner solve converged.  Returns per-lambda (intercept, beta, objective,
-    iterations, converged).
+    A gaussian node is one weighted least-squares lasso along the whole
+    path.  Binomial and poisson nodes use proximal Newton: iteratively
+    reweighted quadratic approximations, each solved by the same lasso
+    kernel.  A point counts as converged when the outer iterates settle and
+    the last inner solve is certified.  Returns per-lambda (intercept,
+    beta, objective, iterations, converged).
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
         raise DataError("lambda grid must be strictly decreasing")
     n, m = X.shape
-    beta = np.zeros(m)
-    b0 = float(y.mean()) if family.name == "gaussian" else 0.0
+    if family.name == "gaussian":
+        fits = [(b0, beta, 1, conv) for b0, beta, _, conv
+                in wls_path(X, np.ones(n), y, lambdas, np.ones(m))]
+    else:
+        fits = _proximal_newton_path(y, X, family, lambdas)
+    out = []
+    for lam, (b0, beta, it, conv) in zip(lambdas, fits):
+        mu = family.mean(b0 + X @ beta)
+        obj = glm_deviance(family, y, mu) / (2.0 * n) + float(lam) * float(np.abs(beta).sum())
+        out.append((b0, beta, obj, it, conv))
+    return out
+
+
+def _proximal_newton_path(y, X, family, lambdas):
+    """(intercept, beta, outer iterations, converged) per lambda of a
+    binomial or poisson node, warm-started along the path."""
+    beta = np.zeros(X.shape[1])
     if family.name == "binomial":
         pbar = min(max(y.mean(), 1e-10), 1 - 1e-10)
         b0 = float(np.log(pbar / (1 - pbar)))
-    elif family.name == "poisson":
+    else:
         b0 = float(np.log(max(y.mean(), 1e-10)))
-    out = []
+    fits = []
     for lam in lambdas:
-        lam = float(lam)
-        if family.name == "gaussian":
-            b0, beta, _, conv = penalized_wls(X, np.ones(n), y, b0, beta, lam)
-            it = 1
-        else:
-            conv = False
-            it = 0
-            for it in range(1, OUTER_MAX_ITER + 1):
-                lp = b0 + X @ beta
-                mu = family.mean(lp)
-                w = family.variance(mu)
-                z = lp + (y - mu) / w
-                nb0, nbeta, _, inner_conv = penalized_wls(X, w, z, b0, np.array(beta), lam)
-                delta = max(abs(nb0 - b0), float(np.max(np.abs(nbeta - beta), initial=0.0)))
-                b0, beta = nb0, nbeta
-                if delta < OUTER_TOL:
-                    conv = inner_conv
-                    break
-        mu = family.mean(b0 + X @ beta)
-        obj = glm_deviance(family, y, mu) / (2.0 * n) + lam * float(np.abs(beta).sum())
-        out.append((b0, np.array(beta), obj, it, conv))
-    return out
+        conv = False
+        it = 0
+        for it in range(1, OUTER_MAX_ITER + 1):
+            lp = b0 + X @ beta
+            mu = family.mean(lp)
+            w = family.variance(mu)
+            z = lp + (y - mu) / w
+            nb0, nbeta, _, inner_conv = penalized_wls(X, w, z, b0, np.array(beta), float(lam))
+            delta = max(abs(nb0 - b0), float(np.max(np.abs(nbeta - beta), initial=0.0)))
+            b0, beta = nb0, nbeta
+            if delta < OUTER_TOL:
+                conv = inner_conv
+                break
+        fits.append((b0, np.array(beta), it, conv))
+    return fits
 
 
 def fit_mgm(dataset: Dataset, lambdas, *, nonzero_tol: float = NONZERO_TOL) -> CoefficientCube:

@@ -61,20 +61,6 @@ class ThresholdLogitSet:
 
 
 @dataclass(frozen=True, eq=False)
-class MidCdfAtPoint:
-    """Rearranged CDF, masses and mid-probabilities at one covariate point."""
-
-    thresholds: np.ndarray
-    cdf: np.ndarray
-    mass: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        for name in ("thresholds", "cdf", "mass", "pi"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-
-@dataclass(frozen=True, eq=False)
 class MidCdfField:
     """Vectorized mid-CDF interpolator over all training rows.
 
@@ -217,22 +203,6 @@ def _raw_cdf_matrix(logits: ThresholdLogitSet, X: np.ndarray) -> np.ndarray:
     return F
 
 
-def conditional_mid_cdf(logits: ThresholdLogitSet, covariates) -> MidCdfAtPoint:
-    """Evaluate the threshold fits at one covariate vector.
-
-    CDF values are rearranged into a nondecreasing sequence before
-    differencing, so the masses are nonnegative by construction and the
-    mid-probabilities are strictly inside (0, 1) and nondecreasing.
-    """
-    x = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise DataError("covariates must be finite")
-    F = rearrange_monotone(_raw_cdf_matrix(logits, x))[0]
-    mass = np.diff(F, prepend=0.0)
-    pi = F - 0.5 * mass
-    return MidCdfAtPoint(logits.thresholds, F, mass, pi)
-
-
 def build_field(logits: ThresholdLogitSet, X: np.ndarray) -> MidCdfField:
     """Mid-CDF interpolator for every row of X at once."""
     F = rearrange_monotone(_raw_cdf_matrix(logits, X))
@@ -241,15 +211,6 @@ def build_field(logits: ThresholdLogitSet, X: np.ndarray) -> MidCdfField:
     z = logits.thresholds
     slopes = np.diff(pi, axis=1) / np.diff(z)
     return MidCdfField(z, pi, slopes)
-
-
-def interpolate_midcdf(point: MidCdfAtPoint, eta: float) -> float:
-    """Piecewise-linear mid-CDF at eta, with boundary-slope extrapolation
-    clamped to [INTERP_CLIP, 1 - INTERP_CLIP]."""
-    field = MidCdfField(point.thresholds, point.pi[None, :],
-                        (np.diff(point.pi) / np.diff(point.thresholds))[None, :])
-    val, _ = field.evaluate(np.asarray([float(eta)]))
-    return float(val[0])
 
 
 def marginal_mid_cdf(sample):

@@ -7,11 +7,18 @@ interpolator.  Two routes are provided:
 
 * method "inverse" (the production default): invert each row's
   interpolator at tau to get the implied conditional mid-quantile, then fit
-  the link-transformed targets by a penalized weighted least-squares
-  coordinate descent.  Rows whose equation has no solution (tau outside the
-  row's mid-probability range) carry no information and are dropped.  At
-  lambda = 0 this is the closed-form two-step estimator.  Its results carry
-  that penalized weighted least-squares objective.
+  the link-transformed targets by penalized weighted least squares.  Rows
+  whose equation has no solution (tau outside the row's mid-probability
+  range) carry no information and are dropped.  At lambda = 0 this is the
+  closed-form two-step estimator.  Its results carry that penalized
+  weighted least-squares objective.
+
+  X, the row weights and the targets stay fixed along a lambda path, so a
+  path is one warm-started run of the exact lasso kernel in
+  ``qmgm.lasso``, with one Gram matrix per path; a point counts as
+  converged only when its KKT residual is certified.  With fewer than 2
+  solvable rows every point is the null fit, carrying its iteration count
+  and convergence flag.
 
 * method "descent": proximal gradient with backtracking line search on the
   probability-scale objective
@@ -33,6 +40,7 @@ import numpy as np
 from scipy.special import expit
 
 from .core import DataError, Dataset, NONZERO_TOL, NumericalError, _readonly
+from .lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_path
 from .midcdf import (MidCdfField, ThresholdLogitSet, _fit_threshold_logits_arrays,
                      build_field, fit_threshold_logits, marginal_mid_quantile)
 
@@ -172,75 +180,32 @@ def soft_threshold(v, t):
     return float(out) if out.ndim == 0 else out
 
 
-WLS_SWEEP_MAX = 1000
-WLS_SWEEP_TOL = 1e-12
-# A column whose weighted variance is below this fraction of its weighted
-# mean square is constant on the weighted rows up to the rounding of the
-# centering; its slope is not identified beside the intercept and stays 0.
-WLS_FLAT_TOL = 1e-20
-
-
 def penalized_wls(X, w, z, b0, beta, lam, coef_weights=None, *,
                   max_sweeps=WLS_SWEEP_MAX, tol=WLS_SWEEP_TOL):
-    """Coordinate descent for the weighted L1-penalized least squares
+    """Exact solve of the weighted L1-penalized least squares
 
         (1/(2n)) sum_i w_i (z_i - b0 - x_i' beta)^2
             + lam * sum_k cw_k |beta_k|
 
-    with an unpenalized intercept, in covariance-update form (Friedman,
-    Hastie & Tibshirani 2010): the weighted means are profiled out, the
-    centered Gram matrix G = Xc' W Xc / n and c = Xc' W zc / n are formed
-    once, and a sweep updates only beta and the running product G beta, at
-    O(m^2) cost whatever n is.  Sweeps stop when no slope moves by tol or
-    more.  Mutates and returns beta; also returns the sweep count and a
-    convergence flag.  With all row weights zero, b0 is returned as passed.
+    with an unpenalized intercept, by the kernel in ``qmgm.lasso``: the
+    weighted means are profiled out, and an active-set method started at
+    beta solves the covariance form and is accepted once its KKT residual
+    is certified.  When an active-set system is singular or the step cap
+    is hit, coordinate-descent sweeps from beta (stopping when no slope
+    moves by tol or more, at most max_sweeps) take over.  Mutates and
+    returns beta; also returns the work done (linear solves plus fallback
+    sweeps) and whether the KKT residual is certified.  With all row
+    weights zero the slopes are zero and b0 is returned as passed.
     """
-    n, m = X.shape
+    m = X.shape[1]
     cw = np.ones(m) if coef_weights is None else np.asarray(coef_weights, float)
-    wsum = float(w.sum())
-    if wsum > 0:
-        xbar = (w @ X) / wsum
-        zbar = float(w @ z) / wsum
-        Xc = X - xbar
-        WXc = Xc * w[:, None]
-        G = (WXc.T @ Xc) / n
-        c = (WXc.T @ (z - zbar)) / n
-        diag = np.diag(G).copy()
-        diag[diag <= WLS_FLAT_TOL * xbar ** 2 * (wsum / n)] = 0.0
-    else:
-        G, c, diag = np.zeros((m, m)), np.zeros(m), np.zeros(m)
-    Gb = (G @ beta).tolist()
-    G, c, diag = G.tolist(), c.tolist(), diag.tolist()
-    thresholds = (lam * cw).tolist()
-    b = beta.tolist()
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, max_sweeps + 1):
-        delta = 0.0
-        for k in range(m):
-            old = b[k]
-            gkk = diag[k]
-            new = 0.0
-            if gkk > 0.0:
-                rho = c[k] - Gb[k] + gkk * old
-                t = thresholds[k]
-                if rho > t:
-                    new = (rho - t) / gkk
-                elif rho < -t:
-                    new = (rho + t) / gkk
-            if new != old:
-                step = new - old
-                Gb = [gb + gk * step for gb, gk in zip(Gb, G[k])]
-                b[k] = new
-                if abs(step) > delta:
-                    delta = abs(step)
-        if delta < tol:
-            converged = True
-            break
-    beta[:] = b
-    if wsum > 0:
-        b0 = zbar - float(xbar @ beta)
-    return b0, beta, sweeps, converged
+    gram = wls_gram(X, w, z)
+    if gram is None:
+        beta[:] = 0.0
+        return b0, beta, 0, True
+    G, c, ok, xbar, zbar = gram
+    work, converged = lasso_solve(G, c, ok, beta, lam * cw, max_sweeps, tol)
+    return zbar - float(xbar @ beta), beta, work, converged
 
 
 def inverse_midquantile_targets(problem: NodeProblem, tau: float):
@@ -482,22 +447,18 @@ def _inverse_path(problem, tau, lambdas, weights, nonzero_tol):
     if solvable.sum() < 2:
         base = null_fit(problem, tau)
         return [NodeFitResult(base.intercept, np.zeros(problem.m),
-                              base.objective, 0, True,
+                              base.objective, base.iterations, base.converged,
                               np.empty(0, dtype=int), 0.0)
                 for _ in lambdas]
-    b0 = float(np.average(targets, weights=w_rows))
-    beta = np.zeros(problem.m)
     w_pen = np.ones(problem.m) if weights is None else np.asarray(weights, float)
+    path = wls_path(problem.X, w_rows, targets, lambdas, w_pen)
     results = []
-    for lam in lambdas:
-        lam = float(lam)
-        b0, beta, sweeps, conv = penalized_wls(
-            problem.X, w_rows, targets, b0, np.array(beta), lam, w_pen)
+    for lam, (b0, beta, work, conv) in zip(lambdas, path):
         r = targets - b0 - problem.X @ beta
-        obj = float(w_rows @ (r * r)) / (2.0 * problem.n) + _penalty(lam, w_pen, beta)
+        obj = (float(w_rows @ (r * r)) / (2.0 * problem.n)
+               + _penalty(float(lam), w_pen, beta))
         active = np.flatnonzero(np.abs(beta) > nonzero_tol)
-        results.append(NodeFitResult(float(b0), np.array(beta), float(obj),
-                                     sweeps, conv, active, 0.0))
+        results.append(NodeFitResult(b0, beta, obj, work, conv, active, 0.0))
     return results
 
 
@@ -509,9 +470,10 @@ def fit_lambda_path(problem: NodeProblem, tau: float, lambdas, *,
     """Fit a strictly decreasing lambda sequence with warm starts.
 
     method "inverse" solves the per-row-inverted implicit equation by
-    penalized weighted least squares (default; see the module docstring);
-    "descent" runs the proximal-gradient optimizer of the probability-scale
-    objective at every grid point.
+    penalized weighted least squares (default; see the module docstring),
+    and each result's ``iterations`` counts the kernel's linear solves plus
+    any fallback sweeps; "descent" runs the proximal-gradient optimizer of
+    the probability-scale objective at every grid point.
     """
     lambdas = _check_lambda_grid(lambdas)
     if method == "inverse":

@@ -98,9 +98,13 @@ def test_path_objectives_nonincreasing_in_lambda(tiny_mixed):
         assert all(d1 <= d0 + 1e-6 for d0, d1 in zip(dev, dev[1:]))
 
 
-def test_coordinate_descent_monotone_per_sweep(tiny_mixed):
+def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
+    # the fallback sweeps, reached through an active set that never
+    # certifies, so that max_sweeps caps every solve
+    from qmgm import lasso
     from qmgm.penalized import penalized_wls
 
+    monkeypatch.setattr(lasso, "_active_set", lambda *args: (0, False))
     y = tiny_mixed.values[:, 1]
     X = np.delete(tiny_mixed.values, 1, axis=1)
     n = y.size
@@ -130,15 +134,18 @@ def test_warm_start_matches_cold_single(tiny_mixed):
 
 
 def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
-    # a point whose last proximal-Newton inner solve hit its sweep cap is
-    # not converged, even when the outer iterates settle
+    # a point whose last kernel solve is not certified is not converged,
+    # even when the proximal-Newton outer iterates settle
     from qmgm import mgm
 
     lambdas = default_lambda_grid(count=8)
-    original = mgm.penalized_wls
+    solve, path = mgm.penalized_wls, mgm.wls_path
 
-    def one_sweep(*args, **kwargs):
-        return original(*args, **dict(kwargs, max_sweeps=1))
+    def uncertified_solve(*args, **kwargs):
+        return solve(*args, **kwargs)[:3] + (False,)
+
+    def uncertified_path(*args, **kwargs):
+        return [point[:3] + (False,) for point in path(*args, **kwargs)]
 
     for j in (0, 2, 3):
         y = tiny_mixed.values[:, j]
@@ -146,7 +153,8 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
         fam = family_for(tiny_mixed.schema[j].kind)
         assert fit_glm_lasso_path(y, X, fam, lambdas)[-1][4]
         with monkeypatch.context() as mp:
-            mp.setattr(mgm, "penalized_wls", one_sweep)
+            mp.setattr(mgm, "penalized_wls", uncertified_solve)
+            mp.setattr(mgm, "wls_path", uncertified_path)
             cut = fit_glm_lasso_path(y, X, fam, lambdas)
         assert not cut[-1][4], fam.name
         if fam.name != "gaussian":

@@ -7,10 +7,8 @@ from scipy import stats
 
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import Dataset, VariableSpec, validate_and_standardize
-from qmgm.midcdf import (MidCdfAtPoint, ThresholdLogitSet,
-                         _fit_threshold_logits_arrays, build_field,
-                         conditional_mid_cdf, fit_threshold_logits,
-                         interpolate_midcdf, marginal_mid_cdf,
+from qmgm.midcdf import (ThresholdLogitSet, _fit_threshold_logits_arrays,
+                         build_field, fit_threshold_logits, marginal_mid_cdf,
                          marginal_mid_quantile, rearrange_monotone)
 from qmgm.penalized import NodeProblem
 
@@ -31,6 +29,24 @@ def test_rearrange_is_sorted_and_preserves_multiset(values):
     assert sorted(values) == list(out)
 
 
+# F is recovered from pi_h = (F_h + F_{h-1}) / 2, so the recovered CDF and
+# masses carry a few ulps of rounding
+RECOVERY_TOL = 1e-12
+
+
+def midcdf_at(logits, x):
+    """build_field on the one-row X = x: the row's mid-probabilities, and
+    the rearranged CDF and point masses recovered from them through
+    pi_h = (F_h + F_{h-1}) / 2 with F_0 = 0."""
+    field = build_field(logits, np.asarray(x, dtype=float).reshape(1, -1))
+    pi = field.pi[0]
+    cdf = np.empty_like(pi)
+    prev = 0.0
+    for h, value in enumerate(pi):
+        cdf[h] = prev = 2.0 * value - prev
+    return field, cdf, np.diff(cdf, prepend=0.0)
+
+
 def binary_intercept_only_problem(sample):
     return NodeProblem.marginal(np.asarray(sample, float), link="logit")
 
@@ -38,9 +54,9 @@ def binary_intercept_only_problem(sample):
 def test_intercept_only_binary_midcdf():
     # empirical frequencies 1/2 at zero: pi(0) = 0.25, pi(1) = 0.75
     pr = binary_intercept_only_problem([0.0, 0.0, 1.0, 1.0])
-    point = conditional_mid_cdf(pr.logits, np.zeros((0,)))
-    assert point.pi == pytest.approx([0.25, 0.75], abs=1e-8)
-    assert point.cdf == pytest.approx([0.5, 1.0], abs=1e-8)
+    field, cdf, _ = midcdf_at(pr.logits, np.zeros((0,)))
+    assert field.pi[0] == pytest.approx([0.25, 0.75], abs=1e-8)
+    assert cdf == pytest.approx([0.5, 1.0], abs=1e-8)
 
 
 def test_top_threshold_degenerate(tiny_mixed):
@@ -48,8 +64,8 @@ def test_top_threshold_degenerate(tiny_mixed):
     logits = fit_threshold_logits(ds, 3)  # binary node
     assert logits.degenerate[-1]
     assert not logits.degenerate[0]
-    point = conditional_mid_cdf(logits, np.zeros(3))
-    assert point.cdf[-1] == 1.0
+    _, cdf, _ = midcdf_at(logits, np.zeros(3))
+    assert cdf[-1] == pytest.approx(1.0, abs=RECOVERY_TOL)
 
 
 def test_intercept_only_matches_marginal_mid_cdf():
@@ -57,10 +73,10 @@ def test_intercept_only_matches_marginal_mid_cdf():
     sample = rng.poisson(3.0, 200).astype(float)
     pr = NodeProblem.marginal(sample, link="identity")
     z, F, mass, pi = marginal_mid_cdf(sample)
-    point = conditional_mid_cdf(pr.logits, np.zeros((0,)))
-    assert np.array_equal(point.thresholds, z)
-    assert point.cdf == pytest.approx(F, abs=1e-8)
-    assert point.pi == pytest.approx(pi, abs=1e-8)
+    field, cdf, _ = midcdf_at(pr.logits, np.zeros((0,)))
+    assert np.array_equal(field.thresholds, z)
+    assert cdf == pytest.approx(F, abs=1e-8)
+    assert field.pi[0] == pytest.approx(pi, abs=1e-8)
 
 
 def test_conditional_pi_monotone_in_01(dgp_500):
@@ -69,26 +85,32 @@ def test_conditional_pi_monotone_in_01(dgp_500):
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(size=ds.p - 1)
-        point = conditional_mid_cdf(logits, x)
-        assert np.all(point.pi > 0.0) and np.all(point.pi < 1.0)
-        assert np.all(np.diff(point.pi) >= 0)
-        assert np.all(point.mass >= 0)
+        field, cdf, mass = midcdf_at(logits, x)
+        pi = field.pi[0]
+        assert np.all(pi > 0.0) and np.all(pi < 1.0)
+        assert np.all(np.diff(pi) >= 0)
+        assert np.all(mass >= -RECOVERY_TOL)
+        # the CDF behind pi is the rearranged (sorted) threshold fits
+        assert np.all(np.diff(cdf) >= -RECOVERY_TOL)
 
 
 def test_interpolator_examples():
-    point = MidCdfAtPoint(np.array([0.0, 1.0]), np.array([0.5, 1.0]),
-                          np.array([0.5, 0.5]), np.array([0.25, 0.75]))
-    assert interpolate_midcdf(point, 0.0) == pytest.approx(0.25)
-    assert interpolate_midcdf(point, 1.0) == pytest.approx(0.75)
-    assert interpolate_midcdf(point, 0.5) == pytest.approx(0.5)
+    # pi = (0.25, 0.75) at thresholds (0, 1); one row per evaluation point
+    pr = binary_intercept_only_problem([0.0, 0.0, 1.0, 1.0])
+    field = build_field(pr.logits, np.zeros((3, 0)))
+    vals, slopes = field.evaluate(np.array([0.0, 1.0, 0.5]))
+    assert vals == pytest.approx([0.25, 0.75, 0.5], abs=1e-8)
+    assert slopes == pytest.approx([0.5, 0.5, 0.5], abs=1e-8)
 
 
 def test_interpolator_monotone_and_clamped(dgp_500):
     ds, _ = dgp_500
     logits = fit_threshold_logits(ds, 6)
-    point = conditional_mid_cdf(logits, np.zeros(ds.p - 1))
-    etas = np.linspace(point.thresholds[0] - 50, point.thresholds[-1] + 50, 400)
-    vals = [interpolate_midcdf(point, e) for e in etas]
+    z = logits.thresholds
+    etas = np.linspace(z[0] - 50, z[-1] + 50, 400)
+    # the covariate row x = 0, repeated once per evaluation point
+    field = build_field(logits, np.zeros((etas.size, ds.p - 1)))
+    vals, _ = field.evaluate(etas)
     assert np.all(np.diff(vals) >= -1e-12)
     assert min(vals) >= 1e-6 and max(vals) <= 1 - 1e-6
 
@@ -123,8 +145,8 @@ def test_continuous_node_masses_vanish():
     X = np.delete(ds.values, 0, axis=1)
     worst = 0.0
     for i in range(50):
-        pt = conditional_mid_cdf(logits, X[i])
-        worst = max(worst, pt.mass.max())
+        _, _, mass = midcdf_at(logits, X[i])
+        worst = max(worst, mass.max())
     assert worst < 0.1
 
 
@@ -149,9 +171,9 @@ def test_t3_conditional_cdf_matches_marginal_when_uninformative():
     rng = np.random.default_rng(0)
     errs = []
     for i in rng.integers(0, 5000, size=25):
-        pt = conditional_mid_cdf(logits, X[i])
-        raw = pt.thresholds * scale + center
-        errs.append(np.max(np.abs(pt.cdf - stats.t.cdf(raw, df=3))))
+        field, cdf, _ = midcdf_at(logits, X[i])
+        raw = field.thresholds * scale + center
+        errs.append(np.max(np.abs(cdf - stats.t.cdf(raw, df=3))))
     assert np.median(errs) < 0.05
 
 

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import kkt_residual, penalized_wls_reference
 from qmgm.benchmark import DgpVariant, generate_sample
-from qmgm.core import DataError, validate_and_standardize
+from qmgm.core import (DataError, Dataset, QuantileGrid, VariableSpec,
+                       validate_and_standardize)
 from qmgm.midcdf import MidCdfField, marginal_mid_quantile
 from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
                             fit_node_quantile, inverse_midquantile_targets,
                             lambda_max, null_fit, objective, penalized_wls,
                             smooth_gradient, smooth_objective, soft_threshold)
-from qmgm.selection import build_problems
+from qmgm.selection import build_problems, fit_qmgm
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,6 @@ def test_gradient_matches_finite_differences(dgp_500):
     ds, _ = dgp_500
     rng = np.random.default_rng(42)
     sub = np.sort(rng.choice(ds.n, 40, replace=False))
-    from qmgm.core import Dataset
     small = validate_and_standardize(
         Dataset(ds.values[sub], ds.schema, ds.missing_mask[sub]))
     for node, margin in ((0, 1e-4), (4, 1e-4), (6, 1e-3)):
@@ -275,12 +275,19 @@ def test_penalized_wls_matches_lstsq_at_zero_lambda():
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(12, 60), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       binary_rows=st.booleans(), lam=st.floats(1e-3, 0.5),
-       penalize_all=st.booleans())
+       binary_rows=st.booleans(), log10_lam=st.floats(-4.0, np.log10(0.5)),
+       penalize_all=st.booleans(), correlated=st.booleans())
 def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_rows,
-                                                           lam, penalize_all):
+                                                           log10_lam, penalize_all,
+                                                           correlated):
+    # small lambdas on strongly correlated columns are where coordinate
+    # sweeps crawl toward the optimum
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, m)) * rng.uniform(0.3, 3.0, m) + rng.normal(size=m)
+    lam = 10.0 ** log10_lam
+    raw = rng.normal(size=(n, m))
+    if correlated:
+        raw = rng.normal(size=(n, 1)) + 0.15 * raw
+    X = raw * rng.uniform(0.3, 3.0, m) + rng.normal(size=m)
     z = X @ (rng.normal(size=m) * rng.binomial(1, 0.5, m)) + rng.normal(size=n)
     if binary_rows:
         w = np.zeros(n)
@@ -316,6 +323,88 @@ def test_penalized_wls_flat_column_and_empty_weights():
     # no weighted rows: slopes drop to zero and the intercept is kept
     b0, beta, _, conv = penalized_wls(X, np.zeros(50), z, 1.5, np.ones(3), 0.1)
     assert conv and b0 == 1.5 and not beta.any()
+
+
+def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
+    # two identical columns make every active set holding both singular;
+    # their penalty weights differ, so the optimum is unique (the cheaper
+    # column carries the shared slope) and the reference must find it too
+    from qmgm import lasso
+
+    sweeps, calls = lasso._sweeps, []
+
+    def spy(*args):
+        calls.append(1)
+        return sweeps(*args)
+
+    monkeypatch.setattr(lasso, "_sweeps", spy)
+    rng = np.random.default_rng(2)
+    n, m = 40, 4
+    X = rng.normal(size=(n, m))
+    X[:, 2] = X[:, 0]
+    z = X @ np.array([1.0, -0.5, 0.8, 0.0]) + rng.normal(size=n)
+    w = rng.uniform(0.2, 2.0, n)
+    cw = np.array([3.0, 1.0, 1.0, 1.0])
+    for lam in (0.3, 0.05, 0.01):
+        calls.clear()
+        b0, beta, _, conv = penalized_wls(X, w, z, 0.0, np.zeros(m), lam, cw)
+        assert calls, lam
+        rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.0, np.zeros(m),
+                                                       lam, cw, max_sweeps=10**5)
+        assert rconv and conv
+        assert beta[0] == 0.0 and beta[2] != 0.0
+        assert np.abs(beta - rbeta).max() <= 1e-8
+        assert abs(b0 - rb0) <= 1e-8
+        assert kkt_residual(X, w, z, b0, beta, lam, cw) <= 1e-8
+
+
+def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
+    # each point of a warm-started path (one Gram matrix per path) is the
+    # point a cold single-lambda solve reaches, and the active set certifies
+    # it without the fallback sweeps
+    from qmgm import lasso
+
+    def no_sweeps(*args):
+        raise AssertionError("fallback sweeps ran")
+
+    monkeypatch.setattr(lasso, "_sweeps", no_sweeps)
+    pr = problems[4]
+    tau = 0.25
+    lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
+    t, solvable = inverse_midquantile_targets(pr, tau)
+    w = solvable.astype(float)
+    path = fit_lambda_path(pr, tau, lambdas)
+    assert 0 < path[10].active_set.size < path[-1].active_set.size
+    for lam, res in zip(lambdas, path):
+        cold = fit_lambda_path(pr, tau, [lam])[0]
+        assert res.converged and cold.converged
+        assert np.abs(res.beta - cold.beta).max() <= 1e-10
+        assert abs(res.intercept - cold.intercept) <= 1e-10
+        assert kkt_residual(pr.X, w, t, res.intercept, res.beta, lam) <= 1e-8
+        b0, beta, _, conv = penalized_wls(pr.X, w, t, 0.0, np.zeros(pr.m), lam)
+        assert conv and np.abs(beta - res.beta).max() <= 1e-10
+
+
+def test_null_fallback_reports_the_null_fit_flags():
+    # tau below every row's first mid-probability leaves no solvable row;
+    # each lambda point then carries the null fit's own iteration count
+    # and convergence flag
+    rng = np.random.default_rng(11)
+    n = 120
+    values = np.column_stack([rng.normal(size=(n, 2)),
+                              (rng.random(n) < 0.1).astype(float)])
+    schema = (VariableSpec("x1", "continuous"), VariableSpec("x2", "continuous"),
+              VariableSpec("b1", "binary"))
+    ds = validate_and_standardize(Dataset(values, schema))
+    cube = fit_qmgm(ds, QuantileGrid((0.125, 0.5)), [0.5, 0.1, 0.01])
+    pr = NodeProblem.build(ds, 2)
+    _, solvable = inverse_midquantile_targets(pr, 0.125)
+    assert not solvable.any()
+    base = null_fit(pr, 0.125)
+    assert not base.converged      # the case a hard-coded flag would hide
+    assert np.all(cube.converged[2, 0] == base.converged)
+    assert np.all(cube.iterations[2, 0] == base.iterations)
+    assert np.all(cube.intercepts[2, 0] == base.intercept)
 
 
 def test_inverse_path_objective_is_the_weighted_ls_objective(problems):

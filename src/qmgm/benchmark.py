@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,9 +21,9 @@ from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    VariableSpec, _readonly, standard_levels,
                    validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
-from .selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                        estimate_edge_set, fit_qmgm, quantile_losses,
-                        score_path, select_lambda)
+from .selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
+                        build_problems, estimate_edge_set, fit_qmgm,
+                        quantile_losses, score_path, select_lambda)
 
 # Dependency structure of the generator: node -> parents (1-based).
 MAIN_EDGES = ((1, 2), (1, 3), (1, 5), (1, 6), (2, 8), (3, 4),
@@ -443,7 +442,9 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
     """Run R Monte Carlo replications (replication r uses seed base + r).
 
     Individual replication failures are recorded and excluded from the
-    summaries.  Results are independent of the thread count.
+    summaries.  With ``threads`` > 1 the replications run in a process pool
+    under the BLAS pin of ``selection._pool_map``; results are independent
+    of the thread count.  ``threads`` < 1 raises DataError.
     """
     if R < 1:
         raise DataError("R must be >= 1")
@@ -452,11 +453,7 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
     tasks = [(variant.kind, variant.n, variant.seed + r, r, learner_names,
               lambdas, tuple(criteria), nonzero_tol, sample_fn)
              for r in range(R)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_replication_worker, tasks, chunksize=1))
-    else:
-        outcomes = [_replication_worker(t) for t in tasks]
+    outcomes = _pool_map(_replication_worker, tasks, threads)
     records, failures = [], []
     for index, seed, record, error in sorted(outcomes, key=lambda o: o[0]):
         if error is None:

@@ -3,6 +3,9 @@ coefficient cubes and estimated graphs, plus validation/standardization."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +46,60 @@ def _readonly(a: np.ndarray, order: str = "K") -> np.ndarray:
     a = np.array(a, copy=True, order=order)
     a.setflags(write=False)
     return a
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS library mapped
+    into this process; empty when none is found (or /proc is absent)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    names = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+             "openblas_{}_num_threads")
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            try:
+                get = getattr(lib, name.format("get"))
+                put = getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+            break
+    return tuple(controls)
+
+
+def _pin_blas_threads() -> None:
+    """Set every BLAS library of this process to one thread."""
+    for _, put in _blas_thread_controls():
+        put(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one BLAS thread; each library's previous count is
+    restored on exit, also when the block raises."""
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    _pin_blas_threads()
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import DataError, Dataset, NONZERO_TOL, NumericalError, _readonly
+from .core import (DataError, Dataset, NONZERO_TOL, NumericalError,
+                   _one_blas_thread, _readonly)
 from .lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_path
 from .midcdf import (MidCdfField, ThresholdLogitSet, _fit_threshold_logits_arrays,
                      build_field, fit_threshold_logits, marginal_mid_quantile)
@@ -107,10 +108,17 @@ class NodeProblem:
 
     @classmethod
     def build(cls, dataset: Dataset, node: int) -> "NodeProblem":
-        """Run the threshold-logit step for one node of a validated dataset."""
-        logits = fit_threshold_logits(dataset, node)
-        X = np.delete(dataset.values, node, axis=1)
-        field = build_field(logits, X)
+        """Run the threshold-logit step for one node of a validated dataset.
+
+        It runs on one BLAS thread: a threaded OpenBLAS product rounds
+        differently from a single-threaded one, and the step must give the
+        same bits here and in a pool worker, whose BLAS is pinned to one
+        thread (see ``selection._pool_map``).
+        """
+        with _one_blas_thread():
+            logits = fit_threshold_logits(dataset, node)
+            X = np.delete(dataset.values, node, axis=1)
+            field = build_field(logits, X)
         return cls(node, dataset.values[:, node], X, dataset.schema[node].link,
                    field, logits)
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_NEGATIVE,
-                   SIGN_POSITIVE, SIGN_UNDEFINED, quantile_loss)
+                   SIGN_POSITIVE, SIGN_UNDEFINED, _one_blas_thread,
+                   _pin_blas_threads, quantile_loss)
 from .penalized import (CONVERGENCE_TOL, MAX_ITERATIONS, NodeProblem,
                         fit_lambda_path)
 
@@ -56,6 +57,28 @@ def build_problems(dataset: Dataset) -> list:
     return [NodeProblem.build(dataset, j) for j in range(dataset.p)]
 
 
+def _pool_map(fn, tasks, threads: int) -> list:
+    """[fn(t) for t in tasks], in order, over ``threads`` worker processes.
+
+    The pool starts min(threads, len(tasks)) workers; with one worker the
+    tasks run serially here and this helper leaves BLAS alone (stage 1
+    pins itself, see ``NodeProblem.build``).  While a pool runs, the
+    parent and every worker use one BLAS thread: idle OpenBLAS helper
+    threads spin and take the cores the workers need.  The parent's count
+    is restored on exit, also when a task raises.
+    """
+    if threads < 1:
+        raise DataError(f"threads must be at least 1, got {threads}")
+    tasks = list(tasks)
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # Forked workers inherit the pin; the initializer covers spawn.
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, initializer=_pin_blas_threads) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
+
+
 def _node_worker(args):
     """All level paths of one node, building its mid-CDF step if needed."""
     dataset, j, problem, levels, lambdas, kw = args
@@ -75,7 +98,8 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *, weights=None,
     grids can share the expensive first step; ``method`` selects the path
     solver (see penalized.fit_lambda_path).  With ``threads`` > 1 the nodes
     run in a process pool, one task per node (its mid-CDF step, unless
-    prebuilt, and all its level paths); results do not depend on it.
+    prebuilt, and all its level paths), under the BLAS pin of ``_pool_map``;
+    results do not depend on it.  ``threads`` < 1 raises DataError.
     """
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
@@ -86,11 +110,7 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *, weights=None,
               tol=tol, nonzero_tol=nonzero_tol)
     tasks = [(dataset, j, None if problems is None else problems[j], levels,
               lambdas, kw) for j in range(p)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            nodes = list(pool.map(_node_worker, tasks, chunksize=1))
-    else:
-        nodes = [_node_worker(t) for t in tasks]
+    nodes = _pool_map(_node_worker, tasks, threads)
     L, M = len(levels), lambdas.size
     intercepts = np.zeros((p, L, M))
     betas = np.zeros((p, L, M, p - 1))

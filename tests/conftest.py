@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qmgm.benchmark import DgpVariant, generate_sample
-from qmgm.core import Dataset, VariableSpec, validate_and_standardize
+from qmgm.core import (Dataset, VariableSpec, _blas_thread_controls,
+                       validate_and_standardize)
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +24,22 @@ def tiny_mixed():
     schema = (VariableSpec("x1", "continuous"), VariableSpec("x2", "continuous"),
               VariableSpec("c1", "count"), VariableSpec("b1", "binary"))
     return Dataset(values, schema)
+
+
+@pytest.fixture()
+def blas_threads():
+    """Reader of the thread count of every BLAS library in this process.
+
+    Every library is set to 2 threads for the test, so that a pin to 1
+    shows; the counts from before the test are restored after it."""
+    controls = _blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library found")
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    try:
+        yield lambda: [get() for get, _ in controls]
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)

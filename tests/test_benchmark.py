@@ -9,7 +9,8 @@ from qmgm.benchmark import (DgpVariant, LearnerConfig,
                             metrics_from_counts, pair_counts,
                             poisson_quantile, roc_curve, run_replications,
                             true_graph)
-from qmgm.core import DataError, Dataset, EstimatedGraph, empty_graph
+from qmgm.core import (DataError, Dataset, EstimatedGraph, _blas_thread_controls,
+                       empty_graph)
 
 from bruteforce import auc_oracle, metrics_oracle, pair_counts_oracle
 
@@ -245,6 +246,22 @@ def test_run_replications_records_failures():
     assert len(run.failures) == 2
     assert len(run.records) == 0
     assert "constant column" in run.failures[0][2]
+
+
+def _report_blas_threads(variant):
+    """A sample function whose failure message carries the BLAS thread
+    counts of the process that ran the replication."""
+    raise RuntimeError(f"blas threads {[get() for get, _ in _blas_thread_controls()]}")
+
+
+def test_replication_pool_pins_blas_to_one_thread_and_restores(blas_threads):
+    counts = blas_threads()
+    run = run_replications(["mgm"], DgpVariant("main", 60, 1), 2, threads=2,
+                           lambdas=[0.5], criteria=("bic",),
+                           sample_fn=_report_blas_threads)
+    pinned = f"RuntimeError: blas threads {[1] * len(counts)}"
+    assert [msg for _, _, msg in run.failures] == [pinned] * 2
+    assert blas_threads() == counts
 
 
 def test_null_sample_properties():

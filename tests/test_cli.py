@@ -55,6 +55,24 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_fit_threads_zero_exits_2(small_csv, tmp_path, capsys):
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "1", "--lambda-count", "2", "--threads", "0",
+               "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+
+
+def test_simulate_negative_threads_exits_2(tmp_path, capsys):
+    rc = main(["simulate", "--n", "60", "--R", "2", "--learners", "mgm",
+               "--lambda-count", "2", "--threads", "-1",
+               "--output", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_bad_csv_exits_2(tmp_path):
     schema = tmp_path / "s.txt"
     schema.write_text("a continuous\nb count\n", encoding="utf-8")
@@ -214,10 +232,12 @@ PINNED_SIMULATE_SHA256 = {
 }
 
 
-def test_simulate_output_pinned(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_output_pinned(tmp_path, threads):
     """A fixed simulate configuration writes byte-for-byte the same
-    summary.csv and details.csv as before any refactoring, which turns the
-    "identical output" contract into a check.
+    summary.csv and details.csv as before any refactoring, serially and
+    from the replication pool, which turns the "identical output" contract
+    into a check.
 
     The hashes hold for the numpy/BLAS build they were recorded with
     (numpy 2.4.6 with its bundled OpenBLAS 0.3.31, Python 3.11, x86-64);
@@ -226,7 +246,8 @@ def test_simulate_output_pinned(tmp_path):
     """
     out = tmp_path / "sim"
     rc = main(["simulate", "--n", "150", "--R", "3", "--learners", "qmgm3,mgm",
-               "--lambda-count", "12", "--seed", "7", "--output", str(out)])
+               "--lambda-count", "12", "--seed", "7", "--threads", threads,
+               "--output", str(out)])
     assert rc == 0
     for name, digest in PINNED_SIMULATE_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

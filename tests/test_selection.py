@@ -4,10 +4,11 @@ from hypothesis import given, strategies as st
 
 from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
 from qmgm.core import (CoefficientCube, DataError, Dataset, NONZERO_TOL,
-                       SIGN_LABELS, VariableSpec, standard_levels,
-                       validate_and_standardize)
+                       SIGN_LABELS, VariableSpec, _blas_thread_controls,
+                       standard_levels, validate_and_standardize)
 from qmgm.mgm import deviance_losses, fit_mgm
-from qmgm.selection import (CRITERION_NAMES, SelectionCriterion,
+from qmgm import selection
+from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
                             build_problems, estimate_edge_set, fit_qmgm,
                             quantile_losses, score_path, select_lambda)
 
@@ -241,6 +242,53 @@ def test_fit_qmgm_threads_deterministic(dgp_500):
         c2 = fit_qmgm(ds, standard_levels(3), lambdas, problems=prebuilt, threads=2)
         for name in ("intercepts", "betas", "converged", "iterations", "objectives"):
             assert np.array_equal(getattr(c1, name), getattr(c2, name)), name
+
+
+def _worker_blas_threads(_):
+    return [get() for get, _ in _blas_thread_controls()]
+
+
+def _failing_task(index):
+    raise RuntimeError(f"task {index} fails")
+
+
+def test_node_pool_pins_blas_to_one_thread_and_restores(blas_threads, tiny_mixed,
+                                                        monkeypatch):
+    counts = blas_threads()
+    parent_at_start = []
+    pool_class = selection.ProcessPoolExecutor
+
+    def spy(**kw):
+        parent_at_start.append(blas_threads())
+        return pool_class(**kw)
+
+    monkeypatch.setattr(selection, "ProcessPoolExecutor", spy)
+    assert _pool_map(_worker_blas_threads, range(3), 2) == [[1] * len(counts)] * 3
+    assert parent_at_start == [[1] * len(counts)]
+    # a single task runs here, serially, with the parent's counts untouched
+    assert _pool_map(_worker_blas_threads, [0], 2) == [counts]
+    ds = validate_and_standardize(tiny_mixed)
+    fit_qmgm(ds, standard_levels(1), default_lambda_grid(count=2), threads=2)
+    assert blas_threads() == counts
+    build_problems(ds)  # stage 1 pins itself, serially too, and restores
+    assert blas_threads() == counts
+    with pytest.raises(RuntimeError, match="fails"):
+        _pool_map(_failing_task, range(2), 2)
+    assert blas_threads() == counts
+
+
+def test_pool_is_sized_to_the_work(monkeypatch):
+    sizes = []
+    pool_class = selection.ProcessPoolExecutor
+
+    def spy(max_workers, **kw):
+        sizes.append(max_workers)
+        return pool_class(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(selection, "ProcessPoolExecutor", spy)
+    assert _pool_map(abs, [-1, -2], 4) == [1, 2]
+    assert _pool_map(abs, [-3], 4) == [3]
+    assert sizes == [2]
 
 
 def test_independent_appendix_columns_stay_disconnected():

@@ -25,6 +25,11 @@ IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
 IRLS_RIDGE = 1e-6
 
+# The Newton loop keeps fitted probabilities this far inside (0, 1), and
+# clips the linear predictor to +-EXP_CLIP before exponentiating it.
+MU_CLIP = 1e-10
+EXP_CLIP = 40.0
+
 # Fitted CDF values are kept this far inside (0, 1); the degenerate top
 # threshold (indicator identically one) is stored as exactly 1.
 CDF_CLIP = 1e-9
@@ -108,71 +113,156 @@ def rearrange_monotone(values):
 
 
 def fit_threshold_logits(dataset: Dataset, node: int) -> ThresholdLogitSet:
-    """Fit one logistic regression per threshold of the given node.
+    """One logistic regression per threshold of the given node (the
+    single-node case of ``fit_all_threshold_logits``)."""
+    return fit_all_threshold_logits(dataset, (node,))[0]
+
+
+def fit_all_threshold_logits(dataset: Dataset, nodes=None) -> list:
+    """Threshold logits of the given nodes (default: every node), fitted in
+    one stacked Newton solve; one ThresholdLogitSet per node, in order.
 
     The dataset must be validated (threshold grids present) and free of
-    missing values.  Non-convergence keeps the last iterate and is flagged;
-    the top threshold is replaced by the constant-one model when it equals
-    the maximum observed value.
+    missing values.  Every (node, threshold) pair is one row of the stack,
+    on the shared design [1, every column]; a row holds its own node's
+    column at exactly zero, so it is its node's regression on the other
+    columns.  Non-convergence keeps the last iterate and is flagged; the
+    top threshold is replaced by the constant-one model when it equals the
+    maximum observed value.
     """
     if dataset.has_missing():
         raise DataError("threshold fits require imputed (non-missing) data")
-    spec = dataset.schema[node]
-    if spec.threshold_grid is None:
-        raise DataError(f"column {spec.name!r} has no threshold grid; validate first")
-    z = spec.threshold_grid
-    if z.size < 2:
-        raise DataError(f"column {spec.name!r} needs at least two thresholds")
-    y = dataset.values[:, node]
-    X = np.delete(dataset.values, node, axis=1)
-    return _fit_threshold_logits_arrays(node, y, X, z)
+    nodes = range(dataset.p) if nodes is None else nodes
+    grids = []
+    for j in nodes:
+        spec = dataset.schema[j]
+        if spec.threshold_grid is None:
+            raise DataError(f"column {spec.name!r} has no threshold grid; validate first")
+        if spec.threshold_grid.size < 2:
+            raise DataError(f"column {spec.name!r} needs at least two thresholds")
+        grids.append((j, spec.threshold_grid))
+    values = dataset.values
+    T, degenerate = _indicators([(values[:, j], z) for j, z in grids])
+    counts = [int((~d).sum()) for d in degenerate]
+    coefs, converged = _stacked_newton(_design(values), T,
+                                       np.repeat([j + 1 for j, _ in grids], counts))
+    splits = np.cumsum(counts)[:-1]
+    return [_logit_set(j, z, degen, np.delete(c, j + 1, axis=1), conv)
+            for (j, z), degen, c, conv in zip(grids, degenerate, np.split(coefs, splits),
+                                               np.split(converged, splits))]
 
 
 def _fit_threshold_logits_arrays(node, y, X, z) -> ThresholdLogitSet:
-    """Damped-Newton logistic fits of 1{y <= z_h} on [1, X] for every
-    threshold at once.
+    """Threshold logits of response y on the design [1, X], no column
+    pinned (the stacked solve of ``fit_all_threshold_logits`` for one
+    node whose predictors are already split off)."""
+    T, (degen,) = _indicators([(y, z)])
+    coefs, converged = _stacked_newton(_design(X), T)
+    return _logit_set(node, z, degen, coefs, converged)
 
-    All thresholds share the design, so one iteration updates every
-    threshold still active: the per-threshold Hessians X'WX come from one
-    product with the row outer products x_i x_i', and the ridge jitter
-    damps each step without moving the maximum-likelihood fixed point
-    (the step solves (X'WX + ridge I) d = X'(t - mu)).  A threshold stops
-    on its own step size; one that reaches IRLS_MAX_ITER keeps its last
-    iterate and is flagged unconverged.
-    """
-    n, m = X.shape
-    q = m + 1
-    X1 = np.empty((n, q))
+
+def _design(X):
+    """[1, X] as one C-ordered array."""
+    X1 = np.empty((X.shape[0], X.shape[1] + 1))
     X1[:, 0] = 1.0
     X1[:, 1:] = X
-    k = z.size
-    coefs = np.zeros((k, q))
-    conv = np.ones(k, dtype=bool)
-    degen = z >= y.max()
-    idx = np.flatnonzero(~degen)                  # thresholds still active
-    T = (y[None, :] <= z[idx, None]).astype(float)  # (threshold, row)
+    return X1
+
+
+def _indicators(responses):
+    """Bool rows 1{y <= z_h} of every (y, z) pair, stacked, leaving out each
+    pair's degenerate thresholds (z_h >= max y); also the degenerate masks."""
+    degenerate = [z >= y.max() for y, z in responses]
+    T = np.concatenate([y[None, :] <= z[~degen, None]
+                        for (y, z), degen in zip(responses, degenerate)])
+    return T, degenerate
+
+
+def _logit_set(node, z, degenerate, coefs, converged) -> ThresholdLogitSet:
+    """Scatter the fitted rows back onto the node's threshold grid; the
+    degenerate thresholds keep zero coefficients and count as converged."""
+    full = np.zeros((z.size, coefs.shape[1]))
+    full[~degenerate] = coefs
+    conv = np.ones(z.size, dtype=bool)
+    conv[~degenerate] = converged
+    return ThresholdLogitSet(node, z, full, conv, degenerate)
+
+
+def _clipped_sigmoid(eta):
+    """Overwrite eta with 1 / (1 + exp(-eta)) clipped to [MU_CLIP,
+    1 - MU_CLIP], and return it: np.clip(expit(eta), ...) within 2 ulp, on
+    NumPy's vectorized exp.  Past +-EXP_CLIP the result already sits at a
+    clip bound, so eta is clipped there first and exp cannot overflow."""
+    np.clip(eta, -EXP_CLIP, EXP_CLIP, out=eta)
+    np.negative(eta, out=eta)
+    np.exp(eta, out=eta)
+    eta += 1.0
+    np.divide(1.0, eta, out=eta)
+    np.clip(eta, MU_CLIP, 1.0 - MU_CLIP, out=eta)
+    return eta
+
+
+def _stacked_newton(X1, T, pinned=None):
+    """Damped-Newton logistic fits of every row of the indicator matrix T
+    (rows x n, bool) on the shared design X1 (n x q, first column ones).
+
+    Returns the (rows, q) coefficients and the converged flags.  Each row
+    starts at its intercept-only logit, and one iteration updates every row
+    still active.  The Hessians X1'WX1 come from one product with the
+    q(q+1)/2 upper-triangle row products x_ia x_ib, mirrored; the ridge
+    damps each step without moving the maximum-likelihood fixed point (the
+    step solves (X1'WX1 + ridge I) d = X1'(t - mu)).  ``pinned[r]``, when
+    given, is a column that row r holds at exactly zero: an identity row
+    and column in its Hessian and a zero gradient entry.  A row stops on
+    its own step size; one that reaches IRLS_MAX_ITER keeps its last
+    iterate and is flagged unconverged.
+    """
+    rows, n = T.shape
+    q = X1.shape[1]
+    coefs = np.zeros((rows, q))
+    converged = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
     tbar = T.mean(axis=1)
-    C = np.zeros((idx.size, q))
+    C = np.zeros((rows, q))
     C[:, 0] = np.log((tbar + 1e-12) / (1.0 - tbar + 1e-12))
-    outer = (X1[:, :, None] * X1[:, None, :]).reshape(n, q * q)
-    diag = np.arange(q)
+    upper, lower = np.triu_indices(q)
+    products = X1[:, upper] * X1[:, lower]
+    packed_diag = np.flatnonzero(upper == lower)
+    # position in the packed upper triangle of every entry of a q x q matrix
+    packed_index = np.empty((q, q), dtype=np.intp)
+    packed_index[upper, lower] = packed_index[lower, upper] = np.arange(upper.size)
+    # mu and the weights, then the residuals, live in these (rows x n) buffers
+    mu_buffer = np.empty((rows, n))
+    work_buffer = np.empty((rows, n))
     for _ in range(IRLS_MAX_ITER):
-        if idx.size == 0:
+        r = live.size
+        if r == 0:
             break
-        mu = expit(C @ X1.T)
-        np.clip(mu, 1e-10, 1.0 - 1e-10, out=mu)
-        H = ((mu * (1.0 - mu)) @ outer).reshape(-1, q, q)
-        H[:, diag, diag] += IRLS_RIDGE
-        step = _newton_steps(H, (T - mu) @ X1)
+        mu = _clipped_sigmoid(np.matmul(C, X1.T, out=mu_buffer[:r]))
+        work = np.subtract(1.0, mu, out=work_buffer[:r])
+        work *= mu
+        packed = work @ products
+        packed[:, packed_diag] += IRLS_RIDGE
+        H = np.take(packed, packed_index, axis=1)
+        g = np.subtract(T, mu, out=work) @ X1
+        if pinned is not None:
+            at = np.arange(r)
+            H[at, pinned, :] = 0.0
+            H[at, :, pinned] = 0.0
+            H[at, pinned, pinned] = 1.0
+            g[at, pinned] = 0.0
+        step = _newton_steps(H, g)
         C += step
         done = np.max(np.abs(step), axis=1) < IRLS_TOL
         if done.any():
-            coefs[idx[done]] = C[done]
+            coefs[live[done]] = C[done]
+            converged[live[done]] = True
             keep = ~done
-            idx, C, T = idx[keep], C[keep], T[keep]
-    coefs[idx] = C
-    conv[idx] = False
-    return ThresholdLogitSet(node, z, coefs, conv, degen)
+            live, C, T = live[keep], C[keep], T[keep]
+            if pinned is not None:
+                pinned = pinned[keep]
+    coefs[live] = C
+    return coefs, converged
 
 
 def _newton_steps(H, g):
@@ -193,11 +283,7 @@ def _newton_steps(H, g):
 
 def _raw_cdf_matrix(logits: ThresholdLogitSet, X: np.ndarray) -> np.ndarray:
     """Unrearranged fitted CDF values, rows x thresholds."""
-    n = X.shape[0]
-    X1 = np.empty((n, X.shape[1] + 1))
-    X1[:, 0] = 1.0
-    X1[:, 1:] = X
-    F = expit(X1 @ logits.coefficients.T)
+    F = expit(_design(X) @ logits.coefficients.T)
     np.clip(F, CDF_CLIP, 1.0 - CDF_CLIP, out=F)
     F[:, logits.degenerate] = 1.0
     return F

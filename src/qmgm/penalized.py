@@ -43,7 +43,7 @@ from .core import (DataError, Dataset, NONZERO_TOL, NumericalError,
                    _one_blas_thread, _readonly)
 from .lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_path
 from .midcdf import (MidCdfField, ThresholdLogitSet, _fit_threshold_logits_arrays,
-                     build_field, fit_threshold_logits, marginal_mid_quantile)
+                     build_field, fit_all_threshold_logits, marginal_mid_quantile)
 
 MAX_ITERATIONS = 500
 CONVERGENCE_TOL = 1e-7
@@ -108,19 +108,30 @@ class NodeProblem:
 
     @classmethod
     def build(cls, dataset: Dataset, node: int) -> "NodeProblem":
-        """Run the threshold-logit step for one node of a validated dataset.
+        """Run the threshold-logit step for one node of a validated dataset
+        (the single-node case of ``build_all``)."""
+        return cls.build_all(dataset, (node,))[0]
+
+    @classmethod
+    def build_all(cls, dataset: Dataset, nodes=None) -> list:
+        """Run the threshold-logit step for the given nodes (default: every
+        node) of a validated dataset, in one stacked solve.
 
         It runs on one BLAS thread: a threaded OpenBLAS product rounds
         differently from a single-threaded one, and the step must give the
-        same bits here and in a pool worker, whose BLAS is pinned to one
-        thread (see ``selection._pool_map``).
+        same bits in a serial run and in a replication worker of a process
+        pool, whose BLAS is pinned to one thread (see
+        ``selection._pool_map``).
         """
+        values = dataset.values
+        problems = []
         with _one_blas_thread():
-            logits = fit_threshold_logits(dataset, node)
-            X = np.delete(dataset.values, node, axis=1)
-            field = build_field(logits, X)
-        return cls(node, dataset.values[:, node], X, dataset.schema[node].link,
-                   field, logits)
+            for logits in fit_all_threshold_logits(dataset, nodes):
+                j = logits.node
+                X = np.delete(values, j, axis=1)
+                problems.append(cls(j, values[:, j], X, dataset.schema[j].link,
+                                    build_field(logits, X), logits))
+        return problems
 
     @classmethod
     def marginal(cls, sample, link: str = "identity", max_thresholds: int = 100) -> "NodeProblem":

@@ -53,19 +53,22 @@ CRITERION_NAMES = ("aic", "bic", "bicp", "bic2p", "bic3p")
 
 
 def build_problems(dataset: Dataset) -> list:
-    """Run the mid-CDF step for every node (shareable across level grids)."""
-    return [NodeProblem.build(dataset, j) for j in range(dataset.p)]
+    """Run the mid-CDF step for every node in one stacked solve (shareable
+    across level grids)."""
+    return NodeProblem.build_all(dataset)
 
 
 def _pool_map(fn, tasks, threads: int) -> list:
     """[fn(t) for t in tasks], in order, over ``threads`` worker processes.
 
     The pool starts min(threads, len(tasks)) workers; with one worker the
-    tasks run serially here and this helper leaves BLAS alone (stage 1
-    pins itself, see ``NodeProblem.build``).  While a pool runs, the
-    parent and every worker use one BLAS thread: idle OpenBLAS helper
-    threads spin and take the cores the workers need.  The parent's count
-    is restored on exit, also when a task raises.
+    tasks run serially here and this helper leaves BLAS alone.  While a
+    pool runs, the parent and every worker use one BLAS thread: idle
+    OpenBLAS helper threads spin and take the cores the workers need.  The
+    parent's count is restored on exit, also when a task raises.  Stage 1
+    never runs in the node pool: it runs once per dataset over all nodes
+    in the calling process, on one BLAS thread (``NodeProblem.build_all``),
+    and the node pool fits lambda paths only.
     """
     if threads < 1:
         raise DataError(f"threads must be at least 1, got {threads}")
@@ -80,10 +83,8 @@ def _pool_map(fn, tasks, threads: int) -> list:
 
 
 def _node_worker(args):
-    """All level paths of one node, building its mid-CDF step if needed."""
-    dataset, j, problem, levels, lambdas, kw = args
-    if problem is None:
-        problem = NodeProblem.build(dataset, j)
+    """All level paths of one node from its prebuilt mid-CDF step."""
+    problem, levels, lambdas, kw = args
     return [fit_lambda_path(problem, tau, lambdas, **kw) for tau in levels]
 
 
@@ -95,11 +96,12 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *, weights=None,
     lambda; lambdas must be strictly decreasing (paths are warm-started).
 
     ``problems`` may carry prebuilt per-node mid-CDF fits so several level
-    grids can share the expensive first step; ``method`` selects the path
-    solver (see penalized.fit_lambda_path).  With ``threads`` > 1 the nodes
-    run in a process pool, one task per node (its mid-CDF step, unless
-    prebuilt, and all its level paths), under the BLAS pin of ``_pool_map``;
-    results do not depend on it.  ``threads`` < 1 raises DataError.
+    grids can share the expensive first step; without them the first step
+    runs here, once over all nodes (``build_problems``).  ``method`` selects
+    the path solver (see penalized.fit_lambda_path).  With ``threads`` > 1
+    the nodes' lambda paths run in a process pool, one task per node (all
+    its level paths), under the BLAS pin of ``_pool_map``; results do not
+    depend on it.  ``threads`` < 1 raises DataError.
     """
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
@@ -108,8 +110,9 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *, weights=None,
     levels = list(grid.levels)
     kw = dict(weights=weights, method=method, max_iterations=max_iterations,
               tol=tol, nonzero_tol=nonzero_tol)
-    tasks = [(dataset, j, None if problems is None else problems[j], levels,
-              lambdas, kw) for j in range(p)]
+    if problems is None:
+        problems = build_problems(dataset)
+    tasks = [(problems[j], levels, lambdas, kw) for j in range(p)]
     nodes = _pool_map(_node_worker, tasks, threads)
     L, M = len(levels), lambdas.size
     intercepts = np.zeros((p, L, M))

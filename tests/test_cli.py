@@ -146,6 +146,21 @@ def test_fit_is_byte_deterministic(small_csv, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_fit_document_independent_of_threads(small_csv, tmp_path):
+    # stage 1 runs in the calling process and the node pool fits the lambda
+    # paths; the graph document must not depend on the worker count
+    csv_path, schema_path = small_csv
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"g{threads}.json"
+        rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+                   "--tau-levels", "3", "--lambda-count", "6",
+                   "--threads", threads, "--output", str(out)])
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_simulate_writes_tables(tmp_path):
     out = tmp_path / "sim"
     rc = main(["simulate", "--n", "100", "--R", "2",

@@ -1,16 +1,20 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
+from scipy.special import expit
 
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import Dataset, VariableSpec, validate_and_standardize
-from qmgm.midcdf import (ThresholdLogitSet, _fit_threshold_logits_arrays,
-                         build_field, fit_threshold_logits, marginal_mid_cdf,
+from qmgm.midcdf import (ThresholdLogitSet, _clipped_sigmoid,
+                         _fit_threshold_logits_arrays, build_field,
+                         fit_threshold_logits, marginal_mid_cdf,
                          marginal_mid_quantile, rearrange_monotone)
 from qmgm.penalized import NodeProblem
+from qmgm.selection import build_problems
 
 from bruteforce import logistic_irls_reference, mid_quantile_oracle
 
@@ -211,22 +215,46 @@ def one_row_below_first_threshold():
 
 
 def generator_nodes(seed):
+    """Every node of a generator sample, from one all-node stacked solve."""
     ds, _ = generate_sample(DgpVariant("main", 500, seed))
     ds = validate_and_standardize(ds)
-    return [(fit_threshold_logits(ds, j), ds.values[:, j],
-             np.delete(ds.values, j, axis=1)) for j in range(ds.p)]
+    return [(pr.logits, pr.y, pr.X) for pr in build_problems(ds)]
+
+
+def separated_and_degenerate_nodes():
+    """Node 0 has a separated first threshold (as in
+    ``one_row_below_first_threshold``) and node 1 a degenerate top
+    threshold, so one stack mixes both."""
+    y, X, top = one_row_below_first_threshold()
+    grids = (np.array([y[top], np.median(y)]),
+             np.quantile(np.unique(X[:, 0]), [0.2, 0.5, 1.0]),
+             np.quantile(X[:, 1], [0.3, 0.7]))
+    schema = tuple(VariableSpec(f"v{j}", "continuous", threshold_grid=z)
+                   for j, z in enumerate(grids))
+    return Dataset(np.column_stack([y, X]), schema)
 
 
 @pytest.mark.parametrize("case", ["seed0", "seed1", "seed2", "seed3",
-                                  "separated", "degenerate_top", "marginal",
-                                  "singular_solve"])
+                                  "separated", "degenerate_top", "mixed_stack",
+                                  "single_node", "marginal", "singular_solve"])
 def test_stacked_threshold_logits_match_reference(case, monkeypatch):
-    # the stacked Newton loop over all thresholds of a node reproduces
+    # the stacked Newton loop over all (node, threshold) pairs reproduces
     # separate per-threshold IRLS fits: same flags, same fixed points
     if case.startswith("seed"):
         flags = [assert_matches_reference(*fit)[0]
                  for fit in generator_nodes(int(case[4:]))]
         assert not np.concatenate(flags).all()  # separated thresholds occur
+    elif case == "mixed_stack":
+        problems = build_problems(separated_and_degenerate_nodes())
+        flags = [assert_matches_reference(pr.logits, pr.y, pr.X) for pr in problems]
+        assert list(flags[0][0]) == [False, True] and not flags[0][1].any()
+        assert list(flags[1][1]) == [False, False, True]
+    elif case == "single_node":
+        # one node alone in the stack, its own column pinned at zero
+        ds = separated_and_degenerate_nodes()
+        for j in range(ds.p):
+            assert_matches_reference(fit_threshold_logits(ds, j), ds.values[:, j],
+                                     np.delete(ds.values, j, axis=1))
     elif case == "separated":
         y, X, top = one_row_below_first_threshold()
         z = np.array([y[top], np.median(y)])
@@ -265,6 +293,28 @@ def test_stacked_threshold_logits_match_reference(case, monkeypatch):
         assert stacked and max(stacked) == 2
         converged, _ = assert_matches_reference(logits, y, X)
         assert list(converged) == [False, True, True]
+
+
+# where the logistic function is within MU_CLIP of 0 or 1, the clip binds
+CLIP_BINDS = 23.1
+
+
+@given(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40))
+def test_clipped_sigmoid_matches_clipped_expit(etas):
+    eta = np.array(etas)
+    ref = np.clip(expit(eta), 1e-10, 1.0 - 1e-10)
+    got = _clipped_sigmoid(eta.copy())
+    binds = np.abs(eta) >= CLIP_BINDS
+    assert np.array_equal(got[binds], ref[binds])
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+
+
+def test_clipped_sigmoid_does_not_overflow():
+    eta = np.array([-1e9, -700.0, -CLIP_BINDS, 0.0, CLIP_BINDS, 700.0, 1e9])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _clipped_sigmoid(eta.copy())
+    assert np.array_equal(got, np.clip(expit(eta), 1e-10, 1.0 - 1e-10))
 
 
 def test_fit_requires_validated_data(tiny_mixed):

@@ -232,8 +232,9 @@ def test_fit_qmgm_single_level_matches_grid_object(dgp_500):
 
 
 def test_fit_qmgm_threads_deterministic(dgp_500):
-    # the node pool gives the serial cube bit for bit, whether each worker
-    # builds its node's mid-CDF step or receives it prebuilt
+    # the node pool gives the serial cube bit for bit, whether the problems
+    # are passed in or fit_qmgm builds them (stage 1 runs once over all
+    # nodes in the calling process; the workers fit lambda paths only)
     ds, _ = dgp_500
     lambdas = default_lambda_grid(count=5)
     problems = build_problems(ds)

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import stats
 
+from .analysis import _adjacency_of
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    VariableSpec, _readonly, standard_levels,
                    validate_and_standardize)
@@ -159,12 +160,6 @@ class RecoveryMetrics:
     f1: float
     mcc: float
     accuracy: float
-
-
-def _adjacency_of(graph) -> np.ndarray:
-    if isinstance(graph, np.ndarray):
-        return np.asarray(graph, dtype=bool)
-    return np.asarray(graph.adjacency, dtype=bool)
 
 
 def pair_counts(truth, estimate):

@@ -17,8 +17,8 @@ from .core import DataError, NumericalError, QuantileGrid, standard_levels, \
     validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
                  render_dot, save_csv)
-from .selection import (SelectionCriterion, estimate_edge_set, fit_qmgm,
-                        quantile_losses, score_path, select_lambda)
+from .selection import (CRITERION_NAMES, SelectionCriterion, estimate_edge_set,
+                        fit_qmgm, quantile_losses, score_path, select_lambda)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,21 +31,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_tau_levels(text: str) -> QuantileGrid:
     text = text.strip()
-    if "," not in text and "." not in text:
-        return standard_levels(int(text))
-    return QuantileGrid(tuple(float(t) for t in text.split(",")))
+    try:
+        if "," not in text and "." not in text:
+            return standard_levels(int(text))
+        return QuantileGrid(tuple(float(t) for t in text.split(",")))
+    except ValueError:
+        raise DataError("--tau-levels takes a level count or comma-separated "
+                        f"levels, got {text!r}") from None
 
 
 def _add_shared(parser, lambda_count: int):
-    parser.add_argument("--tau-levels", default="7",
-                        help="level count (1/3/7/17/...) or comma-separated levels")
     parser.add_argument("--lambda-min", type=float, default=0.001)
     parser.add_argument("--lambda-max", type=float, default=5.0)
     parser.add_argument("--lambda-count", type=int, default=lambda_count)
-    parser.add_argument("--criterion", default="bic",
-                        choices=["aic", "bic", "bicp", "bic2p", "bic3p"])
-    parser.add_argument("--cn", type=float, default=None,
-                        help="override the BIC complexity constant")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--tolerance", type=float, default=1e-6,
                         help="absolute coefficient size that counts as an edge")
@@ -63,6 +61,11 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--knn-k", type=int, default=13,
                        help="neighbors for imputation when values are missing")
     p_fit.add_argument("--dot", default=None, help="also write a dot rendering here")
+    p_fit.add_argument("--tau-levels", default="7",
+                       help="level count (1/3/7/17/...) or comma-separated levels")
+    p_fit.add_argument("--criterion", default="bic", choices=CRITERION_NAMES)
+    p_fit.add_argument("--cn", type=float, default=None,
+                       help="override the BIC complexity constant")
     _add_shared(p_fit, lambda_count=100)
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -114,12 +117,12 @@ def _write_text(path, text):
 
 
 def _cmd_fit(args) -> int:
+    grid = _parse_tau_levels(args.tau_levels)
     schema = load_schema(args.schema)
     dataset = load_csv(args.data, schema, args.missing_token)
     if dataset.has_missing():
         dataset = knn_impute(dataset, args.knn_k)
     dataset = validate_and_standardize(dataset)
-    grid = _parse_tau_levels(args.tau_levels)
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
     criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
     cube = fit_qmgm(dataset, grid, lambdas, nonzero_tol=args.tolerance,

@@ -340,10 +340,6 @@ class CoefficientCube:
     def n_lambdas(self) -> int:
         return self.intercepts.shape[2]
 
-    def predictor_node(self, j: int, k: int) -> int:
-        """Node index behind predictor slot k of node j's regression."""
-        return k if k < j else k + 1
-
 
 @dataclass(frozen=True, eq=False)
 class EstimatedGraph:

@@ -5,13 +5,13 @@ tau = Gc_i(eta_i) under an L1 penalty, where eta_i is the link inverse of
 b0 + x_i' beta and Gc_i is row i's piecewise-linear conditional mid-CDF
 interpolator.  Two routes are provided:
 
-* method "inverse" (the production default): invert each row's
-  interpolator at tau to get the implied conditional mid-quantile, then fit
-  the link-transformed targets by penalized weighted least squares.  Rows
-  whose equation has no solution (tau outside the row's mid-probability
-  range) carry no information and are dropped.  At lambda = 0 this is the
-  closed-form two-step estimator.  Its results carry that penalized
-  weighted least-squares objective.
+* the inverse route (``fit_lambda_path``, the production solver): invert
+  each row's interpolator at tau to get the implied conditional
+  mid-quantile, then fit the link-transformed targets by penalized
+  weighted least squares.  Rows whose equation has no solution (tau
+  outside the row's mid-probability range) carry no information and are
+  dropped.  At lambda = 0 this is the closed-form two-step estimator.  Its
+  results carry that penalized weighted least-squares objective.
 
   X, the row weights and the targets stay fixed along a lambda path, so a
   path is one warm-started run of the exact lasso kernel in
@@ -20,7 +20,8 @@ interpolator.  Two routes are provided:
   solvable rows every point is the null fit, carrying its iteration count
   and convergence flag.
 
-* method "descent": proximal gradient with backtracking line search on the
+* the descent route (``fit_node_quantile``; ``null_fit`` and ``lambda_max``
+  build on it): proximal gradient with backtracking line search on the
   probability-scale objective
 
       (1/n) sum_i (tau - Gc_i(eta_i))^2 + lambda * sum_k w_k |beta_k|,
@@ -154,10 +155,6 @@ class NodeFitConfig:
     tau: float
     lam: float
     weights: np.ndarray | None = None
-    max_iterations: int = MAX_ITERATIONS
-    tol: float = CONVERGENCE_TOL
-    step_init: float = STEP_INIT
-    nonzero_tol: float = NONZERO_TOL
     track_objective: bool = False
 
     def __post_init__(self):
@@ -165,8 +162,6 @@ class NodeFitConfig:
             raise DataError(f"tau must be inside (0, 1), got {self.tau}")
         if self.lam < 0:
             raise DataError("lambda must be nonnegative")
-        if self.tol <= 0:
-            raise DataError("tolerance must be positive")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if np.any(~np.isfinite(w)) or np.any(w < 0):
@@ -182,7 +177,6 @@ class NodeFitResult:
     iterations: int
     converged: bool
     active_set: np.ndarray
-    step_size: float
     objective_trace: np.ndarray | None = None
 
     def __post_init__(self):
@@ -329,7 +323,7 @@ def objective(problem: NodeProblem, intercept: float, beta, config: NodeFitConfi
             + _penalty(config.lam, w, beta))
 
 
-def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol, step,
+def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol,
              slopes_frozen=False, track=False):
     """Backtracking proximal-gradient loop; returns the last accepted iterate.
 
@@ -343,6 +337,7 @@ def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol, step,
     fval = sval + pen
     trace = [fval] if track else None
     converged = False
+    step = STEP_INIT
     it = 0
     prev_point = None
     prev_grad = None
@@ -387,10 +382,10 @@ def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol, step,
             converged = True
             break
         _, g0, g = _smooth_eval(problem, b0, beta, tau, True)
-    return b0, beta, fval, it, converged, step, trace
+    return b0, beta, fval, it, converged, trace
 
 
-def null_fit(problem: NodeProblem, tau: float, *, track_objective: bool = False) -> NodeFitResult:
+def null_fit(problem: NodeProblem, tau: float) -> NodeFitResult:
     """Intercept-only fit with all slopes pinned at zero.
 
     The intercept starts at the link transform of the marginal mid-quantile
@@ -399,38 +394,30 @@ def null_fit(problem: NodeProblem, tau: float, *, track_objective: bool = False)
     """
     b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
     beta = np.zeros(problem.m)
-    b0, beta, fval, it, conv, step, trace = _descend(
+    b0, beta, fval, it, conv, _ = _descend(
         problem, tau, 0.0, np.ones(problem.m), b0, beta,
-        max_iterations=200, tol=NULL_FIT_TOL, step=STEP_INIT,
-        slopes_frozen=True, track=track_objective)
+        max_iterations=200, tol=NULL_FIT_TOL, slopes_frozen=True)
     return NodeFitResult(float(b0), beta, float(fval), it, conv,
-                         np.empty(0, dtype=int), float(STEP_INIT),
-                         None if trace is None else np.asarray(trace))
+                         np.empty(0, dtype=int))
 
 
-def lambda_max(problem: NodeProblem, tau: float, weights=None) -> float:
-    """Smallest penalty that keeps every slope at exactly zero.
-
-    Computed as max_k |grad_k| / w_k of the smooth term at the intercept-only
-    optimum; infinite if an unpenalized coordinate (w_k = 0) has a nonzero
-    gradient there.
-    """
-    w = np.ones(problem.m) if weights is None else np.asarray(weights, dtype=float)
+def lambda_max(problem: NodeProblem, tau: float) -> float:
+    """Smallest penalty that keeps every slope at exactly zero under unit
+    penalty weights: max_k |grad_k| of the smooth term at the
+    intercept-only optimum."""
     base = null_fit(problem, tau)
     grad = smooth_gradient(problem, base.intercept, base.beta, tau)[1:]
-    with np.errstate(divide="ignore"):
-        ratios = np.where(w > 0, np.abs(grad) / np.where(w > 0, w, 1.0), np.inf)
-        ratios = np.where((w == 0) & (np.abs(grad) == 0), 0.0, ratios)
-    return float(ratios.max(initial=0.0))
+    return float(np.abs(grad).max(initial=0.0))
 
 
 def fit_node_quantile(problem: NodeProblem, config: NodeFitConfig,
                       init: NodeFitResult | None = None) -> NodeFitResult:
     """Solve the penalized node problem by proximal gradient descent.
 
-    Cold starts pin the slopes at zero and optimize the intercept first;
-    warm starts continue from a previous result (including its step size).
-    Hitting the iteration cap returns the last iterate flagged unconverged.
+    Cold starts begin at the null fit (slopes zero, intercept optimized);
+    warm starts begin at a previous result's coefficients.  Either way the
+    first trial step is STEP_INIT.  Hitting the iteration cap of
+    MAX_ITERATIONS returns the last iterate flagged unconverged.
     """
     w = _weights_of(problem, config)
     if init is None:
@@ -440,13 +427,13 @@ def fit_node_quantile(problem: NodeProblem, config: NodeFitConfig,
         if init.beta.shape != (problem.m,):
             raise DataError("warm start has the wrong number of coefficients")
         b0, beta = init.intercept, np.array(init.beta)
-    b0, beta, fval, it, conv, step, trace = _descend(
+    b0, beta, fval, it, conv, trace = _descend(
         problem, config.tau, config.lam, w, b0, beta,
-        max_iterations=config.max_iterations, tol=config.tol,
-        step=config.step_init, track=config.track_objective)
-    active = np.flatnonzero(np.abs(beta) > config.nonzero_tol)
+        max_iterations=MAX_ITERATIONS, tol=CONVERGENCE_TOL,
+        track=config.track_objective)
+    active = np.flatnonzero(np.abs(beta) > NONZERO_TOL)
     return NodeFitResult(float(b0), beta, float(fval), it, conv, active,
-                         float(step), None if trace is None else np.asarray(trace))
+                         None if trace is None else np.asarray(trace))
 
 
 def _check_lambda_grid(lambdas) -> np.ndarray:
@@ -460,14 +447,21 @@ def _check_lambda_grid(lambdas) -> np.ndarray:
     return lambdas
 
 
-def _inverse_path(problem, tau, lambdas, weights, nonzero_tol):
+def fit_lambda_path(problem: NodeProblem, tau: float, lambdas, *,
+                    weights=None, nonzero_tol: float = NONZERO_TOL) -> list:
+    """Fit a strictly decreasing lambda sequence with warm starts by the
+    inverse route: the per-row-inverted implicit equation is solved by
+    penalized weighted least squares (see the module docstring), and each
+    result's ``iterations`` counts the kernel's linear solves plus any
+    fallback sweeps."""
+    lambdas = _check_lambda_grid(lambdas)
     targets, solvable = inverse_midquantile_targets(problem, tau)
     w_rows = solvable.astype(float)
     if solvable.sum() < 2:
         base = null_fit(problem, tau)
         return [NodeFitResult(base.intercept, np.zeros(problem.m),
                               base.objective, base.iterations, base.converged,
-                              np.empty(0, dtype=int), 0.0)
+                              np.empty(0, dtype=int))
                 for _ in lambdas]
     w_pen = np.ones(problem.m) if weights is None else np.asarray(weights, float)
     path = wls_path(problem.X, w_rows, targets, lambdas, w_pen)
@@ -477,38 +471,5 @@ def _inverse_path(problem, tau, lambdas, weights, nonzero_tol):
         obj = (float(w_rows @ (r * r)) / (2.0 * problem.n)
                + _penalty(float(lam), w_pen, beta))
         active = np.flatnonzero(np.abs(beta) > nonzero_tol)
-        results.append(NodeFitResult(b0, beta, obj, work, conv, active, 0.0))
-    return results
-
-
-def fit_lambda_path(problem: NodeProblem, tau: float, lambdas, *,
-                    weights=None, method: str = "inverse",
-                    max_iterations: int = MAX_ITERATIONS,
-                    tol: float = CONVERGENCE_TOL, nonzero_tol: float = NONZERO_TOL,
-                    track_objective: bool = False) -> list:
-    """Fit a strictly decreasing lambda sequence with warm starts.
-
-    method "inverse" solves the per-row-inverted implicit equation by
-    penalized weighted least squares (default; see the module docstring),
-    and each result's ``iterations`` counts the kernel's linear solves plus
-    any fallback sweeps; "descent" runs the proximal-gradient optimizer of
-    the probability-scale objective at every grid point.
-    """
-    lambdas = _check_lambda_grid(lambdas)
-    if method == "inverse":
-        return _inverse_path(problem, tau, lambdas, weights, nonzero_tol)
-    if method != "descent":
-        raise DataError(f"unknown fit method {method!r}")
-    prev = null_fit(problem, tau)
-    prev = NodeFitResult(prev.intercept, np.zeros(problem.m), prev.objective,
-                         prev.iterations, prev.converged, prev.active_set,
-                         STEP_INIT)
-    results = []
-    for lam in lambdas:
-        config = NodeFitConfig(tau=tau, lam=float(lam), weights=weights,
-                               max_iterations=max_iterations, tol=tol,
-                               nonzero_tol=nonzero_tol,
-                               track_objective=track_objective)
-        prev = fit_node_quantile(problem, config, init=prev)
-        results.append(prev)
+        results.append(NodeFitResult(b0, beta, obj, work, conv, active))
     return results

@@ -13,8 +13,7 @@ from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_NEGATIVE,
                    SIGN_POSITIVE, SIGN_UNDEFINED, _one_blas_thread,
                    _pin_blas_threads, quantile_loss)
-from .penalized import (CONVERGENCE_TOL, MAX_ITERATIONS, NodeProblem,
-                        fit_lambda_path)
+from .penalized import NodeProblem, fit_lambda_path
 
 BIC_EPS_GUARD = 1e-12
 
@@ -84,35 +83,34 @@ def _pool_map(fn, tasks, threads: int) -> list:
 
 def _node_worker(args):
     """All level paths of one node from its prebuilt mid-CDF step."""
-    problem, levels, lambdas, kw = args
-    return [fit_lambda_path(problem, tau, lambdas, **kw) for tau in levels]
+    problem, levels, lambdas, nonzero_tol = args
+    return [fit_lambda_path(problem, tau, lambdas, nonzero_tol=nonzero_tol)
+            for tau in levels]
 
 
-def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *, weights=None,
-             method: str = "inverse", max_iterations: int = MAX_ITERATIONS,
-             tol: float = CONVERGENCE_TOL, nonzero_tol: float = NONZERO_TOL,
-             threads: int = 1, problems: list | None = None) -> CoefficientCube:
+def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
+             nonzero_tol: float = NONZERO_TOL, threads: int = 1,
+             problems: list | None = None) -> CoefficientCube:
     """Fit penalized mid-quantile regressions for every node, level and
     lambda; lambdas must be strictly decreasing (paths are warm-started).
 
     ``problems`` may carry prebuilt per-node mid-CDF fits so several level
     grids can share the expensive first step; without them the first step
-    runs here, once over all nodes (``build_problems``).  ``method`` selects
-    the path solver (see penalized.fit_lambda_path).  With ``threads`` > 1
-    the nodes' lambda paths run in a process pool, one task per node (all
-    its level paths), under the BLAS pin of ``_pool_map``; results do not
-    depend on it.  ``threads`` < 1 raises DataError.
+    runs here, once over all nodes (``build_problems``).  Every path is
+    solved by the inverse route (``penalized.fit_lambda_path``) with unit
+    penalty weights.  With ``threads`` > 1 the nodes' lambda paths run in a
+    process pool, one task per node (all its level paths), under the BLAS
+    pin of ``_pool_map``; results do not depend on it.  ``threads`` < 1
+    raises DataError.
     """
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
     lambdas = np.asarray(lambdas, dtype=float)
     p = dataset.p
     levels = list(grid.levels)
-    kw = dict(weights=weights, method=method, max_iterations=max_iterations,
-              tol=tol, nonzero_tol=nonzero_tol)
     if problems is None:
         problems = build_problems(dataset)
-    tasks = [(problems[j], levels, lambdas, kw) for j in range(p)]
+    tasks = [(problems[j], levels, lambdas, nonzero_tol) for j in range(p)]
     nodes = _pool_map(_node_worker, tasks, threads)
     L, M = len(levels), lambdas.size
     intercepts = np.zeros((p, L, M))

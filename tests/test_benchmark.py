@@ -107,6 +107,11 @@ def test_confusion_metrics_empty_estimate():
     assert m.precision == 0.0  # zero-denominator convention
 
 
+def test_pair_counts_rejects_non_square_adjacency():
+    with pytest.raises(DataError, match="square"):
+        pair_counts(np.zeros((2, 3), bool), np.zeros((2, 3), bool))
+
+
 def test_metrics_match_bruteforce_oracle():
     rng = np.random.default_rng(7)
     for _ in range(1000):

@@ -36,6 +36,19 @@ def test_fit_defaults_match_application_config():
     sim = build_parser().parse_args(["simulate"])
     assert sim.lambda_count == 50
     assert sim.seed == 0
+    # the benchmark scores every criterion on the learners' own level grids
+    for name in ("tau_levels", "criterion", "cn"):
+        assert not hasattr(sim, name), name
+
+
+@pytest.mark.parametrize("flag", [["--tau-levels", "3"], ["--criterion", "aic"],
+                                  ["--cn", "2"]])
+def test_simulate_rejects_fit_only_flags(tmp_path, capsys, flag):
+    rc = main(["simulate", "--n", "60", "--R", "1", "--learners", "mgm",
+               "--lambda-count", "2", *flag, "--output", str(tmp_path / "sim")])
+    assert rc == 1
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -71,6 +84,17 @@ def test_simulate_negative_threads_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "threads must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("levels", ["abc", "0.5,x", ""])
+def test_malformed_tau_levels_exits_2(small_csv, tmp_path, capsys, levels):
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", levels, "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "qmgm: data error: --tau-levels takes a level count" in err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_bad_csv_exits_2(tmp_path):
@@ -266,3 +290,26 @@ def test_simulate_output_pinned(tmp_path, threads):
     assert rc == 0
     for name, digest in PINNED_SIMULATE_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+PINNED_FIT_SHA256 = "8f010a98acc497c1e39e645b22be873153d9066a6ccace5c034e07dd4f0942fd"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fit_output_pinned(small_csv, tmp_path, threads):
+    """A fixed fit configuration writes byte-for-byte the same graph
+    document, serially and from the node pool, which turns the "identical
+    output" contract into a check for the applied fit too.
+
+    Like the simulate pin, the hash holds for the numpy/BLAS build it was
+    recorded with (numpy 2.4.6 with its bundled OpenBLAS 0.3.31, Python
+    3.11, x86-64); another build must re-record it from a checkout whose
+    output is known to be right.
+    """
+    csv_path, schema_path = small_csv
+    out = tmp_path / "graph.json"
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "3", "--lambda-count", "8", "--criterion", "bicp",
+               "--threads", threads, "--output", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FIT_SHA256

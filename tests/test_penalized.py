@@ -153,14 +153,6 @@ def test_below_lambda_max_some_slope_moves(problems):
     assert np.any(res.beta != 0.0)
 
 
-def test_path_length_one_equals_cold_fit(problems):
-    pr = problems[5]
-    path = fit_lambda_path(pr, 0.5, [0.07], method="descent")
-    single = fit_node_quantile(pr, NodeFitConfig(tau=0.5, lam=0.07))
-    assert path[0].intercept == pytest.approx(single.intercept, abs=1e-7)
-    assert path[0].beta == pytest.approx(single.beta, abs=1e-7)
-
-
 def test_path_requires_decreasing_grid(problems):
     with pytest.raises(DataError):
         fit_lambda_path(problems[0], 0.5, [0.1, 0.2])
@@ -190,10 +182,19 @@ def test_permutation_equivariance(problems):
     # descent route: the objective is nonsmooth and nonconvex, and runs that
     # take different trajectories stop at different kinks; column order
     # does not steer the arithmetic, so both runs take the same trajectory
-    a = fit_lambda_path(pr, 0.5, [0.05], method="descent")[0]
-    b = fit_lambda_path(permuted, 0.5, [0.05], method="descent")[0]
+    a = fit_node_quantile(pr, NodeFitConfig(tau=0.5, lam=0.05))
+    b = fit_node_quantile(permuted, NodeFitConfig(tau=0.5, lam=0.05))
     assert b.objective == pytest.approx(a.objective, abs=1e-7)
     assert b.beta == pytest.approx(a.beta[perm], abs=1e-4)
+
+
+def _descent_path(pr, tau, lambdas):
+    """Cold descent fit at the first lambda, then warm starts down the grid."""
+    fits = [fit_node_quantile(pr, NodeFitConfig(tau=tau, lam=lambdas[0]))]
+    for lam in lambdas[1:]:
+        fits.append(fit_node_quantile(pr, NodeFitConfig(tau=tau, lam=lam),
+                                      init=fits[-1]))
+    return fits
 
 
 def _same_fit(a, b, perm=None):
@@ -224,12 +225,12 @@ def test_column_layout_and_order_do_not_steer_arithmetic(problems):
         assert smooth_objective(permuted, b0, beta[perm], 0.5) == f
         assert np.array_equal(smooth_gradient(permuted, b0, beta[perm], 0.5),
                               np.concatenate(([g[0]], g[1:][perm])))
-    for method in ("descent", "inverse"):
-        a = fit_lambda_path(pr, 0.5, [0.2, 0.05], method=method)
-        b = fit_lambda_path(fortran, 0.5, [0.2, 0.05], method=method)
-        assert all(_same_fit(ra, rb) for ra, rb in zip(a, b)), method
-    a = fit_lambda_path(pr, 0.5, [0.2, 0.05], method="descent")
-    b = fit_lambda_path(permuted, 0.5, [0.2, 0.05], method="descent")
+    for route in (_descent_path, fit_lambda_path):
+        a = route(pr, 0.5, [0.2, 0.05])
+        b = route(fortran, 0.5, [0.2, 0.05])
+        assert all(_same_fit(ra, rb) for ra, rb in zip(a, b)), route.__name__
+    a = _descent_path(pr, 0.5, [0.2, 0.05])
+    b = _descent_path(permuted, 0.5, [0.2, 0.05])
     assert all(_same_fit(ra, rb, perm) for ra, rb in zip(a, b))
 
 

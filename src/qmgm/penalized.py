@@ -24,7 +24,7 @@ interpolator.  Two routes are provided:
   build on it): proximal gradient with backtracking line search on the
   probability-scale objective
 
-      (1/n) sum_i (tau - Gc_i(eta_i))^2 + lambda * sum_k w_k |beta_k|,
+      (1/n) sum_i (tau - Gc_i(eta_i))^2 + lambda * sum_k |beta_k|,
 
   with the intercept unpenalized and accepted iterates never increasing
   the objective.  This squared probability-scale loss weights rows by the
@@ -94,10 +94,17 @@ class NodeProblem:
     logits: ThresholdLogitSet
 
     def __post_init__(self):
+        # lambda paths already fitted, keyed by (tau, lambdas bytes,
+        # nonzero_tol); only ``selection.fit_qmgm`` in the calling process fills it
+        object.__setattr__(self, "_paths", {})
         object.__setattr__(self, "y", _readonly(self.y))
         # one layout for every column order: numpy reductions add in an
         # order that follows the memory layout
         object.__setattr__(self, "X", _readonly(self.X, order="C"))
+
+    def __getstate__(self):
+        # pool workers get the problem without the path memo
+        return {**self.__dict__, "_paths": {}}
 
     @property
     def n(self) -> int:
@@ -154,7 +161,6 @@ class NodeFitConfig:
 
     tau: float
     lam: float
-    weights: np.ndarray | None = None
     track_objective: bool = False
 
     def __post_init__(self):
@@ -162,11 +168,6 @@ class NodeFitConfig:
             raise DataError(f"tau must be inside (0, 1), got {self.tau}")
         if self.lam < 0:
             raise DataError("lambda must be nonnegative")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(~np.isfinite(w)) or np.any(w < 0):
-                raise DataError("penalty weights must be finite and nonnegative")
-            object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,18 +270,9 @@ def _interp_rows(x: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weights_of(problem: NodeProblem, config: NodeFitConfig) -> np.ndarray:
-    if config.weights is None:
-        return np.ones(problem.m)
-    w = config.weights
-    if w.shape != (problem.m,):
-        raise DataError(f"weights must have length {problem.m}")
-    return w
-
-
-def _penalty(lam: float, w: np.ndarray, beta: np.ndarray) -> float:
-    """lam * sum_k w_k |beta_k|, exactly rounded whatever the column order."""
-    return lam * math.fsum(w * np.abs(beta))
+def _penalty(lam: float, beta: np.ndarray) -> float:
+    """lam * sum_k |beta_k|, exactly rounded whatever the column order."""
+    return lam * math.fsum(np.abs(beta))
 
 
 def _smooth_eval(problem: NodeProblem, b0: float, beta: np.ndarray, tau: float,
@@ -318,12 +310,11 @@ def smooth_gradient(problem: NodeProblem, intercept: float, beta, tau: float) ->
 def objective(problem: NodeProblem, intercept: float, beta, config: NodeFitConfig) -> float:
     """Penalized objective; the intercept is unpenalized."""
     beta = np.asarray(beta, dtype=float)
-    w = _weights_of(problem, config)
     return (smooth_objective(problem, intercept, beta, config.tau)
-            + _penalty(config.lam, w, beta))
+            + _penalty(config.lam, beta))
 
 
-def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol,
+def _descend(problem, tau, lam, b0, beta, *, max_iterations, tol,
              slopes_frozen=False, track=False):
     """Backtracking proximal-gradient loop; returns the last accepted iterate.
 
@@ -332,7 +323,7 @@ def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol,
     local curvature of the piecewise-quadratic smooth term; halving line
     search then enforces monotone descent.
     """
-    pen = _penalty(lam, w, beta)
+    pen = _penalty(lam, beta)
     sval, g0, g = _smooth_eval(problem, b0, beta, tau, True)
     fval = sval + pen
     trace = [fval] if track else None
@@ -358,8 +349,8 @@ def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol,
             if slopes_frozen:
                 nbeta = beta
             else:
-                nbeta = soft_threshold(beta - step * g, step * lam * w)
-            npen = _penalty(lam, w, nbeta)
+                nbeta = soft_threshold(beta - step * g, step * lam)
+            npen = _penalty(lam, nbeta)
             nsval, _, _ = _smooth_eval(problem, nb0, nbeta, tau, False)
             nfval = nsval + npen
             if nfval <= fval:
@@ -369,7 +360,7 @@ def _descend(problem, tau, lam, w, b0, beta, *, max_iterations, tol,
             if step < STEP_MIN:
                 break
         if not accepted:
-            converged = True
+            # a stall, not convergence: every trial step raised the objective
             break
         delta = max(abs(nb0 - b0),
                     float(np.max(np.abs(nbeta - beta), initial=0.0)))
@@ -395,16 +386,15 @@ def null_fit(problem: NodeProblem, tau: float) -> NodeFitResult:
     b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
     beta = np.zeros(problem.m)
     b0, beta, fval, it, conv, _ = _descend(
-        problem, tau, 0.0, np.ones(problem.m), b0, beta,
+        problem, tau, 0.0, b0, beta,
         max_iterations=200, tol=NULL_FIT_TOL, slopes_frozen=True)
     return NodeFitResult(float(b0), beta, float(fval), it, conv,
                          np.empty(0, dtype=int))
 
 
 def lambda_max(problem: NodeProblem, tau: float) -> float:
-    """Smallest penalty that keeps every slope at exactly zero under unit
-    penalty weights: max_k |grad_k| of the smooth term at the
-    intercept-only optimum."""
+    """Smallest penalty that keeps every slope at exactly zero: max_k
+    |grad_k| of the smooth term at the intercept-only optimum."""
     base = null_fit(problem, tau)
     grad = smooth_gradient(problem, base.intercept, base.beta, tau)[1:]
     return float(np.abs(grad).max(initial=0.0))
@@ -419,7 +409,6 @@ def fit_node_quantile(problem: NodeProblem, config: NodeFitConfig,
     first trial step is STEP_INIT.  Hitting the iteration cap of
     MAX_ITERATIONS returns the last iterate flagged unconverged.
     """
-    w = _weights_of(problem, config)
     if init is None:
         base = null_fit(problem, config.tau)
         b0, beta = base.intercept, np.zeros(problem.m)
@@ -428,7 +417,7 @@ def fit_node_quantile(problem: NodeProblem, config: NodeFitConfig,
             raise DataError("warm start has the wrong number of coefficients")
         b0, beta = init.intercept, np.array(init.beta)
     b0, beta, fval, it, conv, trace = _descend(
-        problem, config.tau, config.lam, w, b0, beta,
+        problem, config.tau, config.lam, b0, beta,
         max_iterations=MAX_ITERATIONS, tol=CONVERGENCE_TOL,
         track=config.track_objective)
     active = np.flatnonzero(np.abs(beta) > NONZERO_TOL)
@@ -448,7 +437,7 @@ def _check_lambda_grid(lambdas) -> np.ndarray:
 
 
 def fit_lambda_path(problem: NodeProblem, tau: float, lambdas, *,
-                    weights=None, nonzero_tol: float = NONZERO_TOL) -> list:
+                    nonzero_tol: float = NONZERO_TOL) -> list:
     """Fit a strictly decreasing lambda sequence with warm starts by the
     inverse route: the per-row-inverted implicit equation is solved by
     penalized weighted least squares (see the module docstring), and each
@@ -463,13 +452,12 @@ def fit_lambda_path(problem: NodeProblem, tau: float, lambdas, *,
                               base.objective, base.iterations, base.converged,
                               np.empty(0, dtype=int))
                 for _ in lambdas]
-    w_pen = np.ones(problem.m) if weights is None else np.asarray(weights, float)
-    path = wls_path(problem.X, w_rows, targets, lambdas, w_pen)
+    path = wls_path(problem.X, w_rows, targets, lambdas, np.ones(problem.m))
     results = []
     for lam, (b0, beta, work, conv) in zip(lambdas, path):
         r = targets - b0 - problem.X @ beta
         obj = (float(w_rows @ (r * r)) / (2.0 * problem.n)
-               + _penalty(float(lam), w_pen, beta))
+               + _penalty(float(lam), beta))
         active = np.flatnonzero(np.abs(beta) > nonzero_tol)
         results.append(NodeFitResult(b0, beta, obj, work, conv, active))
     return results

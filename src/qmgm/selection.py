@@ -82,7 +82,7 @@ def _pool_map(fn, tasks, threads: int) -> list:
 
 
 def _node_worker(args):
-    """All level paths of one node from its prebuilt mid-CDF step."""
+    """The given level paths of one node from its prebuilt mid-CDF step."""
     problem, levels, lambdas, nonzero_tol = args
     return [fit_lambda_path(problem, tau, lambdas, nonzero_tol=nonzero_tol)
             for tau in levels]
@@ -96,12 +96,15 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
 
     ``problems`` may carry prebuilt per-node mid-CDF fits so several level
     grids can share the expensive first step; without them the first step
-    runs here, once over all nodes (``build_problems``).  Every path is
-    solved by the inverse route (``penalized.fit_lambda_path``) with unit
-    penalty weights.  With ``threads`` > 1 the nodes' lambda paths run in a
-    process pool, one task per node (all its level paths), under the BLAS
-    pin of ``_pool_map``; results do not depend on it.  ``threads`` < 1
-    raises DataError.
+    runs here, once over all nodes (``build_problems``).  Shared problems
+    also share lambda paths: each problem keeps the paths fitted on it, and
+    a (node, level) path already fitted on the same lambda grid and
+    tolerance is reused, not refitted, so nested level grids fit each
+    distinct path once.  Every path is solved by the inverse route
+    (``penalized.fit_lambda_path``).  With ``threads`` > 1 the missing
+    paths run in a process pool, one task per node (all its missing
+    levels), under the BLAS pin of ``_pool_map``; results do not depend on
+    it.  ``threads`` < 1 raises DataError.
     """
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
@@ -110,17 +113,21 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     levels = list(grid.levels)
     if problems is None:
         problems = build_problems(dataset)
-    tasks = [(problems[j], levels, lambdas, nonzero_tol) for j in range(p)]
-    nodes = _pool_map(_node_worker, tasks, threads)
+    keys = [(float(tau), lambdas.tobytes(), nonzero_tol) for tau in levels]
+    todo = [(pr, missing) for pr in problems
+            if (missing := [k for k in keys if k not in pr._paths])]
+    tasks = [(pr, [k[0] for k in missing], lambdas, nonzero_tol) for pr, missing in todo]
+    for (pr, missing), paths in zip(todo, _pool_map(_node_worker, tasks, threads)):
+        pr._paths.update(zip(missing, paths))
     L, M = len(levels), lambdas.size
     intercepts = np.zeros((p, L, M))
     betas = np.zeros((p, L, M, p - 1))
     converged = np.zeros((p, L, M), dtype=bool)
     iterations = np.zeros((p, L, M), dtype=int)
     objectives = np.zeros((p, L, M))
-    for j, paths in enumerate(nodes):
-        for l, path in enumerate(paths):
-            for mi, res in enumerate(path):
+    for j in range(p):
+        for l, key in enumerate(keys):
+            for mi, res in enumerate(problems[j]._paths[key]):
                 intercepts[j, l, mi] = res.intercept
                 betas[j, l, mi] = res.beta
                 converged[j, l, mi] = res.converged

@@ -283,13 +283,34 @@ def test_simulate_output_pinned(tmp_path, threads):
     another build may round differently, and its hashes must then be
     re-recorded from a checkout whose output is known to be right.
     """
+    _assert_simulate_pinned(tmp_path, "qmgm3,mgm", threads, PINNED_SIMULATE_SHA256)
+
+
+def _assert_simulate_pinned(tmp_path, learners, threads, pinned):
     out = tmp_path / "sim"
-    rc = main(["simulate", "--n", "150", "--R", "3", "--learners", "qmgm3,mgm",
+    rc = main(["simulate", "--n", "150", "--R", "3", "--learners", learners,
                "--lambda-count", "12", "--seed", "7", "--threads", threads,
                "--output", str(out)])
     assert rc == 0
-    for name, digest in PINNED_SIMULATE_SHA256.items():
+    for name, digest in pinned.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# The same configuration with the nested level grids {1/2} within the
+# quartiles within the octiles, whose learners share lambda paths.
+PINNED_NESTED_SIMULATE_SHA256 = {
+    "summary.csv": "445701d48d06db6068a4cde684d9a4e0b20416062c3bfb7219b01f63e898b313",
+    "details.csv": "3c0a76085cf4ea45e11326d5e418bcfcd37533fbff5966030c0bdbc3613d5dfc",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_nested_grids_output_pinned(tmp_path, threads):
+    """Learners whose level grids nest write the same files as when each
+    fitted all of its own paths (recorded before paths were shared), on the
+    same numpy/BLAS build as the pin above."""
+    _assert_simulate_pinned(tmp_path, "qmgm1,qmgm3,qmgm7", threads,
+                            PINNED_NESTED_SIMULATE_SHA256)
 
 
 PINNED_FIT_SHA256 = "8f010a98acc497c1e39e645b22be873153d9066a6ccace5c034e07dd4f0942fd"

@@ -8,6 +8,7 @@ from bruteforce import kkt_residual, penalized_wls_reference
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import (DataError, Dataset, QuantileGrid, VariableSpec,
                        validate_and_standardize)
+from qmgm import penalized
 from qmgm.midcdf import MidCdfField, marginal_mid_quantile
 from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
                             fit_node_quantile, inverse_midquantile_targets,
@@ -144,6 +145,15 @@ def test_lambda_max_gives_exact_null(problems):
                 res = fit_node_quantile(pr, NodeFitConfig(tau=tau, lam=lam))
                 assert np.all(res.beta == 0.0)
                 assert res.active_set.size == 0
+
+
+def test_descent_stall_is_reported_unconverged(problems, monkeypatch):
+    # with no backtracking allowed no trial step is ever accepted: the loop
+    # stops at its start, and that stall is not convergence
+    monkeypatch.setattr(penalized, "MAX_BACKTRACKS", 0)
+    res = fit_node_quantile(problems[1], NodeFitConfig(tau=0.5, lam=0.01))
+    assert not res.converged
+    assert res.iterations == 1
 
 
 def test_below_lambda_max_some_slope_moves(problems):
@@ -411,12 +421,11 @@ def test_null_fallback_reports_the_null_fit_flags():
 def test_inverse_path_objective_is_the_weighted_ls_objective(problems):
     pr = problems[2]
     tau, lambdas = 0.25, [0.3, 0.05]
-    weights = np.linspace(0.5, 1.5, pr.m)
     t, solvable = inverse_midquantile_targets(pr, tau)
-    for lam, res in zip(lambdas, fit_lambda_path(pr, tau, lambdas, weights=weights)):
+    for lam, res in zip(lambdas, fit_lambda_path(pr, tau, lambdas)):
         r = t - res.intercept - pr.X @ res.beta
         want = ((solvable * r ** 2).sum() / (2 * pr.n)
-                + lam * (weights * np.abs(res.beta)).sum())
+                + lam * np.abs(res.beta).sum())
         assert res.objective == pytest.approx(want, rel=1e-12)
 
 
@@ -451,5 +460,3 @@ def test_config_validation():
         NodeFitConfig(tau=0.0, lam=0.1)
     with pytest.raises(DataError):
         NodeFitConfig(tau=0.5, lam=-1.0)
-    with pytest.raises(DataError):
-        NodeFitConfig(tau=0.5, lam=0.1, weights=np.array([-1.0]))

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -231,18 +233,67 @@ def test_fit_qmgm_single_level_matches_grid_object(dgp_500):
     assert c1.betas.shape[1] == 1
 
 
+CUBE_FIELDS = ("intercepts", "betas", "converged", "iterations", "objectives")
+
+
+def assert_same_cube(a, b):
+    for name in CUBE_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def test_fit_qmgm_threads_deterministic(dgp_500):
     # the node pool gives the serial cube bit for bit, whether the problems
     # are passed in or fit_qmgm builds them (stage 1 runs once over all
-    # nodes in the calling process; the workers fit lambda paths only)
+    # nodes in the calling process; the workers fit lambda paths only);
+    # every fit gets fresh problems, so no path comes from an earlier fit
+    ds, _ = dgp_500
+    lambdas = default_lambda_grid(count=5)
+    c1 = fit_qmgm(ds, standard_levels(3), lambdas, problems=build_problems(ds))
+    for prebuilt in (build_problems(ds), None):
+        c2 = fit_qmgm(ds, standard_levels(3), lambdas, problems=prebuilt, threads=2)
+        assert_same_cube(c1, c2)
+
+
+def test_nested_level_grids_fit_each_distinct_path_once(dgp_500, monkeypatch):
+    # qmgm1, qmgm3 and qmgm7 on shared problems: the cubes equal fits on
+    # fresh problems bit for bit, and only the 7 distinct levels of the
+    # nested grids are fitted per node
+    ds, _ = dgp_500
+    lambdas = default_lambda_grid(count=5)
+    grids = [standard_levels(k) for k in (1, 3, 7)]
+    fresh = [fit_qmgm(ds, g, lambdas, problems=build_problems(ds)) for g in grids]
+    calls = []
+    real = selection.fit_lambda_path
+
+    def counted(problem, tau, *args, **kwargs):
+        calls.append((problem.node, tau))
+        return real(problem, tau, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_lambda_path", counted)
+    problems = build_problems(ds)
+    for grid, want in zip(grids, fresh):
+        assert_same_cube(fit_qmgm(ds, grid, lambdas, problems=problems), want)
+    assert len(calls) == len(set(calls)) == ds.p * 7
+    # another lambda grid or tolerance is another path
+    fit_qmgm(ds, grids[0], lambdas[:3], problems=problems)
+    fit_qmgm(ds, grids[0], lambdas, problems=problems, nonzero_tol=1e-3)
+    assert len(calls) == ds.p * 9
+
+
+def test_pool_filled_paths_serve_a_later_serial_fit(dgp_500, monkeypatch):
     ds, _ = dgp_500
     lambdas = default_lambda_grid(count=5)
     problems = build_problems(ds)
-    c1 = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems, threads=1)
-    for prebuilt in (problems, None):
-        c2 = fit_qmgm(ds, standard_levels(3), lambdas, problems=prebuilt, threads=2)
-        for name in ("intercepts", "betas", "converged", "iterations", "objectives"):
-            assert np.array_equal(getattr(c1, name), getattr(c2, name)), name
+    pooled = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems, threads=2)
+    monkeypatch.setattr(selection, "fit_lambda_path", None)   # nothing is refitted
+    serial = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
+    assert_same_cube(pooled, serial)
+    median = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems, threads=2)
+    for name in CUBE_FIELDS:
+        assert np.array_equal(getattr(median, name), getattr(serial, name)[:, 1:2]), name
+    # the path memo stays in this process: a pickled problem carries none
+    assert problems[0]._paths
+    assert pickle.loads(pickle.dumps(problems[0]))._paths == {}
 
 
 def _worker_blas_threads(_):

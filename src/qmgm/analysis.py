@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .core import DataError, Dataset, _readonly
@@ -94,6 +93,8 @@ def centrality(graph, names=None) -> CentralityReport:
     (unnormalized); closeness is scaled by reachable-set size so isolated
     nodes score zero.
     """
+    import networkx as nx  # imported here: no other qmgm function needs it
+
     adj = _adjacency_of(graph)
     p = adj.shape[0]
     names = tuple(names) if names else tuple(f"V{i + 1}" for i in range(p))
@@ -111,6 +112,8 @@ def centrality(graph, names=None) -> CentralityReport:
 
 def weighted_centrality(graph, names=None) -> CentralityReport:
     """Centrality with edge distance 1/strength instead of unit lengths."""
+    import networkx as nx
+
     adj = _adjacency_of(graph)
     strength = np.asarray(graph.strength, dtype=float)
     p = adj.shape[0]

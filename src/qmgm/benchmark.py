@@ -15,11 +15,11 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .analysis import _adjacency_of
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
-                   VariableSpec, _readonly, standard_levels,
+                   VariableSpec, _check_tolerance, _readonly, standard_levels,
                    validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
 from .selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
@@ -104,6 +104,9 @@ def generate_sample(variant: DgpVariant):
     Each row draws ten independent uniforms feeding the conditional quantile
     formulas in node order; the three discrete-uniform noise terms are drawn
     independently afterwards.  Identical seeds give bit-identical samples.
+    The inverse CDFs are the ``scipy.special`` ufuncs that the
+    ``scipy.stats`` distributions call (t, gamma, normal), so this module
+    does not load ``scipy.stats``.
     """
     rng = np.random.default_rng(variant.seed)
     n = variant.n
@@ -113,14 +116,14 @@ def generate_sample(variant: DgpVariant):
     du9 = rng.integers(1, 6, n).astype(float)
 
     y = np.zeros((n, 10))
-    y[:, 0] = stats.t.ppf(U[:, 0], df=3)
+    y[:, 0] = special.stdtrit(3, U[:, 0])
     y1 = y[:, 0]
     y[:, 1] = -0.5 * U[:, 1] ** 2 * (y1 + 3.0)
-    y[:, 2] = y1 + stats.gamma.ppf(U[:, 2], a=np.abs(y1) + 0.1, scale=0.5)
+    y[:, 2] = y1 + special.gammaincinv(np.abs(y1) + 0.1, U[:, 2]) * 0.5
     y3 = y[:, 2]
-    y[:, 3] = 0.1 * (y3 + 5.0) ** 2 * np.sqrt(np.abs(y3 + 5.0)) * stats.norm.ppf(U[:, 3])
+    y[:, 3] = 0.1 * (y3 + 5.0) ** 2 * np.sqrt(np.abs(y3 + 5.0)) * special.ndtri(U[:, 3])
     y[:, 4] = (2.0 * np.cos(np.pi * y1 / 4.0) * (U[:, 4] - 0.5) * (y1 + 2.0)
-               + (0.1 + 0.1 * np.abs(y1)) * stats.norm.ppf(U[:, 4]))
+               + (0.1 + 0.1 * np.abs(y1)) * special.ndtri(U[:, 4]))
     y5 = y[:, 4]
     y[:, 5] = np.floor((U[:, 5] + 0.5) * np.abs(y1)) + du6
     rate7 = np.abs(y3 + 5.0) ** -0.5 + np.abs(np.log(np.abs(y5) + 1.0))
@@ -241,8 +244,8 @@ class LearnerConfig:
 
 def default_lambda_grid(lo: float = 0.001, hi: float = 5.0, count: int = 50) -> np.ndarray:
     """Log-equispaced penalty grid, returned in decreasing order."""
-    if not 0 < lo < hi:
-        raise DataError("lambda grid needs 0 < lo < hi")
+    if not 0 < lo < hi < np.inf:
+        raise DataError(f"lambda grid needs finite 0 < lo < hi, got lo={lo} hi={hi}")
     if count < 1:
         raise DataError("lambda grid needs at least one value")
     if count == 1:
@@ -439,8 +442,10 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
     Individual replication failures are recorded and excluded from the
     summaries.  With ``threads`` > 1 the replications run in a process pool
     under the BLAS pin of ``selection._pool_map``; results are independent
-    of the thread count.  ``threads`` < 1 raises DataError.
+    of the thread count.  ``threads`` < 1 and a negative or non-finite
+    ``nonzero_tol`` raise DataError before any replication runs.
     """
+    _check_tolerance(nonzero_tol)
     if R < 1:
         raise DataError("R must be >= 1")
     lambdas = default_lambda_grid() if lambdas is None else np.asarray(lambdas, float)

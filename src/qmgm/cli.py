@@ -11,8 +11,8 @@ import sys
 import numpy as np
 
 from .analysis import centrality, hamming_distance, knn_impute, weighted_centrality
-from .benchmark import (DgpVariant, default_lambda_grid, run_replications,
-                        write_outputs)
+from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
+                        run_replications, write_outputs)
 from .core import DataError, NumericalError, QuantileGrid, standard_levels, \
     validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
@@ -174,8 +174,6 @@ def _load_document(path) -> GraphDocument:
 
 
 def _cmd_metrics(args) -> int:
-    from .benchmark import confusion_metrics
-
     truth = _load_document(args.truth)
     estimate = _load_document(args.estimate)
     if set(truth.node_names()) != set(estimate.node_names()):

@@ -42,6 +42,12 @@ class NumericalError(RuntimeError):
     """Unrecoverable numerical failure (CLI exit code 3)."""
 
 
+def _check_tolerance(tol) -> None:
+    """DataError unless the edge tolerance ``tol`` is finite and >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise DataError(f"tolerance must be finite and >= 0, got {tol}")
+
+
 def _readonly(a: np.ndarray, order: str = "K") -> np.ndarray:
     a = np.array(a, copy=True, order=order)
     a.setflags(write=False)

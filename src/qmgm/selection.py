@@ -11,8 +11,8 @@ import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_NEGATIVE,
-                   SIGN_POSITIVE, SIGN_UNDEFINED, _one_blas_thread,
-                   _pin_blas_threads, quantile_loss)
+                   SIGN_POSITIVE, SIGN_UNDEFINED, _check_tolerance,
+                   _one_blas_thread, _pin_blas_threads, quantile_loss)
 from .penalized import NodeProblem, fit_lambda_path
 
 BIC_EPS_GUARD = 1e-12
@@ -104,8 +104,10 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     (``penalized.fit_lambda_path``).  With ``threads`` > 1 the missing
     paths run in a process pool, one task per node (all its missing
     levels), under the BLAS pin of ``_pool_map``; results do not depend on
-    it.  ``threads`` < 1 raises DataError.
+    it.  ``threads`` < 1 raises DataError; a negative or non-finite
+    ``nonzero_tol`` raises it before any fitting.
     """
+    _check_tolerance(nonzero_tol)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
     lambdas = np.asarray(lambdas, dtype=float)
@@ -152,7 +154,9 @@ def estimate_edge_set(cube: CoefficientCube, lambda_index: int,
     """Edge (j, k) is present when either direction's coefficient exceeds
     the tolerance in absolute value at any level (max/OR rule); the edge
     strength is that maximum and the sign comes from the attaining
-    coefficients (undefined when the two directions disagree)."""
+    coefficients (undefined when the two directions disagree).  A negative
+    or non-finite tolerance raises DataError."""
+    _check_tolerance(tolerance)
     B = _coefficient_tensor(cube, lambda_index)
     p = cube.p
     absB = np.abs(B)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from qmgm.benchmark import (DgpVariant, LearnerConfig,
                             RecoveryMetrics, TrueGraph,
@@ -80,6 +80,22 @@ def test_poisson_quantile_edge_cases():
     assert poisson_quantile(np.array([0.0]), 3.0)[0] == 0.0
     assert poisson_quantile(np.array([1e-12]), 3.0)[0] == 0.0
     assert poisson_quantile(np.array([0.999999]), 0.5)[0] >= 5
+
+
+def test_generator_inverse_cdfs_equal_scipy_stats():
+    # the generator's scipy.special calls are the ones scipy.stats makes;
+    # u covers the generator's clip ends and the median
+    rng = np.random.default_rng(0)
+    u = np.concatenate(([1e-15, 1.0 - 1e-16, 0.5],
+                        np.logspace(-15, -1, 57), 1.0 - np.logspace(-16, -1, 57),
+                        np.clip(rng.random(400), 1e-15, 1.0 - 1e-16)))
+    assert np.array_equal(special.stdtrit(3, u), stats.t.ppf(u, df=3))
+    assert np.array_equal(special.ndtri(u), stats.norm.ppf(u))
+    # gamma shapes |y1| + 0.1 over [0.1, 50], every shape against every u
+    a = np.concatenate((np.linspace(0.1, 50.0, 200), rng.uniform(0.1, 50.0, 100)))
+    a, uu = np.meshgrid(a, u)
+    assert np.array_equal(special.gammaincinv(a, uu) * 0.5,
+                          stats.gamma.ppf(uu, a=a, scale=0.5))
 
 
 def test_confusion_metrics_perfect():
@@ -211,6 +227,13 @@ def test_default_lambda_grid():
     assert np.allclose(steps, steps[0])
 
 
+@pytest.mark.parametrize("lo, hi", [(0.001, np.inf), (np.nan, 5.0),
+                                    (0.001, np.nan), (-np.inf, 5.0)])
+def test_default_lambda_grid_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(DataError, match="needs finite 0 < lo < hi"):
+        default_lambda_grid(lo, hi)
+
+
 def test_run_replications_single_equals_summary():
     lambdas = default_lambda_grid(count=6)
     run = run_replications(["mgm"], DgpVariant("main", 120, 3), 1,
@@ -267,6 +290,14 @@ def test_replication_pool_pins_blas_to_one_thread_and_restores(blas_threads):
     pinned = f"RuntimeError: blas threads {[1] * len(counts)}"
     assert [msg for _, _, msg in run.failures] == [pinned] * 2
     assert blas_threads() == counts
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_run_replications_rejects_bad_tolerance_before_running(tol):
+    # the sample function would record a failure if any replication ran
+    with pytest.raises(DataError, match="tolerance must be finite and >= 0"):
+        run_replications(["mgm"], DgpVariant("main", 60, 1), 2, lambdas=[0.5],
+                         nonzero_tol=tol, sample_fn=_constant_column_sample)
 
 
 def test_null_sample_properties():

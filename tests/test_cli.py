@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qmgm
+from qmgm import benchmark, selection
 from qmgm.benchmark import DgpVariant, generate_sample, true_graph
 from qmgm.cli import main
 from qmgm.io import GraphDocument, document_from_adjacency, export_graph, save_csv
@@ -84,6 +88,91 @@ def test_simulate_negative_threads_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "threads must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("fitting started")
+
+
+@pytest.fixture()
+def no_fitting(monkeypatch):
+    """Make any start of stage 1 or of a replication fail the test."""
+    monkeypatch.setattr(selection, "build_problems", _fail_if_called)
+    monkeypatch.setattr(benchmark, "_replication_worker", _fail_if_called)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_fit_bad_tolerance_exits_2_before_fitting(small_csv, tmp_path, capsys,
+                                                  no_fitting, tol):
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "1", "--lambda-count", "2", "--tolerance", tol,
+               "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_simulate_bad_tolerance_exits_2_before_fitting(tmp_path, capsys,
+                                                       no_fitting, tol):
+    rc = main(["simulate", "--n", "60", "--R", "2", "--learners", "mgm",
+               "--lambda-count", "2", "--tolerance", tol,
+               "--output", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_zero_tolerance_is_valid(small_csv, tmp_path, capsys):
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "1", "--lambda-count", "2", "--tolerance", "0",
+               "--output", str(tmp_path / "g.json")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "g.json").read_text())
+    assert doc["meta"]["nonzero_tolerance"] == 0.0
+    rc = main(["simulate", "--n", "60", "--R", "1", "--learners", "mgm",
+               "--lambda-count", "2", "--tolerance", "0",
+               "--output", str(tmp_path / "sim")])
+    assert rc == 0
+    assert "1 of 1 replications succeeded" in capsys.readouterr().out
+
+
+def test_fit_infinite_lambda_max_exits_2_before_fitting(small_csv, tmp_path,
+                                                        capsys, no_fitting):
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "1", "--lambda-max", "inf",
+               "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "lambda grid needs finite 0 < lo < hi" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_simulate_infinite_lambda_max_exits_2_before_fitting(tmp_path, capsys,
+                                                             no_fitting):
+    rc = main(["simulate", "--n", "60", "--R", "1", "--learners", "mgm",
+               "--lambda-max", "inf", "--output", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "lambda grid needs finite 0 < lo < hi" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_import_loads_neither_scipy_stats_nor_networkx():
+    # a fresh interpreter, so modules this test session loaded do not count
+    src = os.path.dirname(os.path.dirname(qmgm.__file__))
+    code = ("import sys\n"
+            "import qmgm.cli\n"
+            "import qmgm\n"
+            "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("levels", ["abc", "0.5,x", ""])
@@ -233,6 +322,20 @@ def test_centrality_command(tmp_path, capsys):
     assert out[0] == "node,degree,betweenness,closeness"
     row_b = out[2].split(",")
     assert row_b[0] == "b" and row_b[1] == "2"
+
+
+def test_weighted_centrality_command(tmp_path, capsys):
+    # edge distance is 1/strength: a-b 0.5, b-c 1, so a-c runs 1.5 through b
+    names = ["a", "b", "c"]
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
+    doc = document_from_adjacency(names, adj)
+    doc.edges[0]["strength"] = 2.0
+    export_graph(doc, tmp_path / "g.json")
+    rc = main(["centrality", str(tmp_path / "g.json"), "--weighted"])
+    assert rc == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[1:] == ["a,1,0,1", f"b,2,1,{2 / 1.5:.12g}", f"c,1,0,{2 / 2.5:.12g}"]
 
 
 def test_impute_command(tmp_path):

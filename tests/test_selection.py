@@ -364,3 +364,22 @@ def test_fit_qmgm_rejects_missing(tiny_mixed):
     ds = Dataset(tiny_mixed.values, tiny_mixed.schema, mask)
     with pytest.raises(DataError):
         fit_qmgm(ds, standard_levels(1), [0.5])
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_fit_and_edge_extraction_reject_bad_tolerance(tiny_mixed, monkeypatch, tol):
+    def no_stage_one(dataset):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(selection, "build_problems", no_stage_one)
+    ds = validate_and_standardize(tiny_mixed)
+    with pytest.raises(DataError, match="tolerance must be finite and >= 0"):
+        fit_qmgm(ds, standard_levels(1), [0.5], nonzero_tol=tol)
+    with pytest.raises(DataError, match="tolerance must be finite and >= 0"):
+        estimate_edge_set(cube_from_B(np.zeros((3, 1, 3))), 0, tol)
+
+
+def test_zero_tolerance_counts_every_nonzero_coefficient():
+    B = np.zeros((3, 1, 3))
+    B[0, 0, 1] = 1e-300
+    assert estimate_edge_set(cube_from_B(B), 0, 0.0).n_edges == 1

@@ -14,7 +14,7 @@ from .io import (GraphDocument, document_from_adjacency, document_from_graph,
 from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
 from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
                      marginal_mid_quantile, rearrange_monotone)
-from .penalized import (NodeFitConfig, NodeFitResult, NodeProblem,
+from .penalized import (LambdaPath, NodeFitConfig, NodeFitResult, NodeProblem,
                         fit_lambda_path, fit_node_quantile,
                         inverse_midquantile_targets, lambda_max, null_fit,
                         objective, penalized_wls, smooth_gradient,

@@ -33,22 +33,24 @@ def _adjacency_of(graph) -> np.ndarray:
     return adj
 
 
-def gower_distances(target: np.ndarray, observed: np.ndarray,
+def gower_distances(targets: np.ndarray, observed: np.ndarray,
                     candidates: np.ndarray, kinds, ranges) -> np.ndarray:
-    """Gower distance from one (partially observed) row to candidate rows:
-    range-normalized absolute difference for numeric columns, plain mismatch
-    for binary ones, averaged over the target's observed columns."""
-    usable = np.flatnonzero(observed)
-    if usable.size == 0:
-        return np.zeros(candidates.shape[0])
-    total = np.zeros(candidates.shape[0])
-    for c in usable:
-        diff = np.abs(candidates[:, c] - target[c])
+    """Gower distances from (partially observed) target rows to candidate
+    rows, as a (targets x candidates) matrix: range-normalized absolute
+    difference for numeric columns, plain mismatch for binary ones,
+    averaged over each target's observed columns (0 when it has none).
+    Each row adds its observed columns in column order."""
+    total = np.zeros((targets.shape[0], candidates.shape[0]))
+    for c in range(targets.shape[1]):
+        diff = np.abs(candidates[:, c] - targets[:, c, None])
         if kinds[c] == "binary":
-            total += (diff > 0).astype(float)
+            term = (diff > 0).astype(float)
+        elif ranges[c] > 0:
+            term = diff / ranges[c]
         else:
-            total += diff / ranges[c] if ranges[c] > 0 else 0.0
-    return total / usable.size
+            continue
+        total += np.where(observed[:, c, None], term, 0.0)
+    return total / np.maximum(observed.sum(axis=1), 1)[:, None]
 
 
 def knn_impute(dataset: Dataset, k: int = 13) -> Dataset:
@@ -73,10 +75,11 @@ def knn_impute(dataset: Dataset, k: int = 13) -> Dataset:
     for c in range(dataset.p):
         col = dataset.column(c)
         ranges[c] = float(col.max() - col.min())
-    cand = values[complete]
-    for i in np.flatnonzero(mask.any(axis=1)):
-        dists = gower_distances(values[i], ~mask[i], cand, kinds, ranges)
-        nearest = complete[np.argsort(dists, kind="stable")[:k]]
+    incomplete = np.flatnonzero(mask.any(axis=1))
+    dists = gower_distances(values[incomplete], ~mask[incomplete],
+                            values[complete], kinds, ranges)
+    for i, row in zip(incomplete, dists):
+        nearest = complete[np.argsort(row, kind="stable")[:k]]
         for c in np.flatnonzero(mask[i]):
             med = float(np.median(values[nearest, c]))
             if kinds[c] == "binary" and med not in (0.0, 1.0):

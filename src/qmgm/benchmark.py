@@ -22,6 +22,7 @@ from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    VariableSpec, _check_tolerance, _readonly, standard_levels,
                    validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
+from .penalized import _check_lambda_grid
 from .selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
                         build_problems, estimate_edge_set, fit_qmgm,
                         quantile_losses, score_path, select_lambda)
@@ -263,7 +264,7 @@ def run_learner(dataset: Dataset, truth: TrueGraph, learner: LearnerConfig,
                         nonzero_tol=nonzero_tol, problems=problems)
         losses = quantile_losses(cube, dataset)
     else:
-        cube = fit_mgm(dataset, lambdas, nonzero_tol=nonzero_tol)
+        cube = fit_mgm(dataset, lambdas)
         losses = deviance_losses(cube, dataset)
     graphs = [estimate_edge_set(cube, mi, nonzero_tol)
               for mi in range(cube.n_lambdas)]
@@ -442,13 +443,14 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
     Individual replication failures are recorded and excluded from the
     summaries.  With ``threads`` > 1 the replications run in a process pool
     under the BLAS pin of ``selection._pool_map``; results are independent
-    of the thread count.  ``threads`` < 1 and a negative or non-finite
-    ``nonzero_tol`` raise DataError before any replication runs.
+    of the thread count.  ``threads`` < 1, a negative or non-finite
+    ``nonzero_tol`` and a lambda grid that is not finite, nonnegative and
+    strictly decreasing raise DataError before any replication runs.
     """
     _check_tolerance(nonzero_tol)
     if R < 1:
         raise DataError("R must be >= 1")
-    lambdas = default_lambda_grid() if lambdas is None else np.asarray(lambdas, float)
+    lambdas = default_lambda_grid() if lambdas is None else _check_lambda_grid(lambdas)
     learner_names = tuple(LearnerConfig.from_name(nm).name for nm in learner_names)
     tasks = [(variant.kind, variant.n, variant.seed + r, r, learner_names,
               lambdas, tuple(criteria), nonzero_tol, sample_fn)

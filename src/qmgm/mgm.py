@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .core import CoefficientCube, DataError, Dataset, NONZERO_TOL
+from .core import CoefficientCube, DataError, Dataset
 from .lasso import wls_path
 from .penalized import penalized_wls
 
@@ -137,7 +137,7 @@ def _proximal_newton_path(y, X, family, lambdas):
     return fits
 
 
-def fit_mgm(dataset: Dataset, lambdas, *, nonzero_tol: float = NONZERO_TOL) -> CoefficientCube:
+def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     """Fit the baseline on every node and pack the results as a cube with a
     single pseudo quantile level, so edge extraction and lambda selection
     reuse the shared code path."""

@@ -17,8 +17,9 @@ interpolator.  Two routes are provided:
   path is one warm-started run of the exact lasso kernel in
   ``qmgm.lasso``, with one Gram matrix per path; a point counts as
   converged only when its KKT residual is certified.  With fewer than 2
-  solvable rows every point is the null fit, carrying its iteration count
-  and convergence flag.
+  solvable rows the equation carries no conditional information, and
+  every point is the intercept-only answer in closed form: the link
+  transform of the marginal mid-quantile, with zero slopes.
 
 * the descent route (``fit_node_quantile``; ``null_fit`` and ``lambda_max``
   build on it): proximal gradient with backtracking line search on the
@@ -94,8 +95,8 @@ class NodeProblem:
     logits: ThresholdLogitSet
 
     def __post_init__(self):
-        # lambda paths already fitted, keyed by (tau, lambdas bytes,
-        # nonzero_tol); only ``selection.fit_qmgm`` in the calling process fills it
+        # lambda paths already fitted, keyed by (tau, lambdas bytes); only
+        # ``selection.fit_qmgm`` in the calling process fills it
         object.__setattr__(self, "_paths", {})
         object.__setattr__(self, "y", _readonly(self.y))
         # one layout for every column order: numpy reductions add in an
@@ -185,6 +186,29 @@ class NodeFitResult:
             raise NumericalError("node fit produced a non-finite objective")
         object.__setattr__(self, "beta", _readonly(self.beta))
         object.__setattr__(self, "active_set", _readonly(self.active_set))
+
+
+@dataclass(frozen=True, eq=False)
+class LambdaPath:
+    """One (node, tau) lambda path, one entry per lambda point: intercepts
+    (M,), betas (M, m), objectives (M,), work (M,) and converged (M,), all
+    read-only."""
+
+    intercepts: np.ndarray
+    betas: np.ndarray
+    objectives: np.ndarray
+    work: np.ndarray
+    converged: np.ndarray
+
+    def __post_init__(self):
+        for name in ("intercepts", "betas", "objectives", "work", "converged"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a path a pool worker returns
+        # is read-only too
+        return (type(self), (self.intercepts, self.betas, self.objectives,
+                             self.work, self.converged))
 
 
 def soft_threshold(v, t):
@@ -429,6 +453,8 @@ def _check_lambda_grid(lambdas) -> np.ndarray:
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise DataError("lambda grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(lambdas)):
+        raise DataError("lambda values must be finite")
     if np.any(lambdas < 0):
         raise DataError("lambda values must be nonnegative")
     if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
@@ -436,28 +462,28 @@ def _check_lambda_grid(lambdas) -> np.ndarray:
     return lambdas
 
 
-def fit_lambda_path(problem: NodeProblem, tau: float, lambdas, *,
-                    nonzero_tol: float = NONZERO_TOL) -> list:
+def fit_lambda_path(problem: NodeProblem, tau: float, lambdas) -> LambdaPath:
     """Fit a strictly decreasing lambda sequence with warm starts by the
     inverse route: the per-row-inverted implicit equation is solved by
-    penalized weighted least squares (see the module docstring), and each
-    result's ``iterations`` counts the kernel's linear solves plus any
-    fallback sweeps."""
+    penalized weighted least squares (see the module docstring).  ``work``
+    counts the kernel's linear solves plus any fallback sweeps, and each
+    objective is the weighted least-squares objective of its point.
+
+    With fewer than 2 solvable rows every point is the intercept-only
+    answer in closed form: the link transform of the marginal mid-quantile
+    (``null_fit``'s start value), zero slopes, no work, converged."""
     lambdas = _check_lambda_grid(lambdas)
     targets, solvable = inverse_midquantile_targets(problem, tau)
     w_rows = solvable.astype(float)
+    M = lambdas.size
     if solvable.sum() < 2:
-        base = null_fit(problem, tau)
-        return [NodeFitResult(base.intercept, np.zeros(problem.m),
-                              base.objective, base.iterations, base.converged,
-                              np.empty(0, dtype=int))
-                for _ in lambdas]
-    path = wls_path(problem.X, w_rows, targets, lambdas, np.ones(problem.m))
-    results = []
-    for lam, (b0, beta, work, conv) in zip(lambdas, path):
-        r = targets - b0 - problem.X @ beta
-        obj = (float(w_rows @ (r * r)) / (2.0 * problem.n)
-               + _penalty(float(lam), beta))
-        active = np.flatnonzero(np.abs(beta) > nonzero_tol)
-        results.append(NodeFitResult(b0, beta, obj, work, conv, active))
-    return results
+        b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
+        intercepts, betas = np.full(M, b0), np.zeros((M, problem.m))
+        work, converged = np.zeros(M, dtype=int), np.ones(M, dtype=bool)
+    else:
+        path = wls_path(problem.X, w_rows, targets, lambdas, np.ones(problem.m))
+        intercepts, betas, work, converged = map(np.array, zip(*path))
+    r = targets - intercepts[:, None] - betas @ problem.X.T
+    objectives = ((r * r) @ w_rows / (2.0 * problem.n)
+                  + [_penalty(float(lam), beta) for lam, beta in zip(lambdas, betas)])
+    return LambdaPath(intercepts, betas, objectives, work, converged)

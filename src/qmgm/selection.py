@@ -83,9 +83,8 @@ def _pool_map(fn, tasks, threads: int) -> list:
 
 def _node_worker(args):
     """The given level paths of one node from its prebuilt mid-CDF step."""
-    problem, levels, lambdas, nonzero_tol = args
-    return [fit_lambda_path(problem, tau, lambdas, nonzero_tol=nonzero_tol)
-            for tau in levels]
+    problem, levels, lambdas = args
+    return [fit_lambda_path(problem, tau, lambdas) for tau in levels]
 
 
 def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
@@ -98,14 +97,15 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     grids can share the expensive first step; without them the first step
     runs here, once over all nodes (``build_problems``).  Shared problems
     also share lambda paths: each problem keeps the paths fitted on it, and
-    a (node, level) path already fitted on the same lambda grid and
-    tolerance is reused, not refitted, so nested level grids fit each
-    distinct path once.  Every path is solved by the inverse route
-    (``penalized.fit_lambda_path``).  With ``threads`` > 1 the missing
-    paths run in a process pool, one task per node (all its missing
-    levels), under the BLAS pin of ``_pool_map``; results do not depend on
-    it.  ``threads`` < 1 raises DataError; a negative or non-finite
-    ``nonzero_tol`` raises it before any fitting.
+    a (node, level) path already fitted on the same lambda grid is reused,
+    not refitted, so nested level grids fit each distinct path once.
+    Every path is solved by the inverse route
+    (``penalized.fit_lambda_path``), and its arrays fill the cube by slice.
+    With ``threads`` > 1 the missing paths run in a process pool, one task
+    per node (all its missing levels), under the BLAS pin of
+    ``_pool_map``; results do not depend on it.  ``threads`` < 1 raises
+    DataError; a negative or non-finite ``nonzero_tol`` raises it before
+    any fitting.
     """
     _check_tolerance(nonzero_tol)
     if dataset.has_missing():
@@ -115,10 +115,10 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     levels = list(grid.levels)
     if problems is None:
         problems = build_problems(dataset)
-    keys = [(float(tau), lambdas.tobytes(), nonzero_tol) for tau in levels]
+    keys = [(float(tau), lambdas.tobytes()) for tau in levels]
     todo = [(pr, missing) for pr in problems
             if (missing := [k for k in keys if k not in pr._paths])]
-    tasks = [(pr, [k[0] for k in missing], lambdas, nonzero_tol) for pr, missing in todo]
+    tasks = [(pr, [k[0] for k in missing], lambdas) for pr, missing in todo]
     for (pr, missing), paths in zip(todo, _pool_map(_node_worker, tasks, threads)):
         pr._paths.update(zip(missing, paths))
     L, M = len(levels), lambdas.size
@@ -129,12 +129,12 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     objectives = np.zeros((p, L, M))
     for j in range(p):
         for l, key in enumerate(keys):
-            for mi, res in enumerate(problems[j]._paths[key]):
-                intercepts[j, l, mi] = res.intercept
-                betas[j, l, mi] = res.beta
-                converged[j, l, mi] = res.converged
-                iterations[j, l, mi] = res.iterations
-                objectives[j, l, mi] = res.objective
+            path = problems[j]._paths[key]
+            intercepts[j, l] = path.intercepts
+            betas[j, l] = path.betas
+            converged[j, l] = path.converged
+            iterations[j, l] = path.work
+            objectives[j, l] = path.objectives
     return CoefficientCube(intercepts, betas, lambdas, np.asarray(levels),
                            converged, iterations, objectives)
 
@@ -201,15 +201,18 @@ def _complexity(kind: str, cn: float, n: int, p: int) -> float:
 
 def quantile_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
     """loss[j, l, m]: summed quantile loss of node j's regression at level l
-    and lambda m, with residuals against the bare linear predictor."""
+    and lambda m, with residuals against the bare linear predictor.
+
+    Each block keeps its own ``Xj @ beta`` product and sums its own
+    residual row: one product over all blocks would round differently."""
     loss = np.zeros(cube.intercepts.shape)
     for j in range(cube.p):
         yj = dataset.values[:, j]
         Xj = np.delete(dataset.values, j, axis=1)
+        fitted = np.array([[Xj @ beta for beta in level] for level in cube.betas[j]])
+        resid = yj - (cube.intercepts[j][..., None] + fitted)
         for l, tau in enumerate(cube.tau_levels):
-            for mi in range(cube.n_lambdas):
-                pred = cube.intercepts[j, l, mi] + Xj @ cube.betas[j, l, mi]
-                loss[j, l, mi] = np.sum(quantile_loss(yj - pred, float(tau)))
+            loss[j, l] = quantile_loss(resid[l], float(tau)).sum(axis=1)
     return loss
 
 

@@ -111,10 +111,10 @@ def test_criterion_5_midquantile_oracle_equivalence():
             sample = rng.poisson(8.0, size=150).astype(float)
         problem = NodeProblem.marginal(sample, link="identity")
         for tau in taus:
-            fit = fit_lambda_path(problem, tau, [0.0])[0]
+            intercept = fit_lambda_path(problem, tau, [0.0]).intercepts[0]
             oracle = mid_quantile_oracle(sample, tau)
-            worst = max(worst, abs(fit.intercept - oracle))
-            assert abs(fit.intercept - oracle) <= 1e-6, (case, tau)
+            worst = max(worst, abs(intercept - oracle))
+            assert abs(intercept - oracle) <= 1e-6, (case, tau)
             assert abs(marginal_mid_quantile(sample, tau) - oracle) <= 1e-9
     print(f"\n  worst |fit - oracle| over 900 fits: {worst:.2e}")
     print("ACCEPTANCE 5 (intercept-only fits equal the marginal mid-quantile): PASS")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmgm.analysis import centrality, hamming_distance, knn_impute, \
-    weighted_centrality
+from qmgm.analysis import centrality, gower_distances, hamming_distance, \
+    knn_impute, weighted_centrality
 from qmgm.core import DataError, Dataset, VariableSpec
 
 from bruteforce import hamming_oracle
@@ -70,6 +70,36 @@ def test_impute_deterministic():
     a = knn_impute(ds, 13)
     b = knn_impute(ds, 13)
     assert np.array_equal(a.values, b.values)
+
+
+def test_gower_matrix_equals_row_by_row_distances_bit_for_bit():
+    # each row adds its observed columns in column order; a row with no
+    # observed column is at distance 0, and a flat column adds nothing
+    rng = np.random.default_rng(3)
+    kinds = ["continuous", "binary", "count", "continuous"]
+    candidates = np.column_stack([rng.normal(size=30),
+                                  (rng.random(30) < 0.5).astype(float),
+                                  rng.poisson(2.0, 30).astype(float),
+                                  np.full(30, 1.5)])
+    targets = candidates[:6] + rng.normal(scale=0.3, size=(6, 4))
+    observed = rng.random((6, 4)) < 0.6
+    observed[0] = False
+    targets[~observed] = np.nan
+    ranges = np.ptp(candidates, axis=0)
+    got = gower_distances(targets, observed, candidates, kinds, ranges)
+    assert got.shape == (6, 30)
+    assert np.all(got[0] == 0.0)
+    for i in range(1, 6):
+        total = np.zeros(30)
+        usable = np.flatnonzero(observed[i])
+        for c in usable:
+            diff = np.abs(candidates[:, c] - targets[i, c])
+            if kinds[c] == "binary":
+                total += (diff > 0).astype(float)
+            elif ranges[c] > 0:
+                total += diff / ranges[c]
+        want = total / usable.size if usable.size else total
+        assert np.array_equal(got[i], want), i
 
 
 def test_centrality_complete_graph():

@@ -300,6 +300,15 @@ def test_run_replications_rejects_bad_tolerance_before_running(tol):
                          nonzero_tol=tol, sample_fn=_constant_column_sample)
 
 
+@pytest.mark.parametrize("lambdas, message", [
+    ([0.1, 0.5], "strictly decreasing"), ([np.inf, 0.5], "must be finite")])
+def test_run_replications_rejects_bad_lambda_grid_before_running(lambdas, message):
+    # an unchecked grid used to fail inside every replication instead
+    with pytest.raises(DataError, match=message):
+        run_replications(["mgm", "qmgm1"], DgpVariant("main", 60, 1), 2,
+                         lambdas=lambdas, sample_fn=_constant_column_sample)
+
+
 def test_null_sample_properties():
     ds, tg = generate_null_sample(200, 4)
     assert tg.n_edges == 0

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import kkt_residual, penalized_wls_reference
 from qmgm.benchmark import DgpVariant, generate_sample
-from qmgm.core import (DataError, Dataset, QuantileGrid, VariableSpec,
-                       validate_and_standardize)
+from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
+                       VariableSpec, validate_and_standardize)
 from qmgm import penalized
+from qmgm.lasso import wls_path
 from qmgm.midcdf import MidCdfField, marginal_mid_quantile
 from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
                             fit_node_quantile, inverse_midquantile_targets,
                             lambda_max, null_fit, objective, penalized_wls,
                             smooth_gradient, smooth_objective, soft_threshold)
 from qmgm.selection import build_problems, fit_qmgm
+
+PATH_FIELDS = ("intercepts", "betas", "objectives", "work", "converged")
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +178,9 @@ def test_active_set_grows_down_the_path(problems):
     lambdas = np.exp(np.linspace(np.log(5.0), np.log(0.001), 20))
     pr = problems[1]
     path = fit_lambda_path(pr, 0.5, lambdas)
-    assert path[-1].active_set.size >= path[0].active_set.size
-    assert path[0].active_set.size == 0  # lambda = 5 keeps everything out
+    active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
+    assert active[-1] >= active[0]
+    assert active[0] == 0  # lambda = 5 keeps everything out
 
 
 def test_permutation_equivariance(problems):
@@ -185,10 +190,10 @@ def test_permutation_equivariance(problems):
     permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.field,
                            pr.logits)
     # production route: the convex subproblem has a unique optimum
-    a = fit_lambda_path(pr, 0.5, [0.05])[0]
-    b = fit_lambda_path(permuted, 0.5, [0.05])[0]
-    assert b.beta == pytest.approx(a.beta[perm], abs=1e-8)
-    assert b.intercept == pytest.approx(a.intercept, abs=1e-8)
+    a = fit_lambda_path(pr, 0.5, [0.05])
+    b = fit_lambda_path(permuted, 0.5, [0.05])
+    assert b.betas[0] == pytest.approx(a.betas[0][perm], abs=1e-8)
+    assert b.intercepts[0] == pytest.approx(a.intercepts[0], abs=1e-8)
     # descent route: the objective is nonsmooth and nonconvex, and runs that
     # take different trajectories stop at different kinks; column order
     # does not steer the arithmetic, so both runs take the same trajectory
@@ -235,10 +240,13 @@ def test_column_layout_and_order_do_not_steer_arithmetic(problems):
         assert smooth_objective(permuted, b0, beta[perm], 0.5) == f
         assert np.array_equal(smooth_gradient(permuted, b0, beta[perm], 0.5),
                               np.concatenate(([g[0]], g[1:][perm])))
-    for route in (_descent_path, fit_lambda_path):
-        a = route(pr, 0.5, [0.2, 0.05])
-        b = route(fortran, 0.5, [0.2, 0.05])
-        assert all(_same_fit(ra, rb) for ra, rb in zip(a, b)), route.__name__
+    a = _descent_path(pr, 0.5, [0.2, 0.05])
+    b = _descent_path(fortran, 0.5, [0.2, 0.05])
+    assert all(_same_fit(ra, rb) for ra, rb in zip(a, b))
+    a = fit_lambda_path(pr, 0.5, [0.2, 0.05])
+    b = fit_lambda_path(fortran, 0.5, [0.2, 0.05])
+    for name in PATH_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     a = _descent_path(pr, 0.5, [0.2, 0.05])
     b = _descent_path(permuted, 0.5, [0.2, 0.05])
     assert all(_same_fit(ra, rb, perm) for ra, rb in zip(a, b))
@@ -266,9 +274,9 @@ def test_lambda_zero_recovers_single_parent():
     dataset, _ = generate_sample(DgpVariant("main", 1000, 7))
     ds = validate_and_standardize(dataset)
     pr = NodeProblem.build(ds, 1)
-    res = fit_lambda_path(pr, 0.5, [0.0])[0]
-    parent = abs(res.beta[0])
-    rest = np.abs(res.beta[1:]).max()
+    beta = fit_lambda_path(pr, 0.5, [0.0]).betas[0]
+    parent = abs(beta[0])
+    rest = np.abs(beta[1:]).max()
     assert parent > 0.2
     assert parent > 2.5 * rest
 
@@ -385,21 +393,46 @@ def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
     t, solvable = inverse_midquantile_targets(pr, tau)
     w = solvable.astype(float)
     path = fit_lambda_path(pr, tau, lambdas)
-    assert 0 < path[10].active_set.size < path[-1].active_set.size
-    for lam, res in zip(lambdas, path):
-        cold = fit_lambda_path(pr, tau, [lam])[0]
-        assert res.converged and cold.converged
-        assert np.abs(res.beta - cold.beta).max() <= 1e-10
-        assert abs(res.intercept - cold.intercept) <= 1e-10
-        assert kkt_residual(pr.X, w, t, res.intercept, res.beta, lam) <= 1e-8
-        b0, beta, _, conv = penalized_wls(pr.X, w, t, 0.0, np.zeros(pr.m), lam)
-        assert conv and np.abs(beta - res.beta).max() <= 1e-10
+    active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
+    assert 0 < active[10] < active[-1]
+    for lam, b0, beta, conv in zip(lambdas, path.intercepts, path.betas,
+                                   path.converged):
+        cold = fit_lambda_path(pr, tau, [lam])
+        assert conv and cold.converged[0]
+        assert np.abs(beta - cold.betas[0]).max() <= 1e-10
+        assert abs(b0 - cold.intercepts[0]) <= 1e-10
+        assert kkt_residual(pr.X, w, t, b0, beta, lam) <= 1e-8
+        _, one, _, one_conv = penalized_wls(pr.X, w, t, 0.0, np.zeros(pr.m), lam)
+        assert one_conv and np.abs(one - beta).max() <= 1e-10
 
 
-def test_null_fallback_reports_the_null_fit_flags():
+def test_path_record_holds_the_kernel_path_bit_for_bit(problems):
+    pr = problems[4]
+    tau = 0.25
+    lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
+    t, solvable = inverse_midquantile_targets(pr, tau)
+    want = wls_path(pr.X, solvable.astype(float), t, lambdas, np.ones(pr.m))
+    path = fit_lambda_path(pr, tau, lambdas)
+    b0s, betas, work, converged = zip(*want)
+    assert np.array_equal(path.intercepts, b0s)
+    assert np.array_equal(path.betas, betas)
+    assert np.array_equal(path.work, work)
+    assert np.array_equal(path.converged, converged)
+    # read-only, also as a pool worker returns it (pickled)
+    for record in (path, pickle.loads(pickle.dumps(path))):
+        for name in PATH_FIELDS:
+            assert not getattr(record, name).flags.writeable, name
+            assert np.array_equal(getattr(record, name), getattr(path, name)), name
+
+
+def test_null_fallback_is_the_closed_form_intercept(monkeypatch):
     # tau below every row's first mid-probability leaves no solvable row;
-    # each lambda point then carries the null fit's own iteration count
-    # and convergence flag
+    # each lambda point is then the intercept-only answer in closed form,
+    # and no descent loop runs
+    def no_descent(*args, **kwargs):
+        raise AssertionError("the descent loop ran")
+
+    monkeypatch.setattr(penalized, "_descend", no_descent)
     rng = np.random.default_rng(11)
     n = 120
     values = np.column_stack([rng.normal(size=(n, 2)),
@@ -411,22 +444,25 @@ def test_null_fallback_reports_the_null_fit_flags():
     pr = NodeProblem.build(ds, 2)
     _, solvable = inverse_midquantile_targets(pr, 0.125)
     assert not solvable.any()
-    base = null_fit(pr, 0.125)
-    assert not base.converged      # the case a hard-coded flag would hide
-    assert np.all(cube.converged[2, 0] == base.converged)
-    assert np.all(cube.iterations[2, 0] == base.iterations)
-    assert np.all(cube.intercepts[2, 0] == base.intercept)
+    start = penalized._link_forward(marginal_mid_quantile(pr.y, 0.125), pr.link)
+    assert np.all(cube.intercepts[2, 0] == start)
+    assert np.all(cube.betas[2, 0] == 0.0)
+    assert np.all(cube.converged[2, 0])
+    assert np.all(cube.iterations[2, 0] == 0)
+    assert np.all(cube.objectives[2, 0] == 0.0)   # no row is solvable
 
 
 def test_inverse_path_objective_is_the_weighted_ls_objective(problems):
     pr = problems[2]
     tau, lambdas = 0.25, [0.3, 0.05]
     t, solvable = inverse_midquantile_targets(pr, tau)
-    for lam, res in zip(lambdas, fit_lambda_path(pr, tau, lambdas)):
-        r = t - res.intercept - pr.X @ res.beta
+    path = fit_lambda_path(pr, tau, lambdas)
+    for lam, b0, beta, obj in zip(lambdas, path.intercepts, path.betas,
+                                  path.objectives):
+        r = t - b0 - pr.X @ beta
         want = ((solvable * r ** 2).sum() / (2 * pr.n)
-                + lam * np.abs(res.beta).sum())
-        assert res.objective == pytest.approx(want, rel=1e-12)
+                + lam * np.abs(beta).sum())
+        assert obj == pytest.approx(want, rel=1e-12)
 
 
 def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):

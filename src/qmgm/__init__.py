@@ -7,14 +7,14 @@ from .benchmark import (BenchmarkRun, DgpVariant, LearnerConfig, RecoveryMetrics
                         generate_null_sample, generate_sample, roc_curve,
                         run_replications, true_graph)
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
-                   NumericalError, QuantileGrid, VariableSpec, quantile_loss,
-                   standard_levels, validate_and_standardize)
+                   LambdaPath, NumericalError, QuantileGrid, VariableSpec,
+                   quantile_loss, standard_levels, validate_and_standardize)
 from .io import (GraphDocument, document_from_adjacency, document_from_graph,
                  export_graph, load_csv, load_schema, parse_schema, save_csv)
 from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
 from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
                      marginal_mid_quantile, rearrange_monotone)
-from .penalized import (LambdaPath, NodeFitConfig, NodeFitResult, NodeProblem,
+from .penalized import (NodeFitConfig, NodeFitResult, NodeProblem,
                         fit_lambda_path, fit_node_quantile,
                         inverse_midquantile_targets, lambda_max, null_fit,
                         objective, penalized_wls, smooth_gradient,

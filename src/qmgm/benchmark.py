@@ -19,10 +19,9 @@ from scipy import special
 
 from .analysis import _adjacency_of
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
-                   VariableSpec, _check_tolerance, _readonly, standard_levels,
-                   validate_and_standardize)
+                   VariableSpec, _check_lambda_grid, _check_tolerance, _readonly,
+                   standard_levels, validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
-from .penalized import _check_lambda_grid
 from .selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
                         build_problems, estimate_edge_set, fit_qmgm,
                         quantile_losses, score_path, select_lambda)
@@ -260,8 +259,7 @@ def run_learner(dataset: Dataset, truth: TrueGraph, learner: LearnerConfig,
     """Fit one learner on one dataset: path AUC plus per-criterion selection."""
     start = time.perf_counter()
     if learner.kind == "qmgm":
-        cube = fit_qmgm(dataset, learner.levels, lambdas,
-                        nonzero_tol=nonzero_tol, problems=problems)
+        cube = fit_qmgm(dataset, learner.levels, lambdas, problems=problems)
         losses = quantile_losses(cube, dataset)
     else:
         cube = fit_mgm(dataset, lambdas)

@@ -13,8 +13,8 @@ import numpy as np
 from .analysis import centrality, hamming_distance, knn_impute, weighted_centrality
 from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
                         run_replications, write_outputs)
-from .core import DataError, NumericalError, QuantileGrid, standard_levels, \
-    validate_and_standardize
+from .core import DataError, NumericalError, QuantileGrid, _check_tolerance, \
+    standard_levels, validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
                  render_dot, save_csv)
 from .selection import (CRITERION_NAMES, SelectionCriterion, estimate_edge_set,
@@ -117,6 +117,7 @@ def _write_text(path, text):
 
 
 def _cmd_fit(args) -> int:
+    _check_tolerance(args.tolerance)
     grid = _parse_tau_levels(args.tau_levels)
     schema = load_schema(args.schema)
     dataset = load_csv(args.data, schema, args.missing_token)
@@ -125,8 +126,7 @@ def _cmd_fit(args) -> int:
     dataset = validate_and_standardize(dataset)
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
     criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
-    cube = fit_qmgm(dataset, grid, lambdas, nonzero_tol=args.tolerance,
-                    threads=args.threads)
+    cube = fit_qmgm(dataset, grid, lambdas, threads=args.threads)
     scores = score_path(cube, quantile_losses(cube, dataset), criterion,
                         dataset.n, nonzero_tol=args.tolerance)
     index, lam = select_lambda(scores, lambdas)

@@ -302,6 +302,47 @@ def validate_and_standardize(raw: Dataset, max_thresholds: int = MAX_THRESHOLDS)
     return Dataset(values, tuple(new_schema), mask, tuple(record))
 
 
+def _check_lambda_grid(lambdas) -> np.ndarray:
+    """The lambda grid as a float array; DataError unless it is a nonempty
+    1-d sequence of finite, nonnegative, strictly decreasing values."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise DataError("lambda grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(lambdas)):
+        raise DataError("lambda values must be finite")
+    if np.any(lambdas < 0):
+        raise DataError("lambda values must be nonnegative")
+    if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
+        raise DataError("lambda grid must be strictly decreasing")
+    return lambdas
+
+
+@dataclass(frozen=True, eq=False)
+class LambdaPath:
+    """One lambda path of one node regression (qmgm: one node at one
+    quantile level; mgm: one node), one entry per lambda point:
+    intercepts (M,), betas (M, m), objectives (M,), work (M,) and
+    converged (M,), all read-only.  ``work`` counts the lasso kernel's
+    linear solves plus fallback sweeps for qmgm, and the proximal-Newton
+    outer iterations for mgm."""
+
+    intercepts: np.ndarray
+    betas: np.ndarray
+    objectives: np.ndarray
+    work: np.ndarray
+    converged: np.ndarray
+
+    def __post_init__(self):
+        for name in ("intercepts", "betas", "objectives", "work", "converged"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a path a pool worker returns
+        # is read-only too
+        return (type(self), (self.intercepts, self.betas, self.objectives,
+                             self.work, self.converged))
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientCube:
     """Fitted coefficients indexed by (node, quantile level, lambda).
@@ -323,9 +364,8 @@ class CoefficientCube:
         p, L, M = np.asarray(self.intercepts).shape
         if np.asarray(self.betas).shape != (p, L, M, p - 1):
             raise DataError("coefficient cube dimensions are inconsistent")
-        lam = np.asarray(self.lambda_grid, dtype=float)
-        if lam.shape != (M,) or (M > 1 and not np.all(np.diff(lam) < 0)):
-            raise DataError("lambda grid must be strictly decreasing")
+        if _check_lambda_grid(self.lambda_grid).shape != (M,):
+            raise DataError("lambda grid does not match cube")
         if np.asarray(self.tau_levels).shape != (L,):
             raise DataError("tau level axis does not match cube")
         if not np.all(np.isfinite(self.objectives)):
@@ -333,6 +373,17 @@ class CoefficientCube:
         for name in ("intercepts", "betas", "lambda_grid", "tau_levels",
                      "converged", "iterations", "objectives"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @classmethod
+    def from_paths(cls, paths, lambdas, tau_levels) -> "CoefficientCube":
+        """The cube of ``paths[j][l]``, the ``LambdaPath`` of node j at level
+        ``tau_levels[l]`` along ``lambdas``; a path's work is the cube's
+        iterations."""
+        def stack(name):
+            return np.array([[getattr(path, name) for path in row] for row in paths])
+
+        return cls(stack("intercepts"), stack("betas"), lambdas, np.asarray(tau_levels),
+                   stack("converged"), stack("work"), stack("objectives"))
 
     @property
     def p(self) -> int:

@@ -12,7 +12,9 @@ predictors whatever n is.  ``lasso_solve`` is an exact active-set method
 started at a warm start and accepted only with a certified KKT residual;
 coordinate-descent sweeps take over when an active block is singular or
 the step cap is hit.  ``wls_path`` forms G and c once for a whole lambda
-path, along which X, the row weights and the targets stay fixed.
+path, along which X, the row weights and the targets stay fixed, and
+returns the path as arrays, one entry per lambda: the fields of a
+``core.LambdaPath`` that the kernel knows (all but the objectives).
 """
 
 from __future__ import annotations
@@ -34,15 +36,18 @@ def wls_path(X, w, z, lambdas, coef_weights):
     """``penalized.penalized_wls`` along a decreasing lambda grid, each
     point warm-started at the last, with the centered Gram matrix formed
     once: X, w and z stay fixed along the path.  The row weights must
-    have a positive sum.  Returns one (b0, beta, work, converged) per lambda."""
+    have a positive sum.  Returns the arrays (intercepts (M,), betas
+    (M, m), work (M,), converged (M,)) over the M lambdas."""
     G, c, ok, xbar, zbar = wls_gram(X, w, z)
-    beta = np.zeros(X.shape[1])
-    out = []
-    for lam in lambdas:
-        work, converged = lasso_solve(G, c, ok, beta, float(lam) * coef_weights,
-                                      WLS_SWEEP_MAX, WLS_SWEEP_TOL)
-        out.append((zbar - float(xbar @ beta), beta.copy(), work, converged))
-    return out
+    M, m = len(lambdas), X.shape[1]
+    intercepts, betas = np.zeros(M), np.zeros((M, m))
+    work, converged = np.zeros(M, dtype=int), np.zeros(M, dtype=bool)
+    beta = np.zeros(m)
+    for i, lam in enumerate(lambdas):
+        work[i], converged[i] = lasso_solve(G, c, ok, beta, float(lam) * coef_weights,
+                                            WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+        intercepts[i], betas[i] = zbar - float(xbar @ beta), beta
+    return intercepts, betas, work, converged
 
 
 def wls_gram(X, w, z):

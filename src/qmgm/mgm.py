@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .core import CoefficientCube, DataError, Dataset
+from .core import CoefficientCube, DataError, Dataset, LambdaPath, _check_lambda_grid
 from .lasso import wls_path
 from .penalized import penalized_wls
 
@@ -82,46 +82,44 @@ def node_lambda_max(y: np.ndarray, X: np.ndarray) -> float:
     return float(np.max(np.abs(X.T @ r)) / y.size) if X.shape[1] else 0.0
 
 
-def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily, lambdas):
-    """Warm-started L1 path for one node; lambdas strictly decreasing.
+def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily,
+                       lambdas) -> LambdaPath:
+    """Warm-started L1 path for one node along a lambda grid that
+    ``core._check_lambda_grid`` accepts.
 
     A gaussian node is one weighted least-squares lasso along the whole
-    path.  Binomial and poisson nodes use proximal Newton: iteratively
-    reweighted quadratic approximations, each solved by the same lasso
-    kernel.  A point counts as converged when the outer iterates settle and
-    the last inner solve is certified.  Returns per-lambda (intercept,
-    beta, objective, iterations, converged).
+    path, one outer iteration per point.  Binomial and poisson nodes use
+    proximal Newton: iteratively reweighted quadratic approximations, each
+    solved by the same lasso kernel.  A point counts as converged when the
+    outer iterates settle and the last inner solve is certified.  Each
+    objective is the family deviance over 2n plus the L1 penalty.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
-        raise DataError("lambda grid must be strictly decreasing")
+    lambdas = _check_lambda_grid(lambdas)
     n, m = X.shape
     if family.name == "gaussian":
-        fits = [(b0, beta, 1, conv) for b0, beta, _, conv
-                in wls_path(X, np.ones(n), y, lambdas, np.ones(m))]
+        intercepts, betas, _, converged = wls_path(X, np.ones(n), y, lambdas, np.ones(m))
+        work = np.ones(lambdas.size, dtype=int)
     else:
-        fits = _proximal_newton_path(y, X, family, lambdas)
-    out = []
-    for lam, (b0, beta, it, conv) in zip(lambdas, fits):
-        mu = family.mean(b0 + X @ beta)
-        obj = glm_deviance(family, y, mu) / (2.0 * n) + float(lam) * float(np.abs(beta).sum())
-        out.append((b0, beta, obj, it, conv))
-    return out
+        intercepts, betas, work, converged = _proximal_newton_path(y, X, family, lambdas)
+    objectives = [glm_deviance(family, y, family.mean(b0 + X @ beta)) / (2.0 * n)
+                  + float(lam) * float(np.abs(beta).sum())
+                  for lam, b0, beta in zip(lambdas, intercepts, betas)]
+    return LambdaPath(intercepts, betas, objectives, work, converged)
 
 
 def _proximal_newton_path(y, X, family, lambdas):
-    """(intercept, beta, outer iterations, converged) per lambda of a
-    binomial or poisson node, warm-started along the path."""
+    """The arrays (intercepts, betas, outer iterations, converged) over the
+    lambdas of a binomial or poisson node, warm-started along the path."""
+    M = lambdas.size
+    intercepts, betas = np.zeros(M), np.zeros((M, X.shape[1]))
+    work, converged = np.zeros(M, dtype=int), np.zeros(M, dtype=bool)
     beta = np.zeros(X.shape[1])
     if family.name == "binomial":
         pbar = min(max(y.mean(), 1e-10), 1 - 1e-10)
         b0 = float(np.log(pbar / (1 - pbar)))
     else:
         b0 = float(np.log(max(y.mean(), 1e-10)))
-    fits = []
-    for lam in lambdas:
-        conv = False
-        it = 0
+    for i, lam in enumerate(lambdas):
         for it in range(1, OUTER_MAX_ITER + 1):
             lp = b0 + X @ beta
             mu = family.mean(lp)
@@ -131,38 +129,24 @@ def _proximal_newton_path(y, X, family, lambdas):
             delta = max(abs(nb0 - b0), float(np.max(np.abs(nbeta - beta), initial=0.0)))
             b0, beta = nb0, nbeta
             if delta < OUTER_TOL:
-                conv = inner_conv
+                converged[i] = inner_conv
                 break
-        fits.append((b0, np.array(beta), it, conv))
-    return fits
+        intercepts[i], betas[i], work[i] = b0, beta, it
+    return intercepts, betas, work, converged
 
 
 def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
-    """Fit the baseline on every node and pack the results as a cube with a
+    """Fit the baseline on every node and pack the paths as a cube with a
     single pseudo quantile level, so edge extraction and lambda selection
-    reuse the shared code path."""
+    reuse the shared code path.  The lambda grid is checked before any
+    fitting."""
+    lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
-    lambdas = np.asarray(lambdas, dtype=float)
-    p = dataset.p
-    M = lambdas.size
-    intercepts = np.zeros((p, 1, M))
-    betas = np.zeros((p, 1, M, p - 1))
-    converged = np.zeros((p, 1, M), dtype=bool)
-    iterations = np.zeros((p, 1, M), dtype=int)
-    objectives = np.zeros((p, 1, M))
-    for j in range(p):
-        y = dataset.values[:, j]
-        X = np.delete(dataset.values, j, axis=1)
-        path = fit_glm_lasso_path(y, X, family_for(dataset.schema[j].kind), lambdas)
-        for mi, (b0, beta, obj, it, conv) in enumerate(path):
-            intercepts[j, 0, mi] = b0
-            betas[j, 0, mi] = beta
-            objectives[j, 0, mi] = obj
-            iterations[j, 0, mi] = it
-            converged[j, 0, mi] = conv
-    return CoefficientCube(intercepts, betas, lambdas, np.asarray([0.5]),
-                           converged, iterations, objectives)
+    paths = [[fit_glm_lasso_path(dataset.values[:, j], np.delete(dataset.values, j, axis=1),
+                                 family_for(dataset.schema[j].kind), lambdas)]
+             for j in range(dataset.p)]
+    return CoefficientCube.from_paths(paths, lambdas, [0.5])
 
 
 def deviance_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:

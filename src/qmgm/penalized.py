@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import (DataError, Dataset, NONZERO_TOL, NumericalError,
-                   _one_blas_thread, _readonly)
+from .core import (DataError, Dataset, LambdaPath, NONZERO_TOL, NumericalError,
+                   _check_lambda_grid, _one_blas_thread, _readonly)
 from .lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_path
 from .midcdf import (MidCdfField, ThresholdLogitSet, _fit_threshold_logits_arrays,
                      build_field, fit_all_threshold_logits, marginal_mid_quantile)
@@ -186,29 +186,6 @@ class NodeFitResult:
             raise NumericalError("node fit produced a non-finite objective")
         object.__setattr__(self, "beta", _readonly(self.beta))
         object.__setattr__(self, "active_set", _readonly(self.active_set))
-
-
-@dataclass(frozen=True, eq=False)
-class LambdaPath:
-    """One (node, tau) lambda path, one entry per lambda point: intercepts
-    (M,), betas (M, m), objectives (M,), work (M,) and converged (M,), all
-    read-only."""
-
-    intercepts: np.ndarray
-    betas: np.ndarray
-    objectives: np.ndarray
-    work: np.ndarray
-    converged: np.ndarray
-
-    def __post_init__(self):
-        for name in ("intercepts", "betas", "objectives", "work", "converged"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so a path a pool worker returns
-        # is read-only too
-        return (type(self), (self.intercepts, self.betas, self.objectives,
-                             self.work, self.converged))
 
 
 def soft_threshold(v, t):
@@ -449,19 +426,6 @@ def fit_node_quantile(problem: NodeProblem, config: NodeFitConfig,
                          None if trace is None else np.asarray(trace))
 
 
-def _check_lambda_grid(lambdas) -> np.ndarray:
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1 or lambdas.size == 0:
-        raise DataError("lambda grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(lambdas)):
-        raise DataError("lambda values must be finite")
-    if np.any(lambdas < 0):
-        raise DataError("lambda values must be nonnegative")
-    if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
-        raise DataError("lambda grid must be strictly decreasing")
-    return lambdas
-
-
 def fit_lambda_path(problem: NodeProblem, tau: float, lambdas) -> LambdaPath:
     """Fit a strictly decreasing lambda sequence with warm starts by the
     inverse route: the per-row-inverted implicit equation is solved by
@@ -481,8 +445,8 @@ def fit_lambda_path(problem: NodeProblem, tau: float, lambdas) -> LambdaPath:
         intercepts, betas = np.full(M, b0), np.zeros((M, problem.m))
         work, converged = np.zeros(M, dtype=int), np.ones(M, dtype=bool)
     else:
-        path = wls_path(problem.X, w_rows, targets, lambdas, np.ones(problem.m))
-        intercepts, betas, work, converged = map(np.array, zip(*path))
+        intercepts, betas, work, converged = wls_path(
+            problem.X, w_rows, targets, lambdas, np.ones(problem.m))
     r = targets - intercepts[:, None] - betas @ problem.X.T
     objectives = ((r * r) @ w_rows / (2.0 * problem.n)
                   + [_penalty(float(lam), beta) for lam, beta in zip(lambdas, betas)])

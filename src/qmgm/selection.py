@@ -11,8 +11,9 @@ import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_NEGATIVE,
-                   SIGN_POSITIVE, SIGN_UNDEFINED, _check_tolerance,
-                   _one_blas_thread, _pin_blas_threads, quantile_loss)
+                   SIGN_POSITIVE, SIGN_UNDEFINED, _check_lambda_grid,
+                   _check_tolerance, _one_blas_thread, _pin_blas_threads,
+                   quantile_loss)
 from .penalized import NodeProblem, fit_lambda_path
 
 BIC_EPS_GUARD = 1e-12
@@ -88,10 +89,10 @@ def _node_worker(args):
 
 
 def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
-             nonzero_tol: float = NONZERO_TOL, threads: int = 1,
-             problems: list | None = None) -> CoefficientCube:
+             threads: int = 1, problems: list | None = None) -> CoefficientCube:
     """Fit penalized mid-quantile regressions for every node, level and
-    lambda; lambdas must be strictly decreasing (paths are warm-started).
+    lambda; lambdas must be finite, nonnegative and strictly decreasing
+    (paths are warm-started), which is checked before any fitting.
 
     ``problems`` may carry prebuilt per-node mid-CDF fits so several level
     grids can share the expensive first step; without them the first step
@@ -100,18 +101,15 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     a (node, level) path already fitted on the same lambda grid is reused,
     not refitted, so nested level grids fit each distinct path once.
     Every path is solved by the inverse route
-    (``penalized.fit_lambda_path``), and its arrays fill the cube by slice.
-    With ``threads`` > 1 the missing paths run in a process pool, one task
-    per node (all its missing levels), under the BLAS pin of
-    ``_pool_map``; results do not depend on it.  ``threads`` < 1 raises
-    DataError; a negative or non-finite ``nonzero_tol`` raises it before
-    any fitting.
+    (``penalized.fit_lambda_path``), and ``CoefficientCube.from_paths``
+    stacks the paths into the cube.  With ``threads`` > 1 the missing
+    paths run in a process pool, one task per node (all its missing
+    levels), under the BLAS pin of ``_pool_map``; results do not depend on
+    it.  ``threads`` < 1 raises DataError.
     """
-    _check_tolerance(nonzero_tol)
+    lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
-    lambdas = np.asarray(lambdas, dtype=float)
-    p = dataset.p
     levels = list(grid.levels)
     if problems is None:
         problems = build_problems(dataset)
@@ -121,22 +119,8 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     tasks = [(pr, [k[0] for k in missing], lambdas) for pr, missing in todo]
     for (pr, missing), paths in zip(todo, _pool_map(_node_worker, tasks, threads)):
         pr._paths.update(zip(missing, paths))
-    L, M = len(levels), lambdas.size
-    intercepts = np.zeros((p, L, M))
-    betas = np.zeros((p, L, M, p - 1))
-    converged = np.zeros((p, L, M), dtype=bool)
-    iterations = np.zeros((p, L, M), dtype=int)
-    objectives = np.zeros((p, L, M))
-    for j in range(p):
-        for l, key in enumerate(keys):
-            path = problems[j]._paths[key]
-            intercepts[j, l] = path.intercepts
-            betas[j, l] = path.betas
-            converged[j, l] = path.converged
-            iterations[j, l] = path.work
-            objectives[j, l] = path.objectives
-    return CoefficientCube(intercepts, betas, lambdas, np.asarray(levels),
-                           converged, iterations, objectives)
+    return CoefficientCube.from_paths([[pr._paths[k] for k in keys] for pr in problems],
+                                      lambdas, levels)
 
 
 def _coefficient_tensor(cube: CoefficientCube, lambda_index: int) -> np.ndarray:

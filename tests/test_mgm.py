@@ -44,7 +44,7 @@ def test_orthogonal_design_soft_threshold_identity():
     y = X @ np.array([1.0, -0.3, 0.05]) + rng.normal(size=n)
     lam = 0.2
     path = fit_glm_lasso_path(y, X, GlmFamily("gaussian"), [lam])
-    b0, beta, _, _, conv = path[0]
+    b0, beta, conv = path.intercepts[0], path.betas[0], path.converged[0]
     ls = X.T @ (y - y.mean()) / n
     expected = np.sign(ls) * np.maximum(np.abs(ls) - lam, 0.0)
     assert conv
@@ -61,7 +61,7 @@ def test_lambda_max_empties_every_family(tiny_mixed):
         lmax = node_lambda_max(y, X)
         fam = family_for(ds.schema[j].kind)
         path = fit_glm_lasso_path(y, X, fam, [1.5 * lmax])
-        assert np.all(path[0][1] == 0.0)
+        assert np.all(path.betas[0] == 0.0)
         lambdas_checked += 1
     assert lambdas_checked == ds.p
 
@@ -94,7 +94,7 @@ def test_path_objectives_nonincreasing_in_lambda(tiny_mixed):
         fam = family_for(tiny_mixed.schema[j].kind)
         path = fit_glm_lasso_path(y, X, fam, lambdas)
         dev = [glm_deviance(fam, y, fam.mean(b0 + X @ beta))
-               for b0, beta, *_ in path]
+               for b0, beta in zip(path.intercepts, path.betas)]
         assert all(d1 <= d0 + 1e-6 for d0, d1 in zip(dev, dev[1:]))
 
 
@@ -130,7 +130,7 @@ def test_warm_start_matches_cold_single(tiny_mixed):
     fam = family_for("continuous")
     path = fit_glm_lasso_path(y, X, fam, lambdas)
     lone = fit_glm_lasso_path(y, X, fam, [lambdas[4]])
-    assert path[4][1] == pytest.approx(lone[0][1], abs=1e-7)
+    assert path.betas[4] == pytest.approx(lone.betas[0], abs=1e-7)
 
 
 def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
@@ -145,17 +145,42 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
         return solve(*args, **kwargs)[:3] + (False,)
 
     def uncertified_path(*args, **kwargs):
-        return [point[:3] + (False,) for point in path(*args, **kwargs)]
+        intercepts, betas, work, converged = path(*args, **kwargs)
+        return intercepts, betas, work, np.zeros_like(converged)
 
     for j in (0, 2, 3):
         y = tiny_mixed.values[:, j]
         X = np.delete(tiny_mixed.values, j, axis=1)
         fam = family_for(tiny_mixed.schema[j].kind)
-        assert fit_glm_lasso_path(y, X, fam, lambdas)[-1][4]
+        assert fit_glm_lasso_path(y, X, fam, lambdas).converged[-1]
         with monkeypatch.context() as mp:
             mp.setattr(mgm, "penalized_wls", uncertified_solve)
             mp.setattr(mgm, "wls_path", uncertified_path)
             cut = fit_glm_lasso_path(y, X, fam, lambdas)
-        assert not cut[-1][4], fam.name
+        assert not cut.converged[-1], fam.name
         if fam.name != "gaussian":
-            assert cut[-1][3] < mgm.OUTER_MAX_ITER, fam.name
+            assert cut.work[-1] < mgm.OUTER_MAX_ITER, fam.name
+
+
+def test_fit_glm_lasso_path_rejects_a_bad_grid(tiny_mixed):
+    # the shared grid check, before any solve: an infinite lambda used to
+    # return a NaN objective without an error
+    y = tiny_mixed.values[:, 0]
+    X = np.delete(tiny_mixed.values, 0, axis=1)
+    fam = family_for("continuous")
+    for grid, message in (([np.inf, 0.5], "must be finite"),
+                          ([0.5, -0.1], "nonnegative"),
+                          ([0.1, 0.5], "strictly decreasing")):
+        with pytest.raises(DataError, match=message):
+            fit_glm_lasso_path(y, X, fam, grid)
+
+
+def test_fit_mgm_checks_the_grid_before_fitting(tiny_mixed, monkeypatch):
+    from qmgm import mgm
+
+    def no_fit(*args):
+        raise AssertionError("a node path was fitted")
+
+    monkeypatch.setattr(mgm, "fit_glm_lasso_path", no_fit)
+    with pytest.raises(DataError, match="strictly decreasing"):
+        fit_mgm(tiny_mixed, [0.1, 0.5])

@@ -11,6 +11,7 @@ from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                        VariableSpec, validate_and_standardize)
 from qmgm import penalized
 from qmgm.lasso import wls_path
+from qmgm.mgm import family_for, fit_glm_lasso_path, fit_mgm
 from qmgm.midcdf import MidCdfField, marginal_mid_quantile
 from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
                             fit_node_quantile, inverse_midquantile_targets,
@@ -19,6 +20,7 @@ from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
 from qmgm.selection import build_problems, fit_qmgm
 
 PATH_FIELDS = ("intercepts", "betas", "objectives", "work", "converged")
+CUBE_FIELDS = ("intercepts", "betas", "objectives", "iterations", "converged")
 
 
 @pytest.fixture(scope="module")
@@ -406,18 +408,33 @@ def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
         assert one_conv and np.abs(one - beta).max() <= 1e-10
 
 
-def test_path_record_holds_the_kernel_path_bit_for_bit(problems):
+def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     pr = problems[4]
     tau = 0.25
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
     t, solvable = inverse_midquantile_targets(pr, tau)
-    want = wls_path(pr.X, solvable.astype(float), t, lambdas, np.ones(pr.m))
+    b0s, betas, work, converged = wls_path(pr.X, solvable.astype(float), t,
+                                           lambdas, np.ones(pr.m))
     path = fit_lambda_path(pr, tau, lambdas)
-    b0s, betas, work, converged = zip(*want)
     assert np.array_equal(path.intercepts, b0s)
     assert np.array_equal(path.betas, betas)
     assert np.array_equal(path.work, work)
     assert np.array_equal(path.converged, converged)
+    # a gaussian mgm node holds the same kernel path, one outer iteration
+    # per point, and fit_mgm's cube slice of the node is its record
+    ds, _ = dgp_500
+    j = 0
+    assert ds.schema[j].kind == "continuous"
+    y, X = ds.values[:, j], np.delete(ds.values, j, axis=1)
+    b0s, betas, _, converged = wls_path(X, np.ones(ds.n), y, lambdas, np.ones(ds.p - 1))
+    node = fit_glm_lasso_path(y, X, family_for("continuous"), lambdas)
+    assert np.array_equal(node.intercepts, b0s)
+    assert np.array_equal(node.betas, betas)
+    assert np.array_equal(node.converged, converged)
+    assert np.array_equal(node.work, np.ones(lambdas.size, dtype=int))
+    cube = fit_mgm(ds, lambdas)
+    for name, field in zip(PATH_FIELDS, CUBE_FIELDS):
+        assert np.array_equal(getattr(cube, field)[j, 0], getattr(node, name)), name
     # read-only, also as a pool worker returns it (pickled)
     for record in (path, pickle.loads(pickle.dumps(path))):
         for name in PATH_FIELDS:

@@ -274,10 +274,8 @@ def test_nested_level_grids_fit_each_distinct_path_once(dgp_500, monkeypatch):
     for grid, want in zip(grids, fresh):
         assert_same_cube(fit_qmgm(ds, grid, lambdas, problems=problems), want)
     assert len(calls) == len(set(calls)) == ds.p * 7
-    # another lambda grid is another path; a path does not depend on the
-    # tolerance, so another tolerance reuses it
+    # another lambda grid is another path
     fit_qmgm(ds, grids[0], lambdas[:3], problems=problems)
-    fit_qmgm(ds, grids[0], lambdas, problems=problems, nonzero_tol=1e-3)
     assert len(calls) == ds.p * 8
 
 
@@ -367,15 +365,24 @@ def test_fit_qmgm_rejects_missing(tiny_mixed):
         fit_qmgm(ds, standard_levels(1), [0.5])
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
-def test_fit_and_edge_extraction_reject_bad_tolerance(tiny_mixed, monkeypatch, tol):
+@pytest.mark.parametrize("grid, message", [
+    ([0.1, 0.5], "strictly decreasing"), ([np.inf, 0.5], "must be finite"),
+    ([0.5, -0.1], "nonnegative"), ([], "nonempty")])
+def test_fit_qmgm_checks_the_grid_before_stage_one(tiny_mixed, monkeypatch,
+                                                   grid, message):
     def no_stage_one(dataset):
         raise AssertionError("stage 1 ran")
 
     monkeypatch.setattr(selection, "build_problems", no_stage_one)
     ds = validate_and_standardize(tiny_mixed)
-    with pytest.raises(DataError, match="tolerance must be finite and >= 0"):
-        fit_qmgm(ds, standard_levels(1), [0.5], nonzero_tol=tol)
+    with pytest.raises(DataError, match=message):
+        fit_qmgm(ds, standard_levels(2), grid)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_fit_and_edge_extraction_reject_bad_tolerance(tol):
+    # the fit takes no tolerance; ``qmgm fit`` checks --tolerance before it
+    # reads the data (tests/test_cli.py)
     with pytest.raises(DataError, match="tolerance must be finite and >= 0"):
         estimate_edge_set(cube_from_B(np.zeros((3, 1, 3))), 0, tol)
 

@@ -88,24 +88,33 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
+def _set_blas_threads(counts) -> None:
+    """Set each BLAS library of this process to its count in ``counts``.
+
+    A library already at its count is left alone: OpenBLAS's set call
+    starts its thread server whenever it is stopped, so in a forked worker
+    (whose server the fork handler stopped) even setting 1 thread again
+    would start a helper thread per extra core, which spins idle."""
+    for (get, put), count in zip(_blas_thread_controls(), counts):
+        if get() != count:
+            put(count)
+
+
 def _pin_blas_threads() -> None:
     """Set every BLAS library of this process to one thread."""
-    for _, put in _blas_thread_controls():
-        put(1)
+    _set_blas_threads([1] * len(_blas_thread_controls()))
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with one BLAS thread; each library's previous count is
     restored on exit, also when the block raises."""
-    controls = _blas_thread_controls()
-    previous = [get() for get, _ in controls]
+    previous = [get() for get, _ in _blas_thread_controls()]
     _pin_blas_threads()
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, previous):
-            put(count)
+        _set_blas_threads(previous)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
-                   NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_NEGATIVE,
-                   SIGN_POSITIVE, SIGN_UNDEFINED, _check_lambda_grid,
-                   _check_tolerance, _one_blas_thread, _pin_blas_threads,
-                   quantile_loss)
+                   NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_UNDEFINED,
+                   _check_lambda_grid, _check_tolerance, _one_blas_thread,
+                   _pin_blas_threads, quantile_loss)
 from .penalized import NodeProblem, fit_lambda_path
 
 BIC_EPS_GUARD = 1e-12
@@ -76,7 +75,9 @@ def _pool_map(fn, tasks, threads: int) -> list:
     workers = min(threads, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
-    # Forked workers inherit the pin; the initializer covers spawn.
+    # A forked worker inherits the count of 1 with OpenBLAS's thread server
+    # stopped by the fork; the initializer sets only a count that differs, so
+    # it starts no helper threads there and still pins a spawned worker.
     with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=workers, initializer=_pin_blas_threads) as pool:
         return list(pool.map(fn, tasks, chunksize=1))

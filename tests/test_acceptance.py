@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from qmgm.benchmark import (DgpVariant, default_lambda_grid, generate_null_sample,
                             confusion_metrics, generate_sample, pair_counts,
@@ -19,7 +18,7 @@ from qmgm.core import Dataset, EstimatedGraph, validate_and_standardize
 from qmgm.midcdf import marginal_mid_quantile
 from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
                             fit_node_quantile, lambda_max, smooth_gradient,
-                            smooth_objective, soft_threshold)
+                            soft_threshold)
 from qmgm.selection import build_problems
 from qmgm.analysis import hamming_distance
 from qmgm.io import save_csv

@@ -1,16 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from qmgm.benchmark import (DgpVariant, LearnerConfig,
-                            RecoveryMetrics, TrueGraph,
+from qmgm.benchmark import (DgpVariant, LearnerConfig, TrueGraph,
                             confusion_metrics, default_lambda_grid,
                             generate_null_sample, generate_sample,
                             metrics_from_counts, pair_counts,
                             poisson_quantile, roc_curve, run_replications,
                             true_graph)
 from qmgm.core import (DataError, Dataset, EstimatedGraph, _blas_thread_controls,
-                       empty_graph)
+                       empty_graph, validate_and_standardize)
+from qmgm.selection import build_problems
 
 from bruteforce import auc_oracle, metrics_oracle, pair_counts_oracle
 
@@ -290,6 +292,22 @@ def test_replication_pool_pins_blas_to_one_thread_and_restores(blas_threads):
     pinned = f"RuntimeError: blas threads {[1] * len(counts)}"
     assert [msg for _, _, msg in run.failures] == [pinned] * 2
     assert blas_threads() == counts
+
+
+def _report_os_threads_after_stage_one(variant):
+    """A sample function that runs stage 1 on the variant's sample, then
+    fails with the OS thread count of the process that ran the replication."""
+    dataset, _ = generate_sample(variant)
+    build_problems(validate_and_standardize(dataset))
+    raise RuntimeError(f"os threads {len(os.listdir('/proc/self/task'))}")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_replication_worker_runs_on_one_os_thread_after_stage_one(blas_threads):
+    run = run_replications(["mgm"], DgpVariant("main", 60, 1), 2, threads=2,
+                           lambdas=[0.5], criteria=("bic",),
+                           sample_fn=_report_os_threads_after_stage_one)
+    assert [msg for _, _, msg in run.failures] == ["RuntimeError: os threads 1"] * 2
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])

@@ -1,3 +1,4 @@
+import os
 import pickle
 
 import numpy as np
@@ -326,6 +327,16 @@ def test_node_pool_pins_blas_to_one_thread_and_restores(blas_threads, tiny_mixed
     with pytest.raises(RuntimeError, match="fails"):
         _pool_map(_failing_task, range(2), 2)
     assert blas_threads() == counts
+
+
+def _worker_os_threads(_):
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_pool_worker_runs_on_one_os_thread(blas_threads):
+    # the parent runs 2 BLAS threads; a worker must not start helper threads
+    assert _pool_map(_worker_os_threads, range(4), 2) == [1] * 4
 
 
 def test_pool_is_sized_to_the_work(monkeypatch):

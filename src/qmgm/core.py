@@ -330,26 +330,24 @@ def _check_lambda_grid(lambdas) -> np.ndarray:
 class LambdaPath:
     """One lambda path of one node regression (qmgm: one node at one
     quantile level; mgm: one node), one entry per lambda point:
-    intercepts (M,), betas (M, m), objectives (M,), work (M,) and
-    converged (M,), all read-only.  ``work`` counts the lasso kernel's
-    linear solves plus fallback sweeps for qmgm, and the proximal-Newton
-    outer iterations for mgm."""
+    intercepts (M,), betas (M, m), work (M,) and converged (M,), all
+    read-only.  ``work`` counts the lasso kernel's linear solves plus
+    fallback sweeps for qmgm, and the proximal-Newton outer iterations for
+    mgm."""
 
     intercepts: np.ndarray
     betas: np.ndarray
-    objectives: np.ndarray
     work: np.ndarray
     converged: np.ndarray
 
     def __post_init__(self):
-        for name in ("intercepts", "betas", "objectives", "work", "converged"):
+        for name in ("intercepts", "betas", "work", "converged"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     def __reduce__(self):
         # rebuilt through the constructor, so a path a pool worker returns
         # is read-only too
-        return (type(self), (self.intercepts, self.betas, self.objectives,
-                             self.work, self.converged))
+        return (type(self), (self.intercepts, self.betas, self.work, self.converged))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +365,6 @@ class CoefficientCube:
     tau_levels: np.ndarray      # (L,)
     converged: np.ndarray       # (p, L, M) bool
     iterations: np.ndarray      # (p, L, M) int
-    objectives: np.ndarray      # (p, L, M)
 
     def __post_init__(self):
         p, L, M = np.asarray(self.intercepts).shape
@@ -377,10 +374,10 @@ class CoefficientCube:
             raise DataError("lambda grid does not match cube")
         if np.asarray(self.tau_levels).shape != (L,):
             raise DataError("tau level axis does not match cube")
-        if not np.all(np.isfinite(self.objectives)):
-            raise DataError("coefficient cube contains non-finite objective values")
+        if not (np.all(np.isfinite(self.intercepts)) and np.all(np.isfinite(self.betas))):
+            raise DataError("coefficient cube contains non-finite coefficients")
         for name in ("intercepts", "betas", "lambda_grid", "tau_levels",
-                     "converged", "iterations", "objectives"):
+                     "converged", "iterations"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @classmethod
@@ -392,7 +389,7 @@ class CoefficientCube:
             return np.array([[getattr(path, name) for path in row] for row in paths])
 
         return cls(stack("intercepts"), stack("betas"), lambdas, np.asarray(tau_levels),
-                   stack("converged"), stack("work"), stack("objectives"))
+                   stack("converged"), stack("work"))
 
     @property
     def p(self) -> int:
@@ -453,13 +450,3 @@ class EstimatedGraph:
                     yield (j, k, float(self.strength[j, k]),
                            SIGN_LABELS[int(self.sign[j, k])],
                            float(self.prov_tau[j, k]), int(self.attained_by[j, k]))
-
-
-def empty_graph(p: int) -> EstimatedGraph:
-    return EstimatedGraph(
-        adjacency=np.zeros((p, p), dtype=bool),
-        strength=np.zeros((p, p)),
-        sign=np.full((p, p), SIGN_ABSENT, dtype=np.int8),
-        prov_tau=np.full((p, p), np.nan),
-        attained_by=np.full((p, p), -1, dtype=int),
-    )

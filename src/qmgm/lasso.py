@@ -14,7 +14,7 @@ coordinate-descent sweeps take over when an active block is singular or
 the step cap is hit.  ``wls_path`` forms G and c once for a whole lambda
 path, along which X, the row weights and the targets stay fixed, and
 returns the path as arrays, one entry per lambda: the fields of a
-``core.LambdaPath`` that the kernel knows (all but the objectives).
+``core.LambdaPath``.
 """
 
 from __future__ import annotations
@@ -32,19 +32,20 @@ WLS_FLAT_TOL = 1e-20
 WLS_KKT_TOL = 1e-10
 
 
-def wls_path(X, w, z, lambdas, coef_weights):
+def wls_path(X, w, z, lambdas):
     """``penalized.penalized_wls`` along a decreasing lambda grid, each
-    point warm-started at the last, with the centered Gram matrix formed
-    once: X, w and z stay fixed along the path.  The row weights must
-    have a positive sum.  Returns the arrays (intercepts (M,), betas
-    (M, m), work (M,), converged (M,)) over the M lambdas."""
+    point warm-started at the last, with every slope penalized by lambda
+    and the centered Gram matrix formed once: X, w and z stay fixed along
+    the path.  The row weights must have a positive sum.  Returns the
+    arrays (intercepts (M,), betas (M, m), work (M,), converged (M,)) over
+    the M lambdas."""
     G, c, ok, xbar, zbar = wls_gram(X, w, z)
     M, m = len(lambdas), X.shape[1]
     intercepts, betas = np.zeros(M), np.zeros((M, m))
     work, converged = np.zeros(M, dtype=int), np.zeros(M, dtype=bool)
     beta = np.zeros(m)
     for i, lam in enumerate(lambdas):
-        work[i], converged[i] = lasso_solve(G, c, ok, beta, float(lam) * coef_weights,
+        work[i], converged[i] = lasso_solve(G, c, ok, beta, np.full(m, float(lam)),
                                             WLS_SWEEP_MAX, WLS_SWEEP_TOL)
         intercepts[i], betas[i] = zbar - float(xbar @ beta), beta
     return intercepts, betas, work, converged

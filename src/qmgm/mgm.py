@@ -75,13 +75,6 @@ def glm_deviance(family: GlmFamily, y: np.ndarray, mu: np.ndarray) -> float:
     return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
 
 
-def node_lambda_max(y: np.ndarray, X: np.ndarray) -> float:
-    """Smallest penalty keeping every slope at zero (all three families
-    share this value under their canonical links)."""
-    r = y - y.mean()
-    return float(np.max(np.abs(X.T @ r)) / y.size) if X.shape[1] else 0.0
-
-
 def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily,
                        lambdas) -> LambdaPath:
     """Warm-started L1 path for one node along a lambda grid that
@@ -91,20 +84,13 @@ def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily,
     path, one outer iteration per point.  Binomial and poisson nodes use
     proximal Newton: iteratively reweighted quadratic approximations, each
     solved by the same lasso kernel.  A point counts as converged when the
-    outer iterates settle and the last inner solve is certified.  Each
-    objective is the family deviance over 2n plus the L1 penalty.
+    outer iterates settle and the last inner solve is certified.
     """
     lambdas = _check_lambda_grid(lambdas)
-    n, m = X.shape
-    if family.name == "gaussian":
-        intercepts, betas, _, converged = wls_path(X, np.ones(n), y, lambdas, np.ones(m))
-        work = np.ones(lambdas.size, dtype=int)
-    else:
-        intercepts, betas, work, converged = _proximal_newton_path(y, X, family, lambdas)
-    objectives = [glm_deviance(family, y, family.mean(b0 + X @ beta)) / (2.0 * n)
-                  + float(lam) * float(np.abs(beta).sum())
-                  for lam, b0, beta in zip(lambdas, intercepts, betas)]
-    return LambdaPath(intercepts, betas, objectives, work, converged)
+    if family.name != "gaussian":
+        return LambdaPath(*_proximal_newton_path(y, X, family, lambdas))
+    intercepts, betas, _, converged = wls_path(X, np.ones(y.size), y, lambdas)
+    return LambdaPath(intercepts, betas, np.ones(lambdas.size, dtype=int), converged)
 
 
 def _proximal_newton_path(y, X, family, lambdas):

@@ -10,8 +10,7 @@ interpolator.  Two routes are provided:
   mid-quantile, then fit the link-transformed targets by penalized
   weighted least squares.  Rows whose equation has no solution (tau
   outside the row's mid-probability range) carry no information and are
-  dropped.  At lambda = 0 this is the closed-form two-step estimator.  Its
-  results carry that penalized weighted least-squares objective.
+  dropped.  At lambda = 0 this is the closed-form two-step estimator.
 
   X, the row weights and the targets stay fixed along a lambda path, so a
   path is one warm-started run of the exact lasso kernel in
@@ -430,24 +429,16 @@ def fit_lambda_path(problem: NodeProblem, tau: float, lambdas) -> LambdaPath:
     """Fit a strictly decreasing lambda sequence with warm starts by the
     inverse route: the per-row-inverted implicit equation is solved by
     penalized weighted least squares (see the module docstring).  ``work``
-    counts the kernel's linear solves plus any fallback sweeps, and each
-    objective is the weighted least-squares objective of its point.
+    counts the kernel's linear solves plus any fallback sweeps.
 
     With fewer than 2 solvable rows every point is the intercept-only
     answer in closed form: the link transform of the marginal mid-quantile
     (``null_fit``'s start value), zero slopes, no work, converged."""
     lambdas = _check_lambda_grid(lambdas)
     targets, solvable = inverse_midquantile_targets(problem, tau)
-    w_rows = solvable.astype(float)
+    if solvable.sum() >= 2:
+        return LambdaPath(*wls_path(problem.X, solvable.astype(float), targets, lambdas))
     M = lambdas.size
-    if solvable.sum() < 2:
-        b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
-        intercepts, betas = np.full(M, b0), np.zeros((M, problem.m))
-        work, converged = np.zeros(M, dtype=int), np.ones(M, dtype=bool)
-    else:
-        intercepts, betas, work, converged = wls_path(
-            problem.X, w_rows, targets, lambdas, np.ones(problem.m))
-    r = targets - intercepts[:, None] - betas @ problem.X.T
-    objectives = ((r * r) @ w_rows / (2.0 * problem.n)
-                  + [_penalty(float(lam), beta) for lam, beta in zip(lambdas, betas)])
-    return LambdaPath(intercepts, betas, objectives, work, converged)
+    b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
+    return LambdaPath(np.full(M, b0), np.zeros((M, problem.m)),
+                      np.zeros(M, dtype=int), np.ones(M, dtype=bool))

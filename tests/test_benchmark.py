@@ -11,7 +11,7 @@ from qmgm.benchmark import (DgpVariant, LearnerConfig, TrueGraph,
                             poisson_quantile, roc_curve, run_replications,
                             true_graph)
 from qmgm.core import (DataError, Dataset, EstimatedGraph, _blas_thread_controls,
-                       empty_graph, validate_and_standardize)
+                       validate_and_standardize)
 from qmgm.selection import build_problems
 
 from bruteforce import auc_oracle, metrics_oracle, pair_counts_oracle
@@ -118,7 +118,7 @@ def test_confusion_metrics_hand_example():
 
 def test_confusion_metrics_empty_estimate():
     tg = true_graph()
-    m = confusion_metrics(tg, empty_graph(10))
+    m = confusion_metrics(tg, graph_from_adj(np.zeros((10, 10))))
     assert m.tpr == 0.0
     assert m.fpr == 0.0
     assert m.accuracy == pytest.approx(33 / 45)

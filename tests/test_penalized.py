@@ -19,8 +19,8 @@ from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
                             smooth_gradient, smooth_objective, soft_threshold)
 from qmgm.selection import build_problems, fit_qmgm
 
-PATH_FIELDS = ("intercepts", "betas", "objectives", "work", "converged")
-CUBE_FIELDS = ("intercepts", "betas", "objectives", "iterations", "converged")
+PATH_FIELDS = ("intercepts", "betas", "work", "converged")
+CUBE_FIELDS = ("intercepts", "betas", "iterations", "converged")
 
 
 @pytest.fixture(scope="module")
@@ -413,8 +413,7 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     tau = 0.25
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
     t, solvable = inverse_midquantile_targets(pr, tau)
-    b0s, betas, work, converged = wls_path(pr.X, solvable.astype(float), t,
-                                           lambdas, np.ones(pr.m))
+    b0s, betas, work, converged = wls_path(pr.X, solvable.astype(float), t, lambdas)
     path = fit_lambda_path(pr, tau, lambdas)
     assert np.array_equal(path.intercepts, b0s)
     assert np.array_equal(path.betas, betas)
@@ -426,7 +425,7 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     j = 0
     assert ds.schema[j].kind == "continuous"
     y, X = ds.values[:, j], np.delete(ds.values, j, axis=1)
-    b0s, betas, _, converged = wls_path(X, np.ones(ds.n), y, lambdas, np.ones(ds.p - 1))
+    b0s, betas, _, converged = wls_path(X, np.ones(ds.n), y, lambdas)
     node = fit_glm_lasso_path(y, X, family_for("continuous"), lambdas)
     assert np.array_equal(node.intercepts, b0s)
     assert np.array_equal(node.betas, betas)
@@ -466,20 +465,6 @@ def test_null_fallback_is_the_closed_form_intercept(monkeypatch):
     assert np.all(cube.betas[2, 0] == 0.0)
     assert np.all(cube.converged[2, 0])
     assert np.all(cube.iterations[2, 0] == 0)
-    assert np.all(cube.objectives[2, 0] == 0.0)   # no row is solvable
-
-
-def test_inverse_path_objective_is_the_weighted_ls_objective(problems):
-    pr = problems[2]
-    tau, lambdas = 0.25, [0.3, 0.05]
-    t, solvable = inverse_midquantile_targets(pr, tau)
-    path = fit_lambda_path(pr, tau, lambdas)
-    for lam, b0, beta, obj in zip(lambdas, path.intercepts, path.betas,
-                                  path.objectives):
-        r = t - b0 - pr.X @ beta
-        want = ((solvable * r ** 2).sum() / (2 * pr.n)
-                + lam * np.abs(beta).sum())
-        assert obj == pytest.approx(want, rel=1e-12)
 
 
 def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):

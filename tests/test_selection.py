@@ -32,7 +32,18 @@ def cube_from_B(B, lambdas=(1.0,), taus=None):
     taus = np.linspace(0.25, 0.75, L) if taus is None else np.asarray(taus)
     return CoefficientCube(np.zeros((p, L, M)), betas, np.asarray(lambdas),
                            taus, np.ones((p, L, M), bool),
-                           np.ones((p, L, M), int), np.zeros((p, L, M)))
+                           np.ones((p, L, M), int))
+
+
+@pytest.mark.parametrize("field", ["betas", "intercepts"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cube_rejects_non_finite_coefficients(field, bad):
+    cube = cube_from_B(np.zeros((3, 2, 3)), lambdas=(1.0, 0.5))
+    arrays = {"intercepts": cube.intercepts.copy(), "betas": cube.betas.copy()}
+    arrays[field][1, 0, 1, ...] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        CoefficientCube(arrays["intercepts"], arrays["betas"], cube.lambda_grid,
+                        cube.tau_levels, cube.converged, cube.iterations)
 
 
 def test_edge_set_empty_below_tolerance():
@@ -159,8 +170,7 @@ def _last_lambda(cube):
     """The cube restricted to its smallest lambda (a one-point grid)."""
     return CoefficientCube(cube.intercepts[:, :, -1:], cube.betas[:, :, -1:],
                            cube.lambda_grid[-1:], cube.tau_levels,
-                           cube.converged[:, :, -1:], cube.iterations[:, :, -1:],
-                           cube.objectives[:, :, -1:])
+                           cube.converged[:, :, -1:], cube.iterations[:, :, -1:])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -216,7 +226,7 @@ def test_fit_qmgm_cube_shape_and_selection(dgp_500):
     problems = build_problems(ds)
     cube = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
     assert cube.betas.shape == (10, 3, 8, 9)
-    assert np.all(np.isfinite(cube.objectives))
+    assert np.all(np.isfinite(cube.intercepts)) and np.all(np.isfinite(cube.betas))
     crit = SelectionCriterion.from_name("bicp", ds.p)
     scores = score_path(cube, quantile_losses(cube, ds), crit, ds.n)
     idx, lam = select_lambda(scores, lambdas)
@@ -234,7 +244,7 @@ def test_fit_qmgm_single_level_matches_grid_object(dgp_500):
     assert c1.betas.shape[1] == 1
 
 
-CUBE_FIELDS = ("intercepts", "betas", "converged", "iterations", "objectives")
+CUBE_FIELDS = ("intercepts", "betas", "converged", "iterations")
 
 
 def assert_same_cube(a, b):

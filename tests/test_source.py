@@ -38,3 +38,41 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unread_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def unnamed_public_defs(trees: dict) -> list:
+    """Top-level public functions and classes of the modules in ``trees``
+    (file name -> parsed source) that no module names: not read, not an
+    attribute, not imported (so an export in ``__init__.py`` counts)."""
+    named = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+            elif isinstance(n, ast.alias):
+                named.add(n.name)
+    return sorted((file, node.name) for file, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in named)
+
+
+def test_unnamed_public_defs_are_found():
+    trees = {"a.py": ast.parse("class Used:\n    pass\n"
+                               "class Lone:\n    pass\n"
+                               "def exported():\n    pass\n"
+                               "def _private():\n    pass\n"
+                               "def called():\n    return Used()\n"
+                               "def orphan():\n    def inner():\n        pass\n"),
+             "b.py": ast.parse("import a\nfrom .a import exported\n"
+                               "def g():\n    return a.called()\n")}
+    assert unnamed_public_defs(trees) == [("a.py", "Lone"), ("a.py", "orphan"),
+                                          ("b.py", "g")]
+
+
+def test_every_public_def_is_named_in_the_package():
+    # a library function that only tests call belongs in the tests
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SOURCE.glob("*.py"))}
+    assert unnamed_public_defs(trees) == []

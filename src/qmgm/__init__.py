@@ -14,11 +14,8 @@ from .io import (GraphDocument, document_from_adjacency, document_from_graph,
 from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
 from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
                      marginal_mid_quantile, rearrange_monotone)
-from .penalized import (NodeFitConfig, NodeFitResult, NodeProblem,
-                        fit_lambda_path, fit_node_quantile,
-                        inverse_midquantile_targets, lambda_max, null_fit,
-                        objective, penalized_wls, smooth_gradient,
-                        smooth_objective, soft_threshold)
+from .penalized import (NodeProblem, fit_lambda_path,
+                        inverse_midquantile_targets, penalized_wls)
 from .selection import (SelectionCriterion, build_problems,
                         estimate_edge_set, fit_qmgm, quantile_losses,
                         score_path, select_lambda)

@@ -34,9 +34,6 @@ EXP_CLIP = 40.0
 # threshold (indicator identically one) is stored as exactly 1.
 CDF_CLIP = 1e-9
 
-# Output clamp for the interpolator when extrapolating beyond the grid.
-INTERP_CLIP = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class ThresholdLogitSet:
@@ -67,41 +64,23 @@ class ThresholdLogitSet:
 
 @dataclass(frozen=True, eq=False)
 class MidCdfField:
-    """Vectorized mid-CDF interpolator over all training rows.
+    """Mid-CDF interpolation field over all training rows.
 
-    ``pi[i]`` holds row i's mid-probabilities at the shared thresholds and
-    ``slopes[i, h]`` the interpolation slope on segment [z_h, z_{h+1}].
-    Evaluation extrapolates with the boundary-segment slope and clamps the
-    result to [INTERP_CLIP, 1 - INTERP_CLIP].
+    ``pi[i]`` holds row i's mid-probabilities at the shared thresholds;
+    row i's interpolator is the piecewise-linear function through the
+    points (thresholds[h], pi[i, h]), which ``penalized`` inverts at tau.
     """
 
     thresholds: np.ndarray        # (k,)
     pi: np.ndarray                # (n, k)
-    slopes: np.ndarray            # (n, k-1)
 
     def __post_init__(self):
-        for name in ("thresholds", "pi", "slopes"):
+        for name in ("thresholds", "pi"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n(self) -> int:
         return self.pi.shape[0]
-
-    def evaluate(self, eta: np.ndarray):
-        """Mid-CDF values and local slopes at one eta per row.
-
-        Returns (values, slopes); the slope is zero wherever the output
-        clamp is active, so it is the exact one-sided derivative of the
-        clamped interpolator.
-        """
-        z = self.thresholds
-        idx = np.clip(np.searchsorted(z, eta, side="right") - 1, 0, z.size - 2)
-        rows = np.arange(eta.size)
-        b = self.slopes[rows, idx]
-        val = b * (eta - z[idx]) + self.pi[rows, idx]
-        clamped = (val < INTERP_CLIP) | (val > 1.0 - INTERP_CLIP)
-        np.clip(val, INTERP_CLIP, 1.0 - INTERP_CLIP, out=val)
-        return val, np.where(clamped, 0.0, b)
 
 
 def rearrange_monotone(values):
@@ -293,10 +272,7 @@ def build_field(logits: ThresholdLogitSet, X: np.ndarray) -> MidCdfField:
     """Mid-CDF interpolator for every row of X at once."""
     F = rearrange_monotone(_raw_cdf_matrix(logits, X))
     mass = np.diff(F, prepend=0.0, axis=1)
-    pi = F - 0.5 * mass
-    z = logits.thresholds
-    slopes = np.diff(pi, axis=1) / np.diff(z)
-    return MidCdfField(z, pi, slopes)
+    return MidCdfField(logits.thresholds, F - 0.5 * mass)
 
 
 def marginal_mid_cdf(sample):

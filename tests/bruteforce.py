@@ -12,7 +12,7 @@ from scipy.special import expit
 
 from qmgm.core import quantile_loss
 from qmgm.mgm import family_for, glm_deviance
-from qmgm.penalized import _link_inverse
+from descent import _link_inverse
 
 
 def mid_quantile_oracle(sample, tau):

@@ -16,15 +16,15 @@ from qmgm.benchmark import (DgpVariant, default_lambda_grid, generate_null_sampl
 from qmgm.cli import main as cli_main
 from qmgm.core import Dataset, EstimatedGraph, validate_and_standardize
 from qmgm.midcdf import marginal_mid_quantile
-from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
-                            fit_node_quantile, lambda_max, smooth_gradient,
-                            soft_threshold)
+from qmgm.penalized import NodeProblem, fit_lambda_path
 from qmgm.selection import build_problems
 from qmgm.analysis import hamming_distance
 from qmgm.io import save_csv
 
 from bruteforce import (auc_oracle, hamming_oracle, metrics_oracle,
                         mid_quantile_oracle, pair_counts_oracle)
+from descent import (NodeFitConfig, fit_node_quantile, lambda_max, smooth_gradient,
+                     soft_threshold)
 
 TABLE_LEARNERS = ("qmgm1", "qmgm3", "qmgm7", "mgm")
 

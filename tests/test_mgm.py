@@ -108,7 +108,6 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
     # the fallback sweeps, reached through an active set that never
     # certifies, so that max_sweeps caps every solve
     from qmgm import lasso
-    from qmgm.penalized import penalized_wls
 
     monkeypatch.setattr(lasso, "_active_set", lambda *args: (0, False))
     y = tiny_mixed.values[:, 1]
@@ -121,10 +120,13 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
         r = y - b0 - X @ beta
         return float((w * r ** 2).sum() / (2 * n) + lam * np.abs(beta).sum())
 
+    G, c, ok, xbar, ybar = lasso.wls_gram(X, w, y)
     vals = []
     for sweeps in range(1, 8):
-        b0, beta, _, _ = penalized_wls(X, w, y, 0.0, np.zeros(X.shape[1]),
-                                       lam, max_sweeps=sweeps)
+        beta = np.zeros(X.shape[1])
+        lasso.lasso_solve(G, c, ok, beta, lam * np.ones(X.shape[1]), sweeps,
+                          lasso.WLS_SWEEP_TOL)
+        b0 = ybar - float(xbar @ beta)
         vals.append(objective(b0, beta))
     assert all(v1 <= v0 + 1e-12 for v0, v1 in zip(vals, vals[1:]))
 

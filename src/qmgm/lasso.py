@@ -8,13 +8,19 @@ problem
 with an unpenalized intercept becomes, once the weighted means are
 profiled out, (1/2) b'Gb - c'b + sum_k thr_k |b_k| over the centered Gram
 matrix G and c (``wls_gram``), so a solve costs O(m^2) to O(m^3) for m
-predictors whatever n is.  ``lasso_solve`` is an exact active-set method
-started at a warm start and accepted only with a certified KKT residual;
+predictors whatever n is.  A solve is an exact active-set method started
+at a warm start and accepted only with a certified KKT residual;
 coordinate-descent sweeps take over when an active block is singular or
-the step cap is hit.  ``wls_path`` forms G and c once for a whole lambda
-path, along which X, the row weights and the targets stay fixed, and
-returns the path as arrays, one entry per lambda: the fields of a
-``core.LambdaPath``.
+the step cap is hit.
+
+The active-set method runs on P problems of equal width in lockstep: at
+each step it stacks the active blocks of every problem whose active set
+has the same size into one ``np.linalg.solve`` call.  A stacked solve
+gives each problem the bits it gets alone, so a problem's answer does not
+depend on the others in its batch.  Along a lambda path X, the row
+weights and the targets stay fixed, so G and c are formed once per path;
+``wls_paths`` takes the Gram forms of many paths and advances them
+together, and ``lasso_solve`` is the single solve.
 """
 
 from __future__ import annotations
@@ -32,23 +38,31 @@ WLS_FLAT_TOL = 1e-20
 WLS_KKT_TOL = 1e-10
 
 
-def wls_path(X, w, z, lambdas):
-    """``penalized.penalized_wls`` along a decreasing lambda grid, each
-    point warm-started at the last, with every slope penalized by lambda
-    and the centered Gram matrix formed once: X, w and z stay fixed along
-    the path.  The row weights must have a positive sum.  Returns the
-    arrays (intercepts (M,), betas (M, m), work (M,), converged (M,)) over
-    the M lambdas."""
-    G, c, ok, xbar, zbar = wls_gram(X, w, z)
-    M, m = len(lambdas), X.shape[1]
-    intercepts, betas = np.zeros(M), np.zeros((M, m))
-    work, converged = np.zeros(M, dtype=int), np.zeros(M, dtype=bool)
-    beta = np.zeros(m)
+def wls_paths(grams, lambdas):
+    """``penalized.penalized_wls`` along a decreasing lambda grid for each
+    of P problems (X, w, z) with the same number of predictors and row
+    weights of positive sum, given by their ``wls_gram`` forms: X, w and z
+    stay fixed along a path, so G and c are formed once per path.  Each
+    point is warm-started at the last and every slope is penalized by
+    lambda.  The paths advance together, one batched solve per lambda, and
+    each equals the path its problem gives alone.  Returns one tuple of
+    arrays (intercepts (M,), betas (M, m), work (M,), converged (M,)) per
+    problem, over the M lambdas: the fields of a ``core.LambdaPath``."""
+    if not grams:
+        return []
+    G, c, ok, xbar, zbar = (np.array(a) for a in zip(*grams))
+    P, m = c.shape
+    M = len(lambdas)
+    intercepts, betas = np.zeros((P, M)), np.zeros((P, M, m))
+    work, converged = np.zeros((P, M), dtype=int), np.zeros((P, M), dtype=bool)
+    beta = np.zeros((P, m))
     for i, lam in enumerate(lambdas):
-        work[i], converged[i] = lasso_solve(G, c, ok, beta, np.full(m, float(lam)),
-                                            WLS_SWEEP_MAX, WLS_SWEEP_TOL)
-        intercepts[i], betas[i] = zbar - float(xbar @ beta), beta
-    return intercepts, betas, work, converged
+        work[:, i], converged[:, i] = _solves(G, c, ok, beta, np.full((P, m), float(lam)),
+                                              WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+        betas[:, i] = beta
+        # one dot product per path, as zbar - xbar @ beta alone
+        intercepts[:, i] = zbar - np.matmul(xbar[:, None, :], beta[:, :, None])[:, 0, 0]
+    return list(zip(intercepts, betas, work, converged))
 
 
 def wls_gram(X, w, z):
@@ -77,15 +91,25 @@ def lasso_solve(G, c, ok, beta, thr, max_sweeps, tol):
     solution.  Returns (work, converged): linear solves plus fallback
     sweeps, and whether the KKT residual is at most WLS_KKT_TOL *
     max(1, max |c|)."""
-    kkt_tol = WLS_KKT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+    work, converged = _solves(G[None], c[None], ok[None], beta[None], thr[None],
+                              max_sweeps, tol)
+    return int(work[0]), bool(converged[0])
+
+
+def _solves(G, c, ok, beta, thr, max_sweeps, tol):
+    """``lasso_solve`` for P problems at once: G (P, m, m), c, ok, beta and
+    thr (P, m).  Overwrites beta; returns work and converged (P,).  Only
+    the problems the active set leaves uncertified run the sweeps, each
+    from its own warm start."""
+    kkt_tol = WLS_KKT_TOL * np.maximum(1.0, np.abs(c).max(axis=1, initial=0.0))
     b = np.where(ok, beta, 0.0)
-    solves, certified = _active_set(G, c, ok, b, thr, kkt_tol)
-    if certified:
-        beta[:] = b
-        return solves, True
-    sweeps = _sweeps(G, c, ok, beta, thr, max_sweeps, tol)
-    gap = _kkt_gap(c - G @ beta, thr, beta)
-    return solves + sweeps, gap[ok].max(initial=0.0) <= kkt_tol
+    work, converged = _active_set(G, c, ok, b, thr, kkt_tol)
+    np.copyto(beta, b, where=converged[:, None])
+    for p in np.nonzero(~converged)[0]:
+        work[p] += _sweeps(G[p], c[p], ok[p], beta[p], thr[p], max_sweeps, tol)
+        gap = _kkt_gap(c[p] - G[p] @ beta[p], thr[p], beta[p])
+        converged[p] = gap[ok[p]].max(initial=0.0) <= kkt_tol[p]
+    return work, converged
 
 
 def _kkt_gap(r, thr, b):
@@ -96,59 +120,109 @@ def _kkt_gap(r, thr, b):
     return np.where(b != 0, np.abs(r - thr * np.sign(b)), np.abs(r) - thr)
 
 
+def _residual(G, c, b):
+    """c - G b for stacked G (P, m, m) and b, c (P, m): one matrix-vector
+    product per problem, the same call as ``c - G @ b`` on one."""
+    return c - np.matmul(G, b[:, :, None])[:, :, 0]
+
+
 def _active_set(G, c, ok, b, thr, kkt_tol):
-    """Active-set solve of the covariance-form lasso from the start b
+    """Active-set solves of P covariance-form lassos from the starts b
     (Osborne, Presnell & Turlach 2000), overwriting b.
 
-    The active set A starts as the support of b, the unpenalized columns
-    and the KKT violators, with signs s from b, or from the gradient for
-    new entries.  Each step solves G_AA b_A = c_A - thr_A s_A.  If a
-    penalized coordinate would change sign, b moves along the segment only
-    up to the first zero crossing and that coordinate leaves A; otherwise b
-    takes the solution and the violators of |c_k - (Gb)_k| <= thr_k enter
-    A.  Flat columns never enter.  Returns (linear solves, certified); not
-    certified when G_AA is singular, the step cap is hit or the KKT
-    residual exceeds kkt_tol.
+    Per problem, the active set A starts as the support of b, the
+    unpenalized columns and the KKT violators, with signs s from b, or from
+    the gradient for new entries.  Each step solves G_AA b_A = c_A - thr_A
+    s_A.  If a penalized coordinate would change sign, b moves along the
+    segment only up to the first zero crossing and that coordinate leaves
+    A; otherwise b takes the solution and the violators of |c_k - (Gb)_k|
+    <= thr_k enter A.  Flat columns never enter.  The problems step
+    together: the blocks of all problems whose active sets have the same
+    size go through one stacked solve.  Returns (linear solves,
+    certified), each (P,); a problem is not certified when its G_AA is
+    singular, the step cap is hit or its KKT residual exceeds kkt_tol.
     """
+    P, m = c.shape
+    tol = kkt_tol[:, None]
     pen = thr > 0
     s = np.sign(b) * pen
-    r = c - G @ b
-    active = ok & ((b != 0) | ~pen | (np.abs(r) - thr > kkt_tol))
+    r = _residual(G, c, b)
+    active = ok & ((b != 0) | ~pen | (np.abs(r) - thr > tol))
     fresh = active & (s == 0) & pen
     s[fresh] = np.sign(r[fresh])
-    solves = 0
-    for _ in range(10 + 2 * c.size):
-        idx = np.flatnonzero(active)
-        if idx.size:
-            solves += 1
-            # numpy's solver: the first call into scipy's LAPACK, a separate
-            # BLAS build, maps its own buffers and raises peak memory
-            try:
-                x = np.linalg.solve(G[idx[:, None], idx], c[idx] - thr[idx] * s[idx])
-            except np.linalg.LinAlgError:
-                return solves, False
-            cross = s[idx] * x < 0
-            if cross.any():
-                bA = b[idx]
-                t = bA[cross] / (bA[cross] - x[cross])
-                tmin = t.min()
-                b[idx] = bA + tmin * (x - bA)
-                # the first crossers, and any coordinate rounding pushed
-                # past zero, leave A at exactly zero
-                gone = s[idx] * b[idx] < 0
-                gone[cross] |= t <= tmin
-                b[idx[gone]] = 0.0
-                active[idx[gone]] = False
-                continue
-            b[idx] = x
-        r = c - G @ b
-        gap = _kkt_gap(r, thr, b)
-        viol = ok & ~active & (gap > kkt_tol)
-        if not viol.any():
-            return solves, gap[ok].max(initial=0.0) <= kkt_tol
+    solves = np.zeros(P, dtype=int)
+    certified = np.zeros(P, dtype=bool)
+    running = np.ones(P, dtype=bool)
+    for _ in range(10 + 2 * m):
+        if not running.any():
+            break
+        sizes = np.where(running, active.sum(axis=1), 0)
+        check = running & (sizes == 0)
+        for k in set(sizes.tolist()) - {0}:
+            grp = np.nonzero(sizes == k)[0]
+            rows = grp[:, None]
+            idx = np.nonzero(active[grp])[1].reshape(-1, k)
+            sA = s[rows, idx]
+            # a singular block's x is NaN: its KKT gap is NaN and never
+            # certifies, so its path leaves the loop for the sweeps
+            x = _stacked_solve(G[rows[:, :, None], idx[:, :, None], idx[:, None, :]],
+                               c[rows, idx] - thr[rows, idx] * sA)
+            solves[grp] += 1
+            cross = sA * x < 0
+            crossing = cross.any(axis=1)
+            if crossing.any():
+                _step_to_crossing(b, active, rows[crossing], idx[crossing], x[crossing],
+                                  cross[crossing], sA[crossing])
+            solved = ~crossing
+            b[rows[solved], idx[solved]] = x[solved]
+            check[grp[solved]] = True
+        if not check.any():
+            continue
+        # every problem's residual, but only the checked ones act on it
+        r = _residual(G, c, b)
+        gap = np.where(ok, _kkt_gap(r, thr, b), 0.0)
+        viol = ~active & (gap > tol) & check[:, None]
+        done = check & ~viol.any(axis=1)
+        certified |= done & (gap.max(axis=1, initial=0.0) <= kkt_tol)
+        running &= ~done
         active |= viol
-        s[viol] = np.sign(r[viol])
-    return solves, False
+        s = np.where(viol, np.sign(r), s)
+    return solves, certified
+
+
+def _stacked_solve(A, rhs):
+    """x with A[j] x[j] = rhs[j] for a stack of k x k blocks; x[j] is NaN
+    where A[j] is singular.  A stacked ``np.linalg.solve`` gives each block
+    the bits it gets alone; when a block is singular the stack is solved
+    block by block, so the others keep their solutions."""
+    # numpy's solver: the first call into scipy's LAPACK, a separate BLAS
+    # build, maps its own buffers and raises peak memory
+    try:
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        for j in range(len(A)):
+            try:
+                x[j] = np.linalg.solve(A[j], rhs[j])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _step_to_crossing(b, active, rows, idx, x, cross, sA):
+    """Move each given problem's active coordinates b[rows, idx] toward its
+    solution x only up to the first zero crossing of a penalized sign; the
+    first crossers, and any coordinate rounding pushed past zero, leave
+    the active set at exactly zero."""
+    bA = b[rows, idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(cross, bA / (bA - x), np.inf)
+    tmin = t.min(axis=1, keepdims=True)
+    bA = bA + tmin * (x - bA)
+    gone = (sA * bA < 0) | (cross & (t <= tmin))
+    bA[gone] = 0.0
+    b[rows, idx] = bA
+    active[rows, idx] = ~gone
 
 
 def _sweeps(G, c, ok, beta, thr, max_sweeps, tol):

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import expit, xlogy
 
 from .core import CoefficientCube, DataError, Dataset, LambdaPath, _check_lambda_grid
-from .lasso import wls_path
+from .lasso import wls_gram, wls_paths
 from .penalized import penalized_wls
 
 OUTER_MAX_ITER = 100
@@ -89,8 +89,15 @@ def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily,
     lambdas = _check_lambda_grid(lambdas)
     if family.name != "gaussian":
         return LambdaPath(*_proximal_newton_path(y, X, family, lambdas))
-    intercepts, betas, _, converged = wls_path(X, np.ones(y.size), y, lambdas)
-    return LambdaPath(intercepts, betas, np.ones(lambdas.size, dtype=int), converged)
+    return _gaussian_paths([(y, X)], lambdas)[0]
+
+
+def _gaussian_paths(nodes, lambdas) -> list:
+    """The paths of the gaussian nodes (y, X), of equal width, through one
+    ``wls_paths`` call: one outer iteration per point."""
+    ones = np.ones(lambdas.size, dtype=int)
+    return [LambdaPath(intercepts, betas, ones, converged) for intercepts, betas, _, converged
+            in wls_paths([wls_gram(X, np.ones(y.size), y) for y, X in nodes], lambdas)]
 
 
 def _proximal_newton_path(y, X, family, lambdas):
@@ -124,13 +131,18 @@ def _proximal_newton_path(y, X, family, lambdas):
 def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     """Fit the baseline on every node and pack the paths as a cube with a
     single pseudo quantile level, so edge extraction and lambda selection
-    reuse the shared code path.  The lambda grid is checked before any
-    fitting."""
+    reuse the shared code path.  The gaussian nodes advance through one
+    batched kernel call.  The lambda grid is checked before any fitting."""
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
-    paths = [[fit_glm_lasso_path(dataset.values[:, j], np.delete(dataset.values, j, axis=1),
-                                 family_for(dataset.schema[j].kind), lambdas)]
+    def node(j):
+        return dataset.values[:, j], np.delete(dataset.values, j, axis=1)
+
+    families = [family_for(spec.kind) for spec in dataset.schema]
+    gaussian = [j for j, family in enumerate(families) if family.name == "gaussian"]
+    fitted = dict(zip(gaussian, _gaussian_paths(map(node, gaussian), lambdas)))
+    paths = [[fitted[j] if j in fitted else fit_glm_lasso_path(*node(j), families[j], lambdas)]
              for j in range(dataset.p)]
     return CoefficientCube.from_paths(paths, lambdas, [0.5])
 

@@ -3,7 +3,7 @@
 For one node at quantile level tau, the fit solves the implicit equation
 tau = Gc_i(eta_i) under an L1 penalty, where eta_i is the link inverse of
 b0 + x_i' beta and Gc_i is row i's piecewise-linear conditional mid-CDF
-interpolator.  ``fit_lambda_path`` solves it by inversion: it inverts
+interpolator.  ``fit_lambda_paths`` solves it by inversion: it inverts
 each row's interpolator at tau to get the implied conditional
 mid-quantile, then fits the link-transformed targets by penalized
 weighted least squares.  Rows whose equation has no solution (tau outside
@@ -12,8 +12,9 @@ At lambda = 0 this is the closed-form two-step estimator.
 
 X, the row weights and the targets stay fixed along a lambda path, so a
 path is one warm-started run of the exact lasso kernel in ``qmgm.lasso``,
-with one Gram matrix per path; a point counts as converged only when its
-KKT residual is certified.  With fewer than 2 solvable rows the equation
+with one Gram matrix per path, and the paths of one call advance through
+that kernel together; a point counts as converged only when its KKT
+residual is certified.  With fewer than 2 solvable rows the equation
 carries no conditional information, and every point is the
 intercept-only answer in closed form: the link transform of the marginal
 mid-quantile, with zero slopes.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import (DataError, Dataset, LambdaPath, _check_lambda_grid,
                    _one_blas_thread, _readonly)
-from .lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_path
+from .lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_paths
 from .midcdf import (MidCdfField, ThresholdLogitSet, _fit_threshold_logits_arrays,
                      build_field, fit_all_threshold_logits, marginal_mid_quantile)
 
@@ -190,20 +191,30 @@ def _interp_rows(x: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_lambda_path(problem: NodeProblem, tau: float, lambdas) -> LambdaPath:
-    """Fit a strictly decreasing lambda sequence with warm starts by the
-    inverse route: the per-row-inverted implicit equation is solved by
-    penalized weighted least squares (see the module docstring).  ``work``
-    counts the kernel's linear solves plus any fallback sweeps.
+def fit_lambda_paths(pairs, lambdas) -> list:
+    """Fit a strictly decreasing lambda sequence with warm starts for each
+    (problem, tau) pair by the inverse route: the per-row-inverted implicit
+    equation is solved by penalized weighted least squares (see the module
+    docstring).  The problems must have the same number of predictors.
+    Returns one ``LambdaPath`` per pair, in order; ``work`` counts the
+    kernel's linear solves plus any fallback sweeps.
 
-    With fewer than 2 solvable rows every point is the intercept-only
-    answer in closed form: the link transform of the marginal mid-quantile,
-    zero slopes, no work, converged."""
+    The pairs with at least 2 solvable rows advance together through one
+    ``lasso.wls_paths`` call, and each path equals the one its pair gives
+    alone.  With fewer than 2 solvable rows every point is the
+    intercept-only answer in closed form: the link transform of the
+    marginal mid-quantile, zero slopes, no work, converged."""
     lambdas = _check_lambda_grid(lambdas)
-    targets, solvable = inverse_midquantile_targets(problem, tau)
-    if solvable.sum() >= 2:
-        return LambdaPath(*wls_path(problem.X, solvable.astype(float), targets, lambdas))
     M = lambdas.size
-    b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
-    return LambdaPath(np.full(M, b0), np.zeros((M, problem.m)),
-                      np.zeros(M, dtype=int), np.ones(M, dtype=bool))
+    paths, grams = {}, {}
+    for i, (problem, tau) in enumerate(pairs):
+        targets, solvable = inverse_midquantile_targets(problem, tau)
+        if solvable.sum() >= 2:
+            grams[i] = wls_gram(problem.X, solvable.astype(float), targets)
+        else:
+            b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
+            paths[i] = LambdaPath(np.full(M, b0), np.zeros((M, problem.m)),
+                                  np.zeros(M, dtype=int), np.ones(M, dtype=bool))
+    for i, fields in zip(grams, wls_paths(list(grams.values()), lambdas)):
+        paths[i] = LambdaPath(*fields)
+    return [paths[i] for i in range(len(pairs))]

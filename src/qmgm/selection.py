@@ -13,7 +13,7 @@ from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_UNDEFINED,
                    _check_lambda_grid, _check_tolerance, _one_blas_thread,
                    _pin_blas_threads, quantile_loss)
-from .penalized import NodeProblem, fit_lambda_path
+from .penalized import NodeProblem, fit_lambda_paths
 
 BIC_EPS_GUARD = 1e-12
 
@@ -83,10 +83,10 @@ def _pool_map(fn, tasks, threads: int) -> list:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
-def _node_worker(args):
-    """The given level paths of one node from its prebuilt mid-CDF step."""
-    problem, levels, lambdas = args
-    return [fit_lambda_path(problem, tau, lambdas) for tau in levels]
+def _paths_worker(args):
+    """The lambda paths of the given (problem, tau) pairs, in one batch."""
+    pairs, lambdas = args
+    return fit_lambda_paths(pairs, lambdas)
 
 
 def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
@@ -102,11 +102,12 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     a (node, level) path already fitted on the same lambda grid is reused,
     not refitted, so nested level grids fit each distinct path once.
     Every path is solved by the inverse route
-    (``penalized.fit_lambda_path``), and ``CoefficientCube.from_paths``
-    stacks the paths into the cube.  With ``threads`` > 1 the missing
-    paths run in a process pool, one task per node (all its missing
-    levels), under the BLAS pin of ``_pool_map``; results do not depend on
-    it.  ``threads`` < 1 raises DataError.
+    (``penalized.fit_lambda_paths``), and ``CoefficientCube.from_paths``
+    stacks the paths into the cube.  The nodes with missing paths are split
+    into min(threads, nodes) chunks, and each chunk is one task that fits
+    all its missing paths in one batched call; with ``threads`` > 1 the
+    tasks run in a process pool under the BLAS pin of ``_pool_map``.
+    Results do not depend on ``threads``; ``threads`` < 1 raises DataError.
     """
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
@@ -115,11 +116,13 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     if problems is None:
         problems = build_problems(dataset)
     keys = [(float(tau), lambdas.tobytes()) for tau in levels]
-    todo = [(pr, missing) for pr in problems
-            if (missing := [k for k in keys if k not in pr._paths])]
-    tasks = [(pr, [k[0] for k in missing], lambdas) for pr, missing in todo]
-    for (pr, missing), paths in zip(todo, _pool_map(_node_worker, tasks, threads)):
-        pr._paths.update(zip(missing, paths))
+    todo = [cells for pr in problems if (cells := [(pr, k) for k in keys if k not in pr._paths])]
+    n = min(threads, len(todo))
+    chunks = [sum(todo[len(todo) * i // n:len(todo) * (i + 1) // n], []) for i in range(n)]
+    tasks = [([(pr, k[0]) for pr, k in chunk], lambdas) for chunk in chunks]
+    for chunk, paths in zip(chunks, _pool_map(_paths_worker, tasks, threads)):
+        for (pr, k), path in zip(chunk, paths):
+            pr._paths[k] = path
     return CoefficientCube.from_paths([[pr._paths[k] for k in keys] for pr in problems],
                                       lambdas, levels)
 

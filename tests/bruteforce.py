@@ -95,6 +95,12 @@ def hamming_oracle(a, b):
     return bad / total
 
 
+# How often the coordinate descent tries the exact solve over its support,
+# and the KKT residual at which that solve is accepted.
+SUPPORT_SOLVE_EVERY = 1000
+SUPPORT_SOLVE_KKT_TOL = 1e-10
+
+
 def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
                             max_sweeps=1000, tol=1e-12):
     """Naive coordinate descent for the weighted lasso
@@ -103,7 +109,11 @@ def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
 
     kept in residual form: every coordinate update reduces the full
     n-length residual, and the intercept is re-centred after each sweep.
-    Mutates beta; returns (b0, beta, sweeps, converged).
+    On near-collinear columns the sweeps crawl, so every
+    ``SUPPORT_SOLVE_EVERY`` sweeps the exact optimum over the current
+    support and signs is tried (``_support_solve``); it ends the descent
+    once its KKT residual is certified.  Mutates beta; returns (b0, beta,
+    sweeps, converged).
     """
     n, m = X.shape
     cw = np.ones(m) if coef_weights is None else np.asarray(coef_weights, float)
@@ -131,7 +141,35 @@ def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
         if delta < tol:
             converged = True
             break
+        if sweeps % SUPPORT_SOLVE_EVERY == 0:
+            exact = _support_solve(X, w, z, beta, lam, cw)
+            if exact is not None:
+                b0, beta[:] = exact
+                converged = True
+                break
     return b0, beta, sweeps, converged
+
+
+def _support_solve(X, w, z, beta, lam, cw):
+    """The stationary point (b0, beta) of the weighted lasso with the
+    support S and signs s of beta held fixed: the weighted normal equations
+    of [1, X_S] with lam cw_k s_k moved to the right-hand side.  Returns
+    None when they are singular or the point fails the KKT check (a sign
+    flipped, or a column outside S violates it)."""
+    n, m = X.shape
+    S = np.flatnonzero(beta)
+    D = np.column_stack([np.ones(n), X[:, S]])
+    rhs = (D * w[:, None]).T @ z
+    rhs[1:] -= n * lam * cw[S] * np.sign(beta[S])
+    try:
+        theta = np.linalg.solve((D * w[:, None]).T @ D, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    exact = np.zeros(m)
+    exact[S] = theta[1:]
+    if kkt_residual(X, w, z, theta[0], exact, lam, cw) > SUPPORT_SOLVE_KKT_TOL:
+        return None
+    return float(theta[0]), exact
 
 
 def kkt_residual(X, w, z, b0, beta, lam, coef_weights=None):

@@ -16,7 +16,7 @@ from qmgm.benchmark import (DgpVariant, default_lambda_grid, generate_null_sampl
 from qmgm.cli import main as cli_main
 from qmgm.core import Dataset, EstimatedGraph, validate_and_standardize
 from qmgm.midcdf import marginal_mid_quantile
-from qmgm.penalized import NodeProblem, fit_lambda_path
+from qmgm.penalized import NodeProblem, fit_lambda_paths
 from qmgm.selection import build_problems
 from qmgm.analysis import hamming_distance
 from qmgm.io import save_csv
@@ -110,7 +110,7 @@ def test_criterion_5_midquantile_oracle_equivalence():
             sample = rng.poisson(8.0, size=150).astype(float)
         problem = NodeProblem.marginal(sample, link="identity")
         for tau in taus:
-            intercept = fit_lambda_path(problem, tau, [0.0]).intercepts[0]
+            intercept = fit_lambda_paths([(problem, tau)], [0.0])[0].intercepts[0]
             oracle = mid_quantile_oracle(sample, tau)
             worst = max(worst, abs(intercept - oracle))
             assert abs(intercept - oracle) <= 1e-6, (case, tau)

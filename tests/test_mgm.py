@@ -109,7 +109,9 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
     # certifies, so that max_sweeps caps every solve
     from qmgm import lasso
 
-    monkeypatch.setattr(lasso, "_active_set", lambda *args: (0, False))
+    monkeypatch.setattr(lasso, "_active_set",
+                        lambda G, c, *args: (np.zeros(len(c), dtype=int),
+                                             np.zeros(len(c), dtype=bool)))
     y = tiny_mixed.values[:, 1]
     X = np.delete(tiny_mixed.values, 1, axis=1)
     n = y.size
@@ -147,14 +149,14 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
     from qmgm import mgm
 
     lambdas = default_lambda_grid(count=8)
-    solve, path = mgm.penalized_wls, mgm.wls_path
+    solve, paths = mgm.penalized_wls, mgm.wls_paths
 
     def uncertified_solve(*args, **kwargs):
         return solve(*args, **kwargs)[:3] + (False,)
 
-    def uncertified_path(*args, **kwargs):
-        intercepts, betas, work, converged = path(*args, **kwargs)
-        return intercepts, betas, work, np.zeros_like(converged)
+    def uncertified_paths(*args, **kwargs):
+        return [(intercepts, betas, work, np.zeros_like(converged))
+                for intercepts, betas, work, converged in paths(*args, **kwargs)]
 
     for j in (0, 2, 3):
         y = tiny_mixed.values[:, j]
@@ -163,7 +165,7 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
         assert fit_glm_lasso_path(y, X, fam, lambdas).converged[-1]
         with monkeypatch.context() as mp:
             mp.setattr(mgm, "penalized_wls", uncertified_solve)
-            mp.setattr(mgm, "wls_path", uncertified_path)
+            mp.setattr(mgm, "wls_paths", uncertified_paths)
             cut = fit_glm_lasso_path(y, X, fam, lambdas)
         assert not cut.converged[-1], fam.name
         if fam.name != "gaussian":

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import descent
 from bruteforce import kkt_residual, penalized_wls_reference
@@ -14,10 +14,10 @@ from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                        VariableSpec, validate_and_standardize)
 from qmgm import penalized
-from qmgm.lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_path
+from qmgm.lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_paths
 from qmgm.mgm import family_for, fit_glm_lasso_path, fit_mgm
 from qmgm.midcdf import MidCdfField, marginal_mid_quantile
-from qmgm.penalized import (NodeProblem, fit_lambda_path,
+from qmgm.penalized import (NodeProblem, fit_lambda_paths,
                             inverse_midquantile_targets, penalized_wls)
 from qmgm.selection import build_problems, fit_qmgm
 
@@ -171,15 +171,15 @@ def test_below_lambda_max_some_slope_moves(problems):
 
 def test_path_requires_decreasing_grid(problems):
     with pytest.raises(DataError):
-        fit_lambda_path(problems[0], 0.5, [0.1, 0.2])
+        fit_lambda_paths([(problems[0], 0.5)], [0.1, 0.2])
     with pytest.raises(DataError):
-        fit_lambda_path(problems[0], 0.5, [])
+        fit_lambda_paths([(problems[0], 0.5)], [])
 
 
 def test_active_set_grows_down_the_path(problems):
     lambdas = np.exp(np.linspace(np.log(5.0), np.log(0.001), 20))
     pr = problems[1]
-    path = fit_lambda_path(pr, 0.5, lambdas)
+    path = fit_lambda_paths([(pr, 0.5)], lambdas)[0]
     active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
     assert active[-1] >= active[0]
     assert active[0] == 0  # lambda = 5 keeps everything out
@@ -195,9 +195,9 @@ def test_path_empties_exactly_at_max_abs_c(problems):
             assert solvable.sum() >= 2, (pr.node, tau)
             _, c, ok, _, _ = wls_gram(pr.X, solvable.astype(float), t)
             lmax = float(np.abs(c[ok]).max())
-            at = fit_lambda_path(pr, tau, [lmax]).betas[0]
+            at = fit_lambda_paths([(pr, tau)], [lmax])[0].betas[0]
             assert not at.any(), (pr.node, tau)
-            below = fit_lambda_path(pr, tau, [lmax * (1 - 1e-6)]).betas[0]
+            below = fit_lambda_paths([(pr, tau)], [lmax * (1 - 1e-6)])[0].betas[0]
             assert np.count_nonzero(below) == 1, (pr.node, tau)
 
 
@@ -208,8 +208,8 @@ def test_permutation_equivariance(problems):
     permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.field,
                            pr.logits)
     # production route: the convex subproblem has a unique optimum
-    a = fit_lambda_path(pr, 0.5, [0.05])
-    b = fit_lambda_path(permuted, 0.5, [0.05])
+    a = fit_lambda_paths([(pr, 0.5)], [0.05])[0]
+    b = fit_lambda_paths([(permuted, 0.5)], [0.05])[0]
     assert b.betas[0] == pytest.approx(a.betas[0][perm], abs=1e-8)
     assert b.intercepts[0] == pytest.approx(a.intercepts[0], abs=1e-8)
     # descent route: the objective is nonsmooth and nonconvex, and runs that
@@ -261,8 +261,8 @@ def test_column_layout_and_order_do_not_steer_arithmetic(problems):
     a = _descent_path(pr, 0.5, [0.2, 0.05])
     b = _descent_path(fortran, 0.5, [0.2, 0.05])
     assert all(_same_fit(ra, rb) for ra, rb in zip(a, b))
-    a = fit_lambda_path(pr, 0.5, [0.2, 0.05])
-    b = fit_lambda_path(fortran, 0.5, [0.2, 0.05])
+    a = fit_lambda_paths([(pr, 0.5)], [0.2, 0.05])[0]
+    b = fit_lambda_paths([(fortran, 0.5)], [0.2, 0.05])[0]
     for name in PATH_FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     a = _descent_path(pr, 0.5, [0.2, 0.05])
@@ -292,7 +292,7 @@ def test_lambda_zero_recovers_single_parent():
     dataset, _ = generate_sample(DgpVariant("main", 1000, 7))
     ds = validate_and_standardize(dataset)
     pr = NodeProblem.build(ds, 1)
-    beta = fit_lambda_path(pr, 0.5, [0.0]).betas[0]
+    beta = fit_lambda_paths([(pr, 0.5)], [0.0])[0].betas[0]
     parent = abs(beta[0])
     rest = np.abs(beta[1:]).max()
     assert parent > 0.2
@@ -314,6 +314,12 @@ def test_penalized_wls_matches_lstsq_at_zero_lambda():
 @given(n=st.integers(12, 60), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        binary_rows=st.booleans(), log10_lam=st.floats(-4.0, np.log10(0.5)),
        penalize_all=st.booleans(), correlated=st.booleans())
+# near-collinear columns on which the plain coordinate descent of the
+# reference had not converged after its 10^5 sweeps
+@example(n=12, m=3, seed=3073244, binary_rows=True, log10_lam=-3.0, penalize_all=False,
+         correlated=True)
+@example(n=38, m=5, seed=57, binary_rows=False, log10_lam=-3.0, penalize_all=False,
+         correlated=True)
 def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_rows,
                                                            log10_lam, penalize_all,
                                                            correlated):
@@ -416,12 +422,12 @@ def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
     t, solvable = inverse_midquantile_targets(pr, tau)
     w = solvable.astype(float)
-    path = fit_lambda_path(pr, tau, lambdas)
+    path = fit_lambda_paths([(pr, tau)], lambdas)[0]
     active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
     assert 0 < active[10] < active[-1]
     for lam, b0, beta, conv in zip(lambdas, path.intercepts, path.betas,
                                    path.converged):
-        cold = fit_lambda_path(pr, tau, [lam])
+        cold = fit_lambda_paths([(pr, tau)], [lam])[0]
         assert conv and cold.converged[0]
         assert np.abs(beta - cold.betas[0]).max() <= 1e-10
         assert abs(b0 - cold.intercepts[0]) <= 1e-10
@@ -435,8 +441,9 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     tau = 0.25
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
     t, solvable = inverse_midquantile_targets(pr, tau)
-    b0s, betas, work, converged = wls_path(pr.X, solvable.astype(float), t, lambdas)
-    path = fit_lambda_path(pr, tau, lambdas)
+    gram = wls_gram(pr.X, solvable.astype(float), t)
+    b0s, betas, work, converged = wls_paths([gram], lambdas)[0]
+    path = fit_lambda_paths([(pr, tau)], lambdas)[0]
     assert np.array_equal(path.intercepts, b0s)
     assert np.array_equal(path.betas, betas)
     assert np.array_equal(path.work, work)
@@ -447,7 +454,7 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     j = 0
     assert ds.schema[j].kind == "continuous"
     y, X = ds.values[:, j], np.delete(ds.values, j, axis=1)
-    b0s, betas, _, converged = wls_path(X, np.ones(ds.n), y, lambdas)
+    b0s, betas, _, converged = wls_paths([wls_gram(X, np.ones(ds.n), y)], lambdas)[0]
     node = fit_glm_lasso_path(y, X, family_for("continuous"), lambdas)
     assert np.array_equal(node.intercepts, b0s)
     assert np.array_equal(node.betas, betas)
@@ -461,6 +468,71 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
         for name in PATH_FIELDS:
             assert not getattr(record, name).flags.writeable, name
             assert np.array_equal(getattr(record, name), getattr(path, name)), name
+
+
+def _batch_problems(seed, P=8, n=40, m=6):
+    """Weighted lasso problems (X, w, z) of equal width on correlated
+    columns: problem 1 has a column flat on its weighted rows, problem 2
+    two identical columns, whose joint active blocks are singular."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for p in range(P):
+        raw = rng.normal(size=(n, 1)) + 0.3 * rng.normal(size=(n, m))
+        X = raw * rng.uniform(0.5, 2.0, m) + rng.normal(size=m)
+        z = X @ (rng.normal(size=m) * rng.binomial(1, 0.6, m)) + rng.normal(size=n)
+        w = rng.uniform(0.2, 2.0, n)
+        if p == 1:
+            w = (rng.random(n) < 0.7).astype(float)
+            X[w > 0, 3] = 0.37
+        if p == 2:
+            X[:, 4] = X[:, 1]
+        problems.append((X, w, z))
+    return problems
+
+
+def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
+    # a batch of paths is bit for bit the paths run alone, through sign
+    # crossings, a flat column, lambda = 0 and a singular active block,
+    # which sends only its own path to the sweeps
+    from qmgm import lasso
+
+    problems = _batch_problems(4)
+    lambdas = np.concatenate([np.exp(np.linspace(np.log(2.0), np.log(1e-3), 12)), [0.0]])
+    grams = [wls_gram(*pr) for pr in problems]
+    alone = [wls_paths([gram], lambdas)[0] for gram in grams]
+    crossings, swept, mixed_singular = [], [], []
+    step, sweeps, stacked = lasso._step_to_crossing, lasso._sweeps, lasso._stacked_solve
+
+    def spy_step(b, active, rows, idx, *args):
+        before = b[rows, idx]
+        step(b, active, rows, idx, *args)
+        crossings.append(int((b[rows, idx] != before).any(axis=1).sum()))
+
+    def spy_sweeps(G, c, *args):
+        swept.append([i for i, gram in enumerate(grams) if np.array_equal(gram[1], c)])
+        return sweeps(G, c, *args)
+
+    def spy_stacked(A, rhs):
+        x = stacked(A, rhs)
+        singular = np.isnan(x).any(axis=1)
+        if singular.any() and len(A) > 1:
+            mixed_singular.append(int(singular.sum()))
+        return x
+
+    monkeypatch.setattr(lasso, "_step_to_crossing", spy_step)
+    monkeypatch.setattr(lasso, "_sweeps", spy_sweeps)
+    monkeypatch.setattr(lasso, "_stacked_solve", spy_stacked)
+    batch = wls_paths(grams, lambdas)
+    # some stacked crossing step moves two paths, each to its own first crossing
+    assert max(crossings) >= 2
+    assert swept and all(found == [2] for found in swept)
+    assert mixed_singular and all(count == 1 for count in mixed_singular)
+    assert len(batch) == len(problems)
+    for i, (got, want) in enumerate(zip(batch, alone)):
+        for name, a, b in zip(PATH_FIELDS, got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)
+    assert not batch[1][1][:, 3].any()
+    assert all(path[3].all() for path in batch)
 
 
 def test_null_fallback_is_the_closed_form_intercept():

@@ -274,13 +274,13 @@ def test_nested_level_grids_fit_each_distinct_path_once(dgp_500, monkeypatch):
     grids = [standard_levels(k) for k in (1, 3, 7)]
     fresh = [fit_qmgm(ds, g, lambdas, problems=build_problems(ds)) for g in grids]
     calls = []
-    real = selection.fit_lambda_path
+    real = selection.fit_lambda_paths
 
-    def counted(problem, tau, *args, **kwargs):
-        calls.append((problem.node, tau))
-        return real(problem, tau, *args, **kwargs)
+    def counted(pairs, *args, **kwargs):
+        calls.extend((problem.node, tau) for problem, tau in pairs)
+        return real(pairs, *args, **kwargs)
 
-    monkeypatch.setattr(selection, "fit_lambda_path", counted)
+    monkeypatch.setattr(selection, "fit_lambda_paths", counted)
     problems = build_problems(ds)
     for grid, want in zip(grids, fresh):
         assert_same_cube(fit_qmgm(ds, grid, lambdas, problems=problems), want)
@@ -295,7 +295,7 @@ def test_pool_filled_paths_serve_a_later_serial_fit(dgp_500, monkeypatch):
     lambdas = default_lambda_grid(count=5)
     problems = build_problems(ds)
     pooled = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems, threads=2)
-    monkeypatch.setattr(selection, "fit_lambda_path", None)   # nothing is refitted
+    monkeypatch.setattr(selection, "fit_lambda_paths", None)   # nothing is refitted
     serial = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
     assert_same_cube(pooled, serial)
     median = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems, threads=2)

@@ -86,7 +86,7 @@ def knn_impute(dataset: Dataset, k: int = 13) -> Dataset:
                 ones = float(np.sum(values[complete, c]))
                 med = 1.0 if ones > complete.size / 2 else 0.0
             values[i, c] = med
-    return Dataset(values, dataset.schema, None, dataset.standardization)
+    return Dataset(values, dataset.schema)
 
 
 def centrality(graph, names=None) -> CentralityReport:
@@ -96,6 +96,17 @@ def centrality(graph, names=None) -> CentralityReport:
     (unnormalized); closeness is scaled by reachable-set size so isolated
     nodes score zero.
     """
+    return _centrality(graph, names, None)
+
+
+def weighted_centrality(graph, names=None) -> CentralityReport:
+    """Centrality with edge distance 1/strength instead of unit lengths."""
+    return _centrality(graph, names, np.asarray(graph.strength, dtype=float))
+
+
+def _centrality(graph, names, strength) -> CentralityReport:
+    """``centrality`` with unit edge lengths when ``strength`` is None, else
+    with edge (j, k) of length 1 / strength[j, k]."""
     import networkx as nx  # imported here: no other qmgm function needs it
 
     adj = _adjacency_of(graph)
@@ -103,33 +114,12 @@ def centrality(graph, names=None) -> CentralityReport:
     names = tuple(names) if names else tuple(f"V{i + 1}" for i in range(p))
     g = nx.Graph()
     g.add_nodes_from(range(p))
-    g.add_edges_from(zip(*np.nonzero(np.triu(adj, 1))))
-    degree = adj.sum(axis=0).astype(int)
-    btw = nx.betweenness_centrality(g, normalized=False)
-    cls = nx.closeness_centrality(g, wf_improved=True)
-    return CentralityReport(tuple(names),
-                            degree,
-                            np.asarray([btw[i] for i in range(p)]),
-                            np.asarray([cls[i] for i in range(p)]))
-
-
-def weighted_centrality(graph, names=None) -> CentralityReport:
-    """Centrality with edge distance 1/strength instead of unit lengths."""
-    import networkx as nx
-
-    adj = _adjacency_of(graph)
-    strength = np.asarray(graph.strength, dtype=float)
-    p = adj.shape[0]
-    names = tuple(names) if names else tuple(f"V{i + 1}" for i in range(p))
-    g = nx.Graph()
-    g.add_nodes_from(range(p))
     for j, k in zip(*np.nonzero(np.triu(adj, 1))):
-        g.add_edge(int(j), int(k), distance=1.0 / strength[j, k])
-    degree = adj.sum(axis=0).astype(int)
-    btw = nx.betweenness_centrality(g, normalized=False, weight="distance")
-    cls = nx.closeness_centrality(g, distance="distance", wf_improved=True)
-    return CentralityReport(tuple(names),
-                            degree,
+        g.add_edge(int(j), int(k), distance=1.0 if strength is None else 1.0 / strength[j, k])
+    weight = None if strength is None else "distance"
+    btw = nx.betweenness_centrality(g, normalized=False, weight=weight)
+    cls = nx.closeness_centrality(g, distance=weight, wf_improved=True)
+    return CentralityReport(names, adj.sum(axis=0).astype(int),
                             np.asarray([btw[i] for i in range(p)]),
                             np.asarray([cls[i] for i in range(p)]))
 

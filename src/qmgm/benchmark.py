@@ -141,18 +141,6 @@ def generate_sample(variant: DgpVariant):
     return Dataset(y, schema), true_graph()
 
 
-def generate_null_sample(n: int, seed: int, n_continuous: int = 3, n_count: int = 3):
-    """Mutually independent columns (edgeless truth) for null-structure checks."""
-    rng = np.random.default_rng(seed)
-    p = n_continuous + n_count
-    cols = [rng.normal(size=n) for _ in range(n_continuous)]
-    cols += [rng.poisson(3.0, size=n).astype(float) for _ in range(n_count)]
-    schema = tuple(
-        VariableSpec(f"V{j + 1}", "continuous" if j < n_continuous else "count")
-        for j in range(p))
-    return Dataset(np.column_stack(cols), schema), TrueGraph(np.zeros((p, p), dtype=bool))
-
-
 @dataclass(frozen=True)
 class RecoveryMetrics:
     """Confusion-based structure recovery scores over unordered node pairs."""

@@ -173,16 +173,19 @@ def _load_document(path) -> GraphDocument:
         raise DataError(f"no such file: {path}") from None
 
 
+def _aligned_adjacencies(first_path, second_path):
+    """Adjacencies of two graph documents over the same node set, both in
+    the first document's node order."""
+    first, second = _load_document(first_path), _load_document(second_path)
+    order, names = first.node_names(), second.node_names()
+    if set(order) != set(names):
+        raise DataError("graphs name different node sets")
+    perm = [names.index(nm) for nm in order]
+    return first.adjacency(), second.adjacency()[np.ix_(perm, perm)]
+
+
 def _cmd_metrics(args) -> int:
-    truth = _load_document(args.truth)
-    estimate = _load_document(args.estimate)
-    if set(truth.node_names()) != set(estimate.node_names()):
-        raise DataError("truth and estimate name different node sets")
-    order = truth.node_names()
-    est_adj = estimate.adjacency()
-    perm = [estimate.node_names().index(nm) for nm in order]
-    est_adj = est_adj[np.ix_(perm, perm)]
-    m = confusion_metrics(truth.adjacency(), est_adj)
+    m = confusion_metrics(*_aligned_adjacencies(args.truth, args.estimate))
     lines = ["metric,value"]
     for name in ("precision", "tpr", "fpr", "f1", "mcc", "accuracy"):
         lines.append(f"{name},{getattr(m, name):.12g}")
@@ -204,14 +207,7 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_hamming(args) -> int:
-    first = _load_document(args.first)
-    second = _load_document(args.second)
-    if set(first.node_names()) != set(second.node_names()):
-        raise DataError("graphs name different node sets")
-    order = first.node_names()
-    perm = [second.node_names().index(nm) for nm in order]
-    adj2 = second.adjacency()[np.ix_(perm, perm)]
-    value = hamming_distance(first.adjacency(), adj2)
+    value = hamming_distance(*_aligned_adjacencies(args.first, args.second))
     _write_text(args.output, f"{value:.12g}\n")
     return 0
 

@@ -166,7 +166,6 @@ class Dataset:
     values: np.ndarray
     schema: tuple
     missing_mask: np.ndarray | None = None
-    standardization: tuple | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -185,8 +184,6 @@ class Dataset:
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "missing_mask", _readonly(mask))
-        if self.standardization is not None:
-            object.__setattr__(self, "standardization", tuple(self.standardization))
 
     @property
     def n(self) -> int:
@@ -253,22 +250,22 @@ def quantile_loss(u, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def derive_threshold_grid(values: np.ndarray, max_thresholds: int = MAX_THRESHOLDS) -> np.ndarray:
+def derive_threshold_grid(values: np.ndarray) -> np.ndarray:
     """Ordered distinct values of a column, thinned to at most
-    ``max_thresholds`` points at equally spaced empirical percentiles.
+    MAX_THRESHOLDS points at equally spaced empirical percentiles.
 
     Thinned grids keep actual observed values (lower-interpolation
     percentiles) so the grid stays inside the observed range.
     """
     distinct = np.unique(np.asarray(values, dtype=float))
-    if distinct.size <= max_thresholds:
+    if distinct.size <= MAX_THRESHOLDS:
         return distinct
-    qs = np.linspace(0.0, 1.0, max_thresholds)
+    qs = np.linspace(0.0, 1.0, MAX_THRESHOLDS)
     grid = np.quantile(np.asarray(values, dtype=float), qs, method="lower")
     return np.unique(grid)
 
 
-def validate_and_standardize(raw: Dataset, max_thresholds: int = MAX_THRESHOLDS) -> Dataset:
+def validate_and_standardize(raw: Dataset) -> Dataset:
     """Validate a raw dataset and return the modelling-ready version.
 
     Continuous columns are centered and scaled to unit standard deviation
@@ -282,7 +279,6 @@ def validate_and_standardize(raw: Dataset, max_thresholds: int = MAX_THRESHOLDS)
     values = np.array(raw.values, copy=True)
     mask = raw.missing_mask
     new_schema = []
-    record = []
     for j, spec in enumerate(raw.schema):
         obs = ~mask[:, j]
         col = values[obs, j]
@@ -295,20 +291,14 @@ def validate_and_standardize(raw: Dataset, max_thresholds: int = MAX_THRESHOLDS)
         if spec.kind == "binary":
             if not set(np.unique(col)).issubset({0.0, 1.0}):
                 raise DataError(f"binary column {spec.name!r} has values outside {{0, 1}}")
-            record.append(None)
         elif spec.kind == "count":
             if np.any(col < 0):
                 raise DataError(f"count column {spec.name!r} has negative values")
-            record.append(None)
         else:
-            center = float(np.mean(col))
-            scale = float(np.std(col))
-            values[obs, j] = (col - center) / scale
-            col = values[obs, j]
-            record.append((center, scale))
-        grid = derive_threshold_grid(col, max_thresholds)
-        new_schema.append(spec.with_grid(grid))
-    return Dataset(values, tuple(new_schema), mask, tuple(record))
+            col = (col - np.mean(col)) / np.std(col)
+            values[obs, j] = col
+        new_schema.append(spec.with_grid(derive_threshold_grid(col)))
+    return Dataset(values, tuple(new_schema), mask)
 
 
 def _check_lambda_grid(lambdas) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""File formats: schema files, CSV datasets, graph documents and dot export.
+"""File formats: schema files, CSV datasets, graph documents and dot rendering.
 
 Schema files are plain text, one variable per non-comment line:
 
@@ -69,8 +69,6 @@ def load_csv(path, schema, missing_token: str = DEFAULT_MISSING_TOKEN) -> Datase
     columns follow the file order).  Cells equal to the missing token are
     masked; anything else must parse as a number.
     """
-    if isinstance(schema, (str, bytes)) or hasattr(schema, "__fspath__"):
-        schema = load_schema(schema)
     by_name = {s.name: s for s in schema}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -158,12 +156,25 @@ class GraphDocument:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid graph document: {exc}") from None
-        if payload.get("format") != GRAPH_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != GRAPH_FORMAT:
             raise DataError("not a graph document")
         if payload.get("version") != GRAPH_FORMAT_VERSION:
             raise DataError(f"unsupported graph document version "
                             f"{payload.get('version')!r}")
-        return cls(payload["nodes"], payload["edges"], payload.get("meta", {}))
+        nodes, edges = payload.get("nodes"), payload.get("edges")
+        if not (isinstance(nodes, list) and all(
+                isinstance(v, dict) and isinstance(v.get("name"), str) for v in nodes)):
+            raise DataError("graph document nodes must be a list of objects with string names")
+        names = {v["name"] for v in nodes}
+        if len(names) != len(nodes):
+            raise DataError("graph document names a node twice")
+        if not (isinstance(edges, list) and all(
+                isinstance(e, dict) and all(isinstance(e.get(end), str) and e[end] in names
+                                            for end in ("source", "target"))
+                for e in edges)):
+            raise DataError("graph document edges must be objects whose source "
+                            "and target name nodes")
+        return cls(nodes, edges, payload.get("meta", {}))
 
     @classmethod
     def load(cls, path) -> "GraphDocument":
@@ -194,12 +205,15 @@ class GraphDocument:
         for e in self.edges:
             a, b = index[e["source"]], index[e["target"]]
             adj[a, b] = adj[b, a] = True
-            strength[a, b] = strength[b, a] = e["strength"]
-            sign[a, b] = sign[b, a] = SIGN_CODES[e["sign"]]
-            tau = e.get("tau")
-            prov_tau[a, b] = prov_tau[b, a] = np.nan if tau is None else tau
-            att = e.get("attained_by")
-            attained[a, b] = attained[b, a] = index.get(att, -1)
+            try:
+                strength[a, b] = strength[b, a] = e["strength"]
+                sign[a, b] = sign[b, a] = SIGN_CODES[e["sign"]]
+                tau = e.get("tau")
+                prov_tau[a, b] = prov_tau[b, a] = np.nan if tau is None else tau
+                attained[a, b] = attained[b, a] = index.get(e.get("attained_by"), -1)
+            except (KeyError, TypeError, ValueError):
+                raise DataError(f"edge {e['source']} -- {e['target']} needs a numeric strength "
+                                "and tau, and a positive, negative or undefined sign") from None
         return EstimatedGraph(adj, strength, sign, prov_tau, attained)
 
 
@@ -267,16 +281,10 @@ def render_dot(doc: GraphDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_graph(doc: GraphDocument, path, fmt: str = "json-doc"):
-    """Write a graph document as 'json-doc' or 'dot'."""
-    if fmt == "json-doc":
-        text = doc.to_json()
-    elif fmt == "dot":
-        text = render_dot(doc)
-    else:
-        raise DataError(f"unknown export format {fmt!r}")
+def export_graph(doc: GraphDocument, path):
+    """Write a graph document as JSON (``render_dot`` gives the dot text)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(doc.to_json())
 
 
 def write_rows_csv(rows, fieldnames, path):

@@ -57,8 +57,7 @@ def wls_paths(grams, lambdas):
     work, converged = np.zeros((P, M), dtype=int), np.zeros((P, M), dtype=bool)
     beta = np.zeros((P, m))
     for i, lam in enumerate(lambdas):
-        work[:, i], converged[:, i] = _solves(G, c, ok, beta, np.full((P, m), float(lam)),
-                                              WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+        work[:, i], converged[:, i] = _solves(G, c, ok, beta, np.full((P, m), float(lam)))
         betas[:, i] = beta
         # one dot product per path, as zbar - xbar @ beta alone
         intercepts[:, i] = zbar - np.matmul(xbar[:, None, :], beta[:, :, None])[:, 0, 0]
@@ -85,18 +84,17 @@ def wls_gram(X, w, z):
     return G, c, ok, xbar, zbar
 
 
-def lasso_solve(G, c, ok, beta, thr, max_sweeps, tol):
+def lasso_solve(G, c, ok, beta, thr):
     """Minimize (1/2) b'Gb - c'b + sum_k thr_k |b_k| over b with b_k = 0
     outside ``ok``, starting from beta, which is overwritten with the
     solution.  Returns (work, converged): linear solves plus fallback
     sweeps, and whether the KKT residual is at most WLS_KKT_TOL *
     max(1, max |c|)."""
-    work, converged = _solves(G[None], c[None], ok[None], beta[None], thr[None],
-                              max_sweeps, tol)
+    work, converged = _solves(G[None], c[None], ok[None], beta[None], thr[None])
     return int(work[0]), bool(converged[0])
 
 
-def _solves(G, c, ok, beta, thr, max_sweeps, tol):
+def _solves(G, c, ok, beta, thr):
     """``lasso_solve`` for P problems at once: G (P, m, m), c, ok, beta and
     thr (P, m).  Overwrites beta; returns work and converged (P,).  Only
     the problems the active set leaves uncertified run the sweeps, each
@@ -106,7 +104,7 @@ def _solves(G, c, ok, beta, thr, max_sweeps, tol):
     work, converged = _active_set(G, c, ok, b, thr, kkt_tol)
     np.copyto(beta, b, where=converged[:, None])
     for p in np.nonzero(~converged)[0]:
-        work[p] += _sweeps(G[p], c[p], ok[p], beta[p], thr[p], max_sweeps, tol)
+        work[p] += _sweeps(G[p], c[p], ok[p], beta[p], thr[p])
         gap = _kkt_gap(c[p] - G[p] @ beta[p], thr[p], beta[p])
         converged[p] = gap[ok[p]].max(initial=0.0) <= kkt_tol[p]
     return work, converged
@@ -225,10 +223,11 @@ def _step_to_crossing(b, active, rows, idx, x, cross, sA):
     active[rows, idx] = ~gone
 
 
-def _sweeps(G, c, ok, beta, thr, max_sweeps, tol):
+def _sweeps(G, c, ok, beta, thr):
     """Coordinate descent over plain Python floats with a running G beta
     (soft-threshold updates), overwriting beta; stops when no slope moves
-    by tol or more.  Returns the number of sweeps."""
+    by WLS_SWEEP_TOL or more, or after WLS_SWEEP_MAX sweeps (both read at
+    each call).  Returns the number of sweeps."""
     m = c.size
     diag = np.where(ok, np.diag(G), 0.0).tolist()
     Gb = (G @ beta).tolist()
@@ -236,7 +235,7 @@ def _sweeps(G, c, ok, beta, thr, max_sweeps, tol):
     thresholds = thr.tolist()
     b = beta.tolist()
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, WLS_SWEEP_MAX + 1):
         delta = 0.0
         for k in range(m):
             old = b[k]
@@ -255,7 +254,7 @@ def _sweeps(G, c, ok, beta, thr, max_sweeps, tol):
                 b[k] = new
                 if abs(step) > delta:
                     delta = abs(step)
-        if delta < tol:
+        if delta < WLS_SWEEP_TOL:
             break
     beta[:] = b
     return sweeps

@@ -91,15 +91,9 @@ def rearrange_monotone(values):
     return np.sort(values, axis=-1)
 
 
-def fit_threshold_logits(dataset: Dataset, node: int) -> ThresholdLogitSet:
-    """One logistic regression per threshold of the given node (the
-    single-node case of ``fit_all_threshold_logits``)."""
-    return fit_all_threshold_logits(dataset, (node,))[0]
-
-
-def fit_all_threshold_logits(dataset: Dataset, nodes=None) -> list:
-    """Threshold logits of the given nodes (default: every node), fitted in
-    one stacked Newton solve; one ThresholdLogitSet per node, in order.
+def fit_threshold_logits(dataset: Dataset) -> list:
+    """Threshold logits of every node, fitted in one stacked Newton solve;
+    one ThresholdLogitSet per node, in order.
 
     The dataset must be validated (threshold grids present) and free of
     missing values.  Every (node, threshold) pair is one row of the stack,
@@ -111,10 +105,8 @@ def fit_all_threshold_logits(dataset: Dataset, nodes=None) -> list:
     """
     if dataset.has_missing():
         raise DataError("threshold fits require imputed (non-missing) data")
-    nodes = range(dataset.p) if nodes is None else nodes
     grids = []
-    for j in nodes:
-        spec = dataset.schema[j]
+    for j, spec in enumerate(dataset.schema):
         if spec.threshold_grid is None:
             raise DataError(f"column {spec.name!r} has no threshold grid; validate first")
         if spec.threshold_grid.size < 2:
@@ -133,8 +125,8 @@ def fit_all_threshold_logits(dataset: Dataset, nodes=None) -> list:
 
 def _fit_threshold_logits_arrays(node, y, X, z) -> ThresholdLogitSet:
     """Threshold logits of response y on the design [1, X], no column
-    pinned (the stacked solve of ``fit_all_threshold_logits`` for one
-    node whose predictors are already split off)."""
+    pinned (the stacked solve of ``fit_threshold_logits`` for one node
+    whose predictors are already split off)."""
     T, (degen,) = _indicators([(y, z)])
     coefs, converged = _stacked_newton(_design(X), T)
     return _logit_set(node, z, degen, coefs, converged)

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataError, Dataset, LambdaPath, _check_lambda_grid,
-                   _one_blas_thread, _readonly)
-from .lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_paths
+from .core import (DataError, LambdaPath, _check_lambda_grid, _readonly,
+                   derive_threshold_grid)
+from .lasso import lasso_solve, wls_gram, wls_paths
 from .midcdf import (MidCdfField, ThresholdLogitSet, _fit_threshold_logits_arrays,
-                     build_field, fit_all_threshold_logits, marginal_mid_quantile)
+                     build_field, marginal_mid_quantile)
 
 
 def _link_forward(value: float, link: str) -> float:
@@ -79,39 +79,10 @@ class NodeProblem:
         return self.X.shape[1]
 
     @classmethod
-    def build(cls, dataset: Dataset, node: int) -> "NodeProblem":
-        """Run the threshold-logit step for one node of a validated dataset
-        (the single-node case of ``build_all``)."""
-        return cls.build_all(dataset, (node,))[0]
-
-    @classmethod
-    def build_all(cls, dataset: Dataset, nodes=None) -> list:
-        """Run the threshold-logit step for the given nodes (default: every
-        node) of a validated dataset, in one stacked solve.
-
-        It runs on one BLAS thread: a threaded OpenBLAS product rounds
-        differently from a single-threaded one, and the step must give the
-        same bits in a serial run and in a replication worker of a process
-        pool, whose BLAS is pinned to one thread (see
-        ``selection._pool_map``).
-        """
-        values = dataset.values
-        problems = []
-        with _one_blas_thread():
-            for logits in fit_all_threshold_logits(dataset, nodes):
-                j = logits.node
-                X = np.delete(values, j, axis=1)
-                problems.append(cls(j, values[:, j], X, dataset.schema[j].link,
-                                    build_field(logits, X), logits))
-        return problems
-
-    @classmethod
-    def marginal(cls, sample, link: str = "identity", max_thresholds: int = 100) -> "NodeProblem":
+    def marginal(cls, sample, link: str = "identity") -> "NodeProblem":
         """Intercept-only problem for a bare sample (no predictors)."""
-        from .core import derive_threshold_grid
-
         y = np.asarray(sample, dtype=float)
-        grid = derive_threshold_grid(y, max_thresholds)
+        grid = derive_threshold_grid(y)
         if grid.size < 2:
             raise DataError("sample needs at least two distinct values")
         X = np.zeros((y.size, 0))
@@ -138,8 +109,7 @@ def penalized_wls(X, w, z, b0, beta, lam):
         beta[:] = 0.0
         return b0, beta, 0, True
     G, c, ok, xbar, zbar = gram
-    work, converged = lasso_solve(G, c, ok, beta, np.full(X.shape[1], float(lam)),
-                                  WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+    work, converged = lasso_solve(G, c, ok, beta, np.full(X.shape[1], float(lam)))
     return zbar - float(xbar @ beta), beta, work, converged
 
 

@@ -13,6 +13,7 @@ from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_UNDEFINED,
                    _check_lambda_grid, _check_tolerance, _one_blas_thread,
                    _pin_blas_threads, quantile_loss)
+from .midcdf import build_field, fit_threshold_logits
 from .penalized import NodeProblem, fit_lambda_paths
 
 BIC_EPS_GUARD = 1e-12
@@ -52,9 +53,24 @@ CRITERION_NAMES = ("aic", "bic", "bicp", "bic2p", "bic3p")
 
 
 def build_problems(dataset: Dataset) -> list:
-    """Run the mid-CDF step for every node in one stacked solve (shareable
-    across level grids)."""
-    return NodeProblem.build_all(dataset)
+    """Run the threshold-logit step for every node of a validated dataset
+    in one stacked solve: one ``NodeProblem`` per node, in order, which
+    several level grids can share.
+
+    It runs on one BLAS thread: a threaded OpenBLAS product rounds
+    differently from a single-threaded one, and the step must give the
+    same bits in a serial run and in a replication worker of a process
+    pool, whose BLAS is pinned to one thread (see ``_pool_map``).
+    """
+    values = dataset.values
+    problems = []
+    with _one_blas_thread():
+        for logits in fit_threshold_logits(dataset):
+            j = logits.node
+            X = np.delete(values, j, axis=1)
+            problems.append(NodeProblem(j, values[:, j], X, dataset.schema[j].link,
+                                        build_field(logits, X), logits))
+    return problems
 
 
 def _pool_map(fn, tasks, threads: int) -> list:
@@ -66,7 +82,7 @@ def _pool_map(fn, tasks, threads: int) -> list:
     OpenBLAS helper threads spin and take the cores the workers need.  The
     parent's count is restored on exit, also when a task raises.  Stage 1
     never runs in the node pool: it runs once per dataset over all nodes
-    in the calling process, on one BLAS thread (``NodeProblem.build_all``),
+    in the calling process, on one BLAS thread (``build_problems``),
     and the node pool fits lambda paths only.
     """
     if threads < 1:

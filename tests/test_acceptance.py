@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from qmgm.benchmark import (DgpVariant, default_lambda_grid, generate_null_sample,
-                            confusion_metrics, generate_sample, pair_counts,
-                            roc_curve, run_replications, TrueGraph)
+from qmgm.benchmark import (DgpVariant, default_lambda_grid, confusion_metrics,
+                            generate_sample, pair_counts, roc_curve, run_replications,
+                            TrueGraph)
 from qmgm.cli import main as cli_main
 from qmgm.core import Dataset, EstimatedGraph, validate_and_standardize
 from qmgm.midcdf import marginal_mid_quantile
@@ -25,6 +25,7 @@ from bruteforce import (auc_oracle, hamming_oracle, metrics_oracle,
                         mid_quantile_oracle, pair_counts_oracle)
 from descent import (NodeFitConfig, fit_node_quantile, lambda_max, smooth_gradient,
                      soft_threshold)
+from test_benchmark import generate_null_sample
 
 TABLE_LEARNERS = ("qmgm1", "qmgm3", "qmgm7", "mgm")
 
@@ -146,7 +147,7 @@ def test_criterion_6_optimizer_property_suite(acceptance_problems):
     from test_penalized import _fd_gradient, _off_knot
     fd_checked = 0
     for node, margin in ((0, 1e-4), (4, 1e-4), (6, 1e-3)):
-        pr = NodeProblem.build(small, node)
+        pr = build_problems(small)[node]
         tries = 0
         found = 0
         while found < 4 and tries < 500:

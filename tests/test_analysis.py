@@ -145,6 +145,18 @@ def test_weighted_centrality_runs():
     assert rep.betweenness[1] == pytest.approx(1.0)
 
 
+def test_weighted_centrality_with_unit_strengths_is_unweighted():
+    from qmgm.core import EstimatedGraph, SIGN_POSITIVE
+    adj = adj_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)])
+    sign = np.where(adj, SIGN_POSITIVE, 0).astype(np.int8)
+    g = EstimatedGraph(adj, adj.astype(float), sign, np.full((6, 6), np.nan),
+                       np.full((6, 6), -1))
+    weighted, plain = weighted_centrality(g, names="abcdef"), centrality(g, names="abcdef")
+    assert weighted.names == plain.names == tuple("abcdef")
+    for field in ("degree", "betweenness", "closeness"):
+        assert np.array_equal(getattr(weighted, field), getattr(plain, field)), field
+
+
 def test_hamming_examples():
     g = adj_from_edges(5, [(0, 1), (2, 4)])
     assert hamming_distance(g, g) == 0.0

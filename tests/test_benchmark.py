@@ -5,13 +5,12 @@ import pytest
 from scipy import special, stats
 
 from qmgm.benchmark import (DgpVariant, LearnerConfig, TrueGraph,
-                            confusion_metrics, default_lambda_grid,
-                            generate_null_sample, generate_sample,
+                            confusion_metrics, default_lambda_grid, generate_sample,
                             metrics_from_counts, pair_counts,
                             poisson_quantile, roc_curve, run_replications,
                             true_graph)
-from qmgm.core import (DataError, Dataset, EstimatedGraph, _blas_thread_controls,
-                       validate_and_standardize)
+from qmgm.core import (DataError, Dataset, EstimatedGraph, VariableSpec,
+                       _blas_thread_controls, validate_and_standardize)
 from qmgm.selection import build_problems
 
 from bruteforce import auc_oracle, metrics_oracle, pair_counts_oracle
@@ -325,6 +324,17 @@ def test_run_replications_rejects_bad_lambda_grid_before_running(lambdas, messag
     with pytest.raises(DataError, match=message):
         run_replications(["mgm", "qmgm1"], DgpVariant("main", 60, 1), 2,
                          lambdas=lambdas, sample_fn=_constant_column_sample)
+
+
+def generate_null_sample(n: int, seed: int):
+    """Three normal and three Poisson columns, mutually independent, and
+    their edgeless truth: a sample for null-structure checks."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.normal(size=n) for _ in range(3)]
+    cols += [rng.poisson(3.0, size=n).astype(float) for _ in range(3)]
+    schema = tuple(VariableSpec(f"V{j + 1}", "continuous" if j < 3 else "count")
+                   for j in range(6))
+    return Dataset(np.column_stack(cols), schema), TrueGraph(np.zeros((6, 6), dtype=bool))
 
 
 def test_null_sample_properties():

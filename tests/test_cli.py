@@ -338,6 +338,38 @@ def test_weighted_centrality_command(tmp_path, capsys):
     assert out[1:] == ["a,1,0,1", f"b,2,1,{2 / 1.5:.12g}", f"c,1,0,{2 / 2.5:.12g}"]
 
 
+def _document_text(edges, names=("a", "b")):
+    doc = document_from_adjacency(list(names), np.zeros((len(names),) * 2, bool))
+    doc.edges = edges
+    return doc.to_json()
+
+
+EDGE = {"source": "a", "target": "b", "strength": 1.0, "sign": "positive",
+        "tau": None, "attained_by": None}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("centrality", '{"format": "qmgm-graph", "version": 1}'),
+    ("metrics", "[1, 2]"),
+    ("metrics", _document_text([dict(EDGE, target="zz")])),
+    ("hamming", _document_text([dict(EDGE, source="zz")])),
+    ("hamming", _document_text([], names=("a", "b", "a"))),
+    ("centrality", _document_text([dict(EDGE, sign="sideways")])),
+    ("centrality", _document_text([dict(EDGE, strength="x")])),
+    ("centrality", _document_text([{k: v for k, v in EDGE.items() if k != "strength"}])),
+], ids=["no_nodes", "not_an_object", "metrics_unknown_node", "hamming_unknown_node",
+        "duplicate_node", "unknown_sign", "text_strength", "no_strength"])
+def test_malformed_graph_document_is_a_data_error(tmp_path, capsys, command, text):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(_document_text([EDGE]), encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
+    argv = {"centrality": ["centrality", str(bad)],
+            "metrics": ["metrics", "--truth", str(good), "--estimate", str(bad)],
+            "hamming": ["hamming", str(good), str(bad)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("qmgm: data error: ")
+
+
 def test_impute_command(tmp_path):
     schema = tmp_path / "s.txt"
     schema.write_text("a continuous\nb count\n", encoding="utf-8")

@@ -47,8 +47,6 @@ def test_standardize_continuous_column():
     col = out.values[:, 0]
     assert abs(col.mean()) < 1e-8
     assert abs(col.std() - 1.0) < 1e-8
-    assert out.standardization[0] is not None
-    assert out.standardization[1] is None
 
 
 def test_binary_column_untouched_with_grid():
@@ -111,11 +109,11 @@ def test_standardize_skips_missing_entries():
 def test_threshold_grid_cap_and_range():
     rng = np.random.default_rng(1)
     vals = rng.normal(size=5000)
-    grid = derive_threshold_grid(vals, 100)
+    grid = derive_threshold_grid(vals)
     assert grid.size <= 100
     assert np.all(np.diff(grid) > 0)
     assert grid[0] == vals.min() and grid[-1] == vals.max()
-    small = derive_threshold_grid(np.array([3.0, 1.0, 1.0, 2.0]), 100)
+    small = derive_threshold_grid(np.array([3.0, 1.0, 1.0, 2.0]))
     assert np.array_equal(small, [1.0, 2.0, 3.0])
 
 

@@ -106,7 +106,7 @@ def test_path_objectives_nonincreasing_in_lambda(tiny_mixed):
 
 def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
     # the fallback sweeps, reached through an active set that never
-    # certifies, so that max_sweeps caps every solve
+    # certifies, so that WLS_SWEEP_MAX caps every solve
     from qmgm import lasso
 
     monkeypatch.setattr(lasso, "_active_set",
@@ -125,9 +125,9 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
     G, c, ok, xbar, ybar = lasso.wls_gram(X, w, y)
     vals = []
     for sweeps in range(1, 8):
+        monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", sweeps)
         beta = np.zeros(X.shape[1])
-        lasso.lasso_solve(G, c, ok, beta, lam * np.ones(X.shape[1]), sweeps,
-                          lasso.WLS_SWEEP_TOL)
+        lasso.lasso_solve(G, c, ok, beta, lam * np.ones(X.shape[1]))
         b0 = ybar - float(xbar @ beta)
         vals.append(objective(b0, beta))
     assert all(v1 <= v0 + 1e-12 for v0, v1 in zip(vals, vals[1:]))

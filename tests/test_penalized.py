@@ -14,7 +14,7 @@ from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                        VariableSpec, validate_and_standardize)
 from qmgm import penalized
-from qmgm.lasso import WLS_SWEEP_MAX, WLS_SWEEP_TOL, lasso_solve, wls_gram, wls_paths
+from qmgm.lasso import lasso_solve, wls_gram, wls_paths
 from qmgm.mgm import family_for, fit_glm_lasso_path, fit_mgm
 from qmgm.midcdf import MidCdfField, marginal_mid_quantile
 from qmgm.penalized import (NodeProblem, fit_lambda_paths,
@@ -116,7 +116,7 @@ def test_gradient_matches_finite_differences(dgp_500):
     small = validate_and_standardize(
         Dataset(ds.values[sub], ds.schema, ds.missing_mask[sub]))
     for node, margin in ((0, 1e-4), (4, 1e-4), (6, 1e-3)):
-        pr = NodeProblem.build(small, node)
+        pr = build_problems(small)[node]
         checked = 0
         tries = 0
         while checked < 3:
@@ -291,7 +291,7 @@ def test_lambda_zero_recovers_single_parent():
     # fit at the median should put its weight there
     dataset, _ = generate_sample(DgpVariant("main", 1000, 7))
     ds = validate_and_standardize(dataset)
-    pr = NodeProblem.build(ds, 1)
+    pr = build_problems(ds)[1]
     beta = fit_lambda_paths([(pr, 0.5)], [0.0])[0].betas[0]
     parent = abs(beta[0])
     rest = np.abs(beta[1:]).max()
@@ -342,7 +342,7 @@ def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_ro
         cw[0] = 0.0
     G, c, ok, xbar, zbar = wls_gram(X, w, z)
     beta = np.zeros(m)
-    _, conv = lasso_solve(G, c, ok, beta, lam * cw, WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+    _, conv = lasso_solve(G, c, ok, beta, lam * cw)
     b0 = zbar - float(xbar @ beta)
     # the residual-form reference crawls when a column's mean dwarfs its spread
     rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.3, np.zeros(m), lam, cw,
@@ -395,7 +395,7 @@ def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
         calls.clear()
         G, c, ok, xbar, zbar = wls_gram(X, w, z)
         beta = np.zeros(m)
-        _, conv = lasso_solve(G, c, ok, beta, lam * cw, WLS_SWEEP_MAX, WLS_SWEEP_TOL)
+        _, conv = lasso_solve(G, c, ok, beta, lam * cw)
         b0 = zbar - float(xbar @ beta)
         assert calls, lam
         rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.0, np.zeros(m),
@@ -546,7 +546,7 @@ def test_null_fallback_is_the_closed_form_intercept():
               VariableSpec("b1", "binary"))
     ds = validate_and_standardize(Dataset(values, schema))
     cube = fit_qmgm(ds, QuantileGrid((0.125, 0.5)), [0.5, 0.1, 0.01])
-    pr = NodeProblem.build(ds, 2)
+    pr = build_problems(ds)[2]
     _, solvable = inverse_midquantile_targets(pr, 0.125)
     assert not solvable.any()
     start = penalized._link_forward(marginal_mid_quantile(pr.y, 0.125), pr.link)

@@ -76,3 +76,103 @@ def test_every_public_def_is_named_in_the_package():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(SOURCE.glob("*.py"))}
     assert unnamed_public_defs(trees) == []
+
+
+# Defaulted parameters that no call in the package sets, kept on purpose.
+UNSET_DEFAULTS_ALLOWED = {
+    ("cli.py", "main", "argv"): "None reads sys.argv; the tests pass their own argv",
+    ("benchmark.py", "run_replications", "criteria"):
+        "every criterion by default; the tests score fewer to stay fast",
+    ("benchmark.py", "run_replications", "sample_fn"):
+        "the generator by default; the tests swap in edge-case samples",
+    ("penalized.py", "NodeProblem.marginal", "link"):
+        "identity by default; the tests also fit a logit-link marginal",
+}
+
+
+def _callee_names(func) -> set:
+    """Names a call's function expression may resolve to: f(...), obj.f(...)
+    and (f if c else g)(...)."""
+    if isinstance(func, ast.Name):
+        return {func.id}
+    if isinstance(func, ast.Attribute):
+        return {func.attr}
+    if isinstance(func, ast.IfExp):
+        return _callee_names(func.body) | _callee_names(func.orelse)
+    return set()
+
+
+def _defaulted_params(tree: ast.Module):
+    """(qualified name, name, positional offset, {defaulted parameter:
+    positional index, or None for keyword-only}) of every function and
+    method with a default.  A method called on an object or class binds
+    its first parameter, so its call arguments start one position later:
+    that is the offset."""
+    out = []
+
+    def visit(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = [x.arg for x in a.posonlyargs + a.args]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                offset = 1 if in_class and not static else 0
+                defaulted = {x: i for i, x in enumerate(positional)
+                             if i >= len(positional) - len(a.defaults)}
+                defaulted.update({x.arg: None for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                                  if d is not None})
+                if defaulted:
+                    out.append((f"{prefix}{node.name}", node.name, offset, defaulted))
+                visit(node.body, f"{prefix}{node.name}.", False)
+
+    visit(tree.body, "", False)
+    return out
+
+
+def unset_defaults(trees: dict) -> list:
+    """(file, function, parameter) for every defaulted parameter of a
+    function or method in ``trees`` (file name -> parsed source) that no
+    call in ``trees`` passes, by keyword or by position.  A call that
+    splats ``*args`` or ``**kwargs`` counts as passing every parameter."""
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                for name in _callee_names(n.func):
+                    calls.setdefault(name, []).append(n)
+    found = []
+    for file, tree in trees.items():
+        for qualname, name, offset, defaulted in _defaulted_params(tree):
+            for param, index in defaulted.items():
+                def sets(call):
+                    if any(isinstance(a, ast.Starred) for a in call.args):
+                        return True
+                    if any(k.arg is None or k.arg == param for k in call.keywords):
+                        return True
+                    return index is not None and len(call.args) > index - offset
+                if not any(sets(call) for call in calls.get(name, [])):
+                    found.append((file, qualname, param))
+    return sorted(found)
+
+
+def test_unset_defaults_are_found():
+    trees = {"a.py": ast.parse("def f(x, y=1, *, z=2):\n    pass\n"
+                               "class C:\n    def m(self, u=0, v=0):\n        pass\n"
+                               "    @staticmethod\n    def s(w=0):\n        pass\n"
+                               "def g(q=0):\n    pass\n"
+                               "def h(r=0):\n    pass\n"),
+             "b.py": ast.parse("f(0, 5)\nC().m(1)\nC.s(3)\n"
+                               "(g if t else h)(q=1)\nf(*xs)\n")}
+    assert unset_defaults(trees) == [("a.py", "C.m", "v"), ("a.py", "h", "r")]
+
+
+def test_every_default_is_set_in_the_package():
+    # an option that only tests set is an option production never uses
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SOURCE.glob("*.py"))}
+    unset = [key for key in unset_defaults(trees) if key not in UNSET_DEFAULTS_ALLOWED]
+    assert unset == []
+    assert set(UNSET_DEFAULTS_ALLOWED) <= set(unset_defaults(trees))

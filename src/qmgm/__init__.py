@@ -3,8 +3,8 @@ variables via penalized mid-quantile neighborhood regressions."""
 
 from .analysis import CentralityReport, centrality, hamming_distance, knn_impute
 from .benchmark import (BenchmarkRun, DgpVariant, LearnerConfig, RecoveryMetrics,
-                        TrueGraph, confusion_metrics, default_lambda_grid,
-                        generate_sample, roc_curve, run_replications, true_graph)
+                        confusion_metrics, default_lambda_grid, generate_sample,
+                        roc_curve, run_replications, true_graph)
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    LambdaPath, NumericalError, QuantileGrid, VariableSpec,
                    quantile_loss, standard_levels, validate_and_standardize)

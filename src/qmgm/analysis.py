@@ -124,11 +124,25 @@ def _centrality(graph, names, strength) -> CentralityReport:
                             np.asarray([cls[i] for i in range(p)]))
 
 
+def pair_counts(truth, estimate):
+    """(tp, fp, tn, fn) over the p(p-1)/2 unordered node pairs."""
+    t = _adjacency_of(truth)
+    e = _adjacency_of(estimate)
+    if t.shape != e.shape:
+        raise DataError("graphs must have the same number of nodes")
+    iu = np.triu_indices(t.shape[0], 1)
+    t, e = t[iu], e[iu]
+    tp = int(np.sum(t & e))
+    fp = int(np.sum(~t & e))
+    tn = int(np.sum(~t & ~e))
+    fn = int(np.sum(t & ~e))
+    return tp, fp, tn, fn
+
+
 def hamming_distance(g1, g2) -> float:
     """Fraction of unordered node pairs whose edge indicators disagree."""
-    a = _adjacency_of(g1)
-    b = _adjacency_of(g2)
-    if a.shape != b.shape:
-        raise DataError("graphs must have the same number of nodes")
-    iu = np.triu_indices(a.shape[0], 1)
-    return float(np.mean(a[iu] != b[iu]))
+    tp, fp, tn, fn = pair_counts(g1, g2)
+    pairs = tp + fp + tn + fn
+    if pairs == 0:
+        raise DataError("hamming distance needs at least two nodes")
+    return (fp + fn) / pairs

@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .analysis import _adjacency_of
+from .analysis import pair_counts
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    VariableSpec, _check_lambda_grid, _check_tolerance, _readonly,
                    standard_levels, validate_and_standardize)
@@ -29,29 +29,6 @@ from .selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
 # Dependency structure of the generator: node -> parents (1-based).
 MAIN_EDGES = ((1, 2), (1, 3), (1, 5), (1, 6), (2, 8), (3, 4),
               (3, 7), (5, 7), (5, 8), (7, 8), (8, 9), (9, 10))
-
-
-@dataclass(frozen=True, eq=False)
-class TrueGraph:
-    """Adjacency of the generating structure."""
-
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise DataError("true graph adjacency must be square")
-        if not np.array_equal(adj, adj.T) or adj.diagonal().any():
-            raise DataError("true graph must be symmetric with a false diagonal")
-        object.__setattr__(self, "adjacency", _readonly(adj))
-
-    @property
-    def p(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def n_edges(self) -> int:
-        return int(np.triu(self.adjacency, 1).sum())
 
 
 @dataclass(frozen=True)
@@ -69,12 +46,12 @@ class DgpVariant:
             raise DataError("variant needs n >= 10")
 
 
-def true_graph() -> TrueGraph:
-    """Twelve-edge truth of the generator."""
+def true_graph() -> np.ndarray:
+    """Twelve-edge truth of the generator: a read-only (10, 10) bool adjacency."""
     adj = np.zeros((10, 10), dtype=bool)
     for a, b in MAIN_EDGES:
         adj[a - 1, b - 1] = adj[b - 1, a - 1] = True
-    return TrueGraph(adj)
+    return _readonly(adj)
 
 
 def poisson_quantile(u, rate):
@@ -153,21 +130,6 @@ class RecoveryMetrics:
     accuracy: float
 
 
-def pair_counts(truth, estimate):
-    """(tp, fp, tn, fn) over the p(p-1)/2 unordered node pairs."""
-    t = _adjacency_of(truth)
-    e = _adjacency_of(estimate)
-    if t.shape != e.shape:
-        raise DataError("graphs must have the same number of nodes")
-    iu = np.triu_indices(t.shape[0], 1)
-    t, e = t[iu], e[iu]
-    tp = int(np.sum(t & e))
-    fp = int(np.sum(~t & e))
-    tn = int(np.sum(~t & ~e))
-    fn = int(np.sum(t & ~e))
-    return tp, fp, tn, fn
-
-
 def metrics_from_counts(tp: int, fp: int, tn: int, fn: int) -> RecoveryMetrics:
     """Zero denominators yield a zero metric by convention."""
     def ratio(num, den):
@@ -241,7 +203,7 @@ def default_lambda_grid(lo: float = 0.001, hi: float = 5.0, count: int = 50) -> 
     return np.exp(np.linspace(np.log(hi), np.log(lo), count))
 
 
-def run_learner(dataset: Dataset, truth: TrueGraph, learner: LearnerConfig,
+def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
                 lambdas, criteria=CRITERION_NAMES, *,
                 nonzero_tol: float = NONZERO_TOL, problems=None) -> dict:
     """Fit one learner on one dataset: path AUC plus per-criterion selection."""
@@ -270,24 +232,18 @@ def run_learner(dataset: Dataset, truth: TrueGraph, learner: LearnerConfig,
 
 
 def _replication_worker(args):
-    (kind, n, seed, index, learner_names, lambdas, criteria,
-     nonzero_tol, sample_fn) = args
-    variant = DgpVariant(kind, n, seed)
-    sample = sample_fn if sample_fn is not None else generate_sample
+    index, variant, learners, lambdas, criteria, nonzero_tol, sample_fn = args
     try:
-        dataset, truth = sample(variant)
+        dataset, truth = (sample_fn or generate_sample)(variant)
         dataset = validate_and_standardize(dataset)
-        learners = [LearnerConfig.from_name(name) for name in learner_names]
         problems = (build_problems(dataset)
                     if any(lc.kind == "qmgm" for lc in learners) else None)
-        record = {}
-        for lc in learners:
-            record[lc.name] = run_learner(dataset, truth, lc, lambdas, criteria,
-                                          nonzero_tol=nonzero_tol,
-                                          problems=problems)
-        return index, seed, record, None
+        record = {lc.name: run_learner(dataset, truth, lc, lambdas, criteria,
+                                       nonzero_tol=nonzero_tol, problems=problems)
+                  for lc in learners}
+        return index, variant.seed, record, None
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
-        return index, seed, None, f"{type(exc).__name__}: {exc}"
+        return index, variant.seed, None, f"{type(exc).__name__}: {exc}"
 
 
 METRIC_FIELDS = ("precision", "tpr", "fpr", "f1", "mcc", "accuracy", "edges")
@@ -297,9 +253,7 @@ METRIC_FIELDS = ("precision", "tpr", "fpr", "f1", "mcc", "accuracy", "edges")
 class BenchmarkRun:
     """Replication records plus summary helpers."""
 
-    variant_kind: str
-    n: int
-    base_seed: int
+    variant: DgpVariant    # replication r ran on seed variant.seed + r
     R: int
     learner_names: tuple
     criteria: tuple
@@ -307,54 +261,37 @@ class BenchmarkRun:
     records: list          # (index, seed, record) for successes
     failures: list         # (index, seed, message)
 
-    def _collect(self, learner, getter):
-        return np.asarray([getter(rec) for _, _, rec in self.records
-                           if learner in rec])
-
-    @staticmethod
-    def _stats(values: np.ndarray):
-        return (float(np.median(values)),
-                float(np.percentile(values, 10)),
-                float(np.percentile(values, 90)))
+    def _row(self, learner, criterion, metric, getter) -> dict:
+        """Median, p10 and p90 of ``getter(record[learner])`` over the
+        successful replications."""
+        values = np.asarray([getter(rec[learner]) for _, _, rec in self.records])
+        return {"learner": learner, "criterion": criterion, "metric": metric,
+                "median": float(np.median(values)),
+                "p10": float(np.percentile(values, 10)),
+                "p90": float(np.percentile(values, 90))}
 
     def summary_rows(self) -> list:
         """Per learner: path AUC row plus one row per criterion and metric."""
+        if not self.records:
+            return []
         rows = []
         for learner in self.learner_names:
-            auc = self._collect(learner, lambda r: r[learner]["auc"])
-            if auc.size == 0:
-                continue
-            med, p10, p90 = self._stats(auc)
-            rows.append({"learner": learner, "criterion": "path", "metric": "auc",
-                         "median": med, "p10": p10, "p90": p90})
-            for cname in self.criteria:
-                for metric in METRIC_FIELDS:
-                    vals = self._collect(
-                        learner, lambda r: r[learner]["criteria"][cname][metric])
-                    med, p10, p90 = self._stats(vals)
-                    rows.append({"learner": learner, "criterion": cname,
-                                 "metric": metric, "median": med,
-                                 "p10": p10, "p90": p90})
+            rows.append(self._row(learner, "path", "auc", lambda r: r["auc"]))
+            rows += [self._row(learner, cname, metric,
+                               lambda r: r["criteria"][cname][metric])
+                     for cname in self.criteria for metric in METRIC_FIELDS]
         return rows
 
     def timing_rows(self) -> list:
-        rows = []
-        for learner in self.learner_names:
-            secs = self._collect(learner, lambda r: r[learner]["seconds"])
-            if secs.size == 0:
-                continue
-            med, p10, p90 = self._stats(secs)
-            rows.append({"learner": learner, "criterion": "path",
-                         "metric": "seconds", "median": med,
-                         "p10": p10, "p90": p90})
-        return rows
+        if not self.records:
+            return []
+        return [self._row(learner, "path", "seconds", lambda r: r["seconds"])
+                for learner in self.learner_names]
 
     def detail_rows(self) -> list:
         rows = []
         for index, seed, rec in self.records:
             for learner in self.learner_names:
-                if learner not in rec:
-                    continue
                 rows.append({"replication": index, "seed": seed,
                              "learner": learner, "criterion": "path",
                              "metric": "auc", "value": rec[learner]["auc"]})
@@ -368,7 +305,8 @@ class BenchmarkRun:
 
     def config_digest(self) -> str:
         payload = {
-            "variant": self.variant_kind, "n": self.n, "seed": self.base_seed,
+            "variant": self.variant.kind, "n": self.variant.n,
+            "seed": self.variant.seed,
             "R": self.R, "learners": list(self.learner_names),
             "criteria": list(self.criteria),
             "lambdas": [float(v) for v in self.lambdas],
@@ -397,21 +335,21 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
     write_rows_csv(run.detail_rows(), DETAIL_FIELDS,
                    os.path.join(outdir, "details.csv"))
     truth = true_graph()
-    export_graph(document_from_adjacency([f"Y{i + 1}" for i in range(truth.p)],
-                                         truth.adjacency),
+    export_graph(document_from_adjacency([f"Y{i + 1}" for i in range(len(truth))],
+                                         truth),
                  os.path.join(outdir, "truth.json"))
-    lam = run.lambdas
+    lam, seed = run.lambdas, run.variant.seed
     manifest = [
         f"config_digest: {run.config_digest()}",
-        f"variant: {run.variant_kind}",
-        f"n: {run.n}",
+        f"variant: {run.variant.kind}",
+        f"n: {run.variant.n}",
         f"R: {run.R}",
-        f"base_seed: {run.base_seed}",
+        f"base_seed: {seed}",
         f"learners: {','.join(run.learner_names)}",
         f"criteria: {','.join(run.criteria)}",
         f"lambda_grid: max={lam[0]:.12g} min={lam[-1]:.12g} count={lam.size}",
         f"threads: {threads}",
-        f"replication_seeds: {','.join(str(run.base_seed + r) for r in range(run.R))}",
+        f"replication_seeds: {','.join(str(seed + r) for r in range(run.R))}",
         f"failures: {len(run.failures)}",
     ]
     manifest += [f"failure: replication={i} seed={s} error={msg}"
@@ -437,17 +375,15 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
     if R < 1:
         raise DataError("R must be >= 1")
     lambdas = default_lambda_grid() if lambdas is None else _check_lambda_grid(lambdas)
-    learner_names = tuple(LearnerConfig.from_name(nm).name for nm in learner_names)
-    tasks = [(variant.kind, variant.n, variant.seed + r, r, learner_names,
-              lambdas, tuple(criteria), nonzero_tol, sample_fn)
-             for r in range(R)]
-    outcomes = _pool_map(_replication_worker, tasks, threads)
+    learners = tuple(LearnerConfig.from_name(nm) for nm in learner_names)
+    criteria = tuple(criteria)
+    tasks = [(r, replace(variant, seed=variant.seed + r), learners, lambdas,
+              criteria, nonzero_tol, sample_fn) for r in range(R)]
     records, failures = [], []
-    for index, seed, record, error in sorted(outcomes, key=lambda o: o[0]):
+    for index, seed, record, error in _pool_map(_replication_worker, tasks, threads):
         if error is None:
             records.append((index, seed, record))
         else:
             failures.append((index, seed, error))
-    return BenchmarkRun(variant.kind, variant.n, variant.seed, R,
-                        learner_names, tuple(criteria), lambdas,
-                        records, failures)
+    return BenchmarkRun(variant, R, tuple(lc.name for lc in learners), criteria,
+                        lambdas, records, failures)

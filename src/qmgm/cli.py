@@ -166,17 +166,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_document(path) -> GraphDocument:
-    try:
-        return GraphDocument.load(path)
-    except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
-
-
 def _aligned_adjacencies(first_path, second_path):
     """Adjacencies of two graph documents over the same node set, both in
     the first document's node order."""
-    first, second = _load_document(first_path), _load_document(second_path)
+    first, second = GraphDocument.load(first_path), GraphDocument.load(second_path)
     order, names = first.node_names(), second.node_names()
     if set(order) != set(names):
         raise DataError("graphs name different node sets")
@@ -194,7 +187,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
-    doc = _load_document(args.graph)
+    doc = GraphDocument.load(args.graph)
     graph = doc.to_graph()
     report = (weighted_centrality if args.weighted else centrality)(
         graph, names=doc.node_names())
@@ -228,7 +221,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"qmgm: data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -257,6 +257,11 @@ _DOMAIN_PALETTE = ("lightblue", "lightsalmon", "palegreen", "khaki",
                    "plum", "lightgrey", "lightcyan", "wheat")
 
 
+def _dot_id(name: str) -> str:
+    """A node name as a quoted DOT identifier."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def render_dot(doc: GraphDocument) -> str:
     """Graphviz rendering: node fill by domain, edge color by sign,
     pen width proportional to strength."""
@@ -270,12 +275,12 @@ def render_dot(doc: GraphDocument) -> str:
     lines = ["graph estimated {", "  node [style=filled];"]
     for node in doc.nodes:
         fill = color_of.get(node.get("domain") or "", "white")
-        lines.append(f'  "{node["name"]}" [fillcolor={fill}];')
+        lines.append(f'  {_dot_id(node["name"])} [fillcolor={fill}];')
     max_strength = max((e["strength"] for e in doc.edges), default=1.0)
     for e in doc.edges:
         width = 0.5 + 3.5 * e["strength"] / max_strength
         color = _SIGN_COLORS.get(e["sign"], "grey")
-        lines.append(f'  "{e["source"]}" -- "{e["target"]}" '
+        lines.append(f'  {_dot_id(e["source"])} -- {_dot_id(e["target"])} '
                      f'[color={color}, penwidth={width:.3f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

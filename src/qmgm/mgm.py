@@ -35,10 +35,6 @@ class GlmFamily:
         if self.name not in ("gaussian", "binomial", "poisson"):
             raise DataError(f"unknown GLM family {self.name!r}")
 
-    @property
-    def link(self) -> str:
-        return {"gaussian": "identity", "binomial": "logit", "poisson": "log"}[self.name]
-
     def mean(self, lp: np.ndarray) -> np.ndarray:
         if self.name == "gaussian":
             return lp

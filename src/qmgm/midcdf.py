@@ -57,10 +57,6 @@ class ThresholdLogitSet:
         if not np.all(np.isfinite(self.coefficients)):
             raise DataError("threshold logit coefficients must be finite")
 
-    @property
-    def k(self) -> int:
-        return self.thresholds.size
-
 
 @dataclass(frozen=True, eq=False)
 class MidCdfField:
@@ -77,10 +73,6 @@ class MidCdfField:
     def __post_init__(self):
         for name in ("thresholds", "pi"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @property
-    def n(self) -> int:
-        return self.pi.shape[0]
 
 
 def rearrange_monotone(values):

@@ -37,6 +37,8 @@ class SelectionCriterion:
         """Named presets: aic, bic (cn=1), bicp (cn=log(p-1)), bic2p, bic3p."""
         name = name.lower()
         if name == "aic":
+            if cn is not None:
+                raise DataError("criterion 'aic' takes no cn")
             return cls("aic")
         divisors = {"bicp": 1.0, "bic2p": 2.0, "bic3p": 3.0}
         if name != "bic" and name not in divisors:
@@ -231,7 +233,11 @@ def score_path(cube: CoefficientCube, losses: np.ndarray,
     complexity per coefficient, where nu is the block's active-set size;
     that is ln(n) ln(p-1) cn / (2n) for the BIC and 2 / (2n) for the AIC.
     """
-    per_coef = _complexity(criterion.kind, criterion.cn, n, cube.p)
+    with np.errstate(over="ignore"):
+        per_coef = _complexity(criterion.kind, criterion.cn, n, cube.p)
+    if not np.isfinite(per_coef):
+        raise DataError(f"criterion complexity per coefficient is not finite "
+                        f"(cn={criterion.cn:g})")
     nu = np.count_nonzero(np.abs(cube.betas) > nonzero_tol, axis=3)
     blocks = (np.log(losses + BIC_EPS_GUARD) + nu * per_coef).reshape(-1, cube.n_lambdas)
     # A running sum adds the blocks node by node, level by level, at every

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from qmgm.benchmark import (DgpVariant, default_lambda_grid, confusion_metrics,
-                            generate_sample, pair_counts, roc_curve, run_replications,
-                            TrueGraph)
+                            generate_sample, pair_counts, roc_curve, run_replications)
 from qmgm.cli import main as cli_main
 from qmgm.core import Dataset, EstimatedGraph, validate_and_standardize
 from qmgm.midcdf import marginal_mid_quantile
@@ -230,7 +229,7 @@ def test_criterion_7_metrics_oracle():
         assert hamming_distance(t, e) == pytest.approx(
             hamming_oracle(t.tolist(), e.tolist()), abs=1e-15)
         path = [as_graph(rand_adj(p, d)) for d in np.linspace(0.1, 0.9, 5)]
-        pts, auc = roc_curve(TrueGraph(t), path)
+        pts, auc = roc_curve(t, path)
         max_auc_err = max(max_auc_err, abs(auc - auc_oracle(pts)))
         assert abs(auc - auc_oracle(pts)) <= 1e-12
     print(f"\n  1000 random pairs checked; worst AUC deviation {max_auc_err:.2e}")

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from qmgm.benchmark import (DgpVariant, LearnerConfig, TrueGraph,
-                            confusion_metrics, default_lambda_grid, generate_sample,
+from qmgm.benchmark import (DgpVariant, LearnerConfig, confusion_metrics,
+                            default_lambda_grid, generate_sample,
                             metrics_from_counts, pair_counts,
                             poisson_quantile, roc_curve, run_replications,
-                            true_graph)
+                            true_graph, write_outputs)
 from qmgm.core import (DataError, Dataset, EstimatedGraph, VariableSpec,
                        _blas_thread_controls, validate_and_standardize)
 from qmgm.selection import build_problems
@@ -33,9 +33,10 @@ def random_adj(rng, p, density=0.4):
 
 def test_true_graph_has_twelve_edges():
     tg = true_graph()
-    assert tg.n_edges == 12
-    assert tg.p == 10
-    assert np.array_equal(tg.adjacency, tg.adjacency.T)
+    assert tg.shape == (10, 10) and tg.dtype == bool
+    assert np.triu(tg, 1).sum() == 12
+    assert np.array_equal(tg, tg.T) and not tg.diagonal().any()
+    assert not tg.flags.writeable
 
 
 def test_generator_determinism():
@@ -101,7 +102,7 @@ def test_generator_inverse_cdfs_equal_scipy_stats():
 
 def test_confusion_metrics_perfect():
     tg = true_graph()
-    m = confusion_metrics(tg, graph_from_adj(tg.adjacency))
+    m = confusion_metrics(tg, graph_from_adj(tg))
     assert (m.precision, m.tpr, m.f1, m.mcc, m.accuracy) == (1, 1, 1, 1, 1)
     assert m.fpr == 0
 
@@ -158,13 +159,13 @@ def test_roc_random_guess_near_half():
     t = random_adj(rng, 30, density=0.3)
     graphs = [graph_from_adj(random_adj(rng, 30, d))
               for d in np.linspace(0.02, 0.98, 25)]
-    _, auc = roc_curve(TrueGraph(t), graphs)
+    _, auc = roc_curve(t, graphs)
     assert 0.4 < auc < 0.6
 
 
 def test_roc_nested_perfect_path():
     tg = true_graph()
-    edges = list(zip(*np.nonzero(np.triu(tg.adjacency, 1))))
+    edges = list(zip(*np.nonzero(np.triu(tg, 1))))
     adj = np.zeros((10, 10), dtype=bool)
     graphs = []
     for a, b in edges:            # grow the true graph edge by edge
@@ -192,7 +193,7 @@ def test_roc_matches_bruteforce_and_envelope_monotone():
     rng = np.random.default_rng(19)
     for _ in range(60):
         p = rng.integers(4, 9)
-        t = TrueGraph(random_adj(rng, p))
+        t = random_adj(rng, p)
         graphs = [graph_from_adj(random_adj(rng, p)) for _ in range(6)]
         pts, auc = roc_curve(t, graphs)
         assert auc == pytest.approx(auc_oracle(pts), abs=1e-12)
@@ -277,6 +278,25 @@ def test_run_replications_records_failures():
     assert "constant column" in run.failures[0][2]
 
 
+def test_write_outputs_of_a_run_where_every_replication_failed(tmp_path):
+    run = run_replications(["qmgm1", "mgm"], DgpVariant("main", 60, 4), 3,
+                           lambdas=[0.5], criteria=("bic",),
+                           sample_fn=_constant_column_sample)
+    write_outputs(run, tmp_path)
+    header = "learner,criterion,metric,median,p10,p90\n"
+    assert (tmp_path / "summary.csv").read_text() == header
+    assert (tmp_path / "timing.csv").read_text() == header
+    assert ((tmp_path / "details.csv").read_text()
+            == "replication,seed,learner,criterion,metric,value\n")
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert "failures: 3" in manifest
+    assert "replication_seeds: 4,5,6" in manifest
+    failed = [line for line in manifest if line.startswith("failure:")]
+    assert [line.split(" error=")[0] for line in failed] == [
+        f"failure: replication={r} seed={4 + r}" for r in range(3)]
+    assert all("constant column" in line for line in failed)
+
+
 def _report_blas_threads(variant):
     """A sample function whose failure message carries the BLAS thread
     counts of the process that ran the replication."""
@@ -334,12 +354,12 @@ def generate_null_sample(n: int, seed: int):
     cols += [rng.poisson(3.0, size=n).astype(float) for _ in range(3)]
     schema = tuple(VariableSpec(f"V{j + 1}", "continuous" if j < 3 else "count")
                    for j in range(6))
-    return Dataset(np.column_stack(cols), schema), TrueGraph(np.zeros((6, 6), dtype=bool))
+    return Dataset(np.column_stack(cols), schema), np.zeros((6, 6), dtype=bool)
 
 
 def test_null_sample_properties():
     ds, tg = generate_null_sample(200, 4)
-    assert tg.n_edges == 0
+    assert tg.shape == (6, 6) and not tg.any()
     assert ds.p == 6
     a, _ = generate_null_sample(200, 4)
     assert np.array_equal(ds.values, a.values)

@@ -72,6 +72,63 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("case", ["fit_data", "fit_schema", "impute_data",
+                                  "fit_output_dir", "simulate_output_file"])
+def test_file_errors_exit_2(small_csv, tmp_path, capsys, case):
+    csv_path, schema_path = small_csv
+    missing = str(tmp_path / "missing" / "x")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    fit = ["fit", "--tau-levels", "1", "--lambda-count", "2"]
+    argv = {
+        "fit_data": fit + [missing, "--schema", str(schema_path)],
+        "fit_schema": fit + [str(csv_path), "--schema", missing],
+        "impute_data": ["impute", missing, "--schema", str(schema_path),
+                        "--output", str(tmp_path / "out.csv")],
+        "fit_output_dir": fit + [str(csv_path), "--schema", str(schema_path),
+                                 "--output", missing],
+        "simulate_output_file": ["simulate", "--n", "60", "--R", "1",
+                                 "--learners", "mgm", "--lambda-count", "2",
+                                 "--output", str(taken)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qmgm: data error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cn", ["inf", "1e308"])
+def test_fit_cn_with_infinite_complexity_exits_2(small_csv, tmp_path, capsys, cn):
+    # ln(n) ln(p - 1) cn / (2n) overflows; an infinite complexity gave NaN
+    # scores (0 * inf) and no selectable lambda
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "1", "--lambda-count", "2", "--cn", cn,
+               "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "complexity per coefficient is not finite" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_fit_aic_with_cn_exits_2(small_csv, tmp_path, capsys, no_fitting):
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--criterion", "aic", "--cn", "3",
+               "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    assert "criterion 'aic' takes no cn" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_hamming_of_single_node_graphs_exits_2(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    export_graph(document_from_adjacency(["a"], np.zeros((1, 1), bool)), path)
+    assert main(["hamming", str(path), str(path)]) == 2
+    assert "needs at least two nodes" in capsys.readouterr().err
+
+
 def test_fit_threads_zero_exits_2(small_csv, tmp_path, capsys):
     csv_path, schema_path = small_csv
     rc = main(["fit", str(csv_path), "--schema", str(schema_path),
@@ -293,7 +350,7 @@ def test_simulate_writes_tables(tmp_path):
 def test_metrics_and_hamming_commands(tmp_path, capsys):
     tg = true_graph()
     names = [f"Y{i+1}" for i in range(10)]
-    truth_doc = document_from_adjacency(names, tg.adjacency)
+    truth_doc = document_from_adjacency(names, tg)
     export_graph(truth_doc, tmp_path / "truth.json")
     export_graph(document_from_adjacency(names, np.zeros((10, 10), bool)),
                  tmp_path / "empty.json")

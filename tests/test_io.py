@@ -157,6 +157,16 @@ def test_dot_rendering():
     assert "penwidth=4.000" in dot
 
 
+def test_dot_rendering_escapes_node_names():
+    # a quote and a backslash in a name must not end the DOT identifier
+    adj = np.array([[False, True], [True, False]])
+    doc = document_from_adjacency(['a"b', "c\\d"], adj)
+    dot = render_dot(doc)
+    assert '  "a\\"b" [fillcolor=white];' in dot
+    assert '  "c\\\\d" [fillcolor=white];' in dot
+    assert '  "a\\"b" -- "c\\\\d" [' in dot
+
+
 def test_export_formats(tmp_path):
     doc = document_from_graph(demo_graph(), demo_schema(), {})
     export_graph(doc, tmp_path / "g.json")

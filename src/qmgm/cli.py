@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -13,8 +14,8 @@ import numpy as np
 from .analysis import centrality, hamming_distance, knn_impute, weighted_centrality
 from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
                         run_replications, write_outputs)
-from .core import DataError, NumericalError, QuantileGrid, _check_tolerance, \
-    standard_levels, validate_and_standardize
+from .core import DataError, NumericalError, QuantileGrid, _check_threads, \
+    _check_tolerance, standard_levels, validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
                  render_dot, save_csv)
 from .selection import (CRITERION_NAMES, SelectionCriterion, estimate_edge_set,
@@ -116,8 +117,20 @@ def _write_text(path, text):
             fh.write(text)
 
 
+def _check_output_file(path) -> None:
+    """DataError when ``path`` is given and names a directory, or its
+    directory does not exist."""
+    if path is not None:
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.path.isdir(folder):
+            raise DataError(f"cannot write a file at {path!r}")
+
+
 def _cmd_fit(args) -> int:
     _check_tolerance(args.tolerance)
+    _check_threads(args.threads)
+    _check_output_file(args.output)
+    _check_output_file(args.dot)
     grid = _parse_tau_levels(args.tau_levels)
     schema = load_schema(args.schema)
     dataset = load_csv(args.data, schema, args.missing_token)
@@ -157,9 +170,11 @@ def _cmd_simulate(args) -> int:
     variant = DgpVariant(n=args.n, seed=args.seed)
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max,
                                   args.lambda_count)
+    outdir = args.output or "qmgm-simulate"
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise DataError(f"output {outdir!r} exists and is not a directory")
     run = run_replications(learners, variant, args.R, lambdas=lambdas,
                            nonzero_tol=args.tolerance, threads=args.threads)
-    outdir = args.output or "qmgm-simulate"
     write_outputs(run, outdir, threads=args.threads)
     print(f"wrote {outdir}/summary.csv ({len(run.records)} of {run.R} "
           f"replications succeeded)")

@@ -48,6 +48,12 @@ def _check_tolerance(tol) -> None:
         raise DataError(f"tolerance must be finite and >= 0, got {tol}")
 
 
+def _check_threads(threads: int) -> None:
+    """DataError unless the worker count ``threads`` is at least 1."""
+    if threads < 1:
+        raise DataError(f"threads must be at least 1, got {threads}")
+
+
 def _readonly(a: np.ndarray, order: str = "K") -> np.ndarray:
     a = np.array(a, copy=True, order=order)
     a.setflags(write=False)
@@ -392,6 +398,16 @@ class CoefficientCube:
     @property
     def n_lambdas(self) -> int:
         return self.intercepts.shape[2]
+
+    def linear_predictors(self, dataset: Dataset, j: int):
+        """Node j's response y (n,) and its linear predictors
+        lp[l, m] = b0 + X_j @ beta (L, M, n) on the rows of ``dataset``.
+
+        Each block keeps its own ``X_j @ beta`` product: one product over
+        all blocks would round differently."""
+        X = np.delete(dataset.values, j, axis=1)
+        fitted = np.array([[X @ beta for beta in level] for level in self.betas[j]])
+        return dataset.values[:, j], self.intercepts[j][..., None] + fitted
 
 
 @dataclass(frozen=True, eq=False)

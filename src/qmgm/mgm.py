@@ -1,7 +1,7 @@
 """Mean-based mixed graphical model baseline: per-node L1-penalized GLM
 neighborhood regressions (gaussian, binomial or poisson by variable kind),
 stored as a one-level coefficient cube so the shared edge-extraction and
-scoring machinery applies unchanged."""
+scoring machinery applies unchanged.  ``fit_mgm`` is the one entry point."""
 
 from __future__ import annotations
 
@@ -57,35 +57,19 @@ def family_for(kind: str) -> GlmFamily:
     return GlmFamily(FAMILY_BY_KIND[kind])
 
 
-def glm_deviance(family: GlmFamily, y: np.ndarray, mu: np.ndarray) -> float:
-    """Family deviance between observations and fitted means."""
+def glm_deviance(family: GlmFamily, y: np.ndarray, mu: np.ndarray):
+    """Family deviance between observations y (n,) and fitted means mu
+    (..., n), summed over the last axis: one deviance per row of mu."""
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if family.name == "gaussian":
-        return float(np.sum((y - mu) ** 2))
+        return np.sum((y - mu) ** 2, axis=-1)
     if family.name == "binomial":
         mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
         dev = xlogy(y, y / mu) + xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))
-        return float(2.0 * np.sum(dev))
+        return 2.0 * np.sum(dev, axis=-1)
     mu = np.clip(mu, 1e-10, None)
-    return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
-
-
-def fit_glm_lasso_path(y: np.ndarray, X: np.ndarray, family: GlmFamily,
-                       lambdas) -> LambdaPath:
-    """Warm-started L1 path for one node along a lambda grid that
-    ``core._check_lambda_grid`` accepts.
-
-    A gaussian node is one weighted least-squares lasso along the whole
-    path, one outer iteration per point.  Binomial and poisson nodes use
-    proximal Newton: iteratively reweighted quadratic approximations, each
-    solved by the same lasso kernel.  A point counts as converged when the
-    outer iterates settle and the last inner solve is certified.
-    """
-    lambdas = _check_lambda_grid(lambdas)
-    if family.name != "gaussian":
-        return LambdaPath(*_proximal_newton_path(y, X, family, lambdas))
-    return _gaussian_paths([(y, X)], lambdas)[0]
+    return 2.0 * np.sum(xlogy(y, y / mu) - (y - mu), axis=-1)
 
 
 def _gaussian_paths(nodes, lambdas) -> list:
@@ -98,7 +82,10 @@ def _gaussian_paths(nodes, lambdas) -> list:
 
 def _proximal_newton_path(y, X, family, lambdas):
     """The arrays (intercepts, betas, outer iterations, converged) over the
-    lambdas of a binomial or poisson node, warm-started along the path."""
+    lambdas of a binomial or poisson node, warm-started along the path:
+    proximal Newton, iteratively reweighted quadratic approximations each
+    solved by ``penalized_wls``.  A point counts as converged when the
+    outer iterates settle and the last inner solve is certified."""
     M = lambdas.size
     intercepts, betas = np.zeros(M), np.zeros((M, X.shape[1]))
     work, converged = np.zeros(M, dtype=int), np.zeros(M, dtype=bool)
@@ -128,7 +115,9 @@ def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     """Fit the baseline on every node and pack the paths as a cube with a
     single pseudo quantile level, so edge extraction and lambda selection
     reuse the shared code path.  The gaussian nodes advance through one
-    batched kernel call.  The lambda grid is checked before any fitting."""
+    batched kernel call, one outer iteration per point; each binomial or
+    poisson node runs its own proximal-Newton path.  The lambda grid is
+    checked before any fitting."""
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
@@ -138,7 +127,8 @@ def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     families = [family_for(spec.kind) for spec in dataset.schema]
     gaussian = [j for j, family in enumerate(families) if family.name == "gaussian"]
     fitted = dict(zip(gaussian, _gaussian_paths(map(node, gaussian), lambdas)))
-    paths = [[fitted[j] if j in fitted else fit_glm_lasso_path(*node(j), families[j], lambdas)]
+    paths = [[fitted[j] if j in fitted
+              else LambdaPath(*_proximal_newton_path(*node(j), families[j], lambdas))]
              for j in range(dataset.p)]
     return CoefficientCube.from_paths(paths, lambdas, [0.5])
 
@@ -149,9 +139,6 @@ def deviance_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
     loss = np.zeros(cube.intercepts.shape)
     for j in range(cube.p):
         family = family_for(dataset.schema[j].kind)
-        y = dataset.values[:, j]
-        X = np.delete(dataset.values, j, axis=1)
-        for mi in range(cube.n_lambdas):
-            mu = family.mean(cube.intercepts[j, 0, mi] + X @ cube.betas[j, 0, mi])
-            loss[j, 0, mi] = glm_deviance(family, y, mu)
+        y, lp = cube.linear_predictors(dataset, j)
+        loss[j] = glm_deviance(family, y, family.mean(lp))
     return loss

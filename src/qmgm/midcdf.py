@@ -9,7 +9,9 @@ into point masses, and combined into mid-probabilities
     pi_h = F_h - 0.5 * (F_h - F_{h-1}),   F_0 := 0,
 
 whose piecewise-linear interpolation over the thresholds is the continuous
-mid-CDF surrogate used by the penalized fit.
+mid-CDF surrogate used by the penalized fit.  ``fit_threshold_logits`` fits
+every node of a dataset in one stacked solve, and ``build_field`` returns
+the (n, k) mid-probability array of one node's rows.
 """
 
 from __future__ import annotations
@@ -58,23 +60,6 @@ class ThresholdLogitSet:
             raise DataError("threshold logit coefficients must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class MidCdfField:
-    """Mid-CDF interpolation field over all training rows.
-
-    ``pi[i]`` holds row i's mid-probabilities at the shared thresholds;
-    row i's interpolator is the piecewise-linear function through the
-    points (thresholds[h], pi[i, h]), which ``penalized`` inverts at tau.
-    """
-
-    thresholds: np.ndarray        # (k,)
-    pi: np.ndarray                # (n, k)
-
-    def __post_init__(self):
-        for name in ("thresholds", "pi"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-
 def rearrange_monotone(values):
     """Increasing rearrangement: the sorted sequence (multiset preserved)."""
     values = np.asarray(values, dtype=float)
@@ -113,15 +98,6 @@ def fit_threshold_logits(dataset: Dataset) -> list:
     return [_logit_set(j, z, degen, np.delete(c, j + 1, axis=1), conv)
             for (j, z), degen, c, conv in zip(grids, degenerate, np.split(coefs, splits),
                                                np.split(converged, splits))]
-
-
-def _fit_threshold_logits_arrays(node, y, X, z) -> ThresholdLogitSet:
-    """Threshold logits of response y on the design [1, X], no column
-    pinned (the stacked solve of ``fit_threshold_logits`` for one node
-    whose predictors are already split off)."""
-    T, (degen,) = _indicators([(y, z)])
-    coefs, converged = _stacked_newton(_design(X), T)
-    return _logit_set(node, z, degen, coefs, converged)
 
 
 def _design(X):
@@ -165,7 +141,7 @@ def _clipped_sigmoid(eta):
     return eta
 
 
-def _stacked_newton(X1, T, pinned=None):
+def _stacked_newton(X1, T, pinned):
     """Damped-Newton logistic fits of every row of the indicator matrix T
     (rows x n, bool) on the shared design X1 (n x q, first column ones).
 
@@ -174,9 +150,9 @@ def _stacked_newton(X1, T, pinned=None):
     still active.  The Hessians X1'WX1 come from one product with the
     q(q+1)/2 upper-triangle row products x_ia x_ib, mirrored; the ridge
     damps each step without moving the maximum-likelihood fixed point (the
-    step solves (X1'WX1 + ridge I) d = X1'(t - mu)).  ``pinned[r]``, when
-    given, is a column that row r holds at exactly zero: an identity row
-    and column in its Hessian and a zero gradient entry.  A row stops on
+    step solves (X1'WX1 + ridge I) d = X1'(t - mu)).  ``pinned[r]`` is a
+    column that row r holds at exactly zero: an identity row and column in
+    its Hessian and a zero gradient entry.  A row stops on
     its own step size; one that reaches IRLS_MAX_ITER keeps its last
     iterate and is flagged unconverged.
     """
@@ -208,12 +184,11 @@ def _stacked_newton(X1, T, pinned=None):
         packed[:, packed_diag] += IRLS_RIDGE
         H = np.take(packed, packed_index, axis=1)
         g = np.subtract(T, mu, out=work) @ X1
-        if pinned is not None:
-            at = np.arange(r)
-            H[at, pinned, :] = 0.0
-            H[at, :, pinned] = 0.0
-            H[at, pinned, pinned] = 1.0
-            g[at, pinned] = 0.0
+        at = np.arange(r)
+        H[at, pinned, :] = 0.0
+        H[at, :, pinned] = 0.0
+        H[at, pinned, pinned] = 1.0
+        g[at, pinned] = 0.0
         step = _newton_steps(H, g)
         C += step
         done = np.max(np.abs(step), axis=1) < IRLS_TOL
@@ -221,9 +196,7 @@ def _stacked_newton(X1, T, pinned=None):
             coefs[live[done]] = C[done]
             converged[live[done]] = True
             keep = ~done
-            live, C, T = live[keep], C[keep], T[keep]
-            if pinned is not None:
-                pinned = pinned[keep]
+            live, C, T, pinned = live[keep], C[keep], T[keep], pinned[keep]
     coefs[live] = C
     return coefs, converged
 
@@ -252,11 +225,14 @@ def _raw_cdf_matrix(logits: ThresholdLogitSet, X: np.ndarray) -> np.ndarray:
     return F
 
 
-def build_field(logits: ThresholdLogitSet, X: np.ndarray) -> MidCdfField:
-    """Mid-CDF interpolator for every row of X at once."""
+def build_field(logits: ThresholdLogitSet, X: np.ndarray) -> np.ndarray:
+    """Mid-probabilities pi[i, h] of every row of X at every threshold of
+    ``logits``: row i's mid-CDF interpolator is the piecewise-linear
+    function through the points (logits.thresholds[h], pi[i, h]), which
+    ``penalized`` inverts at tau."""
     F = rearrange_monotone(_raw_cdf_matrix(logits, X))
     mass = np.diff(F, prepend=0.0, axis=1)
-    return MidCdfField(logits.thresholds, F - 0.5 * mass)
+    return F - 0.5 * mass
 
 
 def marginal_mid_cdf(sample):

@@ -3,12 +3,14 @@
 For one node at quantile level tau, the fit solves the implicit equation
 tau = Gc_i(eta_i) under an L1 penalty, where eta_i is the link inverse of
 b0 + x_i' beta and Gc_i is row i's piecewise-linear conditional mid-CDF
-interpolator.  ``fit_lambda_paths`` solves it by inversion: it inverts
-each row's interpolator at tau to get the implied conditional
-mid-quantile, then fits the link-transformed targets by penalized
-weighted least squares.  Rows whose equation has no solution (tau outside
-the row's mid-probability range) carry no information and are dropped.
-At lambda = 0 this is the closed-form two-step estimator.
+interpolator through the points (thresholds[h], pi[i, h]) of the node
+problem's mid-probabilities ``pi`` at its logits' thresholds.
+``fit_lambda_paths`` solves it by inversion: it inverts each row's
+interpolator at tau to get the implied conditional mid-quantile, then fits
+the link-transformed targets by penalized weighted least squares.  Rows
+whose equation has no solution (tau outside the row's mid-probability
+range) carry no information and are dropped.  At lambda = 0 this is the
+closed-form two-step estimator.
 
 X, the row weights and the targets stay fixed along a lambda path, so a
 path is one warm-started run of the exact lasso kernel in ``qmgm.lasso``,
@@ -26,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DataError, LambdaPath, _check_lambda_grid, _readonly,
-                   derive_threshold_grid)
+from .core import DataError, LambdaPath, _check_lambda_grid, _readonly
 from .lasso import lasso_solve, wls_gram, wls_paths
-from .midcdf import (MidCdfField, ThresholdLogitSet, _fit_threshold_logits_arrays,
-                     build_field, marginal_mid_quantile)
+from .midcdf import ThresholdLogitSet, marginal_mid_quantile
 
 
 def _link_forward(value: float, link: str) -> float:
@@ -47,14 +47,16 @@ def _link_forward(value: float, link: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class NodeProblem:
-    """Everything step two needs for one node: response, predictors, link
-    and the fitted mid-CDF interpolation field."""
+    """Everything step two needs for one node: response, predictors, link,
+    the mid-probabilities ``pi[i, h]`` of row i at threshold
+    ``logits.thresholds[h]`` (``midcdf.build_field``) and the threshold
+    logits they come from."""
 
     node: int
     y: np.ndarray                 # (n,)
     X: np.ndarray                 # (n, m)
     link: str
-    field: MidCdfField
+    pi: np.ndarray                # (n, k)
     logits: ThresholdLogitSet
 
     def __post_init__(self):
@@ -62,6 +64,7 @@ class NodeProblem:
         # ``selection.fit_qmgm`` in the calling process fills it
         object.__setattr__(self, "_paths", {})
         object.__setattr__(self, "y", _readonly(self.y))
+        object.__setattr__(self, "pi", _readonly(self.pi))
         # one layout for every column order: numpy reductions add in an
         # order that follows the memory layout
         object.__setattr__(self, "X", _readonly(self.X, order="C"))
@@ -71,23 +74,8 @@ class NodeProblem:
         return {**self.__dict__, "_paths": {}}
 
     @property
-    def n(self) -> int:
-        return self.y.size
-
-    @property
     def m(self) -> int:
         return self.X.shape[1]
-
-    @classmethod
-    def marginal(cls, sample, link: str = "identity") -> "NodeProblem":
-        """Intercept-only problem for a bare sample (no predictors)."""
-        y = np.asarray(sample, dtype=float)
-        grid = derive_threshold_grid(y)
-        if grid.size < 2:
-            raise DataError("sample needs at least two distinct values")
-        X = np.zeros((y.size, 0))
-        logits = _fit_threshold_logits_arrays(0, y, X, grid)
-        return cls(0, y, X, link, build_field(logits, X), logits)
 
 
 def penalized_wls(X, w, z, b0, beta, lam):
@@ -123,8 +111,8 @@ def inverse_midquantile_targets(problem: NodeProblem, tau: float):
     smallest positive threshold so boundary rows cannot produce unbounded
     values.
     """
-    z = problem.field.thresholds
-    pi = problem.field.pi
+    z = problem.logits.thresholds
+    pi = problem.pi
     solvable = (tau >= pi[:, 0]) & (tau <= pi[:, -1])
     xi = _interp_rows(tau, pi, z)
     if problem.link == "identity":

@@ -11,8 +11,8 @@ import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_UNDEFINED,
-                   _check_lambda_grid, _check_tolerance, _one_blas_thread,
-                   _pin_blas_threads, quantile_loss)
+                   _check_lambda_grid, _check_threads, _check_tolerance,
+                   _one_blas_thread, _pin_blas_threads, quantile_loss)
 from .midcdf import build_field, fit_threshold_logits
 from .penalized import NodeProblem, fit_lambda_paths
 
@@ -87,8 +87,7 @@ def _pool_map(fn, tasks, threads: int) -> list:
     in the calling process, on one BLAS thread (``build_problems``),
     and the node pool fits lambda paths only.
     """
-    if threads < 1:
-        raise DataError(f"threads must be at least 1, got {threads}")
+    _check_threads(threads)
     tasks = list(tasks)
     workers = min(threads, len(tasks))
     if workers <= 1:
@@ -207,18 +206,13 @@ def _complexity(kind: str, cn: float, n: int, p: int) -> float:
 
 def quantile_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
     """loss[j, l, m]: summed quantile loss of node j's regression at level l
-    and lambda m, with residuals against the bare linear predictor.
-
-    Each block keeps its own ``Xj @ beta`` product and sums its own
-    residual row: one product over all blocks would round differently."""
+    and lambda m, with residuals against the bare linear predictor
+    (``CoefficientCube.linear_predictors``)."""
     loss = np.zeros(cube.intercepts.shape)
     for j in range(cube.p):
-        yj = dataset.values[:, j]
-        Xj = np.delete(dataset.values, j, axis=1)
-        fitted = np.array([[Xj @ beta for beta in level] for level in cube.betas[j]])
-        resid = yj - (cube.intercepts[j][..., None] + fitted)
+        y, lp = cube.linear_predictors(dataset, j)
         for l, tau in enumerate(cube.tau_levels):
-            loss[j, l] = quantile_loss(resid[l], float(tau)).sum(axis=1)
+            loss[j, l] = quantile_loss(y - lp[l], float(tau)).sum(axis=1)
     return loss
 
 

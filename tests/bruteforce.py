@@ -10,8 +10,10 @@ from collections import Counter
 import numpy as np
 from scipy.special import expit
 
-from qmgm.core import quantile_loss
+from qmgm.core import derive_threshold_grid, quantile_loss
 from qmgm.mgm import family_for, glm_deviance
+from qmgm.midcdf import ThresholdLogitSet, build_field
+from qmgm.penalized import NodeProblem
 from descent import _link_inverse
 
 
@@ -234,6 +236,18 @@ def logistic_irls_reference(y, X, z, *, max_iter=100, tol=1e-8, ridge=1e-6):
                 break
         coefs[h] = coef
     return coefs, converged, degenerate
+
+
+def intercept_only_problem(sample, link):
+    """The node problem of a bare sample with no predictors: threshold
+    logits at its distinct values from ``logistic_irls_reference`` on the
+    intercept-only design, and their mid-probabilities from the package's
+    ``build_field``."""
+    y = np.asarray(sample, dtype=float)
+    X = np.zeros((y.size, 0))
+    z = derive_threshold_grid(y)
+    logits = ThresholdLogitSet(0, z, *logistic_irls_reference(y, X, z))
+    return NodeProblem(0, y, X, link, build_field(logits, X), logits)
 
 
 BIC_EPS_GUARD = 1e-12

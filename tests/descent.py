@@ -2,7 +2,7 @@
 kept as a test oracle.
 
 The package fits a node by the inverse route (``qmgm.penalized.
-fit_lambda_path``).  This module solves the same implicit equation
+fit_lambda_paths``).  This module solves the same implicit equation
 tau = Gc_i(eta_i) another way: proximal gradient with backtracking line
 search on the probability-scale objective
 
@@ -17,8 +17,8 @@ rows by the local interpolator slope, which blurs support recovery, so the
 package does not use it for fitting.
 
 Gc_i is row i's piecewise-linear interpolation of its mid-probabilities
-``field.pi[i]`` over ``field.thresholds`` (``interpolate``), extrapolated
-with the boundary-segment slope and clamped to [INTERP_CLIP,
+``problem.pi[i]`` over ``problem.logits.thresholds`` (``interpolate``),
+extrapolated with the boundary-segment slope and clamped to [INTERP_CLIP,
 1 - INTERP_CLIP].
 """
 
@@ -45,26 +45,26 @@ MAX_BACKTRACKS = 70
 INTERP_CLIP = 1e-6
 
 
-def segments(field, eta: np.ndarray):
-    """Each row's interpolation segment at its eta: the index h of
-    [z_h, z_{h+1}] (the boundary segments extend outward) and the slope
+def segments(z: np.ndarray, pi: np.ndarray, eta: np.ndarray):
+    """Each row's interpolation segment at its eta, for mid-probabilities
+    pi[i, h] at thresholds z[h]: the index h of [z_h, z_{h+1}] (the
+    boundary segments extend outward) and the slope
     (pi[i, h+1] - pi[i, h]) / (z_{h+1} - z_h) on it."""
-    z, pi = field.thresholds, field.pi
     idx = np.clip(np.searchsorted(z, eta, side="right") - 1, 0, z.size - 2)
     rows = np.arange(eta.size)
     return idx, (pi[rows, idx + 1] - pi[rows, idx]) / (z[idx + 1] - z[idx])
 
 
-def interpolate(field, eta: np.ndarray):
-    """Mid-CDF values and local slopes of a ``MidCdfField`` at one eta per
-    row.
+def interpolate(z: np.ndarray, pi: np.ndarray, eta: np.ndarray):
+    """Mid-CDF values and local slopes at one eta per row, for
+    mid-probabilities pi[i, h] at thresholds z[h] (``midcdf.build_field``).
 
     Returns (values, slopes); the slope is zero wherever the output clamp
     is active, so it is the exact one-sided derivative of the clamped
     interpolator.
     """
-    idx, b = segments(field, eta)
-    val = b * (eta - field.thresholds[idx]) + field.pi[np.arange(eta.size), idx]
+    idx, b = segments(z, pi, eta)
+    val = b * (eta - z[idx]) + pi[np.arange(eta.size), idx]
     clamped = (val < INTERP_CLIP) | (val > 1.0 - INTERP_CLIP)
     np.clip(val, INTERP_CLIP, 1.0 - INTERP_CLIP, out=val)
     return val, np.where(clamped, 0.0, b)
@@ -135,12 +135,12 @@ def _smooth_eval(problem, b0: float, beta: np.ndarray, tau: float,
     nz = np.flatnonzero(beta)
     lp = b0 + np.sort(problem.X[:, nz] * beta[nz], axis=1).sum(axis=1)
     eta, deta = _link_inverse(lp, problem.link)
-    g_val, g_slope = interpolate(problem.field, eta)
+    g_val, g_slope = interpolate(problem.logits.thresholds, problem.pi, eta)
     r = g_val - tau
-    val = float(r @ r) / problem.n
+    val = float(r @ r) / problem.y.size
     if not need_grad:
         return val, None, None
-    d = (2.0 / problem.n) * r * g_slope * deta
+    d = (2.0 / problem.y.size) * r * g_slope * deta
     return val, float(d.sum()), (problem.X * d[:, None]).sum(axis=0)
 
 

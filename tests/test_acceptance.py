@@ -15,13 +15,13 @@ from qmgm.benchmark import (DgpVariant, default_lambda_grid, confusion_metrics,
 from qmgm.cli import main as cli_main
 from qmgm.core import Dataset, EstimatedGraph, validate_and_standardize
 from qmgm.midcdf import marginal_mid_quantile
-from qmgm.penalized import NodeProblem, fit_lambda_paths
+from qmgm.penalized import fit_lambda_paths
 from qmgm.selection import build_problems
 from qmgm.analysis import hamming_distance
 from qmgm.io import save_csv
 
-from bruteforce import (auc_oracle, hamming_oracle, metrics_oracle,
-                        mid_quantile_oracle, pair_counts_oracle)
+from bruteforce import (auc_oracle, hamming_oracle, intercept_only_problem,
+                        metrics_oracle, mid_quantile_oracle, pair_counts_oracle)
 from descent import (NodeFitConfig, fit_node_quantile, lambda_max, smooth_gradient,
                      soft_threshold)
 from test_benchmark import generate_null_sample
@@ -108,7 +108,7 @@ def test_criterion_5_midquantile_oracle_equivalence():
             sample = rng.integers(0, 15, size=200).astype(float)
         else:
             sample = rng.poisson(8.0, size=150).astype(float)
-        problem = NodeProblem.marginal(sample, link="identity")
+        problem = intercept_only_problem(sample, "identity")
         for tau in taus:
             intercept = fit_lambda_paths([(problem, tau)], [0.0])[0].intercepts[0]
             oracle = mid_quantile_oracle(sample, tau)

@@ -11,6 +11,8 @@ import qmgm
 from qmgm import benchmark, selection
 from qmgm.benchmark import DgpVariant, generate_sample, true_graph
 from qmgm.cli import main
+from qmgm.core import CoefficientCube
+from qmgm.selection import CRITERION_NAMES, estimate_edge_set
 from qmgm.io import GraphDocument, document_from_adjacency, export_graph, save_csv
 
 DGP_SCHEMA = "\n".join(
@@ -73,8 +75,10 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["fit_data", "fit_schema", "impute_data",
-                                  "fit_output_dir", "simulate_output_file"])
-def test_file_errors_exit_2(small_csv, tmp_path, capsys, case):
+                                  "fit_output_dir", "fit_dot_dir", "fit_output_is_dir",
+                                  "simulate_output_file"])
+def test_file_errors_exit_2(small_csv, tmp_path, capsys, no_fitting, case):
+    # each is found before stage 1 or the first replication starts
     csv_path, schema_path = small_csv
     missing = str(tmp_path / "missing" / "x")
     taken = tmp_path / "taken"
@@ -87,6 +91,10 @@ def test_file_errors_exit_2(small_csv, tmp_path, capsys, case):
                         "--output", str(tmp_path / "out.csv")],
         "fit_output_dir": fit + [str(csv_path), "--schema", str(schema_path),
                                  "--output", missing],
+        "fit_dot_dir": fit + [str(csv_path), "--schema", str(schema_path),
+                              "--output", str(tmp_path / "g.json"), "--dot", missing],
+        "fit_output_is_dir": fit + [str(csv_path), "--schema", str(schema_path),
+                                    "--output", str(tmp_path)],
         "simulate_output_file": ["simulate", "--n", "60", "--R", "1",
                                  "--learners", "mgm", "--lambda-count", "2",
                                  "--output", str(taken)],
@@ -129,7 +137,7 @@ def test_hamming_of_single_node_graphs_exits_2(tmp_path, capsys):
     assert "needs at least two nodes" in capsys.readouterr().err
 
 
-def test_fit_threads_zero_exits_2(small_csv, tmp_path, capsys):
+def test_fit_threads_zero_exits_2(small_csv, tmp_path, capsys, no_fitting):
     csv_path, schema_path = small_csv
     rc = main(["fit", str(csv_path), "--schema", str(schema_path),
                "--tau-levels", "1", "--lambda-count", "2", "--threads", "0",
@@ -503,6 +511,45 @@ def test_simulate_nested_grids_output_pinned(tmp_path, threads):
     same numpy/BLAS build as the pin above."""
     _assert_simulate_pinned(tmp_path, "qmgm1,qmgm3,qmgm7", threads,
                             PINNED_NESTED_SIMULATE_SHA256)
+
+
+# sha256 over the adjacency at every lambda of every cube, and the selected
+# lambda index of every criterion, in call order, for the pinned simulate
+# configuration with all four learners.
+PINNED_EDGE_SETS_SHA256 = "d0eb94c1826d23afa318dd92f788160956e5d82b1652bfb78005ce1f164ed582"
+
+
+def test_simulate_edge_sets_pinned(tmp_path, monkeypatch):
+    """Every learner's edge set at every lambda, and every criterion's
+    selected lambda index, match the recorded digest (on the numpy/BLAS
+    build of the pins above).  The file pins see the edge sets only through
+    the recovery metrics; this checks the same graphs directly."""
+    calls = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            calls.append(fn(*args, **kwargs))
+            return calls[-1]
+        return call
+
+    for name in ("fit_qmgm", "fit_mgm", "select_lambda"):
+        monkeypatch.setattr(benchmark, name, recorded(getattr(benchmark, name)))
+    rc = main(["simulate", "--n", "150", "--R", "3", "--learners", "qmgm1,qmgm3,qmgm7,mgm",
+               "--lambda-count", "12", "--seed", "7", "--threads", "1",
+               "--output", str(tmp_path / "sim")])
+    assert rc == 0
+    parts = []
+    for item in calls:
+        if isinstance(item, CoefficientCube):
+            upper = np.triu_indices(item.p, 1)
+            edges = [estimate_edge_set(item, mi).adjacency[upper]
+                     for mi in range(item.n_lambdas)]
+            parts.append([np.packbits(e).tobytes().hex() for e in edges])
+        else:
+            parts.append(item[0])
+    assert len(parts) == 3 * 4 * (1 + len(CRITERION_NAMES))
+    digest = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+    assert digest == PINNED_EDGE_SETS_SHA256
 
 
 PINNED_FIT_SHA256 = "8f010a98acc497c1e39e645b22be873153d9066a6ccace5c034e07dd4f0942fd"

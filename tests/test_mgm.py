@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qmgm.benchmark import default_lambda_grid
-from qmgm.core import DataError
-from qmgm.mgm import (GlmFamily, deviance_losses, family_for,
-                      fit_glm_lasso_path, fit_mgm, glm_deviance)
+from qmgm.core import DataError, Dataset, VariableSpec
+from qmgm.mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
 from qmgm.selection import SelectionCriterion, estimate_edge_set, \
     select_lambda, score_path
 
@@ -49,8 +48,9 @@ def test_orthogonal_design_soft_threshold_identity():
     X = q * np.sqrt(n)            # columns: mean 0, (1/n) X'X = I
     y = X @ np.array([1.0, -0.3, 0.05]) + rng.normal(size=n)
     lam = 0.2
-    path = fit_glm_lasso_path(y, X, GlmFamily("gaussian"), [lam])
-    b0, beta, conv = path.intercepts[0], path.betas[0], path.converged[0]
+    schema = tuple(VariableSpec(f"v{j}", "continuous") for j in range(4))
+    cube = fit_mgm(Dataset(np.column_stack([y, X]), schema), [lam])
+    b0, beta, conv = cube.intercepts[0, 0, 0], cube.betas[0, 0, 0], cube.converged[0, 0, 0]
     ls = X.T @ (y - y.mean()) / n
     expected = np.sign(ls) * np.maximum(np.abs(ls) - lam, 0.0)
     assert conv
@@ -65,9 +65,8 @@ def test_lambda_max_empties_every_family(tiny_mixed):
         y = ds.values[:, j]
         X = np.delete(ds.values, j, axis=1)
         lmax = node_lambda_max(y, X)
-        fam = family_for(ds.schema[j].kind)
-        path = fit_glm_lasso_path(y, X, fam, [1.5 * lmax])
-        assert np.all(path.betas[0] == 0.0)
+        cube = fit_mgm(ds, [1.5 * lmax])
+        assert np.all(cube.betas[j, 0, 0] == 0.0)
         lambdas_checked += 1
     assert lambdas_checked == ds.p
 
@@ -94,13 +93,14 @@ def test_fit_mgm_cube_contract(tiny_mixed):
 def test_path_objectives_nonincreasing_in_lambda(tiny_mixed):
     # smaller penalties can only improve the deviance part
     lambdas = default_lambda_grid(count=10)
+    cube = fit_mgm(tiny_mixed, lambdas)
     for j, kind in ((0, "gaussian"), (2, "poisson"), (3, "binomial")):
         y = tiny_mixed.values[:, j]
         X = np.delete(tiny_mixed.values, j, axis=1)
         fam = family_for(tiny_mixed.schema[j].kind)
-        path = fit_glm_lasso_path(y, X, fam, lambdas)
+        assert fam.name == kind
         dev = [glm_deviance(fam, y, fam.mean(b0 + X @ beta))
-               for b0, beta in zip(path.intercepts, path.betas)]
+               for b0, beta in zip(cube.intercepts[j, 0], cube.betas[j, 0])]
         assert all(d1 <= d0 + 1e-6 for d0, d1 in zip(dev, dev[1:]))
 
 
@@ -135,12 +135,10 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
 
 def test_warm_start_matches_cold_single(tiny_mixed):
     lambdas = default_lambda_grid(count=8)
-    y = tiny_mixed.values[:, 0]
-    X = np.delete(tiny_mixed.values, 0, axis=1)
-    fam = family_for("continuous")
-    path = fit_glm_lasso_path(y, X, fam, lambdas)
-    lone = fit_glm_lasso_path(y, X, fam, [lambdas[4]])
-    assert path.betas[4] == pytest.approx(lone.betas[0], abs=1e-7)
+    path = fit_mgm(tiny_mixed, lambdas)
+    lone = fit_mgm(tiny_mixed, [lambdas[4]])
+    for j in range(tiny_mixed.p):
+        assert path.betas[j, 0, 4] == pytest.approx(lone.betas[j, 0, 0], abs=1e-7), j
 
 
 def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
@@ -158,39 +156,30 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
         return [(intercepts, betas, work, np.zeros_like(converged))
                 for intercepts, betas, work, converged in paths(*args, **kwargs)]
 
+    assert fit_mgm(tiny_mixed, lambdas).converged[:, 0, -1].all()
+    with monkeypatch.context() as mp:
+        mp.setattr(mgm, "penalized_wls", uncertified_solve)
+        mp.setattr(mgm, "wls_paths", uncertified_paths)
+        cut = fit_mgm(tiny_mixed, lambdas)
     for j in (0, 2, 3):
-        y = tiny_mixed.values[:, j]
-        X = np.delete(tiny_mixed.values, j, axis=1)
         fam = family_for(tiny_mixed.schema[j].kind)
-        assert fit_glm_lasso_path(y, X, fam, lambdas).converged[-1]
-        with monkeypatch.context() as mp:
-            mp.setattr(mgm, "penalized_wls", uncertified_solve)
-            mp.setattr(mgm, "wls_paths", uncertified_paths)
-            cut = fit_glm_lasso_path(y, X, fam, lambdas)
-        assert not cut.converged[-1], fam.name
+        assert not cut.converged[j, 0, -1], fam.name
         if fam.name != "gaussian":
-            assert cut.work[-1] < mgm.OUTER_MAX_ITER, fam.name
-
-
-def test_fit_glm_lasso_path_rejects_a_bad_grid(tiny_mixed):
-    # the shared grid check, before any solve: an infinite lambda used to
-    # return a NaN objective without an error
-    y = tiny_mixed.values[:, 0]
-    X = np.delete(tiny_mixed.values, 0, axis=1)
-    fam = family_for("continuous")
-    for grid, message in (([np.inf, 0.5], "must be finite"),
-                          ([0.5, -0.1], "nonnegative"),
-                          ([0.1, 0.5], "strictly decreasing")):
-        with pytest.raises(DataError, match=message):
-            fit_glm_lasso_path(y, X, fam, grid)
+            assert cut.iterations[j, 0, -1] < mgm.OUTER_MAX_ITER, fam.name
 
 
 def test_fit_mgm_checks_the_grid_before_fitting(tiny_mixed, monkeypatch):
+    # the shared grid check, before any solve: an infinite lambda used to
+    # return a NaN objective without an error
     from qmgm import mgm
 
     def no_fit(*args):
         raise AssertionError("a node path was fitted")
 
-    monkeypatch.setattr(mgm, "fit_glm_lasso_path", no_fit)
-    with pytest.raises(DataError, match="strictly decreasing"):
-        fit_mgm(tiny_mixed, [0.1, 0.5])
+    monkeypatch.setattr(mgm, "_gaussian_paths", no_fit)
+    monkeypatch.setattr(mgm, "_proximal_newton_path", no_fit)
+    for grid, message in (([np.inf, 0.5], "must be finite"),
+                          ([0.5, -0.1], "nonnegative"),
+                          ([0.1, 0.5], "strictly decreasing")):
+        with pytest.raises(DataError, match=message):
+            fit_mgm(tiny_mixed, grid)

@@ -9,14 +9,13 @@ from scipy.special import expit
 
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import Dataset, VariableSpec, validate_and_standardize
-from qmgm.midcdf import (ThresholdLogitSet, _clipped_sigmoid,
-                         _fit_threshold_logits_arrays, build_field,
+from qmgm.midcdf import (ThresholdLogitSet, _clipped_sigmoid, build_field,
                          fit_threshold_logits, marginal_mid_cdf,
                          marginal_mid_quantile, rearrange_monotone)
-from qmgm.penalized import NodeProblem
 from qmgm.selection import build_problems
 
-from bruteforce import logistic_irls_reference, mid_quantile_oracle
+from bruteforce import (intercept_only_problem, logistic_irls_reference,
+                        mid_quantile_oracle)
 from descent import interpolate
 
 
@@ -43,24 +42,23 @@ def midcdf_at(logits, x):
     """build_field on the one-row X = x: the row's mid-probabilities, and
     the rearranged CDF and point masses recovered from them through
     pi_h = (F_h + F_{h-1}) / 2 with F_0 = 0."""
-    field = build_field(logits, np.asarray(x, dtype=float).reshape(1, -1))
-    pi = field.pi[0]
+    pi = build_field(logits, np.asarray(x, dtype=float).reshape(1, -1))[0]
     cdf = np.empty_like(pi)
     prev = 0.0
     for h, value in enumerate(pi):
         cdf[h] = prev = 2.0 * value - prev
-    return field, cdf, np.diff(cdf, prepend=0.0)
+    return pi, cdf, np.diff(cdf, prepend=0.0)
 
 
 def binary_intercept_only_problem(sample):
-    return NodeProblem.marginal(np.asarray(sample, float), link="logit")
+    return intercept_only_problem(sample, "logit")
 
 
 def test_intercept_only_binary_midcdf():
     # empirical frequencies 1/2 at zero: pi(0) = 0.25, pi(1) = 0.75
     pr = binary_intercept_only_problem([0.0, 0.0, 1.0, 1.0])
-    field, cdf, _ = midcdf_at(pr.logits, np.zeros((0,)))
-    assert field.pi[0] == pytest.approx([0.25, 0.75], abs=1e-8)
+    pi, cdf, _ = midcdf_at(pr.logits, np.zeros((0,)))
+    assert pi == pytest.approx([0.25, 0.75], abs=1e-8)
     assert cdf == pytest.approx([0.5, 1.0], abs=1e-8)
 
 
@@ -76,12 +74,12 @@ def test_top_threshold_degenerate(tiny_mixed):
 def test_intercept_only_matches_marginal_mid_cdf():
     rng = np.random.default_rng(5)
     sample = rng.poisson(3.0, 200).astype(float)
-    pr = NodeProblem.marginal(sample, link="identity")
+    pr = intercept_only_problem(sample, "identity")
     z, F, mass, pi = marginal_mid_cdf(sample)
-    field, cdf, _ = midcdf_at(pr.logits, np.zeros((0,)))
-    assert np.array_equal(field.thresholds, z)
+    row, cdf, _ = midcdf_at(pr.logits, np.zeros((0,)))
+    assert np.array_equal(pr.logits.thresholds, z)
     assert cdf == pytest.approx(F, abs=1e-8)
-    assert field.pi[0] == pytest.approx(pi, abs=1e-8)
+    assert row == pytest.approx(pi, abs=1e-8)
 
 
 def test_conditional_pi_monotone_in_01(dgp_500):
@@ -90,8 +88,7 @@ def test_conditional_pi_monotone_in_01(dgp_500):
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(size=ds.p - 1)
-        field, cdf, mass = midcdf_at(logits, x)
-        pi = field.pi[0]
+        pi, cdf, mass = midcdf_at(logits, x)
         assert np.all(pi > 0.0) and np.all(pi < 1.0)
         assert np.all(np.diff(pi) >= 0)
         assert np.all(mass >= -RECOVERY_TOL)
@@ -102,8 +99,8 @@ def test_conditional_pi_monotone_in_01(dgp_500):
 def test_interpolator_examples():
     # pi = (0.25, 0.75) at thresholds (0, 1); one row per evaluation point
     pr = binary_intercept_only_problem([0.0, 0.0, 1.0, 1.0])
-    field = build_field(pr.logits, np.zeros((3, 0)))
-    vals, slopes = interpolate(field, np.array([0.0, 1.0, 0.5]))
+    pi = build_field(pr.logits, np.zeros((3, 0)))
+    vals, slopes = interpolate(pr.logits.thresholds, pi, np.array([0.0, 1.0, 0.5]))
     assert vals == pytest.approx([0.25, 0.75, 0.5], abs=1e-8)
     assert slopes == pytest.approx([0.5, 0.5, 0.5], abs=1e-8)
 
@@ -114,8 +111,8 @@ def test_interpolator_monotone_and_clamped(dgp_500):
     z = logits.thresholds
     etas = np.linspace(z[0] - 50, z[-1] + 50, 400)
     # the covariate row x = 0, repeated once per evaluation point
-    field = build_field(logits, np.zeros((etas.size, ds.p - 1)))
-    vals, _ = interpolate(field, etas)
+    pi = build_field(logits, np.zeros((etas.size, ds.p - 1)))
+    vals, _ = interpolate(z, pi, etas)
     assert np.all(np.diff(vals) >= -1e-12)
     assert min(vals) >= 1e-6 and max(vals) <= 1 - 1e-6
 
@@ -182,8 +179,8 @@ def test_t3_conditional_cdf_matches_marginal_when_uninformative():
     rng = np.random.default_rng(0)
     errs = []
     for i in rng.integers(0, 5000, size=25):
-        field, cdf, _ = midcdf_at(logits, X[i])
-        raw = field.thresholds * scale + center
+        _, cdf, _ = midcdf_at(logits, X[i])
+        raw = logits.thresholds * scale + center
         errs.append(np.max(np.abs(cdf - stats.t.cdf(raw, df=3))))
     assert np.median(errs) < 0.05
 
@@ -205,7 +202,7 @@ def assert_matches_reference(logits, y, X):
     np.testing.assert_allclose(logits.coefficients[ok], coefs[ok], rtol=0, atol=1e-9)
     ref = ThresholdLogitSet(logits.node, logits.thresholds, coefs, converged,
                             degenerate)
-    np.testing.assert_allclose(build_field(logits, X).pi, build_field(ref, X).pi,
+    np.testing.assert_allclose(build_field(logits, X), build_field(ref, X),
                                rtol=0, atol=1e-9)
     return converged, degenerate
 
@@ -219,6 +216,17 @@ def one_row_below_first_threshold():
     top = np.argmax(X[:, 0])
     y[top] = y.min() - 1.0
     return y, X, top
+
+
+def logits_of_first_column(y, X, z):
+    """Threshold logits of y on X through ``fit_threshold_logits``: the
+    dataset [y, X] gives y the grid z and every other column a grid at or
+    above its maximum, whose thresholds are all degenerate, so the stacked
+    solve holds y's thresholds alone."""
+    grids = [z] + [col.max() + np.arange(2.0) for col in X.T]
+    schema = tuple(VariableSpec(f"v{j}", "continuous", threshold_grid=grid)
+                   for j, grid in enumerate(grids))
+    return fit_threshold_logits(Dataset(np.column_stack([y, X]), schema))[0]
 
 
 def generator_nodes(seed):
@@ -260,20 +268,23 @@ def test_stacked_threshold_logits_match_reference(case, monkeypatch):
         y, X, top = one_row_below_first_threshold()
         z = np.array([y[top], np.median(y)])
         assert (y <= z[0]).sum() == 1
-        logits = _fit_threshold_logits_arrays(0, y, X, z)
+        logits = logits_of_first_column(y, X, z)
         converged, degenerate = assert_matches_reference(logits, y, X)
         assert list(converged) == [False, True] and not degenerate.any()
     elif case == "degenerate_top":
         y, X, _ = one_row_below_first_threshold()
         z = np.quantile(np.unique(y), [0.2, 0.5, 1.0])
-        logits = _fit_threshold_logits_arrays(0, y, X, z)
+        logits = logits_of_first_column(y, X, z)
         _, degenerate = assert_matches_reference(logits, y, X)
         assert list(degenerate) == [False, False, True]
     elif case == "marginal":
+        # beside an all-zero column, whose slope the Newton steps never
+        # move, the regression is the intercept-only one
         sample = np.random.default_rng(5).poisson(3.0, 200).astype(float)
-        pr = NodeProblem.marginal(sample, link="identity")
-        assert pr.m == 0
-        assert_matches_reference(pr.logits, pr.y, pr.X)
+        zero = np.zeros((sample.size, 1))
+        logits = logits_of_first_column(sample, zero, np.unique(sample))
+        assert not logits.coefficients[:, 1].any()
+        assert_matches_reference(logits, sample, zero)
     else:
         # the stacked solve fails; per slice, every other solve fails too
         # and falls back to least squares (in the reference as well)
@@ -290,7 +301,7 @@ def test_stacked_threshold_logits_match_reference(case, monkeypatch):
         monkeypatch.setattr(np.linalg, "solve", flaky_solve)
         y, X, top = one_row_below_first_threshold()
         z = np.array([y[top], np.median(y), y.max()])
-        logits = _fit_threshold_logits_arrays(0, y, X, z)
+        logits = logits_of_first_column(y, X, z)
         assert stacked and max(stacked) == 2
         converged, _ = assert_matches_reference(logits, y, X)
         assert list(converged) == [False, True, True]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import descent
-from bruteforce import kkt_residual, penalized_wls_reference
+from bruteforce import intercept_only_problem, kkt_residual, penalized_wls_reference
 from descent import (NodeFitConfig, fit_node_quantile, lambda_max, null_fit,
                      objective, segments, smooth_gradient, smooth_objective,
                      soft_threshold)
@@ -15,14 +15,13 @@ from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                        VariableSpec, validate_and_standardize)
 from qmgm import penalized
 from qmgm.lasso import lasso_solve, wls_gram, wls_paths
-from qmgm.mgm import family_for, fit_glm_lasso_path, fit_mgm
-from qmgm.midcdf import MidCdfField, marginal_mid_quantile
+from qmgm.mgm import fit_mgm
+from qmgm.midcdf import marginal_mid_quantile
 from qmgm.penalized import (NodeProblem, fit_lambda_paths,
                             inverse_midquantile_targets, penalized_wls)
 from qmgm.selection import build_problems, fit_qmgm
 
 PATH_FIELDS = ("intercepts", "betas", "work", "converged")
-CUBE_FIELDS = ("intercepts", "betas", "iterations", "converged")
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ def test_null_intercept_solves_marginal_equation():
     # zero-slope optimum is exactly the marginal mid-quantile
     rng = np.random.default_rng(8)
     sample = rng.poisson(6.0, 250).astype(float)
-    pr = NodeProblem.marginal(sample, link="identity")
+    pr = intercept_only_problem(sample, "identity")
     for tau in (0.1, 0.25, 0.5, 0.9):
         base = null_fit(pr, tau)
         assert base.intercept == pytest.approx(
@@ -95,10 +94,10 @@ def _off_knot(pr, b0, beta, margin):
         eta = 1 / (1 + np.exp(-lp))
     else:
         eta = lp
-    z = pr.field.thresholds
+    z = pr.logits.thresholds
     dist_knot = np.min(np.abs(eta[:, None] - z[None, :]), axis=1)
-    idx, slope = segments(pr.field, eta)
-    raw = slope * (eta - z[idx]) + pr.field.pi[np.arange(eta.size), idx]
+    idx, slope = segments(z, pr.pi, eta)
+    raw = slope * (eta - z[idx]) + pr.pi[np.arange(eta.size), idx]
     with np.errstate(divide="ignore"):
         dist_clamp = np.where(
             slope != 0.0,
@@ -205,7 +204,7 @@ def test_permutation_equivariance(problems):
     pr = problems[3]
     rng = np.random.default_rng(9)
     perm = rng.permutation(pr.m)
-    permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.field,
+    permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.pi,
                            pr.logits)
     # production route: the convex subproblem has a unique optimum
     a = fit_lambda_paths([(pr, 0.5)], [0.05])[0]
@@ -241,10 +240,10 @@ def test_column_layout_and_order_do_not_steer_arithmetic(problems):
     # reductions add in an order that follows the memory layout
     pr = problems[3]
     fortran = NodeProblem(pr.node, pr.y, np.asfortranarray(pr.X), pr.link,
-                          pr.field, pr.logits)
+                          pr.pi, pr.logits)
     rng = np.random.default_rng(21)
     perm = rng.permutation(pr.m)
-    permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.field,
+    permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.pi,
                            pr.logits)
     base = null_fit(pr, 0.5).intercept
     for zeros in (0, 3, 6):
@@ -273,7 +272,7 @@ def test_column_layout_and_order_do_not_steer_arithmetic(problems):
 def test_inverse_targets_marginal_case():
     rng = np.random.default_rng(4)
     sample = rng.poisson(5.0, 300).astype(float)
-    pr = NodeProblem.marginal(sample, link="identity")
+    pr = intercept_only_problem(sample, "identity")
     t, solvable = inverse_midquantile_targets(pr, 0.5)
     assert solvable.all()
     assert t == pytest.approx(np.full(300, marginal_mid_quantile(sample, 0.5)),
@@ -281,7 +280,7 @@ def test_inverse_targets_marginal_case():
 
 
 def test_inverse_unsolvable_rows_flagged():
-    pr = NodeProblem.marginal(np.array([0.0, 0.0, 0.0, 1.0] * 30), link="logit")
+    pr = intercept_only_problem(np.array([0.0, 0.0, 0.0, 1.0] * 30), "logit")
     _, solvable = inverse_midquantile_targets(pr, 0.05)
     assert not solvable.any()  # pi_1 = 0.375 > 0.05 for every row
 
@@ -448,21 +447,18 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     assert np.array_equal(path.betas, betas)
     assert np.array_equal(path.work, work)
     assert np.array_equal(path.converged, converged)
-    # a gaussian mgm node holds the same kernel path, one outer iteration
-    # per point, and fit_mgm's cube slice of the node is its record
+    # fit_mgm's cube slice of a gaussian node holds the same kernel path,
+    # one outer iteration per point
     ds, _ = dgp_500
     j = 0
     assert ds.schema[j].kind == "continuous"
     y, X = ds.values[:, j], np.delete(ds.values, j, axis=1)
     b0s, betas, _, converged = wls_paths([wls_gram(X, np.ones(ds.n), y)], lambdas)[0]
-    node = fit_glm_lasso_path(y, X, family_for("continuous"), lambdas)
-    assert np.array_equal(node.intercepts, b0s)
-    assert np.array_equal(node.betas, betas)
-    assert np.array_equal(node.converged, converged)
-    assert np.array_equal(node.work, np.ones(lambdas.size, dtype=int))
     cube = fit_mgm(ds, lambdas)
-    for name, field in zip(PATH_FIELDS, CUBE_FIELDS):
-        assert np.array_equal(getattr(cube, field)[j, 0], getattr(node, name)), name
+    assert np.array_equal(cube.intercepts[j, 0], b0s)
+    assert np.array_equal(cube.betas[j, 0], betas)
+    assert np.array_equal(cube.converged[j, 0], converged)
+    assert np.array_equal(cube.iterations[j, 0], np.ones(lambdas.size, dtype=int))
     # read-only, also as a pool worker returns it (pickled)
     for record in (path, pickle.loads(pickle.dumps(path))):
         for name in PATH_FIELDS:
@@ -566,9 +562,10 @@ def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):
     pi = np.sort(rng.integers(0, 9, size=(40, k)) / 8.0, axis=1)
     pi[:5] = np.sort(rng.random((5, k)), axis=1)
     pi[5] = 0.5
-    field = MidCdfField(z, pi)
     X = np.zeros((40, pr.m))
-    custom = replace(pr, y=np.zeros(40), X=X, link="identity", field=field)
+    logits = replace(pr.logits, thresholds=z, coefficients=np.zeros((k, pr.m + 1)),
+                     converged=np.ones(k, bool), degenerate=np.zeros(k, bool))
+    custom = replace(pr, y=np.zeros(40), X=X, link="identity", pi=pi, logits=logits)
     taus = np.concatenate((np.unique(pi), [1e-9, 0.03, 0.41, 0.999]))
     taus = taus[(taus > 0) & (taus < 1)]
     for tau in taus:
@@ -577,8 +574,8 @@ def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):
         assert np.array_equal(t.view(np.int64), ref.view(np.int64)), tau
     for tau in (0.0625, 0.5, 0.9375):
         t, _ = inverse_midquantile_targets(replace(pr, link="identity"), tau)
-        ref = np.array([np.interp(tau, row, pr.field.thresholds)
-                        for row in pr.field.pi])
+        ref = np.array([np.interp(tau, row, pr.logits.thresholds)
+                        for row in pr.pi])
         assert np.array_equal(t.view(np.int64), ref.view(np.int64)), tau
 
 

@@ -4,13 +4,14 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import expit, xlogy
 
 from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
 from qmgm.core import (CoefficientCube, DataError, Dataset, NONZERO_TOL,
                        SIGN_LABELS, VariableSpec, _blas_thread_controls,
-                       standard_levels, validate_and_standardize)
+                       quantile_loss, standard_levels, validate_and_standardize)
 from qmgm.mgm import deviance_losses, fit_mgm
-from qmgm import selection
+from qmgm import mgm, selection
 from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
                             build_problems, estimate_edge_set, fit_qmgm,
                             quantile_losses, score_path, select_lambda)
@@ -200,6 +201,41 @@ def test_score_path_equals_blockwise_reference(seed):
                     assert got.tolist() == want, (cube.n_levels, name, tol)
                     checked += cube.n_lambdas
     assert checked == 4 * 5 * 2 * 5
+
+
+def _block_deviance(kind, y, lp):
+    """Family deviance of one block from its linear predictor n-vector."""
+    if kind == "continuous":
+        return np.sum((y - lp) ** 2)
+    lp = np.clip(lp, -mgm.LP_CLIP, mgm.LP_CLIP)
+    if kind == "binary":
+        mu = np.clip(expit(lp), 1e-10, 1.0 - 1e-10)
+        return 2.0 * np.sum(xlogy(y, y / mu) + xlogy(1.0 - y, (1.0 - y) / (1.0 - mu)))
+    mu = np.clip(np.exp(lp), 1e-10, None)
+    return 2.0 * np.sum(xlogy(y, y / mu) - (y - mu))
+
+
+def test_loss_entries_equal_the_block_formula_bit_for_bit(tiny_mixed):
+    # each entry of the one-pass loss arrays is the loss its block gives
+    # alone, for gaussian, poisson and binomial nodes
+    ds = validate_and_standardize(tiny_mixed)
+    assert {spec.kind for spec in ds.schema} == {"continuous", "count", "binary"}
+    lambdas = default_lambda_grid(count=5)
+    qcube = fit_qmgm(ds, standard_levels(3), lambdas)
+    mcube = fit_mgm(ds, lambdas)
+    qloss, mloss = quantile_losses(qcube, ds), deviance_losses(mcube, ds)
+    assert qloss.shape == (4, 3, 5) and mloss.shape == (4, 1, 5)
+    for j, spec in enumerate(ds.schema):
+        y, X = ds.values[:, j], np.delete(ds.values, j, axis=1)
+        for l, tau in enumerate(qcube.tau_levels):
+            for m in range(lambdas.size):
+                lp = qcube.intercepts[j, l, m] + X @ qcube.betas[j, l, m]
+                want = quantile_loss(y - lp, float(tau)).sum()
+                assert qloss[j, l, m].tobytes() == want.tobytes(), (j, l, m)
+        for m in range(lambdas.size):
+            lp = mcube.intercepts[j, 0, m] + X @ mcube.betas[j, 0, m]
+            want = _block_deviance(spec.kind, y, lp)
+            assert mloss[j, 0, m].tobytes() == want.tobytes(), (spec.kind, m)
 
 
 def test_select_lambda_rules():

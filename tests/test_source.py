@@ -41,9 +41,11 @@ def test_module_reads_every_import(path):
 
 
 def unnamed_public_defs(trees: dict) -> list:
-    """Top-level public functions and classes of the modules in ``trees``
-    (file name -> parsed source) that no module names: not read, not an
-    attribute, not imported (so an export in ``__init__.py`` counts)."""
+    """Top-level public functions and classes, and public methods of
+    top-level classes, of the modules in ``trees`` (file name -> parsed
+    source) that no module names: not read, not an attribute, not imported
+    (so an export in ``__init__.py`` counts).  A method is reported as
+    ``Class.method``."""
     named = set()
     for tree in trees.values():
         for n in ast.walk(tree):
@@ -53,9 +55,18 @@ def unnamed_public_defs(trees: dict) -> list:
                 named.add(n.attr)
             elif isinstance(n, ast.alias):
                 named.add(n.name)
-    return sorted((file, node.name) for file, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and node.name not in named)
+    found = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            found += [(file, qualname) for qualname, name in defs
+                      if not name.startswith("_") and name not in named]
+    return sorted(found)
 
 
 def test_unnamed_public_defs_are_found():
@@ -64,11 +75,16 @@ def test_unnamed_public_defs_are_found():
                                "def exported():\n    pass\n"
                                "def _private():\n    pass\n"
                                "def called():\n    return Used()\n"
-                               "def orphan():\n    def inner():\n        pass\n"),
+                               "def orphan():\n    def inner():\n        pass\n"
+                               "class Host:\n"
+                               "    def read(self):\n        return self.size\n"
+                               "    @property\n    def size(self):\n        return 1\n"
+                               "    @classmethod\n    def spare(cls):\n        pass\n"
+                               "    def _hidden(self):\n        pass\n"),
              "b.py": ast.parse("import a\nfrom .a import exported\n"
-                               "def g():\n    return a.called()\n")}
-    assert unnamed_public_defs(trees) == [("a.py", "Lone"), ("a.py", "orphan"),
-                                          ("b.py", "g")]
+                               "def g():\n    return a.called(), a.Host().read()\n")}
+    assert unnamed_public_defs(trees) == [("a.py", "Host.spare"), ("a.py", "Lone"),
+                                          ("a.py", "orphan"), ("b.py", "g")]
 
 
 def test_every_public_def_is_named_in_the_package():
@@ -85,8 +101,6 @@ UNSET_DEFAULTS_ALLOWED = {
         "every criterion by default; the tests score fewer to stay fast",
     ("benchmark.py", "run_replications", "sample_fn"):
         "the generator by default; the tests swap in edge-case samples",
-    ("penalized.py", "NodeProblem.marginal", "link"):
-        "identity by default; the tests also fit a logit-link marginal",
 }
 
 

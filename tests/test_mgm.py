@@ -168,9 +168,18 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
             assert cut.iterations[j, 0, -1] < mgm.OUTER_MAX_ITER, fam.name
 
 
+def test_fit_glm_lasso_path_rejects_a_bad_grid(tiny_mixed):
+    # every node's lasso path is fitted through fit_mgm, which runs the
+    # shared grid check first: an infinite lambda used to return a NaN
+    # objective without an error
+    for grid, message in (([np.inf, 0.5], "must be finite"),
+                          ([0.5, -0.1], "nonnegative"),
+                          ([0.1, 0.5], "strictly decreasing")):
+        with pytest.raises(DataError, match=message):
+            fit_mgm(tiny_mixed, grid)
+
+
 def test_fit_mgm_checks_the_grid_before_fitting(tiny_mixed, monkeypatch):
-    # the shared grid check, before any solve: an infinite lambda used to
-    # return a NaN objective without an error
     from qmgm import mgm
 
     def no_fit(*args):
@@ -178,8 +187,5 @@ def test_fit_mgm_checks_the_grid_before_fitting(tiny_mixed, monkeypatch):
 
     monkeypatch.setattr(mgm, "_gaussian_paths", no_fit)
     monkeypatch.setattr(mgm, "_proximal_newton_path", no_fit)
-    for grid, message in (([np.inf, 0.5], "must be finite"),
-                          ([0.5, -0.1], "nonnegative"),
-                          ([0.1, 0.5], "strictly decreasing")):
-        with pytest.raises(DataError, match=message):
-            fit_mgm(tiny_mixed, grid)
+    with pytest.raises(DataError, match="strictly decreasing"):
+        fit_mgm(tiny_mixed, [0.1, 0.5])

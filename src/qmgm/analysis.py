@@ -53,6 +53,12 @@ def gower_distances(targets: np.ndarray, observed: np.ndarray,
     return total / np.maximum(observed.sum(axis=1), 1)[:, None]
 
 
+def _check_knn_k(k: int) -> None:
+    """DataError unless the neighbor count ``k`` is at least 1."""
+    if k < 1:
+        raise DataError("k must be >= 1")
+
+
 def knn_impute(dataset: Dataset, k: int = 13) -> Dataset:
     """Replace each missing value by the column median of the k closest
     complete rows under Gower distance; distance ties break by row index.
@@ -60,8 +66,7 @@ def knn_impute(dataset: Dataset, k: int = 13) -> Dataset:
     Binary medians that land between the classes (possible for even k)
     resolve to the column's majority value over all complete rows.
     """
-    if k < 1:
-        raise DataError("k must be >= 1")
+    _check_knn_k(k)
     mask = dataset.missing_mask
     if not mask.any():
         return dataset

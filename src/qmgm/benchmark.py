@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -19,12 +20,13 @@ from scipy import special
 
 from .analysis import pair_counts
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
-                   VariableSpec, _check_lambda_grid, _check_tolerance, _readonly,
+                   VariableSpec, _check_lambda_grid, _check_threads, _check_tolerance,
+                   _one_blas_thread, _pin_blas_threads, _readonly,
                    standard_levels, validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
-from .selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
-                        build_problems, estimate_edge_set, fit_qmgm,
-                        quantile_losses, score_path, select_lambda)
+from .selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
+                        estimate_edge_set, fit_qmgm, quantile_losses, score_path,
+                        select_lambda)
 
 # Dependency structure of the generator: node -> parents (1-based).
 MAIN_EDGES = ((1, 2), (1, 3), (1, 5), (1, 6), (2, 8), (3, 4),
@@ -246,6 +248,29 @@ def _replication_worker(args):
         return index, variant.seed, None, f"{type(exc).__name__}: {exc}"
 
 
+def _pool_map(fn, tasks, threads: int) -> list:
+    """[fn(t) for t in tasks], in order, over ``threads`` worker processes;
+    ``simulate`` runs its replications through it.
+
+    The pool starts min(threads, len(tasks)) workers; with one worker the
+    tasks run serially here and this helper leaves BLAS alone.  While a
+    pool runs, the parent and every worker use one BLAS thread: idle
+    OpenBLAS helper threads spin and take the cores the workers need.  The
+    parent's count is restored on exit, also when a task raises.
+    """
+    _check_threads(threads)
+    tasks = list(tasks)
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # A forked worker inherits the count of 1 with OpenBLAS's thread server
+    # stopped by the fork; the initializer sets only a count that differs, so
+    # it starts no helper threads there and still pins a spawned worker.
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, initializer=_pin_blas_threads) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
+
+
 METRIC_FIELDS = ("precision", "tpr", "fpr", "f1", "mcc", "accuracy", "edges")
 
 
@@ -366,7 +391,7 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
 
     Individual replication failures are recorded and excluded from the
     summaries.  With ``threads`` > 1 the replications run in a process pool
-    under the BLAS pin of ``selection._pool_map``; results are independent
+    under the BLAS pin of ``_pool_map``; results are independent
     of the thread count.  ``threads`` < 1, a negative or non-finite
     ``nonzero_tol`` and a lambda grid that is not finite, nonnegative and
     strictly decreasing raise DataError before any replication runs.

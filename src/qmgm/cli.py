@@ -11,7 +11,8 @@ import sys
 
 import numpy as np
 
-from .analysis import centrality, hamming_distance, knn_impute, weighted_centrality
+from .analysis import (_check_knn_k, centrality, hamming_distance, knn_impute,
+                       weighted_centrality)
 from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
                         run_replications, write_outputs)
 from .core import DataError, NumericalError, QuantileGrid, _check_threads, \
@@ -128,18 +129,20 @@ def _check_output_file(path) -> None:
 
 def _cmd_fit(args) -> int:
     _check_tolerance(args.tolerance)
+    # checked, but a fit runs all its paths in one batch in this process
     _check_threads(args.threads)
+    _check_knn_k(args.knn_k)
     _check_output_file(args.output)
     _check_output_file(args.dot)
     grid = _parse_tau_levels(args.tau_levels)
+    lambdas = default_lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
     schema = load_schema(args.schema)
     dataset = load_csv(args.data, schema, args.missing_token)
     if dataset.has_missing():
         dataset = knn_impute(dataset, args.knn_k)
     dataset = validate_and_standardize(dataset)
-    lambdas = default_lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
     criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
-    cube = fit_qmgm(dataset, grid, lambdas, threads=args.threads)
+    cube = fit_qmgm(dataset, grid, lambdas)
     scores = score_path(cube, quantile_losses(cube, dataset), criterion,
                         dataset.n, nonzero_tol=args.tolerance)
     index, lam = select_lambda(scores, lambdas)
@@ -221,6 +224,8 @@ def _cmd_hamming(args) -> int:
 
 
 def _cmd_impute(args) -> int:
+    _check_knn_k(args.knn_k)
+    _check_output_file(args.output)
     schema = load_schema(args.schema)
     dataset = load_csv(args.data, schema, args.missing_token)
     imputed = knn_impute(dataset, args.knn_k)

@@ -340,11 +340,6 @@ class LambdaPath:
         for name in ("intercepts", "betas", "work", "converged"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
-    def __reduce__(self):
-        # rebuilt through the constructor, so a path a pool worker returns
-        # is read-only too
-        return (type(self), (self.intercepts, self.betas, self.work, self.converged))
-
 
 @dataclass(frozen=True, eq=False)
 class CoefficientCube:

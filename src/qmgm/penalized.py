@@ -61,17 +61,13 @@ class NodeProblem:
 
     def __post_init__(self):
         # lambda paths already fitted, keyed by (tau, lambdas bytes); only
-        # ``selection.fit_qmgm`` in the calling process fills it
+        # ``selection.fit_qmgm`` fills it
         object.__setattr__(self, "_paths", {})
         object.__setattr__(self, "y", _readonly(self.y))
         object.__setattr__(self, "pi", _readonly(self.pi))
         # one layout for every column order: numpy reductions add in an
         # order that follows the memory layout
         object.__setattr__(self, "X", _readonly(self.X, order="C"))
-
-    def __getstate__(self):
-        # pool workers get the problem without the path memo
-        return {**self.__dict__, "_paths": {}}
 
     @property
     def m(self) -> int:

@@ -4,15 +4,14 @@ quantile-loss information criteria."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_UNDEFINED,
-                   _check_lambda_grid, _check_threads, _check_tolerance,
-                   _one_blas_thread, _pin_blas_threads, quantile_loss)
+                   _check_lambda_grid, _check_tolerance, _one_blas_thread,
+                   quantile_loss)
 from .midcdf import build_field, fit_threshold_logits
 from .penalized import NodeProblem, fit_lambda_paths
 
@@ -62,7 +61,7 @@ def build_problems(dataset: Dataset) -> list:
     It runs on one BLAS thread: a threaded OpenBLAS product rounds
     differently from a single-threaded one, and the step must give the
     same bits in a serial run and in a replication worker of a process
-    pool, whose BLAS is pinned to one thread (see ``_pool_map``).
+    pool, whose BLAS is pinned to one thread (see ``benchmark._pool_map``).
     """
     values = dataset.values
     problems = []
@@ -75,39 +74,8 @@ def build_problems(dataset: Dataset) -> list:
     return problems
 
 
-def _pool_map(fn, tasks, threads: int) -> list:
-    """[fn(t) for t in tasks], in order, over ``threads`` worker processes.
-
-    The pool starts min(threads, len(tasks)) workers; with one worker the
-    tasks run serially here and this helper leaves BLAS alone.  While a
-    pool runs, the parent and every worker use one BLAS thread: idle
-    OpenBLAS helper threads spin and take the cores the workers need.  The
-    parent's count is restored on exit, also when a task raises.  Stage 1
-    never runs in the node pool: it runs once per dataset over all nodes
-    in the calling process, on one BLAS thread (``build_problems``),
-    and the node pool fits lambda paths only.
-    """
-    _check_threads(threads)
-    tasks = list(tasks)
-    workers = min(threads, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    # A forked worker inherits the count of 1 with OpenBLAS's thread server
-    # stopped by the fork; the initializer sets only a count that differs, so
-    # it starts no helper threads there and still pins a spawned worker.
-    with _one_blas_thread(), ProcessPoolExecutor(
-            max_workers=workers, initializer=_pin_blas_threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
-def _paths_worker(args):
-    """The lambda paths of the given (problem, tau) pairs, in one batch."""
-    pairs, lambdas = args
-    return fit_lambda_paths(pairs, lambdas)
-
-
 def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
-             threads: int = 1, problems: list | None = None) -> CoefficientCube:
+             problems: list | None = None) -> CoefficientCube:
     """Fit penalized mid-quantile regressions for every node, level and
     lambda; lambdas must be finite, nonnegative and strictly decreasing
     (paths are warm-started), which is checked before any fitting.
@@ -118,13 +86,9 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     also share lambda paths: each problem keeps the paths fitted on it, and
     a (node, level) path already fitted on the same lambda grid is reused,
     not refitted, so nested level grids fit each distinct path once.
-    Every path is solved by the inverse route
-    (``penalized.fit_lambda_paths``), and ``CoefficientCube.from_paths``
-    stacks the paths into the cube.  The nodes with missing paths are split
-    into min(threads, nodes) chunks, and each chunk is one task that fits
-    all its missing paths in one batched call; with ``threads`` > 1 the
-    tasks run in a process pool under the BLAS pin of ``_pool_map``.
-    Results do not depend on ``threads``; ``threads`` < 1 raises DataError.
+    Every missing (node, level) path is solved by the inverse route in one
+    batched ``penalized.fit_lambda_paths`` call in this process, and
+    ``CoefficientCube.from_paths`` stacks the paths into the cube.
     """
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
@@ -133,12 +97,10 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     if problems is None:
         problems = build_problems(dataset)
     keys = [(float(tau), lambdas.tobytes()) for tau in levels]
-    todo = [cells for pr in problems if (cells := [(pr, k) for k in keys if k not in pr._paths])]
-    n = min(threads, len(todo))
-    chunks = [sum(todo[len(todo) * i // n:len(todo) * (i + 1) // n], []) for i in range(n)]
-    tasks = [([(pr, k[0]) for pr, k in chunk], lambdas) for chunk in chunks]
-    for chunk, paths in zip(chunks, _pool_map(_paths_worker, tasks, threads)):
-        for (pr, k), path in zip(chunk, paths):
+    todo = [(pr, k) for pr in problems for k in keys if k not in pr._paths]
+    if todo:
+        paths = fit_lambda_paths([(pr, k[0]) for pr, k in todo], lambdas)
+        for (pr, k), path in zip(todo, paths):
             pr._paths[k] = path
     return CoefficientCube.from_paths([[pr._paths[k] for k in keys] for pr in problems],
                                       lambdas, levels)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from qmgm.benchmark import (DgpVariant, LearnerConfig, confusion_metrics,
+from qmgm import benchmark
+from qmgm.benchmark import (DgpVariant, LearnerConfig, _pool_map, confusion_metrics,
                             default_lambda_grid, generate_sample,
                             metrics_from_counts, pair_counts,
                             poisson_quantile, roc_curve, run_replications,
@@ -327,6 +328,62 @@ def test_replication_worker_runs_on_one_os_thread_after_stage_one(blas_threads):
                            lambdas=[0.5], criteria=("bic",),
                            sample_fn=_report_os_threads_after_stage_one)
     assert [msg for _, _, msg in run.failures] == ["RuntimeError: os threads 1"] * 2
+
+
+def _worker_blas_threads(_):
+    return [get() for get, _ in _blas_thread_controls()]
+
+
+def _failing_task(index):
+    raise RuntimeError(f"task {index} fails")
+
+
+def test_pool_map_pins_blas_to_one_thread_and_restores(blas_threads, tiny_mixed,
+                                                       monkeypatch):
+    counts = blas_threads()
+    parent_at_start = []
+    pool_class = benchmark.ProcessPoolExecutor
+
+    def spy(**kw):
+        parent_at_start.append(blas_threads())
+        return pool_class(**kw)
+
+    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", spy)
+    assert _pool_map(_worker_blas_threads, range(3), 2) == [[1] * len(counts)] * 3
+    assert parent_at_start == [[1] * len(counts)]
+    # a single task runs here, serially, with the parent's counts untouched
+    assert _pool_map(_worker_blas_threads, [0], 2) == [counts]
+    ds = validate_and_standardize(tiny_mixed)
+    assert blas_threads() == counts
+    build_problems(ds)  # stage 1 pins itself, serially too, and restores
+    assert blas_threads() == counts
+    with pytest.raises(RuntimeError, match="fails"):
+        _pool_map(_failing_task, range(2), 2)
+    assert blas_threads() == counts
+
+
+def _worker_os_threads(_):
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_pool_worker_runs_on_one_os_thread(blas_threads):
+    # the parent runs 2 BLAS threads; a worker must not start helper threads
+    assert _pool_map(_worker_os_threads, range(4), 2) == [1] * 4
+
+
+def test_pool_is_sized_to_the_work(monkeypatch):
+    sizes = []
+    pool_class = benchmark.ProcessPoolExecutor
+
+    def spy(max_workers, **kw):
+        sizes.append(max_workers)
+        return pool_class(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", spy)
+    assert _pool_map(abs, [-1, -2], 4) == [1, 2]
+    assert _pool_map(abs, [-3], 4) == [3]
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qmgm
-from qmgm import benchmark, selection
+from qmgm import benchmark, cli, selection
 from qmgm.benchmark import DgpVariant, generate_sample, true_graph
 from qmgm.cli import main
 from qmgm.core import CoefficientCube
@@ -164,6 +164,41 @@ def no_fitting(monkeypatch):
     """Make any start of stage 1 or of a replication fail the test."""
     monkeypatch.setattr(selection, "build_problems", _fail_if_called)
     monkeypatch.setattr(benchmark, "_replication_worker", _fail_if_called)
+
+
+def _fail_if_loaded(*args, **kwargs):
+    raise AssertionError("data loading started")
+
+
+@pytest.fixture()
+def no_loading(monkeypatch):
+    """Make any read of a data table, or its imputation, fail the test."""
+    monkeypatch.setattr(cli, "load_csv", _fail_if_loaded)
+    monkeypatch.setattr(cli, "knn_impute", _fail_if_loaded)
+
+
+@pytest.mark.parametrize("case", ["fit_knn_k", "fit_lambda_count", "impute_output_dir",
+                                  "impute_knn_k"])
+def test_bad_options_exit_2_before_loading_data(small_csv, tmp_path, capsys,
+                                                no_loading, no_fitting, case):
+    csv_path, schema_path = small_csv
+    fit = ["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", "1",
+           "--lambda-count", "2", "--output", str(tmp_path / "g.json")]
+    impute = ["impute", str(csv_path), "--schema", str(schema_path),
+              "--output", str(tmp_path / "out.csv")]
+    argv, message = {
+        # the table has no missing cells, so the fit would never impute
+        "fit_knn_k": (fit + ["--knn-k", "0"], "k must be >= 1"),
+        "fit_lambda_count": (fit + ["--lambda-count", "0"],
+                             "lambda grid needs at least one value"),
+        "impute_output_dir": (impute[:-1] + [str(tmp_path / "missing" / "x.csv")],
+                              "cannot write a file"),
+        "impute_knn_k": (impute + ["--knn-k", "0"], "k must be >= 1"),
+    }[case]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -324,9 +359,14 @@ def test_fit_is_byte_deterministic(small_csv, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_fit_document_independent_of_threads(small_csv, tmp_path):
-    # stage 1 runs in the calling process and the node pool fits the lambda
-    # paths; the graph document must not depend on the worker count
+def _no_process_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_fit_document_independent_of_threads(small_csv, tmp_path, monkeypatch):
+    # a fit runs all its paths in one batch in this process, at any
+    # --threads: it starts no pool, and the graph document is the same
+    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", _no_process_pool)
     csv_path, schema_path = small_csv
     outs = []
     for threads in ("1", "2"):

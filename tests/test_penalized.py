@@ -1,4 +1,3 @@
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -459,11 +458,9 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     assert np.array_equal(cube.betas[j, 0], betas)
     assert np.array_equal(cube.converged[j, 0], converged)
     assert np.array_equal(cube.iterations[j, 0], np.ones(lambdas.size, dtype=int))
-    # read-only, also as a pool worker returns it (pickled)
-    for record in (path, pickle.loads(pickle.dumps(path))):
-        for name in PATH_FIELDS:
-            assert not getattr(record, name).flags.writeable, name
-            assert np.array_equal(getattr(record, name), getattr(path, name)), name
+    # read-only
+    for name in PATH_FIELDS:
+        assert not getattr(path, name).flags.writeable, name
 
 
 def _batch_problems(seed, P=8, n=40, m=6):

@@ -1,6 +1,3 @@
-import os
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,13 +5,13 @@ from scipy.special import expit, xlogy
 
 from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
 from qmgm.core import (CoefficientCube, DataError, Dataset, NONZERO_TOL,
-                       SIGN_LABELS, VariableSpec, _blas_thread_controls,
-                       quantile_loss, standard_levels, validate_and_standardize)
+                       SIGN_LABELS, VariableSpec, quantile_loss, standard_levels,
+                       validate_and_standardize)
 from qmgm.mgm import deviance_losses, fit_mgm
 from qmgm import mgm, selection
-from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, _pool_map,
-                            build_problems, estimate_edge_set, fit_qmgm,
-                            quantile_losses, score_path, select_lambda)
+from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
+                            estimate_edge_set, fit_qmgm, quantile_losses,
+                            score_path, select_lambda)
 
 from bruteforce import deviance_block_loss_reference, score_reference
 
@@ -288,19 +285,6 @@ def assert_same_cube(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_fit_qmgm_threads_deterministic(dgp_500):
-    # the node pool gives the serial cube bit for bit, whether the problems
-    # are passed in or fit_qmgm builds them (stage 1 runs once over all
-    # nodes in the calling process; the workers fit lambda paths only);
-    # every fit gets fresh problems, so no path comes from an earlier fit
-    ds, _ = dgp_500
-    lambdas = default_lambda_grid(count=5)
-    c1 = fit_qmgm(ds, standard_levels(3), lambdas, problems=build_problems(ds))
-    for prebuilt in (build_problems(ds), None):
-        c2 = fit_qmgm(ds, standard_levels(3), lambdas, problems=prebuilt, threads=2)
-        assert_same_cube(c1, c2)
-
-
 def test_nested_level_grids_fit_each_distinct_path_once(dgp_500, monkeypatch):
     # qmgm1, qmgm3 and qmgm7 on shared problems: the cubes equal fits on
     # fresh problems bit for bit, and only the 7 distinct levels of the
@@ -326,77 +310,17 @@ def test_nested_level_grids_fit_each_distinct_path_once(dgp_500, monkeypatch):
     assert len(calls) == ds.p * 8
 
 
-def test_pool_filled_paths_serve_a_later_serial_fit(dgp_500, monkeypatch):
+def test_memoized_paths_serve_a_later_fit(dgp_500, monkeypatch):
     ds, _ = dgp_500
     lambdas = default_lambda_grid(count=5)
     problems = build_problems(ds)
-    pooled = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems, threads=2)
+    first = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
     monkeypatch.setattr(selection, "fit_lambda_paths", None)   # nothing is refitted
-    serial = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
-    assert_same_cube(pooled, serial)
-    median = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems, threads=2)
+    again = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
+    assert_same_cube(first, again)
+    median = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems)
     for name in CUBE_FIELDS:
-        assert np.array_equal(getattr(median, name), getattr(serial, name)[:, 1:2]), name
-    # the path memo stays in this process: a pickled problem carries none
-    assert problems[0]._paths
-    assert pickle.loads(pickle.dumps(problems[0]))._paths == {}
-
-
-def _worker_blas_threads(_):
-    return [get() for get, _ in _blas_thread_controls()]
-
-
-def _failing_task(index):
-    raise RuntimeError(f"task {index} fails")
-
-
-def test_node_pool_pins_blas_to_one_thread_and_restores(blas_threads, tiny_mixed,
-                                                        monkeypatch):
-    counts = blas_threads()
-    parent_at_start = []
-    pool_class = selection.ProcessPoolExecutor
-
-    def spy(**kw):
-        parent_at_start.append(blas_threads())
-        return pool_class(**kw)
-
-    monkeypatch.setattr(selection, "ProcessPoolExecutor", spy)
-    assert _pool_map(_worker_blas_threads, range(3), 2) == [[1] * len(counts)] * 3
-    assert parent_at_start == [[1] * len(counts)]
-    # a single task runs here, serially, with the parent's counts untouched
-    assert _pool_map(_worker_blas_threads, [0], 2) == [counts]
-    ds = validate_and_standardize(tiny_mixed)
-    fit_qmgm(ds, standard_levels(1), default_lambda_grid(count=2), threads=2)
-    assert blas_threads() == counts
-    build_problems(ds)  # stage 1 pins itself, serially too, and restores
-    assert blas_threads() == counts
-    with pytest.raises(RuntimeError, match="fails"):
-        _pool_map(_failing_task, range(2), 2)
-    assert blas_threads() == counts
-
-
-def _worker_os_threads(_):
-    return len(os.listdir("/proc/self/task"))
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-def test_pool_worker_runs_on_one_os_thread(blas_threads):
-    # the parent runs 2 BLAS threads; a worker must not start helper threads
-    assert _pool_map(_worker_os_threads, range(4), 2) == [1] * 4
-
-
-def test_pool_is_sized_to_the_work(monkeypatch):
-    sizes = []
-    pool_class = selection.ProcessPoolExecutor
-
-    def spy(max_workers, **kw):
-        sizes.append(max_workers)
-        return pool_class(max_workers=max_workers, **kw)
-
-    monkeypatch.setattr(selection, "ProcessPoolExecutor", spy)
-    assert _pool_map(abs, [-1, -2], 4) == [1, 2]
-    assert _pool_map(abs, [-3], 4) == [3]
-    assert sizes == [2]
+        assert np.array_equal(getattr(median, name), getattr(again, name)[:, 1:2]), name
 
 
 def test_independent_appendix_columns_stay_disconnected():

@@ -25,7 +25,7 @@ from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    standard_levels, validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
 from .selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                        estimate_edge_set, fit_qmgm, quantile_losses, score_path,
+                        edge_adjacencies, fit_qmgm, quantile_losses, score_path,
                         select_lambda)
 
 # Dependency structure of the generator: node -> parents (1-based).
@@ -155,9 +155,9 @@ def confusion_metrics(truth, estimate) -> RecoveryMetrics:
 def roc_curve(truth, graphs):
     """ROC points along a penalty path plus the envelope AUC.
 
-    One (FPR, TPR) point per graph, augmented with (0, 0) and (1, 1); the
-    AUC integrates the monotone upper envelope (points sorted by FPR with
-    cumulative-max TPR) by the trapezoidal rule.
+    One (FPR, TPR) point per graph or adjacency (per slice of an (M, p, p)
+    stack) plus (0, 0) and (1, 1); the AUC integrates the monotone upper
+    envelope (points sorted by FPR, cumulative-max TPR) by trapezoids.
     """
     pts = [(0.0, 0.0)]
     for g in graphs:
@@ -216,17 +216,16 @@ def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
     else:
         cube = fit_mgm(dataset, lambdas)
         losses = deviance_losses(cube, dataset)
-    graphs = [estimate_edge_set(cube, mi, nonzero_tol)
-              for mi in range(cube.n_lambdas)]
-    _, auc = roc_curve(truth, graphs)
+    adjacencies = edge_adjacencies(cube, nonzero_tol)
+    _, auc = roc_curve(truth, adjacencies)
     by_criterion = {}
     for cname in criteria:
         crit = SelectionCriterion.from_name(cname, dataset.p)
         scores = score_path(cube, losses, crit, dataset.n,
                             nonzero_tol=nonzero_tol)
         mi, lam = select_lambda(scores, lambdas)
-        rec = asdict(confusion_metrics(truth, graphs[mi]))
-        rec["edges"] = graphs[mi].n_edges
+        rec = asdict(confusion_metrics(truth, adjacencies[mi]))
+        rec["edges"] = int(np.triu(adjacencies[mi], 1).sum())
         rec["lambda"] = lam
         by_criterion[cname] = rec
     return {"auc": auc, "seconds": time.perf_counter() - start,
@@ -283,6 +282,7 @@ class BenchmarkRun:
     learner_names: tuple
     criteria: tuple
     lambdas: np.ndarray
+    tolerance: float       # edge tolerance of every edge set and score
     records: list          # (index, seed, record) for successes
     failures: list         # (index, seed, message)
 
@@ -335,6 +335,7 @@ class BenchmarkRun:
             "R": self.R, "learners": list(self.learner_names),
             "criteria": list(self.criteria),
             "lambdas": [float(v) for v in self.lambdas],
+            "tolerance": self.tolerance,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -373,6 +374,7 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
         f"learners: {','.join(run.learner_names)}",
         f"criteria: {','.join(run.criteria)}",
         f"lambda_grid: max={lam[0]:.12g} min={lam[-1]:.12g} count={lam.size}",
+        f"tolerance: {run.tolerance:.12g}",
         f"threads: {threads}",
         f"replication_seeds: {','.join(str(seed + r) for r in range(run.R))}",
         f"failures: {len(run.failures)}",
@@ -411,4 +413,4 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
         else:
             failures.append((index, seed, error))
     return BenchmarkRun(variant, R, tuple(lc.name for lc in learners), criteria,
-                        lambdas, records, failures)
+                        lambdas, float(nonzero_tol), records, failures)

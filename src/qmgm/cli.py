@@ -142,6 +142,7 @@ def _cmd_fit(args) -> int:
         dataset = knn_impute(dataset, args.knn_k)
     dataset = validate_and_standardize(dataset)
     criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
+    criterion.complexity(dataset.n, dataset.p)    # not finite: exit 2 before fitting
     cube = fit_qmgm(dataset, grid, lambdas)
     scores = score_path(cube, quantile_losses(cube, dataset), criterion,
                         dataset.n, nonzero_tol=args.tolerance)

@@ -185,13 +185,8 @@ class GraphDocument:
         return [node["name"] for node in self.nodes]
 
     def adjacency(self) -> np.ndarray:
-        names = self.node_names()
-        index = {nm: i for i, nm in enumerate(names)}
-        adj = np.zeros((len(names), len(names)), dtype=bool)
-        for e in self.edges:
-            a, b = index[e["source"]], index[e["target"]]
-            adj[a, b] = adj[b, a] = True
-        return adj
+        """The adjacency of ``to_graph``, so every edge is checked."""
+        return self.to_graph().adjacency
 
     def to_graph(self) -> EstimatedGraph:
         names = self.node_names()

@@ -49,6 +49,18 @@ class SelectionCriterion:
             cn = np.log(p - 1) / divisors[name]
         return cls("bic", float(cn if cn is not None else 1.0))
 
+    def complexity(self, n: int, p: int) -> float:
+        """Complexity per coefficient of an n-row fit over p nodes:
+        ln(n) ln(p-1) cn / (2n) for the BIC, 2 / (2n) for the AIC.  A value
+        that is not finite (cn = inf, or an overflow) raises DataError."""
+        with np.errstate(over="ignore"):
+            per_coef = (2.0 / (2.0 * n) if self.kind == "aic"
+                        else float(np.log(n) * np.log(p - 1) * self.cn / (2.0 * n)))
+        if not np.isfinite(per_coef):
+            raise DataError(f"criterion complexity per coefficient is not finite "
+                            f"(cn={self.cn:g})")
+        return per_coef
+
 
 CRITERION_NAMES = ("aic", "bic", "bicp", "bic2p", "bic3p")
 
@@ -106,14 +118,22 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
                                       lambdas, levels)
 
 
-def _coefficient_tensor(cube: CoefficientCube, lambda_index: int) -> np.ndarray:
-    """B[j, l, k] = coefficient of node k in node j's regression."""
-    p, L = cube.p, cube.n_levels
-    B = np.zeros((p, L, p))
-    for j in range(p):
-        others = np.concatenate((np.arange(j), np.arange(j + 1, p)))
-        B[j][:, others] = cube.betas[j, :, lambda_index, :]
+def _coefficient_tensor(coefs: np.ndarray) -> np.ndarray:
+    """B[..., j, k] = coefficient of node k in node j's regression, from
+    (p, ..., p-1) slopes; the row-major order of the off-diagonal mask is
+    the predictor index map (k < j -> k, k > j -> k - 1)."""
+    p = coefs.shape[0]
+    B = np.zeros(coefs.shape[1:-1] + (p, p))
+    B[..., ~np.eye(p, dtype=bool)] = np.moveaxis(coefs, 0, -2).reshape(B.shape[:-2] + (-1,))
     return B
+
+
+def edge_adjacencies(cube: CoefficientCube, tolerance: float) -> np.ndarray:
+    """(M, p, p) max/OR adjacency stack: slice m is ``estimate_edge_set(cube,
+    m, tolerance).adjacency``.  A bad tolerance raises DataError."""
+    _check_tolerance(tolerance)
+    D = _coefficient_tensor(np.abs(cube.betas).max(axis=1))
+    return np.maximum(D, D.swapaxes(1, 2)) > tolerance
 
 
 def estimate_edge_set(cube: CoefficientCube, lambda_index: int,
@@ -124,23 +144,21 @@ def estimate_edge_set(cube: CoefficientCube, lambda_index: int,
     coefficients (undefined when the two directions disagree).  A negative
     or non-finite tolerance raises DataError."""
     _check_tolerance(tolerance)
-    B = _coefficient_tensor(cube, lambda_index)
+    B = _coefficient_tensor(cube.betas[:, :, lambda_index])
     p = cube.p
     absB = np.abs(B)
-    D = absB.max(axis=1)                      # (p, p) directional max over levels
-    arg_l = absB.argmax(axis=1)               # attaining level per direction
+    D = absB.max(axis=0)                      # (p, p) directional max over levels
+    arg_l = absB.argmax(axis=0)               # attaining level per direction
     rows = np.arange(p)[:, None]
     cols = np.arange(p)[None, :]
-    at_max = B[rows, arg_l, cols]             # attaining signed coefficient
+    at_max = B[arg_l, rows, cols]             # attaining signed coefficient
     sgn_dir = np.sign(at_max).astype(np.int8)
 
     strength = np.maximum(D, D.T)
-    np.fill_diagonal(strength, 0.0)
     adjacency = strength > tolerance
     strength = np.where(adjacency, strength, 0.0)
 
     exceeds = D > tolerance
-    np.fill_diagonal(exceeds, False)
     sign = np.full((p, p), SIGN_ABSENT, dtype=np.int8)
     both = exceeds & exceeds.T
     agree = sgn_dir == sgn_dir.T
@@ -149,7 +167,6 @@ def estimate_edge_set(cube: CoefficientCube, lambda_index: int,
     fwd_only = exceeds & ~exceeds.T
     sign[fwd_only] = sgn_dir[fwd_only]
     sign[fwd_only.T] = sgn_dir.T[fwd_only.T]
-    sign[~adjacency] = SIGN_ABSENT
 
     J = np.broadcast_to(rows, (p, p))
     K = np.broadcast_to(cols, (p, p))
@@ -160,17 +177,11 @@ def estimate_edge_set(cube: CoefficientCube, lambda_index: int,
     return EstimatedGraph(adjacency, strength, sign, prov_tau, attained)
 
 
-def _complexity(kind: str, cn: float, n: int, p: int) -> float:
-    if kind == "aic":
-        return 2.0 / (2.0 * n)
-    return float(np.log(n) * np.log(p - 1) * cn / (2.0 * n))
-
-
 def quantile_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
     """loss[j, l, m]: summed quantile loss of node j's regression at level l
     and lambda m, with residuals against the bare linear predictor
     (``CoefficientCube.linear_predictors``)."""
-    loss = np.zeros(cube.intercepts.shape)
+    loss = np.zeros((cube.p, cube.n_levels, cube.n_lambdas))
     for j in range(cube.p):
         y, lp = cube.linear_predictors(dataset, j)
         for l, tau in enumerate(cube.tau_levels):
@@ -187,13 +198,9 @@ def score_path(cube: CoefficientCube, losses: np.ndarray,
 
     Per (node, level) block: the log of its loss plus nu times the
     complexity per coefficient, where nu is the block's active-set size;
-    that is ln(n) ln(p-1) cn / (2n) for the BIC and 2 / (2n) for the AIC.
+    that is ``criterion.complexity(n, p)``.
     """
-    with np.errstate(over="ignore"):
-        per_coef = _complexity(criterion.kind, criterion.cn, n, cube.p)
-    if not np.isfinite(per_coef):
-        raise DataError(f"criterion complexity per coefficient is not finite "
-                        f"(cn={criterion.cn:g})")
+    per_coef = criterion.complexity(n, cube.p)
     nu = np.count_nonzero(np.abs(cube.betas) > nonzero_tol, axis=3)
     blocks = (np.log(losses + BIC_EPS_GUARD) + nu * per_coef).reshape(-1, cube.n_lambdas)
     # A running sum adds the blocks node by node, level by level, at every

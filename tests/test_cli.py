@@ -1,6 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -57,6 +60,33 @@ def test_simulate_rejects_fit_only_flags(tmp_path, capsys, flag):
     assert not (tmp_path / "sim").exists()
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_synopsis(text: str) -> dict:
+    """{subcommand: its --options} from the first code block under the
+    "Command line" heading; a line starting ``qmgm <command>`` opens a
+    command and the indented lines after it continue it."""
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    options, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("qmgm "):
+            command = line.split()[1]
+            options[command] = set()
+        if command is not None:
+            options[command] |= set(re.findall(r"--[A-Za-z][A-Za-z-]*", line))
+    return options
+
+
+def test_readme_synopsis_matches_the_parser():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {opt for action in parser._actions for opt in action.option_strings
+                     if opt.startswith("--") and opt != "--help"}
+              for name, parser in sub.choices.items()}
+    assert readme_synopsis(README.read_text(encoding="utf-8")) == parsed
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["simulate", "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err
@@ -106,9 +136,11 @@ def test_file_errors_exit_2(small_csv, tmp_path, capsys, no_fitting, case):
 
 
 @pytest.mark.parametrize("cn", ["inf", "1e308"])
-def test_fit_cn_with_infinite_complexity_exits_2(small_csv, tmp_path, capsys, cn):
+def test_fit_cn_with_infinite_complexity_exits_2(small_csv, tmp_path, capsys,
+                                                 no_fitting, cn):
     # ln(n) ln(p - 1) cn / (2n) overflows; an infinite complexity gave NaN
-    # scores (0 * inf) and no selectable lambda
+    # scores (0 * inf) and no selectable lambda.  It is found once n and p
+    # are known, before stage 1.
     csv_path, schema_path = small_csv
     rc = main(["fit", str(csv_path), "--schema", str(schema_path),
                "--tau-levels", "1", "--lambda-count", "2", "--cn", cn,
@@ -395,6 +427,22 @@ def test_simulate_writes_tables(tmp_path):
     assert "failures: 0" in manifest
 
 
+def test_simulate_manifest_records_the_tolerance(tmp_path):
+    # the tolerance changes every edge set, so it is part of the config
+    manifests = {}
+    for tol in ("1e-6", "0.05"):
+        out = tmp_path / tol
+        assert main(["simulate", "--n", "60", "--R", "1", "--learners", "qmgm1",
+                     "--lambda-count", "2", "--tolerance", tol,
+                     "--output", str(out)]) == 0
+        manifests[tol] = (out / "manifest.txt").read_text().splitlines()
+    assert "tolerance: 1e-06" in manifests["1e-6"]
+    assert "tolerance: 0.05" in manifests["0.05"]
+    digests = {tol: lines[0] for tol, lines in manifests.items()}
+    assert all(d.startswith("config_digest: ") for d in digests.values())
+    assert digests["1e-6"] != digests["0.05"]
+
+
 def test_metrics_and_hamming_commands(tmp_path, capsys):
     tg = true_graph()
     names = [f"Y{i+1}" for i in range(10)]
@@ -462,8 +510,19 @@ EDGE = {"source": "a", "target": "b", "strength": 1.0, "sign": "positive",
     ("centrality", _document_text([dict(EDGE, sign="sideways")])),
     ("centrality", _document_text([dict(EDGE, strength="x")])),
     ("centrality", _document_text([{k: v for k, v in EDGE.items() if k != "strength"}])),
+    ("metrics", _document_text([dict(EDGE, sign="sideways")])),
+    ("hamming", _document_text([dict(EDGE, sign="sideways")])),
+    ("metrics", _document_text([dict(EDGE, strength="x")])),
+    ("hamming", _document_text([dict(EDGE, strength="x")])),
+    ("metrics", _document_text([{k: v for k, v in EDGE.items() if k != "strength"}])),
+    ("hamming", _document_text([{k: v for k, v in EDGE.items() if k != "strength"}])),
+    ("metrics", _document_text([dict(EDGE, target="a")])),
+    ("hamming", _document_text([dict(EDGE, target="a")])),
 ], ids=["no_nodes", "not_an_object", "metrics_unknown_node", "hamming_unknown_node",
-        "duplicate_node", "unknown_sign", "text_strength", "no_strength"])
+        "duplicate_node", "unknown_sign", "text_strength", "no_strength",
+        "metrics_unknown_sign", "hamming_unknown_sign", "metrics_text_strength",
+        "hamming_text_strength", "metrics_no_strength", "hamming_no_strength",
+        "metrics_self_loop", "hamming_self_loop"])
 def test_malformed_graph_document_is_a_data_error(tmp_path, capsys, command, text):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(_document_text([EDGE]), encoding="utf-8")
@@ -598,8 +657,9 @@ PINNED_FIT_SHA256 = "8f010a98acc497c1e39e645b22be873153d9066a6ccace5c034e07dd4f0
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_fit_output_pinned(small_csv, tmp_path, threads):
     """A fixed fit configuration writes byte-for-byte the same graph
-    document, serially and from the node pool, which turns the "identical
-    output" contract into a check for the applied fit too.
+    document at either --threads value (the fit runs in one process at
+    both), which turns the "identical output" contract into a check for
+    the applied fit too.
 
     Like the simulate pin, the hash holds for the numpy/BLAS build it was
     recorded with (numpy 2.4.6 with its bundled OpenBLAS 0.3.31, Python

@@ -10,8 +10,8 @@ from qmgm.core import (CoefficientCube, DataError, Dataset, NONZERO_TOL,
 from qmgm.mgm import deviance_losses, fit_mgm
 from qmgm import mgm, selection
 from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                            estimate_edge_set, fit_qmgm, quantile_losses,
-                            score_path, select_lambda)
+                            edge_adjacencies, estimate_edge_set, fit_qmgm,
+                            quantile_losses, score_path, select_lambda)
 
 from bruteforce import deviance_block_loss_reference, score_reference
 
@@ -97,6 +97,50 @@ def test_edge_set_symmetry_and_tolerance_monotone():
         if prev_edges is not None:
             assert edges.issubset(prev_edges)
         prev_edges = edges
+
+
+def assert_stack_equals_graphs(cube, tol):
+    stack = edge_adjacencies(cube, tol)
+    assert stack.shape == (cube.n_lambdas, cube.p, cube.p) and stack.dtype == bool
+    for mi in range(cube.n_lambdas):
+        assert np.array_equal(stack[mi], estimate_edge_set(cube, mi, tol).adjacency), mi
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+@pytest.mark.parametrize("tol", [0.0, NONZERO_TOL, 0.5])
+def test_adjacency_stack_equals_the_graph_at_every_lambda(p, tol):
+    # coefficients drawn from a few values, so levels tie, the two
+    # directions of a pair often have equal magnitudes of opposite sign,
+    # and many |b| equal the tolerance exactly
+    rng = np.random.default_rng(p)
+    values = np.array([0.0, tol, -tol, 0.5, -0.5, 1e-300])
+    for L, M in ((1, 1), (3, 5), (7, 4)):
+        betas = values[rng.integers(0, values.size, (p, L, M, p - 1))]
+        cube = CoefficientCube(np.zeros((p, L, M)), betas, default_lambda_grid(count=M),
+                               np.linspace(0.25, 0.75, L), np.ones((p, L, M), bool),
+                               np.ones((p, L, M), int))
+        assert_stack_equals_graphs(cube, tol)
+
+
+def test_adjacency_stack_hand_cases():
+    B = np.zeros((3, 2, 3))
+    B[0, 1, 1], B[1, 0, 0] = 0.5, -0.5      # opposite signs, equal magnitude
+    B[0, :, 2] = 0.25                       # tied across levels, |b| == tol
+    cube = cube_from_B(B, lambdas=(1.0, 0.5))
+    stack = edge_adjacencies(cube, 0.25)
+    assert stack[:, 0, 1].all() and stack[:, 1, 0].all()
+    assert not stack[:, 0, 2].any() and not stack[:, 2, 0].any()
+    assert edge_adjacencies(cube, 0.0)[:, 0, 2].all()
+    for tol in (0.0, 0.25):
+        assert_stack_equals_graphs(cube, tol)
+
+
+def test_adjacency_stack_of_fitted_cubes(dgp_500):
+    ds, _ = dgp_500
+    lambdas = default_lambda_grid(count=6)
+    for cube in (fit_qmgm(ds, standard_levels(7), lambdas), fit_mgm(ds, lambdas)):
+        for tol in (0.0, NONZERO_TOL, 0.05):
+            assert_stack_equals_graphs(cube, tol)
 
 
 def linear_dataset():
@@ -364,8 +408,11 @@ def test_fit_qmgm_checks_the_grid_before_stage_one(tiny_mixed, monkeypatch,
 def test_fit_and_edge_extraction_reject_bad_tolerance(tol):
     # the fit takes no tolerance; ``qmgm fit`` checks --tolerance before it
     # reads the data (tests/test_cli.py)
+    cube = cube_from_B(np.zeros((3, 1, 3)))
     with pytest.raises(DataError, match="tolerance must be finite and >= 0"):
-        estimate_edge_set(cube_from_B(np.zeros((3, 1, 3))), 0, tol)
+        estimate_edge_set(cube, 0, tol)
+    with pytest.raises(DataError, match="tolerance must be finite and >= 0"):
+        edge_adjacencies(cube, tol)
 
 
 def test_zero_tolerance_counts_every_nonzero_coefficient():

@@ -131,17 +131,23 @@ def _centrality(graph, names, strength) -> CentralityReport:
 
 def pair_counts(truth, estimate):
     """(tp, fp, tn, fn) over the p(p-1)/2 unordered node pairs."""
+    return tuple(int(counts[0]) for counts in stacked_pair_counts(truth, [estimate]))
+
+
+def stacked_pair_counts(truth, estimates):
+    """``pair_counts`` of every graph or adjacency in a sequence or (M, p, p)
+    stack, as four (M,) arrays, from one pass over the stacked upper
+    triangles."""
     t = _adjacency_of(truth)
-    e = _adjacency_of(estimate)
-    if t.shape != e.shape:
+    if not isinstance(estimates, np.ndarray):
+        estimates = [_adjacency_of(e) for e in estimates] or np.zeros((0,) + t.shape)
+    e = np.asarray(estimates, dtype=bool)
+    if e.shape[1:] != t.shape:
         raise DataError("graphs must have the same number of nodes")
     iu = np.triu_indices(t.shape[0], 1)
-    t, e = t[iu], e[iu]
-    tp = int(np.sum(t & e))
-    fp = int(np.sum(~t & e))
-    tn = int(np.sum(~t & ~e))
-    fn = int(np.sum(t & ~e))
-    return tp, fp, tn, fn
+    t, e = t[iu], e[:, iu[0], iu[1]]
+    tp, fp = (e & t).sum(axis=1), (e & ~t).sum(axis=1)
+    return tp, fp, (~t).sum() - fp, t.sum() - tp
 
 
 def hamming_distance(g1, g2) -> float:

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy import special
 
-from .analysis import pair_counts
+from .analysis import pair_counts, stacked_pair_counts
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    VariableSpec, _check_lambda_grid, _check_threads, _check_tolerance,
                    _one_blas_thread, _pin_blas_threads, _readonly,
@@ -157,11 +157,12 @@ def roc_curve(truth, graphs):
 
     One (FPR, TPR) point per graph or adjacency (per slice of an (M, p, p)
     stack) plus (0, 0) and (1, 1); the AUC integrates the monotone upper
-    envelope (points sorted by FPR, cumulative-max TPR) by trapezoids.
+    envelope (points sorted by FPR, cumulative-max TPR) by trapezoids.  The
+    pair counts of all slices come from one ``stacked_pair_counts`` pass.
     """
     pts = [(0.0, 0.0)]
-    for g in graphs:
-        m = confusion_metrics(truth, g)
+    for counts in zip(*(c.tolist() for c in stacked_pair_counts(truth, graphs))):
+        m = metrics_from_counts(*counts)
         pts.append((m.fpr, m.tpr))
     pts.append((1.0, 1.0))
     pts = np.asarray(pts)
@@ -403,6 +404,8 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
         raise DataError("R must be >= 1")
     lambdas = default_lambda_grid() if lambdas is None else _check_lambda_grid(lambdas)
     learners = tuple(LearnerConfig.from_name(nm) for nm in learner_names)
+    if len({lc.name for lc in learners}) < len(learners):
+        raise DataError(f"a learner is given more than once: {','.join(learner_names)}")
     criteria = tuple(criteria)
     tasks = [(r, replace(variant, seed=variant.seed + r), learners, lambdas,
               criteria, nonzero_tol, sample_fn) for r in range(R)]

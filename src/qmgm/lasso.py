@@ -17,10 +17,10 @@ The active-set method runs on P problems of equal width in lockstep: at
 each step it stacks the active blocks of every problem whose active set
 has the same size into one ``np.linalg.solve`` call.  A stacked solve
 gives each problem the bits it gets alone, so a problem's answer does not
-depend on the others in its batch.  Along a lambda path X, the row
-weights and the targets stay fixed, so G and c are formed once per path;
-``wls_paths`` takes the Gram forms of many paths and advances them
-together, and ``lasso_solve`` is the single solve.
+depend on the others in its batch.  ``lasso_solve`` is that stacked
+solve.  Along a lambda path X, the row weights and the targets stay fixed,
+so ``wls_paths`` forms G and c once per path; ``penalized.penalized_wls``
+forms them afresh for each reweighted step of the mgm baseline.
 """
 
 from __future__ import annotations
@@ -39,15 +39,13 @@ WLS_KKT_TOL = 1e-10
 
 
 def wls_paths(grams, lambdas):
-    """``penalized.penalized_wls`` along a decreasing lambda grid for each
-    of P problems (X, w, z) with the same number of predictors and row
-    weights of positive sum, given by their ``wls_gram`` forms: X, w and z
-    stay fixed along a path, so G and c are formed once per path.  Each
-    point is warm-started at the last and every slope is penalized by
-    lambda.  The paths advance together, one batched solve per lambda, and
-    each equals the path its problem gives alone.  Returns one tuple of
-    arrays (intercepts (M,), betas (M, m), work (M,), converged (M,)) per
-    problem, over the M lambdas: the fields of a ``core.LambdaPath``."""
+    """``wls_step`` along a decreasing lambda grid for P problems with the
+    same number of predictors and row weights of positive sum, given by
+    their ``wls_gram`` forms, formed once per path as X, w and z stay fixed
+    along it.  Each point is warm-started at the last, and each path equals
+    the one its problem gives alone.  Returns one tuple of arrays
+    (intercepts (M,), betas (M, m), work (M,), converged (M,)) per problem,
+    over the M lambdas: the fields of a ``core.LambdaPath``."""
     if not grams:
         return []
     G, c, ok, xbar, zbar = (np.array(a) for a in zip(*grams))
@@ -57,11 +55,18 @@ def wls_paths(grams, lambdas):
     work, converged = np.zeros((P, M), dtype=int), np.zeros((P, M), dtype=bool)
     beta = np.zeros((P, m))
     for i, lam in enumerate(lambdas):
-        work[:, i], converged[:, i] = _solves(G, c, ok, beta, np.full((P, m), float(lam)))
+        intercepts[:, i], work[:, i], converged[:, i] = wls_step(G, c, ok, xbar, zbar, beta, lam)
         betas[:, i] = beta
-        # one dot product per path, as zbar - xbar @ beta alone
-        intercepts[:, i] = zbar - np.matmul(xbar[:, None, :], beta[:, :, None])[:, 0, 0]
     return list(zip(intercepts, betas, work, converged))
+
+
+def wls_step(G, c, ok, xbar, zbar, beta, lam):
+    """One ``lasso_solve`` of P problems given by their stacked ``wls_gram``
+    forms, every slope penalized by lam, from the starts beta (P, m), which
+    are overwritten.  Returns the intercepts, work and converged (P,)."""
+    work, converged = lasso_solve(G, c, ok, beta, np.full(beta.shape, float(lam)))
+    # one dot product per problem, as zbar - xbar @ beta alone
+    return zbar - np.matmul(xbar[:, None, :], beta[:, :, None])[:, 0, 0], work, converged
 
 
 def wls_gram(X, w, z):
@@ -85,20 +90,13 @@ def wls_gram(X, w, z):
 
 
 def lasso_solve(G, c, ok, beta, thr):
-    """Minimize (1/2) b'Gb - c'b + sum_k thr_k |b_k| over b with b_k = 0
+    """For each of P problems, G (P, m, m), c, ok, beta and thr (P, m),
+    minimize (1/2) b'G b - c'b + sum_k thr_k |b_k| over b with b_k = 0
     outside ``ok``, starting from beta, which is overwritten with the
-    solution.  Returns (work, converged): linear solves plus fallback
-    sweeps, and whether the KKT residual is at most WLS_KKT_TOL *
-    max(1, max |c|)."""
-    work, converged = _solves(G[None], c[None], ok[None], beta[None], thr[None])
-    return int(work[0]), bool(converged[0])
-
-
-def _solves(G, c, ok, beta, thr):
-    """``lasso_solve`` for P problems at once: G (P, m, m), c, ok, beta and
-    thr (P, m).  Overwrites beta; returns work and converged (P,).  Only
-    the problems the active set leaves uncertified run the sweeps, each
-    from its own warm start."""
+    solutions.  Returns work and converged (P,): linear solves plus
+    fallback sweeps, and whether the KKT residual is at most WLS_KKT_TOL *
+    max(1, max |c|).  Only the problems the active set leaves uncertified
+    run the sweeps, each from its own warm start."""
     kkt_tol = WLS_KKT_TOL * np.maximum(1.0, np.abs(c).max(axis=1, initial=0.0))
     b = np.where(ok, beta, 0.0)
     work, converged = _active_set(G, c, ok, b, thr, kkt_tol)

@@ -49,6 +49,13 @@ class GlmFamily:
             return np.clip(mu * (1.0 - mu), 1e-6, None)
         return np.clip(mu, 1e-6, None)
 
+    def working(self, y: np.ndarray, lp: np.ndarray):
+        """The working weights and response of one reweighted least-squares
+        step at the linear predictor lp."""
+        mu = self.mean(lp)
+        w = self.variance(mu)
+        return w, lp + (y - mu) / w
+
 
 def family_for(kind: str) -> GlmFamily:
     """Family assignment is a pure function of the variable kind."""
@@ -80,44 +87,53 @@ def _gaussian_paths(nodes, lambdas) -> list:
             in wls_paths([wls_gram(X, np.ones(y.size), y) for y, X in nodes], lambdas)]
 
 
-def _proximal_newton_path(y, X, family, lambdas):
-    """The arrays (intercepts, betas, outer iterations, converged) over the
-    lambdas of a binomial or poisson node, warm-started along the path:
-    proximal Newton, iteratively reweighted quadratic approximations each
-    solved by ``penalized_wls``.  A point counts as converged when the
-    outer iterates settle and the last inner solve is certified."""
-    M = lambdas.size
-    intercepts, betas = np.zeros(M), np.zeros((M, X.shape[1]))
-    work, converged = np.zeros(M, dtype=int), np.zeros(M, dtype=bool)
-    beta = np.zeros(X.shape[1])
-    if family.name == "binomial":
-        pbar = min(max(y.mean(), 1e-10), 1 - 1e-10)
-        b0 = float(np.log(pbar / (1 - pbar)))
-    else:
-        b0 = float(np.log(max(y.mean(), 1e-10)))
+def _count_paths(nodes, lambdas) -> list:
+    """The paths of the binomial and poisson nodes (y, X, family), of equal
+    width, by proximal Newton warm-started along the lambdas.  Each outer
+    iteration takes the reweighted steps of all running nodes through one
+    ``penalized_wls`` call, and a node leaves the batch once its iterates
+    settle, so each path equals the one its node gives alone.  A point
+    counts as converged when the iterates settle and the last inner solve
+    is certified."""
+    if not nodes:
+        return []
+    ys, Xs, families = zip(*nodes)
+    X = np.array(Xs)
+    P, M = len(nodes), lambdas.size
+    intercepts, betas = np.zeros((P, M)), np.zeros((P, M, X.shape[2]))
+    work, converged = np.full((P, M), OUTER_MAX_ITER), np.zeros((P, M), dtype=bool)
+    means = [min(max(y.mean(), 1e-10), 1 - 1e-10 if family.name == "binomial" else np.inf)
+             for y, family in zip(ys, families)]
+    # start at the intercept-only fits: the canonical link of each clamped mean
+    b0 = np.array([np.log(mu / (1 - mu) if family.name == "binomial" else mu)
+                   for mu, family in zip(means, families)])
+    beta = np.zeros((P, X.shape[2]))
     for i, lam in enumerate(lambdas):
+        run = np.arange(P)
         for it in range(1, OUTER_MAX_ITER + 1):
-            lp = b0 + X @ beta
-            mu = family.mean(lp)
-            w = family.variance(mu)
-            z = lp + (y - mu) / w
-            nb0, nbeta, _, inner_conv = penalized_wls(X, w, z, b0, np.array(beta), float(lam))
-            delta = max(abs(nb0 - b0), float(np.max(np.abs(nbeta - beta), initial=0.0)))
-            b0, beta = nb0, nbeta
-            if delta < OUTER_TOL:
-                converged[i] = inner_conv
+            w, z = zip(*(families[p].working(ys[p], b0[p] + X[p] @ beta[p]) for p in run))
+            nbeta = beta[run]
+            nb0, _, inner_conv = penalized_wls(X[run], np.array(w), np.array(z), nbeta, lam)
+            delta = np.maximum(np.abs(nb0 - b0[run]),
+                               np.abs(nbeta - beta[run]).max(axis=1, initial=0.0))
+            b0[run], beta[run] = nb0, nbeta
+            settled = delta < OUTER_TOL
+            converged[run[settled], i] = inner_conv[settled]
+            work[run[settled], i] = it
+            run = run[~settled]
+            if not run.size:
                 break
-        intercepts[i], betas[i], work[i] = b0, beta, it
-    return intercepts, betas, work, converged
+        intercepts[:, i], betas[:, i] = b0, beta
+    return [LambdaPath(*fields) for fields in zip(intercepts, betas, work, converged)]
 
 
 def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     """Fit the baseline on every node and pack the paths as a cube with a
     single pseudo quantile level, so edge extraction and lambda selection
     reuse the shared code path.  The gaussian nodes advance through one
-    batched kernel call, one outer iteration per point; each binomial or
-    poisson node runs its own proximal-Newton path.  The lambda grid is
-    checked before any fitting."""
+    batched kernel call, one outer iteration per point; the binomial and
+    poisson nodes step through proximal Newton in lockstep.  The lambda
+    grid is checked before any fitting."""
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
@@ -127,10 +143,9 @@ def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     families = [family_for(spec.kind) for spec in dataset.schema]
     gaussian = [j for j, family in enumerate(families) if family.name == "gaussian"]
     fitted = dict(zip(gaussian, _gaussian_paths(map(node, gaussian), lambdas)))
-    paths = [[fitted[j] if j in fitted
-              else LambdaPath(*_proximal_newton_path(*node(j), families[j], lambdas))]
-             for j in range(dataset.p)]
-    return CoefficientCube.from_paths(paths, lambdas, [0.5])
+    count = [j for j in range(dataset.p) if j not in fitted]
+    fitted.update(zip(count, _count_paths([(*node(j), families[j]) for j in count], lambdas)))
+    return CoefficientCube.from_paths([[fitted[j]] for j in range(dataset.p)], lambdas, [0.5])
 
 
 def deviance_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, LambdaPath, _check_lambda_grid, _readonly
-from .lasso import lasso_solve, wls_gram, wls_paths
+from .lasso import wls_gram, wls_paths, wls_step
 from .midcdf import ThresholdLogitSet, marginal_mid_quantile
 
 
@@ -74,27 +74,19 @@ class NodeProblem:
         return self.X.shape[1]
 
 
-def penalized_wls(X, w, z, b0, beta, lam):
-    """Exact solve of the weighted L1-penalized least squares
+def penalized_wls(X, w, z, beta, lam):
+    """Exact solves of P weighted L1-penalized least squares
 
         (1/(2n)) sum_i w_i (z_i - b0 - x_i' beta)^2 + lam * sum_k |beta_k|
 
-    with an unpenalized intercept, by the kernel in ``qmgm.lasso``: the
-    weighted means are profiled out, and an active-set method started at
-    beta solves the covariance form and is accepted once its KKT residual
-    is certified.  When an active-set system is singular or the step cap
-    is hit, coordinate-descent sweeps from beta take over.  Mutates and
-    returns beta; also returns the work done (linear solves plus fallback
-    sweeps) and whether the KKT residual is certified.  With all row
-    weights zero the slopes are zero and b0 is returned as passed.
+    with an unpenalized intercept, one per row of X (P, n, m), w and z
+    (P, n), each with row weights of positive sum: one ``lasso.wls_step``
+    from the starts beta (P, m), which are overwritten with the slopes.
+    Returns the intercepts, the work (linear solves plus fallback sweeps)
+    and whether each KKT residual is certified, each (P,); each problem
+    gets the bits it gets alone.
     """
-    gram = wls_gram(X, w, z)
-    if gram is None:
-        beta[:] = 0.0
-        return b0, beta, 0, True
-    G, c, ok, xbar, zbar = gram
-    work, converged = lasso_solve(G, c, ok, beta, np.full(X.shape[1], float(lam)))
-    return zbar - float(xbar @ beta), beta, work, converged
+    return wls_step(*(np.array(a) for a in zip(*map(wls_gram, X, w, z))), beta, lam)
 
 
 def inverse_midquantile_targets(problem: NodeProblem, tau: float):

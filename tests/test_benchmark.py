@@ -198,6 +198,12 @@ def test_roc_matches_bruteforce_and_envelope_monotone():
         graphs = [graph_from_adj(random_adj(rng, p)) for _ in range(6)]
         pts, auc = roc_curve(t, graphs)
         assert auc == pytest.approx(auc_oracle(pts), abs=1e-12)
+        # the graphs as a list and as an (M, p, p) stack give the same bits,
+        # and each point is that graph's own confusion metrics
+        stacked, stacked_auc = roc_curve(t, np.array([g.adjacency for g in graphs]))
+        assert np.array_equal(stacked, pts) and stacked_auc == auc
+        assert pts[1:-1].tolist() == [[m.fpr, m.tpr] for m in
+                                      (confusion_metrics(t, g) for g in graphs)]
         assert 0.0 <= auc <= 1.0
         more, _ = roc_curve(t, graphs + [graph_from_adj(random_adj(rng, p))])
         assert _staircase_auc(more) >= _staircase_auc(pts) - 1e-12

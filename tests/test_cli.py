@@ -187,6 +187,18 @@ def test_simulate_negative_threads_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("learners", ["mgm,mgm", "qmgm1,QMGM1"])
+def test_simulate_duplicate_learner_exits_2_before_fitting(tmp_path, capsys, no_fitting,
+                                                           learners):
+    # a learner named twice after normalization would be fitted twice per
+    # replication yet keep one set of summary rows
+    rc = main(["simulate", "--n", "60", "--R", "2", "--learners", learners,
+               "--lambda-count", "2", "--output", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("fitting started")
 

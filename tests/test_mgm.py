@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from qmgm.benchmark import default_lambda_grid
-from qmgm.core import DataError, Dataset, VariableSpec
+from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
+from qmgm.core import (DataError, Dataset, VariableSpec, standard_levels,
+                       validate_and_standardize)
 from qmgm.mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
-from qmgm.selection import SelectionCriterion, estimate_edge_set, \
+from qmgm.selection import SelectionCriterion, estimate_edge_set, fit_qmgm, \
     select_lambda, score_path
 
 
@@ -127,7 +130,7 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
     for sweeps in range(1, 8):
         monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", sweeps)
         beta = np.zeros(X.shape[1])
-        lasso.lasso_solve(G, c, ok, beta, lam * np.ones(X.shape[1]))
+        lasso.lasso_solve(G[None], c[None], ok[None], beta[None], lam * np.ones((1, X.shape[1])))
         b0 = ybar - float(xbar @ beta)
         vals.append(objective(b0, beta))
     assert all(v1 <= v0 + 1e-12 for v0, v1 in zip(vals, vals[1:]))
@@ -141,6 +144,34 @@ def test_warm_start_matches_cold_single(tiny_mixed):
         assert path.betas[j, 0, 4] == pytest.approx(lone.betas[j, 0, 0], abs=1e-7), j
 
 
+def _count_nodes(dataset):
+    families = [family_for(spec.kind) for spec in dataset.schema]
+    return [(dataset.values[:, j], np.delete(dataset.values, j, axis=1), family)
+            for j, family in enumerate(families) if family.name != "gaussian"]
+
+
+def test_count_paths_in_lockstep_equal_each_node_alone(tiny_mixed):
+    # the lockstep loop hands each node's step to one stacked penalized_wls
+    # call and drops settled nodes from the batch; no node's path may depend
+    # on the others it ran with
+    from qmgm import mgm
+
+    sample, _ = generate_sample(DgpVariant("main", 500, 0))
+    for dataset, lambdas in ((tiny_mixed, default_lambda_grid(count=8)),
+                             (validate_and_standardize(sample), default_lambda_grid())):
+        nodes = _count_nodes(dataset)
+        assert {family.name for _, _, family in nodes} == (
+            {"binomial", "poisson"} if dataset is tiny_mixed else {"poisson"})
+        together = mgm._count_paths(nodes, lambdas)
+        # the nodes settle after different numbers of outer iterations, so
+        # the batch shrinks within a lambda
+        assert len({tuple(path.work) for path in together}) == len(nodes)
+        for node, path in zip(nodes, together):
+            alone, = mgm._count_paths([node], lambdas)
+            for field in ("intercepts", "betas", "work", "converged"):
+                assert np.array_equal(getattr(path, field), getattr(alone, field)), field
+
+
 def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
     # a point whose last kernel solve is not certified is not converged,
     # even when the proximal-Newton outer iterates settle
@@ -150,7 +181,8 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
     solve, paths = mgm.penalized_wls, mgm.wls_paths
 
     def uncertified_solve(*args, **kwargs):
-        return solve(*args, **kwargs)[:3] + (False,)
+        intercepts, work, converged = solve(*args, **kwargs)
+        return intercepts, work, np.zeros_like(converged)
 
     def uncertified_paths(*args, **kwargs):
         return [(intercepts, betas, work, np.zeros_like(converged))
@@ -186,6 +218,40 @@ def test_fit_mgm_checks_the_grid_before_fitting(tiny_mixed, monkeypatch):
         raise AssertionError("a node path was fitted")
 
     monkeypatch.setattr(mgm, "_gaussian_paths", no_fit)
-    monkeypatch.setattr(mgm, "_proximal_newton_path", no_fit)
+    monkeypatch.setattr(mgm, "_count_paths", no_fit)
     with pytest.raises(DataError, match="strictly decreasing"):
         fit_mgm(tiny_mixed, [0.1, 0.5])
+
+
+# sha256 over the intercepts, betas, converged flags and iterations of the
+# mgm cube and a qmgm3 cube on the validated seed-0 generator sample (n=500),
+# recorded before the count nodes were stepped in lockstep.  Like the file
+# pins in test_cli.py they hold for the numpy/BLAS build they were recorded
+# with (numpy 2.4.6 with its bundled OpenBLAS 0.3.31, Python 3.11, x86-64).
+PINNED_CUBE_SHA256 = {
+    (4, "mgm"): "99c2f143efde3ed19c304d76e4dcaf2fa03396333e98be7c5ca2beec5b7d7880",
+    (4, "qmgm3"): "3e9f48dae95417fd35d749d9930920ea30767a958bb7c1058bd84ee796399868",
+    (50, "mgm"): "ecf97905ae3644778ebf99d380c870adad51919eddde68b4da08134e069813ed",
+    (50, "qmgm3"): "21f4b28218941788f41f4245a31df3e46dcc6f7bf78a1d1897dcbb6fd15a730f",
+}
+
+
+@pytest.fixture(scope="module")
+def seed0_500():
+    dataset, _ = generate_sample(DgpVariant("main", 500, 0))
+    return validate_and_standardize(dataset)
+
+
+@pytest.mark.parametrize("lo, count", [(0.05, 4), (0.001, 50)])
+def test_cubes_pinned_coefficient_for_coefficient(seed0_500, lo, count):
+    """Every coefficient, flag and iteration count of both cubes, at the
+    perfbench grid and at the full-size grid: the file and edge-set pins see
+    the coefficients only through thresholds and scores."""
+    lambdas = default_lambda_grid(lo, 5.0, count)
+    cubes = {"mgm": fit_mgm(seed0_500, lambdas),
+             "qmgm3": fit_qmgm(seed0_500, standard_levels(3), lambdas)}
+    for name, cube in cubes.items():
+        h = hashlib.sha256()
+        for field in ("intercepts", "betas", "converged", "iterations"):
+            h.update(np.ascontiguousarray(getattr(cube, field)).tobytes())
+        assert h.hexdigest() == PINNED_CUBE_SHA256[count, name], name

@@ -301,11 +301,12 @@ def test_penalized_wls_matches_lstsq_at_zero_lambda():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(80, 4))
     y = X @ np.array([1.0, -2.0, 0.0, 0.5]) + rng.normal(size=80)
-    b0, beta, _, conv = penalized_wls(X, np.ones(80), y, 0.0, np.zeros(4), 0.0)
+    beta = np.zeros((1, 4))
+    b0, _, conv = penalized_wls(X[None], np.ones((1, 80)), y[None], beta, 0.0)
     ref = np.linalg.lstsq(np.column_stack([np.ones(80), X]), y, rcond=None)[0]
-    assert conv
-    assert b0 == pytest.approx(ref[0], abs=1e-6)
-    assert beta == pytest.approx(ref[1:], abs=1e-6)
+    assert conv[0]
+    assert b0[0] == pytest.approx(ref[0], abs=1e-6)
+    assert beta[0] == pytest.approx(ref[1:], abs=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,7 +341,7 @@ def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_ro
         cw[0] = 0.0
     G, c, ok, xbar, zbar = wls_gram(X, w, z)
     beta = np.zeros(m)
-    _, conv = lasso_solve(G, c, ok, beta, lam * cw)
+    conv = lasso_solve(G[None], c[None], ok[None], beta[None], lam * cw[None])[1][0]
     b0 = zbar - float(xbar @ beta)
     # the residual-form reference crawls when a column's mean dwarfs its spread
     rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.3, np.zeros(m), lam, cw,
@@ -361,12 +362,12 @@ def test_penalized_wls_flat_column_and_empty_weights():
     w = (rng.random(50) < 0.6).astype(float)
     X[w > 0, 1] = 0.37
     z = 2.0 * X[:, 0] + rng.normal(size=50)
-    b0, beta, _, conv = penalized_wls(X, w, z, 0.0, np.zeros(3), 0.0)
-    assert conv and beta[1] == 0.0
-    assert kkt_residual(X, w, z, b0, beta, 0.0) <= 1e-10
-    # no weighted rows: slopes drop to zero and the intercept is kept
-    b0, beta, _, conv = penalized_wls(X, np.zeros(50), z, 1.5, np.ones(3), 0.1)
-    assert conv and b0 == 1.5 and not beta.any()
+    beta = np.zeros((1, 3))
+    b0, _, conv = penalized_wls(X[None], w[None], z[None], beta, 0.0)
+    assert conv[0] and beta[0, 1] == 0.0
+    assert kkt_residual(X, w, z, b0[0], beta[0], 0.0) <= 1e-10
+    # no weighted rows: no Gram form, as the weighted means are undefined
+    assert wls_gram(X, np.zeros(50), z) is None
 
 
 def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
@@ -393,7 +394,7 @@ def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
         calls.clear()
         G, c, ok, xbar, zbar = wls_gram(X, w, z)
         beta = np.zeros(m)
-        _, conv = lasso_solve(G, c, ok, beta, lam * cw)
+        conv = lasso_solve(G[None], c[None], ok[None], beta[None], lam * cw[None])[1][0]
         b0 = zbar - float(xbar @ beta)
         assert calls, lam
         rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.0, np.zeros(m),
@@ -430,8 +431,9 @@ def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
         assert np.abs(beta - cold.betas[0]).max() <= 1e-10
         assert abs(b0 - cold.intercepts[0]) <= 1e-10
         assert kkt_residual(pr.X, w, t, b0, beta, lam) <= 1e-8
-        _, one, _, one_conv = penalized_wls(pr.X, w, t, 0.0, np.zeros(pr.m), lam)
-        assert one_conv and np.abs(one - beta).max() <= 1e-10
+        one = np.zeros((1, pr.m))
+        _, _, one_conv = penalized_wls(pr.X[None], w[None], t[None], one, lam)
+        assert one_conv[0] and np.abs(one[0] - beta).max() <= 1e-10
 
 
 def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):

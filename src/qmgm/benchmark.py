@@ -46,6 +46,8 @@ class DgpVariant:
             raise DataError(f"unknown generator variant {self.kind!r}")
         if self.n < 10:
             raise DataError("variant needs n >= 10")
+        if self.seed < 0:
+            raise DataError("variant needs seed >= 0")
 
 
 def true_graph() -> np.ndarray:

@@ -3,23 +3,23 @@
 One kernel serves the qmgm inverse route and the mgm baseline.  The
 problem
 
-    (1/(2n)) sum_i w_i (z_i - b0 - x_i' beta)^2 + sum_k thr_k |beta_k|
+    (1/(2n)) sum_i w_i (z_i - b0 - x_i' beta)^2 + lam * sum_k |beta_k|
 
-with an unpenalized intercept becomes, once the weighted means are
-profiled out, (1/2) b'Gb - c'b + sum_k thr_k |b_k| over the centered Gram
-matrix G and c (``wls_gram``), so a solve costs O(m^2) to O(m^3) for m
-predictors whatever n is.  A solve is an exact active-set method started
-at a warm start and accepted only with a certified KKT residual;
-coordinate-descent sweeps take over when an active block is singular or
-the step cap is hit.
+with an unpenalized intercept and one lam for every slope becomes, once
+the weighted means are profiled out, (1/2) b'Gb - c'b + lam sum_k |b_k|
+over the centered Gram matrix G and c (``wls_gram``), so a solve costs
+O(m^2) to O(m^3) for m predictors whatever n is.  A solve is an exact
+active-set method started at a warm start and accepted only with a
+certified KKT residual; coordinate-descent sweeps take over when an
+active block is singular or the step cap is hit.
 
 The active-set method runs on P problems of equal width in lockstep: at
 each step it stacks the active blocks of every problem whose active set
 has the same size into one ``np.linalg.solve`` call.  A stacked solve
 gives each problem the bits it gets alone, so a problem's answer does not
-depend on the others in its batch.  ``lasso_solve`` is that stacked
-solve.  Along a lambda path X, the row weights and the targets stay fixed,
-so ``wls_paths`` forms G and c once per path; ``penalized.penalized_wls``
+depend on the others in its batch.  ``wls_step`` is that stacked solve.
+Along a lambda path X, the row weights and the targets stay fixed, so
+``wls_paths`` forms G and c once per path; ``penalized.penalized_wls``
 forms them afresh for each reweighted step of the mgm baseline.
 """
 
@@ -61,24 +61,35 @@ def wls_paths(grams, lambdas):
 
 
 def wls_step(G, c, ok, xbar, zbar, beta, lam):
-    """One ``lasso_solve`` of P problems given by their stacked ``wls_gram``
-    forms, every slope penalized by lam, from the starts beta (P, m), which
-    are overwritten.  Returns the intercepts, work and converged (P,)."""
-    work, converged = lasso_solve(G, c, ok, beta, np.full(beta.shape, float(lam)))
+    """For each of P problems given by their stacked ``wls_gram`` forms,
+    G (P, m, m) and c, ok, xbar (P, m) and zbar (P,), minimize
+    (1/2) b'G b - c'b + lam sum_k |b_k| over b with b_k = 0 outside
+    ``ok``, starting from beta (P, m), which is overwritten with the
+    solutions.  Returns the intercepts, the work (linear solves plus
+    fallback sweeps) and whether the KKT residual is at most WLS_KKT_TOL *
+    max(1, max |c|), each (P,).  Only the problems the active set leaves
+    uncertified run the sweeps, each from its own warm start."""
+    lam = float(lam)
+    kkt_tol = WLS_KKT_TOL * np.maximum(1.0, np.abs(c).max(axis=1, initial=0.0))
+    b = np.where(ok, beta, 0.0)
+    work, converged = _active_set(G, c, ok, b, lam, kkt_tol)
+    np.copyto(beta, b, where=converged[:, None])
+    for p in np.nonzero(~converged)[0]:
+        work[p] += _sweeps(G[p], c[p], ok[p], beta[p], lam)
+        gap = _kkt_gap(c[p] - G[p] @ beta[p], lam, beta[p])
+        converged[p] = gap[ok[p]].max(initial=0.0) <= kkt_tol[p]
     # one dot product per problem, as zbar - xbar @ beta alone
     return zbar - np.matmul(xbar[:, None, :], beta[:, :, None])[:, 0, 0], work, converged
 
 
 def wls_gram(X, w, z):
-    """Covariance form of the weighted least-squares term: the weighted
-    means xbar and zbar, G = Xc' W Xc / n and c = Xc' W zc / n of the
-    centered data (Friedman, Hastie & Tibshirani 2010), and the mask of the
-    columns that are not flat on the weighted rows.  None when every row
-    weight is zero."""
+    """Covariance form of the weighted least-squares term for row weights
+    w of positive sum: the weighted means xbar and zbar, G = Xc' W Xc / n
+    and c = Xc' W zc / n of the centered data (Friedman, Hastie &
+    Tibshirani 2010), and the mask of the columns that are not flat on the
+    weighted rows."""
     n = X.shape[0]
     wsum = float(w.sum())
-    if wsum <= 0:
-        return None
     xbar = (w @ X) / wsum
     zbar = float(w @ z) / wsum
     Xc = X - xbar
@@ -89,31 +100,12 @@ def wls_gram(X, w, z):
     return G, c, ok, xbar, zbar
 
 
-def lasso_solve(G, c, ok, beta, thr):
-    """For each of P problems, G (P, m, m), c, ok, beta and thr (P, m),
-    minimize (1/2) b'G b - c'b + sum_k thr_k |b_k| over b with b_k = 0
-    outside ``ok``, starting from beta, which is overwritten with the
-    solutions.  Returns work and converged (P,): linear solves plus
-    fallback sweeps, and whether the KKT residual is at most WLS_KKT_TOL *
-    max(1, max |c|).  Only the problems the active set leaves uncertified
-    run the sweeps, each from its own warm start."""
-    kkt_tol = WLS_KKT_TOL * np.maximum(1.0, np.abs(c).max(axis=1, initial=0.0))
-    b = np.where(ok, beta, 0.0)
-    work, converged = _active_set(G, c, ok, b, thr, kkt_tol)
-    np.copyto(beta, b, where=converged[:, None])
-    for p in np.nonzero(~converged)[0]:
-        work[p] += _sweeps(G[p], c[p], ok[p], beta[p], thr[p])
-        gap = _kkt_gap(c[p] - G[p] @ beta[p], thr[p], beta[p])
-        converged[p] = gap[ok[p]].max(initial=0.0) <= kkt_tol[p]
-    return work, converged
-
-
-def _kkt_gap(r, thr, b):
+def _kkt_gap(r, lam, b):
     """Per coordinate, the violation of the optimality conditions at b,
-    given the gradient residual r = c - G b: |r_k - thr_k sign(b_k)| where
-    b_k != 0, |r_k| - thr_k where b_k = 0.  A NaN stays NaN, so it is never
+    given the gradient residual r = c - G b: |r_k - lam sign(b_k)| where
+    b_k != 0, |r_k| - lam where b_k = 0.  A NaN stays NaN, so it is never
     certified."""
-    return np.where(b != 0, np.abs(r - thr * np.sign(b)), np.abs(r) - thr)
+    return np.where(b != 0, np.abs(r - lam * np.sign(b)), np.abs(r) - lam)
 
 
 def _residual(G, c, b):
@@ -122,28 +114,29 @@ def _residual(G, c, b):
     return c - np.matmul(G, b[:, :, None])[:, :, 0]
 
 
-def _active_set(G, c, ok, b, thr, kkt_tol):
+def _active_set(G, c, ok, b, lam, kkt_tol):
     """Active-set solves of P covariance-form lassos from the starts b
     (Osborne, Presnell & Turlach 2000), overwriting b.
 
-    Per problem, the active set A starts as the support of b, the
-    unpenalized columns and the KKT violators, with signs s from b, or from
-    the gradient for new entries.  Each step solves G_AA b_A = c_A - thr_A
-    s_A.  If a penalized coordinate would change sign, b moves along the
-    segment only up to the first zero crossing and that coordinate leaves
-    A; otherwise b takes the solution and the violators of |c_k - (Gb)_k|
-    <= thr_k enter A.  Flat columns never enter.  The problems step
-    together: the blocks of all problems whose active sets have the same
-    size go through one stacked solve.  Returns (linear solves,
-    certified), each (P,); a problem is not certified when its G_AA is
-    singular, the step cap is hit or its KKT residual exceeds kkt_tol.
+    Per problem, the active set A starts as the support of b and the KKT
+    violators, with signs s from b, or from the gradient for new entries;
+    at lam = 0 it is every column, with no signs.  Each step solves
+    G_AA b_A = c_A - lam s_A.  If a coordinate would change sign, b moves
+    along the segment only up to the first zero crossing and that
+    coordinate leaves A; otherwise b takes the solution and the violators
+    of |c_k - (Gb)_k| <= lam enter A.  Flat columns never enter.  The
+    problems step together: the blocks of all problems whose active sets
+    have the same size go through one stacked solve.  Returns (linear
+    solves, certified), each (P,); a problem is not certified when its
+    G_AA is singular, the step cap is hit or its KKT residual exceeds
+    kkt_tol.
     """
     P, m = c.shape
     tol = kkt_tol[:, None]
-    pen = thr > 0
+    pen = lam > 0
     s = np.sign(b) * pen
     r = _residual(G, c, b)
-    active = ok & ((b != 0) | ~pen | (np.abs(r) - thr > tol))
+    active = ok & ((b != 0) | (not pen) | (np.abs(r) - lam > tol))
     fresh = active & (s == 0) & pen
     s[fresh] = np.sign(r[fresh])
     solves = np.zeros(P, dtype=int)
@@ -162,7 +155,7 @@ def _active_set(G, c, ok, b, thr, kkt_tol):
             # a singular block's x is NaN: its KKT gap is NaN and never
             # certifies, so its path leaves the loop for the sweeps
             x = _stacked_solve(G[rows[:, :, None], idx[:, :, None], idx[:, None, :]],
-                               c[rows, idx] - thr[rows, idx] * sA)
+                               c[rows, idx] - lam * sA)
             solves[grp] += 1
             cross = sA * x < 0
             crossing = cross.any(axis=1)
@@ -176,7 +169,7 @@ def _active_set(G, c, ok, b, thr, kkt_tol):
             continue
         # every problem's residual, but only the checked ones act on it
         r = _residual(G, c, b)
-        gap = np.where(ok, _kkt_gap(r, thr, b), 0.0)
+        gap = np.where(ok, _kkt_gap(r, lam, b), 0.0)
         viol = ~active & (gap > tol) & check[:, None]
         done = check & ~viol.any(axis=1)
         certified |= done & (gap.max(axis=1, initial=0.0) <= kkt_tol)
@@ -207,9 +200,9 @@ def _stacked_solve(A, rhs):
 
 def _step_to_crossing(b, active, rows, idx, x, cross, sA):
     """Move each given problem's active coordinates b[rows, idx] toward its
-    solution x only up to the first zero crossing of a penalized sign; the
-    first crossers, and any coordinate rounding pushed past zero, leave
-    the active set at exactly zero."""
+    solution x only up to the first zero crossing of a sign; the first
+    crossers, and any coordinate rounding pushed past zero, leave the
+    active set at exactly zero."""
     bA = b[rows, idx]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(cross, bA / (bA - x), np.inf)
@@ -221,7 +214,7 @@ def _step_to_crossing(b, active, rows, idx, x, cross, sA):
     active[rows, idx] = ~gone
 
 
-def _sweeps(G, c, ok, beta, thr):
+def _sweeps(G, c, ok, beta, lam):
     """Coordinate descent over plain Python floats with a running G beta
     (soft-threshold updates), overwriting beta; stops when no slope moves
     by WLS_SWEEP_TOL or more, or after WLS_SWEEP_MAX sweeps (both read at
@@ -230,7 +223,6 @@ def _sweeps(G, c, ok, beta, thr):
     diag = np.where(ok, np.diag(G), 0.0).tolist()
     Gb = (G @ beta).tolist()
     G, c = G.tolist(), c.tolist()
-    thresholds = thr.tolist()
     b = beta.tolist()
     sweeps = 0
     for sweeps in range(1, WLS_SWEEP_MAX + 1):
@@ -241,11 +233,10 @@ def _sweeps(G, c, ok, beta, thr):
             new = 0.0
             if gkk > 0.0:
                 rho = c[k] - Gb[k] + gkk * old
-                t = thresholds[k]
-                if rho > t:
-                    new = (rho - t) / gkk
-                elif rho < -t:
-                    new = (rho + t) / gkk
+                if rho > lam:
+                    new = (rho - lam) / gkk
+                elif rho < -lam:
+                    new = (rho + lam) / gkk
             if new != old:
                 step = new - old
                 Gb = [gb + gk * step for gb, gk in zip(Gb, G[k])]

@@ -16,8 +16,8 @@ X, the row weights and the targets stay fixed along a lambda path, so a
 path is one warm-started run of the exact lasso kernel in ``qmgm.lasso``,
 with one Gram matrix per path, and the paths of one call advance through
 that kernel together; a point counts as converged only when its KKT
-residual is certified.  With fewer than 2 solvable rows the equation
-carries no conditional information, and every point is the
+residual is certified.  With fewer than ``MIN_SOLVABLE_ROWS`` solvable
+rows the slopes are not identified, and every point is the
 intercept-only answer in closed form: the link transform of the marginal
 mid-quantile, with zero slopes.
 """
@@ -31,6 +31,12 @@ import numpy as np
 from .core import DataError, LambdaPath, _check_lambda_grid, _readonly
 from .lasso import wls_gram, wls_paths, wls_step
 from .midcdf import ThresholdLogitSet, marginal_mid_quantile
+
+# On 2 rows every centered column is a multiple of one vector, so G has
+# rank 1 and columns that differ by the same amount on both rows tie: the
+# lasso fit is unique but its split of the slope over tied columns is
+# arbitrary.  Below this many solvable rows a path is intercept-only.
+MIN_SOLVABLE_ROWS = 3
 
 
 def _link_forward(value: float, link: str) -> float:
@@ -145,9 +151,9 @@ def fit_lambda_paths(pairs, lambdas) -> list:
     Returns one ``LambdaPath`` per pair, in order; ``work`` counts the
     kernel's linear solves plus any fallback sweeps.
 
-    The pairs with at least 2 solvable rows advance together through one
-    ``lasso.wls_paths`` call, and each path equals the one its pair gives
-    alone.  With fewer than 2 solvable rows every point is the
+    The pairs with at least ``MIN_SOLVABLE_ROWS`` solvable rows advance
+    together through one ``lasso.wls_paths`` call, and each path equals
+    the one its pair gives alone.  With fewer, every point is the
     intercept-only answer in closed form: the link transform of the
     marginal mid-quantile, zero slopes, no work, converged."""
     lambdas = _check_lambda_grid(lambdas)
@@ -155,7 +161,7 @@ def fit_lambda_paths(pairs, lambdas) -> list:
     paths, grams = {}, {}
     for i, (problem, tau) in enumerate(pairs):
         targets, solvable = inverse_midquantile_targets(problem, tau)
-        if solvable.sum() >= 2:
+        if solvable.sum() >= MIN_SOLVABLE_ROWS:
             grams[i] = wls_gram(problem.X, solvable.astype(float), targets)
         else:
             b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)

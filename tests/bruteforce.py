@@ -103,11 +103,10 @@ SUPPORT_SOLVE_EVERY = 1000
 SUPPORT_SOLVE_KKT_TOL = 1e-10
 
 
-def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
-                            max_sweeps=1000, tol=1e-12):
+def penalized_wls_reference(X, w, z, b0, beta, lam, *, max_sweeps=1000, tol=1e-12):
     """Naive coordinate descent for the weighted lasso
 
-        (1/(2n)) sum_i w_i (z_i - b0 - x_i' beta)^2 + lam * sum_k cw_k |beta_k|
+        (1/(2n)) sum_i w_i (z_i - b0 - x_i' beta)^2 + lam * sum_k |beta_k|
 
     kept in residual form: every coordinate update reduces the full
     n-length residual, and the intercept is re-centred after each sweep.
@@ -118,7 +117,6 @@ def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
     sweeps, converged).
     """
     n, m = X.shape
-    cw = np.ones(m) if coef_weights is None else np.asarray(coef_weights, float)
     v = (w[:, None] * X ** 2).mean(axis=0)
     wsum = w.sum()
     r = z - b0 - X @ beta
@@ -129,7 +127,7 @@ def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
         for k in range(m):
             old = beta[k]
             rho = (w * X[:, k] * r).sum() / n + v[k] * old
-            new = (np.sign(rho) * max(abs(rho) - lam * cw[k], 0.0) / v[k]
+            new = (np.sign(rho) * max(abs(rho) - lam, 0.0) / v[k]
                    if v[k] > 0 else 0.0)
             if new != old:
                 r += X[:, k] * (old - new)
@@ -144,7 +142,7 @@ def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
             converged = True
             break
         if sweeps % SUPPORT_SOLVE_EVERY == 0:
-            exact = _support_solve(X, w, z, beta, lam, cw)
+            exact = _support_solve(X, w, z, beta, lam)
             if exact is not None:
                 b0, beta[:] = exact
                 converged = True
@@ -152,46 +150,44 @@ def penalized_wls_reference(X, w, z, b0, beta, lam, coef_weights=None, *,
     return b0, beta, sweeps, converged
 
 
-def _support_solve(X, w, z, beta, lam, cw):
+def _support_solve(X, w, z, beta, lam):
     """The stationary point (b0, beta) of the weighted lasso with the
     support S and signs s of beta held fixed: the weighted normal equations
-    of [1, X_S] with lam cw_k s_k moved to the right-hand side.  Returns
+    of [1, X_S] with lam s_k moved to the right-hand side.  Returns
     None when they are singular or the point fails the KKT check (a sign
     flipped, or a column outside S violates it)."""
     n, m = X.shape
     S = np.flatnonzero(beta)
     D = np.column_stack([np.ones(n), X[:, S]])
     rhs = (D * w[:, None]).T @ z
-    rhs[1:] -= n * lam * cw[S] * np.sign(beta[S])
+    rhs[1:] -= n * lam * np.sign(beta[S])
     try:
         theta = np.linalg.solve((D * w[:, None]).T @ D, rhs)
     except np.linalg.LinAlgError:
         return None
     exact = np.zeros(m)
     exact[S] = theta[1:]
-    if kkt_residual(X, w, z, theta[0], exact, lam, cw) > SUPPORT_SOLVE_KKT_TOL:
+    if kkt_residual(X, w, z, theta[0], exact, lam) > SUPPORT_SOLVE_KKT_TOL:
         return None
     return float(theta[0]), exact
 
 
-def kkt_residual(X, w, z, b0, beta, lam, coef_weights=None):
+def kkt_residual(X, w, z, b0, beta, lam):
     """Largest violation of the weighted-lasso optimality conditions.
 
     With g = -(1/n) X' W r and g0 = -(1/n) sum w r at the residual
-    r = z - b0 - X beta, a minimizer has g0 = 0, g_k = -lam cw_k sign(beta_k)
-    where beta_k != 0 and |g_k| <= lam cw_k where beta_k = 0.
+    r = z - b0 - X beta, a minimizer has g0 = 0, g_k = -lam sign(beta_k)
+    where beta_k != 0 and |g_k| <= lam where beta_k = 0.
     """
     n, m = X.shape
-    cw = np.ones(m) if coef_weights is None else np.asarray(coef_weights, float)
     r = z - b0 - X @ beta
     worst = abs(float((w * r).sum())) / n
     for k in range(m):
         g = -float((w * X[:, k] * r).sum()) / n
-        t = lam * cw[k]
         if beta[k] != 0.0:
-            worst = max(worst, abs(g + t * np.sign(beta[k])))
+            worst = max(worst, abs(g + lam * np.sign(beta[k])))
         else:
-            worst = max(worst, abs(g) - t)
+            worst = max(worst, abs(g) - lam)
     return worst
 
 

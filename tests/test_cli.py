@@ -187,6 +187,17 @@ def test_simulate_negative_threads_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulate_negative_seed_exits_2_before_fitting(tmp_path, capsys, no_fitting):
+    # replication r runs on seed + r, so a negative seed would fail the
+    # first replications and summarize the rest
+    rc = main(["simulate", "--n", "60", "--R", "2", "--learners", "mgm",
+               "--lambda-count", "2", "--seed", "-1",
+               "--output", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "seed >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 @pytest.mark.parametrize("learners", ["mgm,mgm", "qmgm1,QMGM1"])
 def test_simulate_duplicate_learner_exits_2_before_fitting(tmp_path, capsys, no_fitting,
                                                            learners):

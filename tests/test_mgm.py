@@ -130,8 +130,8 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
     for sweeps in range(1, 8):
         monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", sweeps)
         beta = np.zeros(X.shape[1])
-        lasso.lasso_solve(G[None], c[None], ok[None], beta[None], lam * np.ones((1, X.shape[1])))
-        b0 = ybar - float(xbar @ beta)
+        b0 = lasso.wls_step(G[None], c[None], ok[None], xbar[None], np.array([ybar]),
+                            beta[None], lam)[0][0]
         vals.append(objective(b0, beta))
     assert all(v1 <= v0 + 1e-12 for v0, v1 in zip(vals, vals[1:]))
 

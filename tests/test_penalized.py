@@ -13,7 +13,7 @@ from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                        VariableSpec, validate_and_standardize)
 from qmgm import penalized
-from qmgm.lasso import lasso_solve, wls_gram, wls_paths
+from qmgm.lasso import wls_gram, wls_paths
 from qmgm.mgm import fit_mgm
 from qmgm.midcdf import marginal_mid_quantile
 from qmgm.penalized import (NodeProblem, fit_lambda_paths,
@@ -312,16 +312,13 @@ def test_penalized_wls_matches_lstsq_at_zero_lambda():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(12, 60), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        binary_rows=st.booleans(), log10_lam=st.floats(-4.0, np.log10(0.5)),
-       penalize_all=st.booleans(), correlated=st.booleans())
+       correlated=st.booleans())
 # near-collinear columns on which the plain coordinate descent of the
 # reference had not converged after its 10^5 sweeps
-@example(n=12, m=3, seed=3073244, binary_rows=True, log10_lam=-3.0, penalize_all=False,
-         correlated=True)
-@example(n=38, m=5, seed=57, binary_rows=False, log10_lam=-3.0, penalize_all=False,
-         correlated=True)
+@example(n=12, m=3, seed=3073244, binary_rows=True, log10_lam=-3.0, correlated=True)
+@example(n=38, m=5, seed=57, binary_rows=False, log10_lam=-3.0, correlated=True)
 def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_rows,
-                                                           log10_lam, penalize_all,
-                                                           correlated):
+                                                           log10_lam, correlated):
     # small lambdas on strongly correlated columns are where coordinate
     # sweeps crawl toward the optimum
     rng = np.random.default_rng(seed)
@@ -336,25 +333,21 @@ def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_ro
         w[rng.choice(n, rng.integers(m + 5, n + 1), replace=False)] = 1.0
     else:
         w = rng.uniform(0.05, 2.0, n)
-    cw = rng.uniform(0.2, 2.0, m)
-    if not penalize_all:
-        cw[0] = 0.0
-    G, c, ok, xbar, zbar = wls_gram(X, w, z)
-    beta = np.zeros(m)
-    conv = lasso_solve(G[None], c[None], ok[None], beta[None], lam * cw[None])[1][0]
-    b0 = zbar - float(xbar @ beta)
+    beta = np.zeros((1, m))
+    b0, _, conv = penalized_wls(X[None], w[None], z[None], beta, lam)
+    b0, beta = b0[0], beta[0]
     # the residual-form reference crawls when a column's mean dwarfs its spread
-    rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.3, np.zeros(m), lam, cw,
+    rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.3, np.zeros(m), lam,
                                                    max_sweeps=10**5)
     assert rconv
     assert np.array_equal(beta != 0, rbeta != 0)
     assert np.abs(beta - rbeta).max() <= 1e-8
     assert abs(b0 - rb0) <= 1e-8
-    if conv:
-        assert kkt_residual(X, w, z, b0, beta, lam, cw) <= 1e-8
+    if conv[0]:
+        assert kkt_residual(X, w, z, b0, beta, lam) <= 1e-8
 
 
-def test_penalized_wls_flat_column_and_empty_weights():
+def test_penalized_wls_flat_column():
     # a column constant on the weighted rows is not identified beside the
     # intercept and keeps a zero slope, even unpenalized
     rng = np.random.default_rng(5)
@@ -366,14 +359,13 @@ def test_penalized_wls_flat_column_and_empty_weights():
     b0, _, conv = penalized_wls(X[None], w[None], z[None], beta, 0.0)
     assert conv[0] and beta[0, 1] == 0.0
     assert kkt_residual(X, w, z, b0[0], beta[0], 0.0) <= 1e-10
-    # no weighted rows: no Gram form, as the weighted means are undefined
-    assert wls_gram(X, np.zeros(50), z) is None
 
 
 def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
-    # two identical columns make every active set holding both singular;
-    # their penalty weights differ, so the optimum is unique (the cheaper
-    # column carries the shared slope) and the reference must find it too
+    # a column and its scaled duplicate make every active set holding both
+    # singular; the duplicate buys the same fit at a quarter of the
+    # penalty, so the optimum is unique (the duplicate carries the shared
+    # slope) and the reference must find it too
     from qmgm import lasso
 
     sweeps, calls = lasso._sweeps, []
@@ -386,24 +378,22 @@ def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
     rng = np.random.default_rng(2)
     n, m = 40, 4
     X = rng.normal(size=(n, m))
-    X[:, 2] = X[:, 0]
+    X[:, 2] = 4.0 * X[:, 0]
     z = X @ np.array([1.0, -0.5, 0.8, 0.0]) + rng.normal(size=n)
     w = rng.uniform(0.2, 2.0, n)
-    cw = np.array([3.0, 1.0, 1.0, 1.0])
     for lam in (0.3, 0.05, 0.01):
         calls.clear()
-        G, c, ok, xbar, zbar = wls_gram(X, w, z)
-        beta = np.zeros(m)
-        conv = lasso_solve(G[None], c[None], ok[None], beta[None], lam * cw[None])[1][0]
-        b0 = zbar - float(xbar @ beta)
+        beta = np.zeros((1, m))
+        b0, _, conv = penalized_wls(X[None], w[None], z[None], beta, lam)
+        b0, beta = b0[0], beta[0]
         assert calls, lam
         rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.0, np.zeros(m),
-                                                       lam, cw, max_sweeps=10**5)
-        assert rconv and conv
+                                                       lam, max_sweeps=10**5)
+        assert rconv and conv[0]
         assert beta[0] == 0.0 and beta[2] != 0.0
         assert np.abs(beta - rbeta).max() <= 1e-8
         assert abs(b0 - rb0) <= 1e-8
-        assert kkt_residual(X, w, z, b0, beta, lam, cw) <= 1e-8
+        assert kkt_residual(X, w, z, b0, beta, lam) <= 1e-8
 
 
 def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
@@ -549,6 +539,25 @@ def test_null_fallback_is_the_closed_form_intercept():
     assert np.all(cube.betas[2, 0] == 0.0)
     assert np.all(cube.converged[2, 0])
     assert np.all(cube.iterations[2, 0] == 0)
+
+
+def test_two_solvable_rows_give_the_closed_form_intercept(problems):
+    # on 2 rows G has rank 1 and tied columns make the slopes arbitrary, so
+    # a pair with 2 solvable rows takes the intercept-only path
+    pr = problems[0]
+    k = pr.pi.shape[1]
+    pi = np.full(pr.pi.shape, 0.9)
+    pi[0], pi[1] = np.linspace(0.05, 0.95, k), np.linspace(0.1, 0.8, k)
+    two = replace(pr, pi=pi)
+    tau = 0.5
+    _, solvable = inverse_midquantile_targets(two, tau)
+    assert solvable.sum() == 2
+    path = fit_lambda_paths([(two, tau)], [0.5, 0.01, 0.0001])[0]
+    start = penalized._link_forward(marginal_mid_quantile(two.y, tau), two.link)
+    assert np.all(path.intercepts == start)
+    assert np.all(path.betas == 0.0)
+    assert np.all(path.work == 0)
+    assert np.all(path.converged)
 
 
 def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):

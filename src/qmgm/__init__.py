@@ -6,8 +6,8 @@ from .benchmark import (BenchmarkRun, DgpVariant, LearnerConfig, RecoveryMetrics
                         confusion_metrics, default_lambda_grid, generate_sample,
                         roc_curve, run_replications, true_graph)
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
-                   LambdaPath, NumericalError, QuantileGrid, VariableSpec,
-                   quantile_loss, standard_levels, validate_and_standardize)
+                   NumericalError, QuantileGrid, VariableSpec, quantile_loss,
+                   standard_levels, validate_and_standardize)
 from .io import (GraphDocument, document_from_adjacency, document_from_graph,
                  export_graph, load_csv, load_schema, parse_schema, save_csv)
 from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance

@@ -28,6 +28,10 @@ from .selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
                         edge_adjacencies, fit_qmgm, quantile_losses, score_path,
                         select_lambda)
 
+# The generator's variables: Y1-Y5 continuous, Y6-Y10 counts.
+GENERATOR_SCHEMA = tuple(VariableSpec(f"Y{j}", "continuous" if j <= 5 else "count")
+                         for j in range(1, 11))
+
 # Dependency structure of the generator: node -> parents (1-based).
 MAIN_EDGES = ((1, 2), (1, 3), (1, 5), (1, 6), (2, 8), (3, 4),
               (3, 7), (5, 7), (5, 8), (7, 8), (8, 9), (9, 10))
@@ -117,9 +121,7 @@ def generate_sample(variant: DgpVariant):
     rate10 = np.exp(0.8 * U[:, 9] * np.log(np.abs(y9 + 0.1)))
     y[:, 9] = poisson_quantile(U[:, 9], rate10)
 
-    kinds = ["continuous"] * 5 + ["count"] * 5
-    schema = tuple(VariableSpec(f"Y{j + 1}", kinds[j]) for j in range(10))
-    return Dataset(y, schema), true_graph()
+    return Dataset(y, GENERATOR_SCHEMA), true_graph()
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,8 @@ def roc_curve(truth, graphs):
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """A named learner: 'mgm' or 'qmgm<L>' for an L-level quantile grid."""
+    """A named learner: 'mgm' or 'qmgm<L>' for an L-level quantile grid;
+    every spelling of the same L ('qmgm03', 'qmgm 3') is named 'qmgm3'."""
 
     name: str
     kind: str
@@ -193,7 +196,7 @@ class LearnerConfig:
                 count = int(name[4:])
             except ValueError:
                 raise DataError(f"unknown learner {name!r}") from None
-            return cls(name, "qmgm", standard_levels(count))
+            return cls(f"qmgm{count}", "qmgm", standard_levels(count))
         raise DataError(f"unknown learner {name!r}")
 
 
@@ -363,9 +366,7 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
                    os.path.join(outdir, "timing.csv"))
     write_rows_csv(run.detail_rows(), DETAIL_FIELDS,
                    os.path.join(outdir, "details.csv"))
-    truth = true_graph()
-    export_graph(document_from_adjacency([f"Y{i + 1}" for i in range(len(truth))],
-                                         truth),
+    export_graph(document_from_adjacency(GENERATOR_SCHEMA, true_graph()),
                  os.path.join(outdir, "truth.json"))
     lam, seed = run.lambdas, run.variant.seed
     manifest = [

@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_tau_levels(text: str) -> QuantileGrid:
     text = text.strip()
     try:
-        if "," not in text and "." not in text:
+        if text.isdecimal():
             return standard_levels(int(text))
         return QuantileGrid(tuple(float(t) for t in text.split(",")))
     except ValueError:

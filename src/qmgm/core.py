@@ -323,25 +323,6 @@ def _check_lambda_grid(lambdas) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LambdaPath:
-    """One lambda path of one node regression (qmgm: one node at one
-    quantile level; mgm: one node), one entry per lambda point:
-    intercepts (M,), betas (M, m), work (M,) and converged (M,), all
-    read-only.  ``work`` counts the lasso kernel's linear solves plus
-    fallback sweeps for qmgm, and the proximal-Newton outer iterations for
-    mgm."""
-
-    intercepts: np.ndarray
-    betas: np.ndarray
-    work: np.ndarray
-    converged: np.ndarray
-
-    def __post_init__(self):
-        for name in ("intercepts", "betas", "work", "converged"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-
-@dataclass(frozen=True, eq=False)
 class CoefficientCube:
     """Fitted coefficients indexed by (node, quantile level, lambda).
 
@@ -370,17 +351,6 @@ class CoefficientCube:
         for name in ("intercepts", "betas", "lambda_grid", "tau_levels",
                      "converged", "iterations"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @classmethod
-    def from_paths(cls, paths, lambdas, tau_levels) -> "CoefficientCube":
-        """The cube of ``paths[j][l]``, the ``LambdaPath`` of node j at level
-        ``tau_levels[l]`` along ``lambdas``; a path's work is the cube's
-        iterations."""
-        def stack(name):
-            return np.array([[getattr(path, name) for path in row] for row in paths])
-
-        return cls(stack("intercepts"), stack("betas"), lambdas, np.asarray(tau_levels),
-                   stack("converged"), stack("work"))
 
     @property
     def p(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DataError, Dataset, EstimatedGraph, KINDS, LINKS,
-                   SIGN_CODES, VariableSpec)
+                   SIGN_ABSENT, SIGN_CODES, SIGN_UNDEFINED, VariableSpec)
 
 GRAPH_FORMAT = "qmgm-graph"
 GRAPH_FORMAT_VERSION = 1
@@ -232,19 +232,13 @@ def document_from_graph(graph: EstimatedGraph, schema, meta=None) -> GraphDocume
     return GraphDocument(nodes, edges, dict(meta or {}))
 
 
-def document_from_adjacency(names, adjacency) -> GraphDocument:
-    """Plain boolean graph as a document (unit strengths, undefined signs)."""
+def document_from_adjacency(schema, adjacency) -> GraphDocument:
+    """Plain boolean graph over a variable schema as a document (unit
+    strengths, undefined signs, no provenance)."""
     adj = np.asarray(adjacency, dtype=bool)
-    names = list(names)
-    nodes = [{"name": nm, "kind": "continuous", "domain": ""} for nm in names]
-    edges = []
-    for j in range(len(names)):
-        for k in range(j + 1, len(names)):
-            if adj[j, k]:
-                edges.append({"source": names[j], "target": names[k],
-                              "strength": 1.0, "sign": "undefined",
-                              "tau": None, "attained_by": None})
-    return GraphDocument(nodes, edges, {})
+    graph = EstimatedGraph(adj, adj.astype(float), np.where(adj, SIGN_UNDEFINED, SIGN_ABSENT),
+                           np.full(adj.shape, np.nan), np.full(adj.shape, -1))
+    return document_from_graph(graph, schema)
 
 
 _SIGN_COLORS = {"positive": "green", "negative": "red", "undefined": "grey"}

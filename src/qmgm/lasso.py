@@ -19,8 +19,10 @@ has the same size into one ``np.linalg.solve`` call.  A stacked solve
 gives each problem the bits it gets alone, so a problem's answer does not
 depend on the others in its batch.  ``wls_step`` is that stacked solve.
 Along a lambda path X, the row weights and the targets stay fixed, so
-``wls_paths`` forms G and c once per path; ``penalized.penalized_wls``
-forms them afresh for each reweighted step of the mgm baseline.
+``wls_paths`` forms G and c once per path and returns the paths as
+stacked (P, M, ...) arrays, the one path format from this kernel to the
+coefficient cube; ``penalized.penalized_wls`` forms G and c afresh for
+each reweighted step of the mgm baseline.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ def wls_paths(grams, lambdas):
     same number of predictors and row weights of positive sum, given by
     their ``wls_gram`` forms, formed once per path as X, w and z stay fixed
     along it.  Each point is warm-started at the last, and each path equals
-    the one its problem gives alone.  Returns one tuple of arrays
-    (intercepts (M,), betas (M, m), work (M,), converged (M,)) per problem,
-    over the M lambdas: the fields of a ``core.LambdaPath``."""
-    if not grams:
-        return []
+    the one its problem gives alone.  Returns the paths stacked over the P
+    problems and M lambdas: intercepts (P, M), betas (P, M, m), work
+    (P, M) and converged (P, M)."""
     G, c, ok, xbar, zbar = (np.array(a) for a in zip(*grams))
     P, m = c.shape
     M = len(lambdas)
@@ -57,7 +57,7 @@ def wls_paths(grams, lambdas):
     for i, lam in enumerate(lambdas):
         intercepts[:, i], work[:, i], converged[:, i] = wls_step(G, c, ok, xbar, zbar, beta, lam)
         betas[:, i] = beta
-    return list(zip(intercepts, betas, work, converged))
+    return intercepts, betas, work, converged
 
 
 def wls_step(G, c, ok, xbar, zbar, beta, lam):

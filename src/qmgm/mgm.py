@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .core import CoefficientCube, DataError, Dataset, LambdaPath, _check_lambda_grid
+from .core import CoefficientCube, DataError, Dataset, _check_lambda_grid
 from .lasso import wls_gram, wls_paths
 from .penalized import penalized_wls
 
@@ -79,24 +79,22 @@ def glm_deviance(family: GlmFamily, y: np.ndarray, mu: np.ndarray):
     return 2.0 * np.sum(xlogy(y, y / mu) - (y - mu), axis=-1)
 
 
-def _gaussian_paths(nodes, lambdas) -> list:
-    """The paths of the gaussian nodes (y, X), of equal width, through one
-    ``wls_paths`` call: one outer iteration per point."""
-    ones = np.ones(lambdas.size, dtype=int)
-    return [LambdaPath(intercepts, betas, ones, converged) for intercepts, betas, _, converged
-            in wls_paths([wls_gram(X, np.ones(y.size), y) for y, X in nodes], lambdas)]
+def _gaussian_paths(nodes, lambdas):
+    """The stacked paths of the gaussian nodes (y, X, family), of equal
+    width, through one ``wls_paths`` call: one outer iteration per point."""
+    intercepts, betas, work, converged = wls_paths(
+        [wls_gram(X, np.ones(y.size), y) for y, X, _ in nodes], lambdas)
+    return intercepts, betas, np.ones_like(work), converged
 
 
-def _count_paths(nodes, lambdas) -> list:
-    """The paths of the binomial and poisson nodes (y, X, family), of equal
-    width, by proximal Newton warm-started along the lambdas.  Each outer
+def _count_paths(nodes, lambdas):
+    """The stacked paths of the binomial and poisson nodes (y, X, family),
+    of equal width, by proximal Newton warm-started along the lambdas.  Each outer
     iteration takes the reweighted steps of all running nodes through one
     ``penalized_wls`` call, and a node leaves the batch once its iterates
     settle, so each path equals the one its node gives alone.  A point
     counts as converged when the iterates settle and the last inner solve
     is certified."""
-    if not nodes:
-        return []
     ys, Xs, families = zip(*nodes)
     X = np.array(Xs)
     P, M = len(nodes), lambdas.size
@@ -124,7 +122,7 @@ def _count_paths(nodes, lambdas) -> list:
             if not run.size:
                 break
         intercepts[:, i], betas[:, i] = b0, beta
-    return [LambdaPath(*fields) for fields in zip(intercepts, betas, work, converged)]
+    return intercepts, betas, work, converged
 
 
 def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
@@ -132,20 +130,25 @@ def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     single pseudo quantile level, so edge extraction and lambda selection
     reuse the shared code path.  The gaussian nodes advance through one
     batched kernel call, one outer iteration per point; the binomial and
-    poisson nodes step through proximal Newton in lockstep.  The lambda
-    grid is checked before any fitting."""
+    poisson nodes step through proximal Newton in lockstep.  Each batch's
+    stacked paths fill the cube rows of its nodes.  The lambda grid is
+    checked before any fitting."""
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
-    def node(j):
-        return dataset.values[:, j], np.delete(dataset.values, j, axis=1)
-
+    p, M, values = dataset.p, lambdas.size, dataset.values
     families = [family_for(spec.kind) for spec in dataset.schema]
     gaussian = [j for j, family in enumerate(families) if family.name == "gaussian"]
-    fitted = dict(zip(gaussian, _gaussian_paths(map(node, gaussian), lambdas)))
-    count = [j for j in range(dataset.p) if j not in fitted]
-    fitted.update(zip(count, _count_paths([(*node(j), families[j]) for j in count], lambdas)))
-    return CoefficientCube.from_paths([[fitted[j]] for j in range(dataset.p)], lambdas, [0.5])
+    fields = (np.zeros((p, 1, M)), np.zeros((p, 1, M, p - 1)),
+              np.zeros((p, 1, M), dtype=int), np.zeros((p, 1, M), dtype=bool))
+    for rows, paths in ((gaussian, _gaussian_paths),
+                        ([j for j in range(p) if j not in gaussian], _count_paths)):
+        if rows:
+            nodes = [(values[:, j], np.delete(values, j, axis=1), families[j]) for j in rows]
+            for field, part in zip(fields, paths(nodes, lambdas)):
+                field[rows, 0] = part
+    intercepts, betas, work, converged = fields
+    return CoefficientCube(intercepts, betas, lambdas, [0.5], converged, work)
 
 
 def deviance_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:

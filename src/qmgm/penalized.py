@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, LambdaPath, _check_lambda_grid, _readonly
+from .core import DataError, _check_lambda_grid, _readonly
 from .lasso import wls_gram, wls_paths, wls_step
 from .midcdf import ThresholdLogitSet, marginal_mid_quantile
 
@@ -66,6 +66,7 @@ class NodeProblem:
     logits: ThresholdLogitSet
 
     def __post_init__(self):
+        # the read-only (intercepts, betas, work, converged) rows of the
         # lambda paths already fitted, keyed by (tau, lambdas bytes); only
         # ``selection.fit_qmgm`` fills it
         object.__setattr__(self, "_paths", {})
@@ -143,13 +144,15 @@ def _interp_rows(x: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_lambda_paths(pairs, lambdas) -> list:
+def fit_lambda_paths(pairs, lambdas):
     """Fit a strictly decreasing lambda sequence with warm starts for each
     (problem, tau) pair by the inverse route: the per-row-inverted implicit
     equation is solved by penalized weighted least squares (see the module
     docstring).  The problems must have the same number of predictors.
-    Returns one ``LambdaPath`` per pair, in order; ``work`` counts the
-    kernel's linear solves plus any fallback sweeps.
+    Returns the paths stacked over the P pairs, in order, and the M
+    lambdas: intercepts (P, M), betas (P, M, m), work (P, M) and converged
+    (P, M); ``work`` counts the kernel's linear solves plus any fallback
+    sweeps.
 
     The pairs with at least ``MIN_SOLVABLE_ROWS`` solvable rows advance
     together through one ``lasso.wls_paths`` call, and each path equals
@@ -157,16 +160,18 @@ def fit_lambda_paths(pairs, lambdas) -> list:
     intercept-only answer in closed form: the link transform of the
     marginal mid-quantile, zero slopes, no work, converged."""
     lambdas = _check_lambda_grid(lambdas)
-    M = lambdas.size
-    paths, grams = {}, {}
+    P, M = len(pairs), lambdas.size
+    intercepts, betas = np.empty((P, M)), np.zeros((P, M, pairs[0][0].m))
+    work, converged = np.zeros((P, M), dtype=int), np.ones((P, M), dtype=bool)
+    solved, grams = [], []
     for i, (problem, tau) in enumerate(pairs):
         targets, solvable = inverse_midquantile_targets(problem, tau)
         if solvable.sum() >= MIN_SOLVABLE_ROWS:
-            grams[i] = wls_gram(problem.X, solvable.astype(float), targets)
+            solved.append(i)
+            grams.append(wls_gram(problem.X, solvable.astype(float), targets))
         else:
-            b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
-            paths[i] = LambdaPath(np.full(M, b0), np.zeros((M, problem.m)),
-                                  np.zeros(M, dtype=int), np.ones(M, dtype=bool))
-    for i, fields in zip(grams, wls_paths(list(grams.values()), lambdas)):
-        paths[i] = LambdaPath(*fields)
-    return [paths[i] for i in range(len(pairs))]
+            intercepts[i] = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
+    if solved:
+        intercepts[solved], betas[solved], work[solved], converged[solved] = (
+            wls_paths(grams, lambdas))
+    return intercepts, betas, work, converged

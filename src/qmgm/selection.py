@@ -11,7 +11,7 @@ import numpy as np
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_UNDEFINED,
                    _check_lambda_grid, _check_tolerance, _one_blas_thread,
-                   quantile_loss)
+                   _readonly, quantile_loss)
 from .midcdf import build_field, fit_threshold_logits
 from .penalized import NodeProblem, fit_lambda_paths
 
@@ -99,8 +99,9 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     a (node, level) path already fitted on the same lambda grid is reused,
     not refitted, so nested level grids fit each distinct path once.
     Every missing (node, level) path is solved by the inverse route in one
-    batched ``penalized.fit_lambda_paths`` call in this process, and
-    ``CoefficientCube.from_paths`` stacks the paths into the cube.
+    batched ``penalized.fit_lambda_paths`` call in this process; each
+    problem keeps its paths' four rows read-only, so a cached path cannot
+    change, and the cube stacks them by node and level.
     """
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
@@ -111,11 +112,12 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     keys = [(float(tau), lambdas.tobytes()) for tau in levels]
     todo = [(pr, k) for pr in problems for k in keys if k not in pr._paths]
     if todo:
-        paths = fit_lambda_paths([(pr, k[0]) for pr, k in todo], lambdas)
-        for (pr, k), path in zip(todo, paths):
+        fields = map(_readonly, fit_lambda_paths([(pr, k[0]) for pr, k in todo], lambdas))
+        for (pr, k), path in zip(todo, zip(*fields)):
             pr._paths[k] = path
-    return CoefficientCube.from_paths([[pr._paths[k] for k in keys] for pr in problems],
-                                      lambdas, levels)
+    intercepts, betas, work, converged = (
+        np.array([[pr._paths[k][f] for k in keys] for pr in problems]) for f in range(4))
+    return CoefficientCube(intercepts, betas, lambdas, levels, converged, work)
 
 
 def _coefficient_tensor(coefs: np.ndarray) -> np.ndarray:

@@ -12,9 +12,9 @@ import pytest
 
 import qmgm
 from qmgm import benchmark, cli, selection
-from qmgm.benchmark import DgpVariant, generate_sample, true_graph
+from qmgm.benchmark import GENERATOR_SCHEMA, DgpVariant, generate_sample, true_graph
 from qmgm.cli import main
-from qmgm.core import CoefficientCube
+from qmgm.core import CoefficientCube, VariableSpec
 from qmgm.selection import CRITERION_NAMES, estimate_edge_set
 from qmgm.io import GraphDocument, document_from_adjacency, export_graph, save_csv
 
@@ -164,7 +164,8 @@ def test_fit_aic_with_cn_exits_2(small_csv, tmp_path, capsys, no_fitting):
 
 def test_hamming_of_single_node_graphs_exits_2(tmp_path, capsys):
     path = tmp_path / "one.json"
-    export_graph(document_from_adjacency(["a"], np.zeros((1, 1), bool)), path)
+    export_graph(document_from_adjacency([VariableSpec("a", "continuous")],
+                                         np.zeros((1, 1), bool)), path)
     assert main(["hamming", str(path), str(path)]) == 2
     assert "needs at least two nodes" in capsys.readouterr().err
 
@@ -198,7 +199,7 @@ def test_simulate_negative_seed_exits_2_before_fitting(tmp_path, capsys, no_fitt
     assert not (tmp_path / "sim").exists()
 
 
-@pytest.mark.parametrize("learners", ["mgm,mgm", "qmgm1,QMGM1"])
+@pytest.mark.parametrize("learners", ["mgm,mgm", "qmgm1,QMGM1", "qmgm3,qmgm03"])
 def test_simulate_duplicate_learner_exits_2_before_fitting(tmp_path, capsys, no_fitting,
                                                            learners):
     # a learner named twice after normalization would be fitted twice per
@@ -341,6 +342,19 @@ def test_malformed_tau_levels_exits_2(small_csv, tmp_path, capsys, levels):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("levels, want", [("3", [0.25, 0.5, 0.75]), ("0.1", [0.1]),
+                                          ("1e-1", [0.1]), ("5e-1,7.5e-1", [0.5, 0.75])])
+def test_tau_levels_count_or_levels_in_any_float_form(small_csv, tmp_path, levels, want):
+    # only an integer literal is a level count; a single level may be
+    # written in exponent form
+    csv_path, schema_path = small_csv
+    out = tmp_path / "g.json"
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", levels,
+               "--lambda-count", "2", "--output", str(out)])
+    assert rc == 0
+    assert GraphDocument.load(out).meta["tau_levels"] == want
+
+
 def test_bad_csv_exits_2(tmp_path):
     schema = tmp_path / "s.txt"
     schema.write_text("a continuous\nb count\n", encoding="utf-8")
@@ -450,6 +464,16 @@ def test_simulate_writes_tables(tmp_path):
     assert "failures: 0" in manifest
 
 
+def test_simulate_truth_document_has_the_generator_kinds(tmp_path):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--n", "60", "--R", "1", "--learners", "mgm",
+               "--lambda-count", "2", "--output", str(out)])
+    assert rc == 0
+    nodes = GraphDocument.load(out / "truth.json").nodes
+    assert [[node["name"], node["kind"]] for node in nodes] == [
+        line.split() for line in DGP_SCHEMA.splitlines()]
+
+
 def test_simulate_manifest_records_the_tolerance(tmp_path):
     # the tolerance changes every edge set, so it is part of the config
     manifests = {}
@@ -468,10 +492,9 @@ def test_simulate_manifest_records_the_tolerance(tmp_path):
 
 def test_metrics_and_hamming_commands(tmp_path, capsys):
     tg = true_graph()
-    names = [f"Y{i+1}" for i in range(10)]
-    truth_doc = document_from_adjacency(names, tg)
+    truth_doc = document_from_adjacency(GENERATOR_SCHEMA, tg)
     export_graph(truth_doc, tmp_path / "truth.json")
-    export_graph(document_from_adjacency(names, np.zeros((10, 10), bool)),
+    export_graph(document_from_adjacency(GENERATOR_SCHEMA, np.zeros((10, 10), bool)),
                  tmp_path / "empty.json")
     rc = main(["metrics", "--truth", str(tmp_path / "truth.json"),
                "--estimate", str(tmp_path / "empty.json")])
@@ -488,10 +511,10 @@ def test_metrics_and_hamming_commands(tmp_path, capsys):
 
 
 def test_centrality_command(tmp_path, capsys):
-    names = ["a", "b", "c"]
+    schema = [VariableSpec(name, "continuous") for name in "abc"]
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
-    export_graph(document_from_adjacency(names, adj), tmp_path / "g.json")
+    export_graph(document_from_adjacency(schema, adj), tmp_path / "g.json")
     rc = main(["centrality", str(tmp_path / "g.json")])
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -502,10 +525,10 @@ def test_centrality_command(tmp_path, capsys):
 
 def test_weighted_centrality_command(tmp_path, capsys):
     # edge distance is 1/strength: a-b 0.5, b-c 1, so a-c runs 1.5 through b
-    names = ["a", "b", "c"]
+    schema = [VariableSpec(name, "continuous") for name in "abc"]
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
-    doc = document_from_adjacency(names, adj)
+    doc = document_from_adjacency(schema, adj)
     doc.edges[0]["strength"] = 2.0
     export_graph(doc, tmp_path / "g.json")
     rc = main(["centrality", str(tmp_path / "g.json"), "--weighted"])
@@ -515,7 +538,8 @@ def test_weighted_centrality_command(tmp_path, capsys):
 
 
 def _document_text(edges, names=("a", "b")):
-    doc = document_from_adjacency(list(names), np.zeros((len(names),) * 2, bool))
+    doc = document_from_adjacency([VariableSpec(name, "continuous") for name in names],
+                                  np.zeros((len(names),) * 2, bool))
     doc.edges = edges
     return doc.to_json()
 

@@ -141,7 +141,8 @@ def test_graph_document_rejects_garbage():
 
 
 def test_empty_graph_document(tmp_path):
-    doc = document_from_adjacency(["x", "y"], np.zeros((2, 2), dtype=bool))
+    doc = document_from_adjacency([VariableSpec("x", "continuous"), VariableSpec("y", "count")],
+                                  np.zeros((2, 2), dtype=bool))
     path = tmp_path / "empty.json"
     export_graph(doc, path)
     assert GraphDocument.load(path).edges == []
@@ -160,7 +161,8 @@ def test_dot_rendering():
 def test_dot_rendering_escapes_node_names():
     # a quote and a backslash in a name must not end the DOT identifier
     adj = np.array([[False, True], [True, False]])
-    doc = document_from_adjacency(['a"b', "c\\d"], adj)
+    doc = document_from_adjacency([VariableSpec('a"b', "continuous"),
+                                   VariableSpec("c\\d", "continuous")], adj)
     dot = render_dot(doc)
     assert '  "a\\"b" [fillcolor=white];' in dot
     assert '  "c\\\\d" [fillcolor=white];' in dot

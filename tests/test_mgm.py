@@ -10,6 +10,8 @@ from qmgm.mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_devian
 from qmgm.selection import SelectionCriterion, estimate_edge_set, fit_qmgm, \
     select_lambda, score_path
 
+PATH_FIELDS = ("intercepts", "betas", "work", "converged")
+
 
 def node_lambda_max(y, X):
     """Smallest penalty keeping every slope at zero (all three families
@@ -165,11 +167,31 @@ def test_count_paths_in_lockstep_equal_each_node_alone(tiny_mixed):
         together = mgm._count_paths(nodes, lambdas)
         # the nodes settle after different numbers of outer iterations, so
         # the batch shrinks within a lambda
-        assert len({tuple(path.work) for path in together}) == len(nodes)
-        for node, path in zip(nodes, together):
-            alone, = mgm._count_paths([node], lambdas)
-            for field in ("intercepts", "betas", "work", "converged"):
-                assert np.array_equal(getattr(path, field), getattr(alone, field)), field
+        assert len({tuple(work) for work in together[2]}) == len(nodes)
+        for i, node in enumerate(nodes):
+            alone = mgm._count_paths([node], lambdas)
+            for field, got, want in zip(PATH_FIELDS, together, alone):
+                assert np.array_equal(got[i], want[0]), field
+
+
+def test_interleaved_kinds_fill_each_cube_row_with_its_node_alone(tiny_mixed):
+    # count, continuous, binary, continuous: the gaussian and the count
+    # batches are written into the cube by node index, so each row is the
+    # path its node gives alone
+    from qmgm import mgm
+
+    order = [2, 0, 3, 1]
+    ds = Dataset(tiny_mixed.values[:, order], tuple(tiny_mixed.schema[j] for j in order))
+    assert [spec.kind for spec in ds.schema] == ["count", "continuous", "binary", "continuous"]
+    lambdas = default_lambda_grid(count=8)
+    cube = fit_mgm(ds, lambdas)
+    for j, spec in enumerate(ds.schema):
+        family = family_for(spec.kind)
+        node = (ds.values[:, j], np.delete(ds.values, j, axis=1), family)
+        paths = mgm._gaussian_paths if family.name == "gaussian" else mgm._count_paths
+        fields = (cube.intercepts, cube.betas, cube.iterations, cube.converged)
+        for name, got, want in zip(PATH_FIELDS, fields, paths([node], lambdas)):
+            assert np.array_equal(got[j, 0], want[0]), (j, name)
 
 
 def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
@@ -185,8 +207,8 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
         return intercepts, work, np.zeros_like(converged)
 
     def uncertified_paths(*args, **kwargs):
-        return [(intercepts, betas, work, np.zeros_like(converged))
-                for intercepts, betas, work, converged in paths(*args, **kwargs)]
+        intercepts, betas, work, converged = paths(*args, **kwargs)
+        return intercepts, betas, work, np.zeros_like(converged)
 
     assert fit_mgm(tiny_mixed, lambdas).converged[:, 0, -1].all()
     with monkeypatch.context() as mp:

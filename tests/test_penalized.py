@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ from qmgm.penalized import (NodeProblem, fit_lambda_paths,
 from qmgm.selection import build_problems, fit_qmgm
 
 PATH_FIELDS = ("intercepts", "betas", "work", "converged")
+
+
+def lone_path(problem, tau, lambdas):
+    """The path of one (problem, tau) pair by field name: row 0 of each
+    stacked field of ``fit_lambda_paths``."""
+    fields = fit_lambda_paths([(problem, tau)], lambdas)
+    return SimpleNamespace(**{name: field[0] for name, field in zip(PATH_FIELDS, fields)})
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +185,7 @@ def test_path_requires_decreasing_grid(problems):
 def test_active_set_grows_down_the_path(problems):
     lambdas = np.exp(np.linspace(np.log(5.0), np.log(0.001), 20))
     pr = problems[1]
-    path = fit_lambda_paths([(pr, 0.5)], lambdas)[0]
+    path = lone_path(pr, 0.5, lambdas)
     active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
     assert active[-1] >= active[0]
     assert active[0] == 0  # lambda = 5 keeps everything out
@@ -193,9 +201,9 @@ def test_path_empties_exactly_at_max_abs_c(problems):
             assert solvable.sum() >= 2, (pr.node, tau)
             _, c, ok, _, _ = wls_gram(pr.X, solvable.astype(float), t)
             lmax = float(np.abs(c[ok]).max())
-            at = fit_lambda_paths([(pr, tau)], [lmax])[0].betas[0]
+            at = lone_path(pr, tau, [lmax]).betas[0]
             assert not at.any(), (pr.node, tau)
-            below = fit_lambda_paths([(pr, tau)], [lmax * (1 - 1e-6)])[0].betas[0]
+            below = lone_path(pr, tau, [lmax * (1 - 1e-6)]).betas[0]
             assert np.count_nonzero(below) == 1, (pr.node, tau)
 
 
@@ -206,8 +214,8 @@ def test_permutation_equivariance(problems):
     permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.pi,
                            pr.logits)
     # production route: the convex subproblem has a unique optimum
-    a = fit_lambda_paths([(pr, 0.5)], [0.05])[0]
-    b = fit_lambda_paths([(permuted, 0.5)], [0.05])[0]
+    a = lone_path(pr, 0.5, [0.05])
+    b = lone_path(permuted, 0.5, [0.05])
     assert b.betas[0] == pytest.approx(a.betas[0][perm], abs=1e-8)
     assert b.intercepts[0] == pytest.approx(a.intercepts[0], abs=1e-8)
     # descent route: the objective is nonsmooth and nonconvex, and runs that
@@ -259,8 +267,8 @@ def test_column_layout_and_order_do_not_steer_arithmetic(problems):
     a = _descent_path(pr, 0.5, [0.2, 0.05])
     b = _descent_path(fortran, 0.5, [0.2, 0.05])
     assert all(_same_fit(ra, rb) for ra, rb in zip(a, b))
-    a = fit_lambda_paths([(pr, 0.5)], [0.2, 0.05])[0]
-    b = fit_lambda_paths([(fortran, 0.5)], [0.2, 0.05])[0]
+    a = lone_path(pr, 0.5, [0.2, 0.05])
+    b = lone_path(fortran, 0.5, [0.2, 0.05])
     for name in PATH_FIELDS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     a = _descent_path(pr, 0.5, [0.2, 0.05])
@@ -290,7 +298,7 @@ def test_lambda_zero_recovers_single_parent():
     dataset, _ = generate_sample(DgpVariant("main", 1000, 7))
     ds = validate_and_standardize(dataset)
     pr = build_problems(ds)[1]
-    beta = fit_lambda_paths([(pr, 0.5)], [0.0])[0].betas[0]
+    beta = lone_path(pr, 0.5, [0.0]).betas[0]
     parent = abs(beta[0])
     rest = np.abs(beta[1:]).max()
     assert parent > 0.2
@@ -411,12 +419,12 @@ def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
     t, solvable = inverse_midquantile_targets(pr, tau)
     w = solvable.astype(float)
-    path = fit_lambda_paths([(pr, tau)], lambdas)[0]
+    path = lone_path(pr, tau, lambdas)
     active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
     assert 0 < active[10] < active[-1]
     for lam, b0, beta, conv in zip(lambdas, path.intercepts, path.betas,
                                    path.converged):
-        cold = fit_lambda_paths([(pr, tau)], [lam])[0]
+        cold = lone_path(pr, tau, [lam])
         assert conv and cold.converged[0]
         assert np.abs(beta - cold.betas[0]).max() <= 1e-10
         assert abs(b0 - cold.intercepts[0]) <= 1e-10
@@ -432,8 +440,8 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
     t, solvable = inverse_midquantile_targets(pr, tau)
     gram = wls_gram(pr.X, solvable.astype(float), t)
-    b0s, betas, work, converged = wls_paths([gram], lambdas)[0]
-    path = fit_lambda_paths([(pr, tau)], lambdas)[0]
+    b0s, betas, work, converged = (field[0] for field in wls_paths([gram], lambdas))
+    path = lone_path(pr, tau, lambdas)
     assert np.array_equal(path.intercepts, b0s)
     assert np.array_equal(path.betas, betas)
     assert np.array_equal(path.work, work)
@@ -444,15 +452,20 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     j = 0
     assert ds.schema[j].kind == "continuous"
     y, X = ds.values[:, j], np.delete(ds.values, j, axis=1)
-    b0s, betas, _, converged = wls_paths([wls_gram(X, np.ones(ds.n), y)], lambdas)[0]
+    b0s, betas, _, converged = (
+        field[0] for field in wls_paths([wls_gram(X, np.ones(ds.n), y)], lambdas))
     cube = fit_mgm(ds, lambdas)
     assert np.array_equal(cube.intercepts[j, 0], b0s)
     assert np.array_equal(cube.betas[j, 0], betas)
     assert np.array_equal(cube.converged[j, 0], converged)
     assert np.array_equal(cube.iterations[j, 0], np.ones(lambdas.size, dtype=int))
-    # read-only
-    for name in PATH_FIELDS:
-        assert not getattr(path, name).flags.writeable, name
+    # the rows fit_qmgm keeps of a fitted path are the same bits, read-only
+    fresh = build_problems(ds)
+    fit_qmgm(ds, QuantileGrid((tau,)), lambdas, problems=fresh)
+    kept = fresh[4]._paths[(tau, lambdas.tobytes())]
+    for name, field in zip(PATH_FIELDS, kept):
+        assert np.array_equal(field, getattr(path, name)), name
+        assert not field.flags.writeable, name
 
 
 def _batch_problems(seed, P=8, n=40, m=6):
@@ -484,7 +497,7 @@ def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
     problems = _batch_problems(4)
     lambdas = np.concatenate([np.exp(np.linspace(np.log(2.0), np.log(1e-3), 12)), [0.0]])
     grams = [wls_gram(*pr) for pr in problems]
-    alone = [wls_paths([gram], lambdas)[0] for gram in grams]
+    alone = [[field[0] for field in wls_paths([gram], lambdas)] for gram in grams]
     crossings, swept, mixed_singular = [], [], []
     step, sweeps, stacked = lasso._step_to_crossing, lasso._sweeps, lasso._stacked_solve
 
@@ -507,7 +520,7 @@ def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
     monkeypatch.setattr(lasso, "_step_to_crossing", spy_step)
     monkeypatch.setattr(lasso, "_sweeps", spy_sweeps)
     monkeypatch.setattr(lasso, "_stacked_solve", spy_stacked)
-    batch = wls_paths(grams, lambdas)
+    batch = list(zip(*wls_paths(grams, lambdas)))
     # some stacked crossing step moves two paths, each to its own first crossing
     assert max(crossings) >= 2
     assert swept and all(found == [2] for found in swept)
@@ -541,23 +554,44 @@ def test_null_fallback_is_the_closed_form_intercept():
     assert np.all(cube.iterations[2, 0] == 0)
 
 
-def test_two_solvable_rows_give_the_closed_form_intercept(problems):
-    # on 2 rows G has rank 1 and tied columns make the slopes arbitrary, so
-    # a pair with 2 solvable rows takes the intercept-only path
-    pr = problems[0]
+def _two_solvable_rows(pr):
+    """``pr`` with mid-probabilities under which only rows 0 and 1 are
+    solvable at tau = 0.5."""
     k = pr.pi.shape[1]
     pi = np.full(pr.pi.shape, 0.9)
     pi[0], pi[1] = np.linspace(0.05, 0.95, k), np.linspace(0.1, 0.8, k)
-    two = replace(pr, pi=pi)
+    return replace(pr, pi=pi)
+
+
+def test_two_solvable_rows_give_the_closed_form_intercept(problems):
+    # on 2 rows G has rank 1 and tied columns make the slopes arbitrary, so
+    # a pair with 2 solvable rows takes the intercept-only path
+    two = _two_solvable_rows(problems[0])
     tau = 0.5
     _, solvable = inverse_midquantile_targets(two, tau)
     assert solvable.sum() == 2
-    path = fit_lambda_paths([(two, tau)], [0.5, 0.01, 0.0001])[0]
+    path = lone_path(two, tau, [0.5, 0.01, 0.0001])
     start = penalized._link_forward(marginal_mid_quantile(two.y, tau), two.link)
     assert np.all(path.intercepts == start)
     assert np.all(path.betas == 0.0)
     assert np.all(path.work == 0)
     assert np.all(path.converged)
+
+
+def test_closed_form_and_solved_pairs_interleaved_equal_each_pair_alone(problems):
+    # the closed-form rows and the rows of the one kernel call are both
+    # written by pair index: each row of a mixed batch is its pair's path
+    pairs = [(problems[1], 0.25), (_two_solvable_rows(problems[0]), 0.5),
+             (problems[2], 0.5), (problems[3], 0.75),
+             (_two_solvable_rows(problems[5]), 0.5), (problems[4], 0.5)]
+    lambdas = [0.5, 0.05, 0.005]
+    batch = fit_lambda_paths(pairs, lambdas)
+    assert len({field.tobytes() for field in batch[0]}) == len(pairs)
+    assert [batch[2][i].any() for i in range(len(pairs))] == [True, False, True,
+                                                               True, False, True]
+    for i, pair in enumerate(pairs):
+        for name, got, want in zip(PATH_FIELDS, batch, fit_lambda_paths([pair], lambdas)):
+            assert np.array_equal(got[i], want[0]), (i, name)
 
 
 def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):

@@ -1,11 +1,17 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
+import importlib
 import pathlib
+import re
 
 import pytest
 
+import qmgm
+
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qmgm"
+README = SOURCE.parent.parent / "README.md"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
@@ -190,3 +196,42 @@ def test_every_default_is_set_in_the_package():
     unset = [key for key in unset_defaults(trees) if key not in UNSET_DEFAULTS_ALLOWED]
     assert unset == []
     assert set(UNSET_DEFAULTS_ALLOWED) <= set(unset_defaults(trees))
+
+
+def unresolved_names(text: str) -> list:
+    """Backticked dotted names in ``text`` led by ``qmgm``, one of its
+    modules or a name it exports, whose later parts name nothing: each part
+    must be an attribute of the one before, or a field of a dataclass."""
+    for path in MODULES:
+        importlib.import_module(f"qmgm.{path.stem}")
+    heads = {name for name in vars(qmgm) if not name.startswith("_")}
+    field = object()
+    found = []
+    for dotted in re.findall(r"`(\w+(?:\.\w+)+)`", text):
+        parts = dotted.split(".")
+        if parts[0] not in heads | {"qmgm"}:
+            continue
+        obj = qmgm
+        for part in parts[parts[0] == "qmgm":]:
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+            elif dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+                obj = field
+            else:
+                found.append(dotted)
+                break
+    return found
+
+
+def test_unresolved_names_are_found():
+    text = ("`qmgm.lasso`, `qmgm.core.NoSuch`, `core.MAX_THRESHOLDS` and "
+            "`CoefficientCube.no_such` or `CoefficientCube.betas`; "
+            "`BenchmarkRun.tolerance`, `BenchmarkRun.tolerance.real`, "
+            "`np.mean`, `summary.csv`, `qmgm` and `lasso`")
+    assert unresolved_names(text) == ["qmgm.core.NoSuch", "CoefficientCube.no_such",
+                                      "BenchmarkRun.tolerance.real"]
+
+
+def test_readme_names_resolve():
+    # a README that names a removed function or record misleads its reader
+    assert unresolved_names(README.read_text(encoding="utf-8")) == []

@@ -175,8 +175,11 @@ def _cmd_simulate(args) -> int:
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max,
                                   args.lambda_count)
     outdir = args.output or "qmgm-simulate"
-    if os.path.exists(outdir) and not os.path.isdir(outdir):
-        raise DataError(f"output {outdir!r} exists and is not a directory")
+    head = os.path.abspath(outdir)      # write_outputs makes the missing parents too
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise DataError(f"cannot make a directory at {outdir!r}: {head!r} is not one")
     run = run_replications(learners, variant, args.R, lambdas=lambdas,
                            nonzero_tol=args.tolerance, threads=args.threads)
     write_outputs(run, outdir, threads=args.threads)

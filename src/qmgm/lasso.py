@@ -17,12 +17,12 @@ The active-set method runs on P problems of equal width in lockstep: at
 each step it stacks the active blocks of every problem whose active set
 has the same size into one ``np.linalg.solve`` call.  A stacked solve
 gives each problem the bits it gets alone, so a problem's answer does not
-depend on the others in its batch.  ``wls_step`` is that stacked solve.
-Along a lambda path X, the row weights and the targets stay fixed, so
-``wls_paths`` forms G and c once per path and returns the paths as
-stacked (P, M, ...) arrays, the one path format from this kernel to the
-coefficient cube; ``penalized.penalized_wls`` forms G and c afresh for
-each reweighted step of the mgm baseline.
+depend on the others in its batch; so does ``wls_gram``'s stacked
+``np.matmul``.  Along a lambda path X, the row weights and the targets
+stay fixed, so ``wls_paths`` takes the forms made once per path and
+returns the paths as stacked (P, M, ...) arrays, the one path format from
+this kernel to the coefficient cube; ``penalized.penalized_wls`` makes
+them afresh for each reweighted step of the mgm baseline.
 """
 
 from __future__ import annotations
@@ -40,32 +40,30 @@ WLS_FLAT_TOL = 1e-20
 WLS_KKT_TOL = 1e-10
 
 
-def wls_paths(grams, lambdas):
+def wls_paths(gram, lambdas):
     """``wls_step`` along a decreasing lambda grid for P problems with the
     same number of predictors and row weights of positive sum, given by
-    their ``wls_gram`` forms, formed once per path as X, w and z stay fixed
-    along it.  Each point is warm-started at the last, and each path equals
-    the one its problem gives alone.  Returns the paths stacked over the P
-    problems and M lambdas: intercepts (P, M), betas (P, M, m), work
+    their stacked ``wls_gram`` form, made once per path as X, w and z stay
+    fixed along it.  Each point is warm-started at the last, and each path
+    equals the one its problem gives alone.  Returns the paths stacked over
+    the P problems and M lambdas: intercepts (P, M), betas (P, M, m), work
     (P, M) and converged (P, M)."""
-    G, c, ok, xbar, zbar = (np.array(a) for a in zip(*grams))
-    P, m = c.shape
+    P, m = gram[1].shape
     M = len(lambdas)
     intercepts, betas = np.zeros((P, M)), np.zeros((P, M, m))
     work, converged = np.zeros((P, M), dtype=int), np.zeros((P, M), dtype=bool)
     beta = np.zeros((P, m))
     for i, lam in enumerate(lambdas):
-        intercepts[:, i], work[:, i], converged[:, i] = wls_step(G, c, ok, xbar, zbar, beta, lam)
+        intercepts[:, i], work[:, i], converged[:, i] = wls_step(*gram, beta, lam)
         betas[:, i] = beta
     return intercepts, betas, work, converged
 
 
 def wls_step(G, c, ok, xbar, zbar, beta, lam):
-    """For each of P problems given by their stacked ``wls_gram`` forms,
-    G (P, m, m) and c, ok, xbar (P, m) and zbar (P,), minimize
-    (1/2) b'G b - c'b + lam sum_k |b_k| over b with b_k = 0 outside
-    ``ok``, starting from beta (P, m), which is overwritten with the
-    solutions.  Returns the intercepts, the work (linear solves plus
+    """For each of P problems given by their stacked ``wls_gram`` form,
+    minimize (1/2) b'G b - c'b + lam sum_k |b_k| over b with b_k = 0
+    outside ``ok``, starting from beta (P, m), which is overwritten with
+    the solutions.  Returns the intercepts, the work (linear solves plus
     fallback sweeps) and whether the KKT residual is at most WLS_KKT_TOL *
     max(1, max |c|), each (P,).  Only the problems the active set leaves
     uncertified run the sweeps, each from its own warm start."""
@@ -83,20 +81,23 @@ def wls_step(G, c, ok, xbar, zbar, beta, lam):
 
 
 def wls_gram(X, w, z):
-    """Covariance form of the weighted least-squares term for row weights
-    w of positive sum: the weighted means xbar and zbar, G = Xc' W Xc / n
-    and c = Xc' W zc / n of the centered data (Friedman, Hastie &
-    Tibshirani 2010), and the mask of the columns that are not flat on the
-    weighted rows."""
-    n = X.shape[0]
-    wsum = float(w.sum())
-    xbar = (w @ X) / wsum
-    zbar = float(w @ z) / wsum
-    Xc = X - xbar
-    WXc = Xc * w[:, None]
-    G = (WXc.T @ Xc) / n
-    c = (WXc.T @ (z - zbar)) / n
-    ok = np.diag(G) > WLS_FLAT_TOL * xbar ** 2 * (wsum / n)
+    """Covariance forms of the weighted least-squares terms of P problems on
+    X (P, n, m), or (1, n, m) shared by all, with row weights w of positive
+    sum and targets z (P, n): G = Xc' W Xc / n (P, m, m), c = Xc' W zc / n
+    and the mask ``ok`` of the columns not flat on the weighted rows, both
+    (P, m), and the weighted means xbar (P, m) and zbar (P,) (Friedman,
+    Hastie & Tibshirani 2010).  Each problem gets the bits of its own P = 1
+    call; zbar's dot product reads z's rows as laid out, strided or not."""
+    n = X.shape[1]
+    wsum = w.sum(axis=1)
+    xbar = np.matmul(w[:, None, :], X)[:, 0] / wsum[:, None]
+    zbar = np.matmul(w[:, None, :], z[:, :, None])[:, 0, 0] / wsum
+    Xc = X - xbar[:, None, :]
+    WXcT = (Xc * w[:, :, None]).transpose(0, 2, 1)
+    G = np.matmul(WXcT, Xc) / n
+    zc = np.subtract(z, zbar[:, None], order="C")   # contiguous, as for one z
+    c = np.matmul(WXcT, zc[:, :, None])[:, :, 0] / n
+    ok = np.diagonal(G, axis1=1, axis2=2) > WLS_FLAT_TOL * xbar ** 2 * (wsum / n)[:, None]
     return G, c, ok, xbar, zbar
 
 

@@ -42,20 +42,6 @@ class GlmFamily:
             return expit(np.clip(lp, -LP_CLIP, LP_CLIP))
         return np.exp(np.clip(lp, -LP_CLIP, LP_CLIP))
 
-    def variance(self, mu: np.ndarray) -> np.ndarray:
-        if self.name == "gaussian":
-            return np.ones_like(mu)
-        if self.name == "binomial":
-            return np.clip(mu * (1.0 - mu), 1e-6, None)
-        return np.clip(mu, 1e-6, None)
-
-    def working(self, y: np.ndarray, lp: np.ndarray):
-        """The working weights and response of one reweighted least-squares
-        step at the linear predictor lp."""
-        mu = self.mean(lp)
-        w = self.variance(mu)
-        return w, lp + (y - mu) / w
-
 
 def family_for(kind: str) -> GlmFamily:
     """Family assignment is a pure function of the variable kind."""
@@ -79,39 +65,44 @@ def glm_deviance(family: GlmFamily, y: np.ndarray, mu: np.ndarray):
     return 2.0 * np.sum(xlogy(y, y / mu) - (y - mu), axis=-1)
 
 
-def _gaussian_paths(nodes, lambdas):
-    """The stacked paths of the gaussian nodes (y, X, family), of equal
-    width, through one ``wls_paths`` call: one outer iteration per point."""
-    intercepts, betas, work, converged = wls_paths(
-        [wls_gram(X, np.ones(y.size), y) for y, X, _ in nodes], lambdas)
+def _gaussian_paths(X, y, families, lambdas):
+    """The stacked paths of the gaussian nodes among P nodes, given as for
+    ``_count_paths``, through one ``wls_paths`` call: one outer iteration
+    per point.  The Gram forms are made for all P nodes and the gaussian
+    ones kept, so zbar reads each response in y's own layout."""
+    gram = [field[families == "gaussian"] for field in wls_gram(X, np.ones(y.shape), y)]
+    intercepts, betas, work, converged = wls_paths(gram, lambdas)
     return intercepts, betas, np.ones_like(work), converged
 
 
-def _count_paths(nodes, lambdas):
-    """The stacked paths of the binomial and poisson nodes (y, X, family),
-    of equal width, by proximal Newton warm-started along the lambdas.  Each outer
-    iteration takes the reweighted steps of all running nodes through one
-    ``penalized_wls`` call, and a node leaves the batch once its iterates
-    settle, so each path equals the one its node gives alone.  A point
-    counts as converged when the iterates settle and the last inner solve
+def _count_paths(X, y, families, lambdas):
+    """The stacked paths of the binomial and poisson nodes among P nodes of
+    equal width, with predictors X (P, n, m), responses y (P, n) and family
+    names ``families`` (P,), by proximal Newton warm-started along the
+    lambdas.  Each outer iteration forms the running nodes' working weights
+    and responses in one array pass and takes their reweighted steps
+    through one ``penalized_wls`` call; a node leaves the batch once its
+    iterates settle, so each path equals the one its node gives alone.  A
+    point is converged when the iterates settle and the last inner solve
     is certified."""
-    ys, Xs, families = zip(*nodes)
-    X = np.array(Xs)
-    P, M = len(nodes), lambdas.size
-    intercepts, betas = np.zeros((P, M)), np.zeros((P, M, X.shape[2]))
+    count = families != "gaussian"
+    X, y, binomial = X[count], y[count], families[count] == "binomial"
+    P, M, m = len(X), lambdas.size, X.shape[2]
+    intercepts, betas = np.zeros((P, M)), np.zeros((P, M, m))
     work, converged = np.full((P, M), OUTER_MAX_ITER), np.zeros((P, M), dtype=bool)
-    means = [min(max(y.mean(), 1e-10), 1 - 1e-10 if family.name == "binomial" else np.inf)
-             for y, family in zip(ys, families)]
     # start at the intercept-only fits: the canonical link of each clamped mean
-    b0 = np.array([np.log(mu / (1 - mu) if family.name == "binomial" else mu)
-                   for mu, family in zip(means, families)])
-    beta = np.zeros((P, X.shape[2]))
+    mean = np.clip(y.mean(axis=1), 1e-10, np.where(binomial, 1 - 1e-10, np.inf))
+    b0 = np.log(mean / np.where(binomial, 1 - mean, 1.0))
+    beta = np.zeros((P, m))
     for i, lam in enumerate(lambdas):
         run = np.arange(P)
         for it in range(1, OUTER_MAX_ITER + 1):
-            w, z = zip(*(families[p].working(ys[p], b0[p] + X[p] @ beta[p]) for p in run))
+            lp = b0[run, None] + np.matmul(X[run], beta[run, :, None])[:, :, 0]
+            clipped = np.clip(lp, -LP_CLIP, LP_CLIP)
+            mu = np.where(binomial[run, None], expit(clipped), np.exp(clipped))
+            w = np.clip(np.where(binomial[run, None], mu * (1.0 - mu), mu), 1e-6, None)
             nbeta = beta[run]
-            nb0, _, inner_conv = penalized_wls(X[run], np.array(w), np.array(z), nbeta, lam)
+            nb0, _, inner_conv = penalized_wls(X[run], w, lp + (y[run] - mu) / w, nbeta, lam)
             delta = np.maximum(np.abs(nb0 - b0[run]),
                                np.abs(nbeta - beta[run]).max(axis=1, initial=0.0))
             b0[run], beta[run] = nb0, nbeta
@@ -137,16 +128,15 @@ def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
     p, M, values = dataset.p, lambdas.size, dataset.values
-    families = [family_for(spec.kind) for spec in dataset.schema]
-    gaussian = [j for j, family in enumerate(families) if family.name == "gaussian"]
+    families = np.array([family_for(spec.kind).name for spec in dataset.schema])
+    # node j regresses column j, a strided row of values.T, on the others
+    X = np.array([np.delete(values, j, axis=1) for j in range(p)])
     fields = (np.zeros((p, 1, M)), np.zeros((p, 1, M, p - 1)),
               np.zeros((p, 1, M), dtype=int), np.zeros((p, 1, M), dtype=bool))
-    for rows, paths in ((gaussian, _gaussian_paths),
-                        ([j for j in range(p) if j not in gaussian], _count_paths)):
-        if rows:
-            nodes = [(values[:, j], np.delete(values, j, axis=1), families[j]) for j in rows]
-            for field, part in zip(fields, paths(nodes, lambdas)):
-                field[rows, 0] = part
+    gaussian = families == "gaussian"
+    for rows, paths in ((gaussian, _gaussian_paths), (~gaussian, _count_paths)):
+        for field, part in zip(fields, paths(X, values.T, families, lambdas)):
+            field[rows, 0] = part
     intercepts, betas, work, converged = fields
     return CoefficientCube(intercepts, betas, lambdas, [0.5], converged, work)
 

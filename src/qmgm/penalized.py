@@ -88,12 +88,12 @@ def penalized_wls(X, w, z, beta, lam):
 
     with an unpenalized intercept, one per row of X (P, n, m), w and z
     (P, n), each with row weights of positive sum: one ``lasso.wls_step``
-    from the starts beta (P, m), which are overwritten with the slopes.
-    Returns the intercepts, the work (linear solves plus fallback sweeps)
-    and whether each KKT residual is certified, each (P,); each problem
-    gets the bits it gets alone.
+    on their stacked ``lasso.wls_gram`` form from the starts beta (P, m),
+    which are overwritten with the slopes.  Returns the intercepts, the
+    work (linear solves plus fallback sweeps) and whether each KKT residual
+    is certified, each (P,); each problem gets the bits it gets alone.
     """
-    return wls_step(*(np.array(a) for a in zip(*map(wls_gram, X, w, z))), beta, lam)
+    return wls_step(*wls_gram(X, w, z), beta, lam)
 
 
 def inverse_midquantile_targets(problem: NodeProblem, tau: float):
@@ -155,23 +155,28 @@ def fit_lambda_paths(pairs, lambdas):
     sweeps.
 
     The pairs with at least ``MIN_SOLVABLE_ROWS`` solvable rows advance
-    together through one ``lasso.wls_paths`` call, and each path equals
-    the one its pair gives alone.  With fewer, every point is the
-    intercept-only answer in closed form: the link transform of the
-    marginal mid-quantile, zero slopes, no work, converged."""
+    together through one ``lasso.wls_paths`` call, on one ``wls_gram``
+    stack per problem, and each path equals the one its pair gives alone.
+    With fewer, every point is the intercept-only answer in closed form:
+    the link transform of the marginal mid-quantile, zero slopes, no work,
+    converged."""
     lambdas = _check_lambda_grid(lambdas)
     P, M = len(pairs), lambdas.size
     intercepts, betas = np.empty((P, M)), np.zeros((P, M, pairs[0][0].m))
     work, converged = np.zeros((P, M), dtype=int), np.ones((P, M), dtype=bool)
-    solved, grams = [], []
+    found = {}      # problem -> (pair index, row weights, targets) of its solved pairs
     for i, (problem, tau) in enumerate(pairs):
         targets, solvable = inverse_midquantile_targets(problem, tau)
         if solvable.sum() >= MIN_SOLVABLE_ROWS:
-            solved.append(i)
-            grams.append(wls_gram(problem.X, solvable.astype(float), targets))
+            found.setdefault(problem, []).append((i, solvable, targets))
         else:
             intercepts[i] = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
-    if solved:
+    if found:
+        # a stack per problem: one over all pairs would hold a centered X per pair at once
+        solved = [i for rows in found.values() for i, _, _ in rows]
+        stacks = [wls_gram(problem.X[None], np.array([w for _, w, _ in rows], dtype=float),
+                           np.array([t for _, _, t in rows]))
+                  for problem, rows in found.items()]
         intercepts[solved], betas[solved], work[solved], converged[solved] = (
-            wls_paths(grams, lambdas))
+            wls_paths([np.concatenate(field) for field in zip(*stacks)], lambdas))
     return intercepts, betas, work, converged

@@ -283,7 +283,7 @@ def score_reference(cube, lambda_index, dataset, kind, cn, block_loss,
     return float(total)
 
 
-def deviance_block_loss_reference(dataset):
+def deviance_losses_reference(dataset):
     """Per-block family deviance of the mean-based baseline, for
     ``score_reference``."""
     def loss(j, l, intercept, beta):

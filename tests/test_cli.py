@@ -106,7 +106,7 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["fit_data", "fit_schema", "impute_data",
                                   "fit_output_dir", "fit_dot_dir", "fit_output_is_dir",
-                                  "simulate_output_file"])
+                                  "simulate_output_file", "simulate_output_under_file"])
 def test_file_errors_exit_2(small_csv, tmp_path, capsys, no_fitting, case):
     # each is found before stage 1 or the first replication starts
     csv_path, schema_path = small_csv
@@ -128,6 +128,10 @@ def test_file_errors_exit_2(small_csv, tmp_path, capsys, no_fitting, case):
         "simulate_output_file": ["simulate", "--n", "60", "--R", "1",
                                  "--learners", "mgm", "--lambda-count", "2",
                                  "--output", str(taken)],
+        # os.makedirs in write_outputs would fail only after the replications
+        "simulate_output_under_file": ["simulate", "--n", "60", "--R", "1",
+                                       "--learners", "mgm", "--lambda-count", "2",
+                                       "--output", str(taken / "sub")],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

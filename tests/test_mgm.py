@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -127,14 +128,13 @@ def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
         r = y - b0 - X @ beta
         return float((w * r ** 2).sum() / (2 * n) + lam * np.abs(beta).sum())
 
-    G, c, ok, xbar, ybar = lasso.wls_gram(X, w, y)
+    gram = lasso.wls_gram(X[None], w[None], y[None])
     vals = []
     for sweeps in range(1, 8):
         monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", sweeps)
-        beta = np.zeros(X.shape[1])
-        b0 = lasso.wls_step(G[None], c[None], ok[None], xbar[None], np.array([ybar]),
-                            beta[None], lam)[0][0]
-        vals.append(objective(b0, beta))
+        beta = np.zeros((1, X.shape[1]))
+        b0 = lasso.wls_step(*gram, beta, lam)[0][0]
+        vals.append(objective(b0, beta[0]))
     assert all(v1 <= v0 + 1e-12 for v0, v1 in zip(vals, vals[1:]))
 
 
@@ -146,52 +146,89 @@ def test_warm_start_matches_cold_single(tiny_mixed):
         assert path.betas[j, 0, 4] == pytest.approx(lone.betas[j, 0, 0], abs=1e-7), j
 
 
-def _count_nodes(dataset):
-    families = [family_for(spec.kind) for spec in dataset.schema]
-    return [(dataset.values[:, j], np.delete(dataset.values, j, axis=1), family)
-            for j, family in enumerate(families) if family.name != "gaussian"]
+def _node_stacks(dataset):
+    """fit_mgm's inputs to the path batches: every node's predictors
+    (p, n, p-1), its responses as the strided rows of values.T, and the
+    family names (p,)."""
+    values = dataset.values
+    X = np.array([np.delete(values, j, axis=1) for j in range(dataset.p)])
+    return X, values.T, np.array([family_for(spec.kind).name for spec in dataset.schema])
 
 
-def test_count_paths_in_lockstep_equal_each_node_alone(tiny_mixed):
+def _paths_batch_vs_alone(paths, dataset, lambdas, family_names):
+    """Run ``paths`` over all nodes of ``dataset``, whose batch holds the
+    nodes of ``family_names``, and over each of those nodes alone; assert
+    each node's path is the one it gets alone, and return the batch's
+    paths."""
+    X, y, families = _node_stacks(dataset)
+    nodes = np.nonzero(np.isin(families, list(family_names)))[0]
+    assert set(families[nodes]) == family_names
+    together = paths(X, y, families, lambdas)
+    for i, j in enumerate(nodes):
+        alone = paths(X[j:j + 1], y[j:j + 1], families[j:j + 1], lambdas)
+        for field, got, want in zip(PATH_FIELDS, together, alone):
+            assert np.array_equal(got[i], want[0]), (j, field)
+    return together
+
+
+def test_count_paths_in_lockstep_equal_each_node_alone(tiny_mixed, seed0_500):
     # the lockstep loop hands each node's step to one stacked penalized_wls
     # call and drops settled nodes from the batch; no node's path may depend
     # on the others it ran with
     from qmgm import mgm
 
-    sample, _ = generate_sample(DgpVariant("main", 500, 0))
-    for dataset, lambdas in ((tiny_mixed, default_lambda_grid(count=8)),
-                             (validate_and_standardize(sample), default_lambda_grid())):
-        nodes = _count_nodes(dataset)
-        assert {family.name for _, _, family in nodes} == (
-            {"binomial", "poisson"} if dataset is tiny_mixed else {"poisson"})
-        together = mgm._count_paths(nodes, lambdas)
+    for dataset, lambdas, names in (
+            (tiny_mixed, default_lambda_grid(count=8), {"binomial", "poisson"}),
+            (seed0_500, default_lambda_grid(), {"poisson"})):
+        together = _paths_batch_vs_alone(mgm._count_paths, dataset, lambdas, names)
         # the nodes settle after different numbers of outer iterations, so
         # the batch shrinks within a lambda
-        assert len({tuple(work) for work in together[2]}) == len(nodes)
-        for i, node in enumerate(nodes):
-            alone = mgm._count_paths([node], lambdas)
-            for field, got, want in zip(PATH_FIELDS, together, alone):
-                assert np.array_equal(got[i], want[0]), field
+        assert len({tuple(work) for work in together[2]}) == len(together[2])
+
+
+def test_gaussian_paths_in_one_batch_equal_each_node_alone(seed0_500):
+    # the gaussian Gram forms are made over all nodes and then selected; a
+    # node alone reads its response as the same strided row of values.T, so
+    # its zbar, and with it the whole path, keeps its bits
+    from qmgm import mgm
+
+    together = _paths_batch_vs_alone(mgm._gaussian_paths, seed0_500, default_lambda_grid(),
+                                     {"gaussian"})
+    assert len(together[0]) == 5
+
+
+def _assert_cube_rows_are_nodes_alone(dataset, lambdas):
+    """fit_mgm's cube row of each node is the path the node gives alone."""
+    from qmgm import mgm
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cube = fit_mgm(dataset, lambdas)
+    X, y, families = _node_stacks(dataset)
+    for j in range(dataset.p):
+        paths = mgm._gaussian_paths if families[j] == "gaussian" else mgm._count_paths
+        fields = (cube.intercepts, cube.betas, cube.iterations, cube.converged)
+        alone = paths(X[j:j + 1], y[j:j + 1], families[j:j + 1], lambdas)
+        for name, got, want in zip(PATH_FIELDS, fields, alone):
+            assert np.array_equal(got[j, 0], want[0]), (j, name)
 
 
 def test_interleaved_kinds_fill_each_cube_row_with_its_node_alone(tiny_mixed):
     # count, continuous, binary, continuous: the gaussian and the count
     # batches are written into the cube by node index, so each row is the
     # path its node gives alone
-    from qmgm import mgm
-
     order = [2, 0, 3, 1]
     ds = Dataset(tiny_mixed.values[:, order], tuple(tiny_mixed.schema[j] for j in order))
     assert [spec.kind for spec in ds.schema] == ["count", "continuous", "binary", "continuous"]
-    lambdas = default_lambda_grid(count=8)
-    cube = fit_mgm(ds, lambdas)
-    for j, spec in enumerate(ds.schema):
-        family = family_for(spec.kind)
-        node = (ds.values[:, j], np.delete(ds.values, j, axis=1), family)
-        paths = mgm._gaussian_paths if family.name == "gaussian" else mgm._count_paths
-        fields = (cube.intercepts, cube.betas, cube.iterations, cube.converged)
-        for name, got, want in zip(PATH_FIELDS, fields, paths([node], lambdas)):
-            assert np.array_equal(got[j, 0], want[0]), (j, name)
+    _assert_cube_rows_are_nodes_alone(ds, default_lambda_grid(count=8))
+
+
+@pytest.mark.parametrize("order", [[0, 1], [3, 2]], ids=["gaussian_only", "count_only"])
+def test_one_kind_runs_the_other_batch_empty(tiny_mixed, order):
+    # fit_mgm runs both batches whatever the kinds; an empty one fits
+    # nothing and warns of nothing
+    ds = Dataset(tiny_mixed.values[:, order], tuple(tiny_mixed.schema[j] for j in order))
+    _assert_cube_rows_are_nodes_alone(ds, default_lambda_grid(count=8))
 
 
 def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
@@ -222,7 +259,7 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
             assert cut.iterations[j, 0, -1] < mgm.OUTER_MAX_ITER, fam.name
 
 
-def test_fit_glm_lasso_path_rejects_a_bad_grid(tiny_mixed):
+def test_fit_mgm_rejects_a_bad_grid(tiny_mixed):
     # every node's lasso path is fitted through fit_mgm, which runs the
     # shared grid check first: an infinite lambda used to return a NaN
     # objective without an error

@@ -199,7 +199,7 @@ def test_path_empties_exactly_at_max_abs_c(problems):
         for tau in (0.125, 0.25, 0.5, 0.75, 0.875):
             t, solvable = inverse_midquantile_targets(pr, tau)
             assert solvable.sum() >= 2, (pr.node, tau)
-            _, c, ok, _, _ = wls_gram(pr.X, solvable.astype(float), t)
+            _, c, ok, _, _ = wls_gram(pr.X[None], solvable[None].astype(float), t[None])
             lmax = float(np.abs(c[ok]).max())
             at = lone_path(pr, tau, [lmax]).betas[0]
             assert not at.any(), (pr.node, tau)
@@ -439,8 +439,8 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     tau = 0.25
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
     t, solvable = inverse_midquantile_targets(pr, tau)
-    gram = wls_gram(pr.X, solvable.astype(float), t)
-    b0s, betas, work, converged = (field[0] for field in wls_paths([gram], lambdas))
+    gram = wls_gram(pr.X[None], solvable[None].astype(float), t[None])
+    b0s, betas, work, converged = (field[0] for field in wls_paths(gram, lambdas))
     path = lone_path(pr, tau, lambdas)
     assert np.array_equal(path.intercepts, b0s)
     assert np.array_equal(path.betas, betas)
@@ -453,7 +453,7 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     assert ds.schema[j].kind == "continuous"
     y, X = ds.values[:, j], np.delete(ds.values, j, axis=1)
     b0s, betas, _, converged = (
-        field[0] for field in wls_paths([wls_gram(X, np.ones(ds.n), y)], lambdas))
+        field[0] for field in wls_paths(wls_gram(X[None], np.ones((1, ds.n)), y[None]), lambdas))
     cube = fit_mgm(ds, lambdas)
     assert np.array_equal(cube.intercepts[j, 0], b0s)
     assert np.array_equal(cube.betas[j, 0], betas)
@@ -466,6 +466,35 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     for name, field in zip(PATH_FIELDS, kept):
         assert np.array_equal(field, getattr(path, name)), name
         assert not field.flags.writeable, name
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=st.integers(1, 11), n=st.integers(5, 599), m=st.integers(1, 13),
+       seed=st.integers(0, 2**32 - 1), shared_X=st.booleans(), zero_weights=st.booleans(),
+       flat=st.booleans(), strided_z=st.booleans())
+def test_stacked_wls_gram_gives_each_problem_its_own_bits(P, n, m, seed, shared_X,
+                                                          zero_weights, flat, strided_z):
+    # one stacked call gives each problem the G, c, ok, xbar and zbar of its
+    # own P = 1 call, for X (P, n, m) or one X broadcast as (1, n, m), and
+    # for targets laid out as contiguous rows or as strided columns
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(1 if shared_X else P, n, m)) * rng.uniform(0.1, 10.0, m)
+    X += rng.normal(size=m)
+    if flat:
+        X[..., -1] = 0.37
+    w = rng.uniform(0.2, 2.0, (P, n))
+    if zero_weights:
+        w *= rng.random((P, n)) < 0.6
+        w[:, 0] = 1.0
+    z = rng.normal(size=(n, P + 2)).T[:P] if strided_z else rng.normal(size=(P, n))
+    assert z[0].flags.c_contiguous != strided_z
+    stacked = wls_gram(X, w, z)
+    for p in range(P):
+        alone = wls_gram(X[0 if shared_X else p][None], w[p][None], z[p][None])
+        for name, got, want in zip(("G", "c", "ok", "xbar", "zbar"), stacked, alone):
+            assert np.array_equal(got[p], want[0]), (p, name)
+    if flat:
+        assert not stacked[2][:, -1].any()
 
 
 def _batch_problems(seed, P=8, n=40, m=6):
@@ -496,8 +525,9 @@ def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
 
     problems = _batch_problems(4)
     lambdas = np.concatenate([np.exp(np.linspace(np.log(2.0), np.log(1e-3), 12)), [0.0]])
-    grams = [wls_gram(*pr) for pr in problems]
-    alone = [[field[0] for field in wls_paths([gram], lambdas)] for gram in grams]
+    gram = wls_gram(*map(np.array, zip(*problems)))
+    alone = [[field[0] for field in wls_paths(wls_gram(X[None], w[None], z[None]), lambdas)]
+             for X, w, z in problems]
     crossings, swept, mixed_singular = [], [], []
     step, sweeps, stacked = lasso._step_to_crossing, lasso._sweeps, lasso._stacked_solve
 
@@ -507,7 +537,7 @@ def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
         crossings.append(int((b[rows, idx] != before).any(axis=1).sum()))
 
     def spy_sweeps(G, c, *args):
-        swept.append([i for i, gram in enumerate(grams) if np.array_equal(gram[1], c)])
+        swept.append([i for i, ci in enumerate(gram[1]) if np.array_equal(ci, c)])
         return sweeps(G, c, *args)
 
     def spy_stacked(A, rhs):
@@ -520,7 +550,7 @@ def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
     monkeypatch.setattr(lasso, "_step_to_crossing", spy_step)
     monkeypatch.setattr(lasso, "_sweeps", spy_sweeps)
     monkeypatch.setattr(lasso, "_stacked_solve", spy_stacked)
-    batch = list(zip(*wls_paths(grams, lambdas)))
+    batch = list(zip(*wls_paths(gram, lambdas)))
     # some stacked crossing step moves two paths, each to its own first crossing
     assert max(crossings) >= 2
     assert swept and all(found == [2] for found in swept)

@@ -13,7 +13,7 @@ from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
                             edge_adjacencies, estimate_edge_set, fit_qmgm,
                             quantile_losses, score_path, select_lambda)
 
-from bruteforce import deviance_block_loss_reference, score_reference
+from bruteforce import deviance_losses_reference, score_reference
 
 
 def cube_from_B(B, lambdas=(1.0,), taus=None):
@@ -227,7 +227,7 @@ def test_score_path_equals_blockwise_reference(seed):
     fits = [(fit_qmgm(ds, standard_levels(L), lambdas, problems=problems),
              quantile_losses, None) for L in (1, 3, 7)]
     fits.append((fit_mgm(ds, lambdas), deviance_losses,
-                 deviance_block_loss_reference(ds)))
+                 deviance_losses_reference(ds)))
     checked = 0
     for full, losses_of, block_loss in fits:
         for cube in (full, _last_lambda(full)):

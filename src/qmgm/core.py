@@ -167,7 +167,7 @@ class VariableSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Column-major n x p numeric table with schema and missing-value mask."""
+    """n x p numeric table, stored C-ordered, with schema and missing mask."""
 
     values: np.ndarray
     schema: tuple
@@ -187,7 +187,8 @@ class Dataset:
         mask = np.zeros((n, p), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if mask.shape != (n, p):
             raise DataError("missing mask shape does not match values")
-        object.__setattr__(self, "values", _readonly(values))
+        # one layout for every caller: numpy reductions follow the layout
+        object.__setattr__(self, "values", _readonly(values, order="C"))
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "missing_mask", _readonly(mask))
 

@@ -5,8 +5,9 @@ tau = Gc_i(eta_i) under an L1 penalty, where eta_i is the link inverse of
 b0 + x_i' beta and Gc_i is row i's piecewise-linear conditional mid-CDF
 interpolator through the points (thresholds[h], pi[i, h]) of the node
 problem's mid-probabilities ``pi`` at its logits' thresholds.
-``fit_lambda_paths`` solves it by inversion: it inverts each row's
-interpolator at tau to get the implied conditional mid-quantile, then fits
+``fit_lambda_paths`` solves it on the (node, tau) grid of the cube by
+inversion: it inverts each row's interpolator at every tau to get the
+implied conditional mid-quantiles, in one array pass per node, then fits
 the link-transformed targets by penalized weighted least squares.  Rows
 whose equation has no solution (tau outside the row's mid-probability
 range) carry no information and are dropped.  At lambda = 0 this is the
@@ -19,7 +20,9 @@ that kernel together; a point counts as converged only when its KKT
 residual is certified.  With fewer than ``MIN_SOLVABLE_ROWS`` solvable
 rows the slopes are not identified, and every point is the
 intercept-only answer in closed form: the link transform of the marginal
-mid-quantile, with zero slopes.
+mid-quantile, with zero slopes.  The targets and these intercepts share
+one link transform (``_link_transform``), so both floor log-link values
+at half the smallest positive threshold.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _check_lambda_grid, _readonly
+from .core import _check_lambda_grid, _readonly
 from .lasso import wls_gram, wls_paths, wls_step
 from .midcdf import ThresholdLogitSet, marginal_mid_quantile
 
@@ -37,18 +40,6 @@ from .midcdf import ThresholdLogitSet, marginal_mid_quantile
 # lasso fit is unique but its split of the slope over tied columns is
 # arbitrary.  Below this many solvable rows a path is intercept-only.
 MIN_SOLVABLE_ROWS = 3
-
-
-def _link_forward(value: float, link: str) -> float:
-    """Link transform of a response-scale value, clamped into the domain."""
-    if link == "identity":
-        return float(value)
-    if link == "log":
-        return float(np.log(max(value, 1e-6)))
-    if link == "logit":
-        v = min(max(value, 1e-6), 1.0 - 1e-6)
-        return float(np.log(v / (1.0 - v)))
-    raise DataError(f"unknown link {link!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,87 +87,90 @@ def penalized_wls(X, w, z, beta, lam):
     return wls_step(*wls_gram(X, w, z), beta, lam)
 
 
-def inverse_midquantile_targets(problem: NodeProblem, tau: float):
-    """Row-wise solution of the implicit equation on the link scale.
+def inverse_midquantile_targets(problem: NodeProblem, taus):
+    """Row-wise solutions of the implicit equation on the link scale at
+    every level of ``taus``, in one array pass.
 
-    For each row the interpolated mid-CDF is inverted at tau, giving that
-    row's implied conditional mid-quantile; the link transform of it is the
-    regression target.  Rows with tau outside [pi_1, pi_k] have no solution
-    and are flagged unsolvable.  Log-link targets are floored at half the
-    smallest positive threshold so boundary rows cannot produce unbounded
-    values.
+    For each level and row the interpolated mid-CDF is inverted at tau,
+    giving that row's implied conditional mid-quantile; its link transform
+    (``_link_transform``) is the regression target.  Rows with tau outside
+    [pi_1, pi_k] have no solution and are flagged unsolvable.  Returns the
+    targets and the solvable masks, each (T, n) for the T levels.
     """
-    z = problem.logits.thresholds
     pi = problem.pi
-    solvable = (tau >= pi[:, 0]) & (tau <= pi[:, -1])
-    xi = _interp_rows(tau, pi, z)
+    taus = np.asarray(taus, dtype=float)[:, None]
+    solvable = (taus >= pi[:, 0]) & (taus <= pi[:, -1])
+    return _link_transform(_interp_rows(taus, pi, problem.logits.thresholds), problem), solvable
+
+
+def _link_transform(xi: np.ndarray, problem: NodeProblem) -> np.ndarray:
+    """The link transform of response-scale values, clamped into its
+    domain: the targets and the closed-form intercepts both go through it.
+    Log-link values are floored at half the smallest positive threshold
+    (1e-6 when there is none), so boundary rows cannot produce unbounded
+    values; logit-link values are clipped to [1e-6, 1 - 1e-6]."""
     if problem.link == "identity":
-        t = xi
-    elif problem.link == "log":
+        return xi
+    if problem.link == "log":
+        z = problem.logits.thresholds
         positive = z[z > 0]
-        floor = 0.5 * positive[0] if positive.size else 1e-6
-        t = np.log(np.maximum(xi, floor))
-    else:
-        v = np.clip(xi, 1e-6, 1.0 - 1e-6)
-        t = np.log(v / (1.0 - v))
-    return t, solvable
+        return np.log(np.maximum(xi, 0.5 * positive[0] if positive.size else 1e-6))
+    v = np.clip(xi, 1e-6, 1.0 - 1e-6)
+    return np.log(v / (1.0 - v))
 
 
-def _interp_rows(x: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp[i], fp)`` for every row i of a row-wise
-    nondecreasing ``xp`` and a finite ``fp``, bit for bit, in one array
-    pass: the segment is the last knot at or below x, a knot hit exactly
-    returns its value, and x outside a row's range clamps to fp[0] or
-    fp[-1].  (np.interp's NaN retry cannot fire here: inside a segment the
-    divisor is positive, and the 0/0 of tied knots only arises in rows the
-    knot and clamp rules overwrite.)"""
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[t, 0], xp[i], fp)`` at (t, i) for a (T, 1) column x, a
+    row-wise nondecreasing ``xp`` and a finite ``fp``, bit for bit, in one
+    array pass: the segment is the last knot at or below x, a knot hit
+    exactly returns its value, and x outside a row's range clamps to fp[0]
+    or fp[-1].  (np.interp's NaN retry cannot fire here: inside a segment
+    the divisor is positive, and the 0/0 of tied knots only arises in
+    cells the knot and clamp rules overwrite.)"""
     k = fp.size
-    j = (xp <= x).sum(axis=1) - 1
+    j = (xp <= x[:, :, None]).sum(axis=2) - 1
     lo = np.clip(j, 0, k - 2)
     rows = np.arange(xp.shape[0])
     x0, x1 = xp[rows, lo], xp[rows, lo + 1]
     f0, f1 = fp[lo], fp[lo + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (f1 - f0) / (x1 - x0) * (x - x0) + f0
-    out[x0 == x] = f0[x0 == x]
+    hit = x0 == x
+    out[hit] = f0[hit]
     out[j < 0] = fp[0]
     out[j >= k - 1] = fp[-1]
     return out
 
 
-def fit_lambda_paths(pairs, lambdas):
-    """Fit a strictly decreasing lambda sequence with warm starts for each
-    (problem, tau) pair by the inverse route: the per-row-inverted implicit
-    equation is solved by penalized weighted least squares (see the module
-    docstring).  The problems must have the same number of predictors.
-    Returns the paths stacked over the P pairs, in order, and the M
-    lambdas: intercepts (P, M), betas (P, M, m), work (P, M) and converged
-    (P, M); ``work`` counts the kernel's linear solves plus any fallback
-    sweeps.
+def fit_lambda_paths(problems, taus, lambdas):
+    """Fit a strictly decreasing lambda sequence with warm starts for every
+    problem at every level of ``taus`` by the inverse route: the
+    per-row-inverted implicit equation is solved by penalized weighted
+    least squares (see the module docstring).  The problems must have the
+    same number of predictors.  Returns the paths on the grid of the p
+    problems, the T levels and the M lambdas, in order: intercepts
+    (p, T, M), betas (p, T, M, m), work (p, T, M) and converged (p, T, M);
+    ``work`` counts the kernel's linear solves plus any fallback sweeps.
 
-    The pairs with at least ``MIN_SOLVABLE_ROWS`` solvable rows advance
-    together through one ``lasso.wls_paths`` call, on one ``wls_gram``
-    stack per problem, and each path equals the one its pair gives alone.
-    With fewer, every point is the intercept-only answer in closed form:
-    the link transform of the marginal mid-quantile, zero slopes, no work,
-    converged."""
+    The (problem, level) cells with at least ``MIN_SOLVABLE_ROWS`` solvable
+    rows advance together through one ``lasso.wls_paths`` call, on one
+    ``wls_gram`` stack per problem, and each path equals the one its cell
+    gives alone.  With fewer, every point is the intercept-only answer in
+    closed form: the link transform of the marginal mid-quantile, zero
+    slopes, no work, converged."""
     lambdas = _check_lambda_grid(lambdas)
-    P, M = len(pairs), lambdas.size
-    intercepts, betas = np.empty((P, M)), np.zeros((P, M, pairs[0][0].m))
-    work, converged = np.zeros((P, M), dtype=int), np.ones((P, M), dtype=bool)
-    found = {}      # problem -> (pair index, row weights, targets) of its solved pairs
-    for i, (problem, tau) in enumerate(pairs):
-        targets, solvable = inverse_midquantile_targets(problem, tau)
-        if solvable.sum() >= MIN_SOLVABLE_ROWS:
-            found.setdefault(problem, []).append((i, solvable, targets))
-        else:
-            intercepts[i] = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
-    if found:
-        # a stack per problem: one over all pairs would hold a centered X per pair at once
-        solved = [i for rows in found.values() for i, _, _ in rows]
-        stacks = [wls_gram(problem.X[None], np.array([w for _, w, _ in rows], dtype=float),
-                           np.array([t for _, _, t in rows]))
-                  for problem, rows in found.items()]
-        intercepts[solved], betas[solved], work[solved], converged[solved] = (
-            wls_paths([np.concatenate(field) for field in zip(*stacks)], lambdas))
+    taus = np.asarray(taus, dtype=float)
+    shape = (len(problems), taus.size, lambdas.size)
+    intercepts, betas = np.empty(shape), np.zeros(shape + (problems[0].m,))
+    work, converged = np.zeros(shape, dtype=int), np.ones(shape, dtype=bool)
+    solved, stacks = np.zeros(shape[:2], dtype=bool), []
+    for j, problem in enumerate(problems):
+        targets, solvable = inverse_midquantile_targets(problem, taus)
+        kernel = solved[j] = solvable.sum(axis=1) >= MIN_SOLVABLE_ROWS
+        # a stack per problem: one over all cells would hold a centered X per cell at once
+        stacks.append(wls_gram(problem.X[None], solvable[kernel].astype(float), targets[kernel]))
+        xi = np.array([marginal_mid_quantile(problem.y, tau) for tau in taus[~kernel]])
+        intercepts[j, ~kernel] = _link_transform(xi, problem)[:, None]
+    intercepts[solved], betas[solved], work[solved], converged[solved] = (
+        wls_paths([np.concatenate(field) for field in zip(*stacks)], lambdas))
     return intercepts, betas, work, converged

@@ -98,10 +98,10 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     also share lambda paths: each problem keeps the paths fitted on it, and
     a (node, level) path already fitted on the same lambda grid is reused,
     not refitted, so nested level grids fit each distinct path once.
-    Every missing (node, level) path is solved by the inverse route in one
-    batched ``penalized.fit_lambda_paths`` call in this process; each
-    problem keeps its paths' four rows read-only, so a cached path cannot
-    change, and the cube stacks them by node and level.
+    The levels some problem lacks are solved by the inverse route in one
+    ``penalized.fit_lambda_paths`` call on the (node, level) grid in this
+    process; each problem keeps its cells' four rows read-only, so a cached
+    path cannot change, and the cube stacks them by node and level.
     """
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
@@ -110,11 +110,12 @@ def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
     if problems is None:
         problems = build_problems(dataset)
     keys = [(float(tau), lambdas.tobytes()) for tau in levels]
-    todo = [(pr, k) for pr in problems for k in keys if k not in pr._paths]
+    todo = [k for k in keys if any(k not in pr._paths for pr in problems)]
     if todo:
-        fields = map(_readonly, fit_lambda_paths([(pr, k[0]) for pr, k in todo], lambdas))
-        for (pr, k), path in zip(todo, zip(*fields)):
-            pr._paths[k] = path
+        fields = [_readonly(f) for f in fit_lambda_paths(problems, [k[0] for k in todo], lambdas)]
+        for j, pr in enumerate(problems):
+            for t, k in enumerate(todo):
+                pr._paths[k] = tuple(f[j, t] for f in fields)
     intercepts, betas, work, converged = (
         np.array([[pr._paths[k][f] for k in keys] for pr in problems]) for f in range(4))
     return CoefficientCube(intercepts, betas, lambdas, levels, converged, work)

@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from qmgm.core import DataError, NONZERO_TOL, NumericalError, _readonly
 from qmgm.midcdf import marginal_mid_quantile
-from qmgm.penalized import _link_forward
+from qmgm.penalized import _link_transform
 
 MAX_ITERATIONS = 500
 CONVERGENCE_TOL = 1e-7
@@ -235,7 +235,7 @@ def null_fit(problem, tau: float) -> NodeFitResult:
     of the response at tau, which already solves the intercept-only implicit
     equation whenever tau lies inside the marginal mid-probability range.
     """
-    b0 = _link_forward(marginal_mid_quantile(problem.y, tau), problem.link)
+    b0 = _link_transform(marginal_mid_quantile(problem.y, tau), problem)
     beta = np.zeros(problem.m)
     b0, beta, fval, it, conv, _ = _descend(
         problem, tau, 0.0, b0, beta,

@@ -109,8 +109,8 @@ def test_criterion_5_midquantile_oracle_equivalence():
         else:
             sample = rng.poisson(8.0, size=150).astype(float)
         problem = intercept_only_problem(sample, "identity")
-        for tau in taus:
-            intercept = fit_lambda_paths([(problem, tau)], [0.0])[0][0, 0]
+        intercepts = fit_lambda_paths([problem], taus, [0.0])[0][0, :, 0]
+        for tau, intercept in zip(taus, intercepts):
             oracle = mid_quantile_oracle(sample, tau)
             worst = max(worst, abs(intercept - oracle))
             assert abs(intercept - oracle) <= 1e-6, (case, tau)

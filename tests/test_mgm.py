@@ -301,6 +301,17 @@ def seed0_500():
     return validate_and_standardize(dataset)
 
 
+def test_fit_mgm_does_not_depend_on_the_values_layout(seed0_500):
+    # numpy reductions add in an order that follows the memory layout, so
+    # a Dataset stores its values C-ordered whatever the caller passes
+    fortran = Dataset(np.asfortranarray(seed0_500.values), seed0_500.schema)
+    assert fortran.values.flags.c_contiguous
+    lambdas = default_lambda_grid()
+    want, got = fit_mgm(seed0_500, lambdas), fit_mgm(fortran, lambdas)
+    for name in ("intercepts", "betas", "converged", "iterations"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 @pytest.mark.parametrize("lo, count", [(0.05, 4), (0.001, 50)])
 def test_cubes_pinned_coefficient_for_coefficient(seed0_500, lo, count):
     """Every coefficient, flag and iteration count of both cubes, at the

@@ -10,9 +10,9 @@ from bruteforce import intercept_only_problem, kkt_residual, penalized_wls_refer
 from descent import (NodeFitConfig, fit_node_quantile, lambda_max, null_fit,
                      objective, segments, smooth_gradient, smooth_objective,
                      soft_threshold)
-from qmgm.benchmark import DgpVariant, generate_sample
+from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
 from qmgm.core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
-                       VariableSpec, validate_and_standardize)
+                       VariableSpec, standard_levels, validate_and_standardize)
 from qmgm import penalized
 from qmgm.lasso import wls_gram, wls_paths
 from qmgm.mgm import fit_mgm
@@ -25,10 +25,16 @@ PATH_FIELDS = ("intercepts", "betas", "work", "converged")
 
 
 def lone_path(problem, tau, lambdas):
-    """The path of one (problem, tau) pair by field name: row 0 of each
-    stacked field of ``fit_lambda_paths``."""
-    fields = fit_lambda_paths([(problem, tau)], lambdas)
-    return SimpleNamespace(**{name: field[0] for name, field in zip(PATH_FIELDS, fields)})
+    """The path of one (problem, tau) cell by field name: cell (0, 0) of
+    each grid field of ``fit_lambda_paths``."""
+    fields = fit_lambda_paths([problem], [tau], lambdas)
+    return SimpleNamespace(**{name: field[0, 0] for name, field in zip(PATH_FIELDS, fields)})
+
+
+def targets_at(problem, tau):
+    """Targets and solvable mask at one level: row 0 of the grid call."""
+    targets, solvable = inverse_midquantile_targets(problem, [tau])
+    return targets[0], solvable[0]
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +183,9 @@ def test_below_lambda_max_some_slope_moves(problems):
 
 def test_path_requires_decreasing_grid(problems):
     with pytest.raises(DataError):
-        fit_lambda_paths([(problems[0], 0.5)], [0.1, 0.2])
+        fit_lambda_paths([problems[0]], [0.5], [0.1, 0.2])
     with pytest.raises(DataError):
-        fit_lambda_paths([(problems[0], 0.5)], [])
+        fit_lambda_paths([problems[0]], [0.5], [])
 
 
 def test_active_set_grows_down_the_path(problems):
@@ -197,7 +203,7 @@ def test_path_empties_exactly_at_max_abs_c(problems):
     # one enters just below it
     for pr in problems:
         for tau in (0.125, 0.25, 0.5, 0.75, 0.875):
-            t, solvable = inverse_midquantile_targets(pr, tau)
+            t, solvable = targets_at(pr, tau)
             assert solvable.sum() >= 2, (pr.node, tau)
             _, c, ok, _, _ = wls_gram(pr.X[None], solvable[None].astype(float), t[None])
             lmax = float(np.abs(c[ok]).max())
@@ -280,7 +286,7 @@ def test_inverse_targets_marginal_case():
     rng = np.random.default_rng(4)
     sample = rng.poisson(5.0, 300).astype(float)
     pr = intercept_only_problem(sample, "identity")
-    t, solvable = inverse_midquantile_targets(pr, 0.5)
+    t, solvable = targets_at(pr, 0.5)
     assert solvable.all()
     assert t == pytest.approx(np.full(300, marginal_mid_quantile(sample, 0.5)),
                               abs=1e-8)
@@ -288,7 +294,7 @@ def test_inverse_targets_marginal_case():
 
 def test_inverse_unsolvable_rows_flagged():
     pr = intercept_only_problem(np.array([0.0, 0.0, 0.0, 1.0] * 30), "logit")
-    _, solvable = inverse_midquantile_targets(pr, 0.05)
+    _, solvable = targets_at(pr, 0.05)
     assert not solvable.any()  # pi_1 = 0.375 > 0.05 for every row
 
 
@@ -417,7 +423,7 @@ def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
     pr = problems[4]
     tau = 0.25
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
-    t, solvable = inverse_midquantile_targets(pr, tau)
+    t, solvable = targets_at(pr, tau)
     w = solvable.astype(float)
     path = lone_path(pr, tau, lambdas)
     active = np.count_nonzero(np.abs(path.betas) > NONZERO_TOL, axis=1)
@@ -438,7 +444,7 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     pr = problems[4]
     tau = 0.25
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
-    t, solvable = inverse_midquantile_targets(pr, tau)
+    t, solvable = targets_at(pr, tau)
     gram = wls_gram(pr.X[None], solvable[None].astype(float), t[None])
     b0s, betas, work, converged = (field[0] for field in wls_paths(gram, lambdas))
     path = lone_path(pr, tau, lambdas)
@@ -575,9 +581,9 @@ def test_null_fallback_is_the_closed_form_intercept():
     ds = validate_and_standardize(Dataset(values, schema))
     cube = fit_qmgm(ds, QuantileGrid((0.125, 0.5)), [0.5, 0.1, 0.01])
     pr = build_problems(ds)[2]
-    _, solvable = inverse_midquantile_targets(pr, 0.125)
+    _, solvable = targets_at(pr, 0.125)
     assert not solvable.any()
-    start = penalized._link_forward(marginal_mid_quantile(pr.y, 0.125), pr.link)
+    start = penalized._link_transform(marginal_mid_quantile(pr.y, 0.125), pr)
     assert np.all(cube.intercepts[2, 0] == start)
     assert np.all(cube.betas[2, 0] == 0.0)
     assert np.all(cube.converged[2, 0])
@@ -595,38 +601,42 @@ def _two_solvable_rows(pr):
 
 def test_two_solvable_rows_give_the_closed_form_intercept(problems):
     # on 2 rows G has rank 1 and tied columns make the slopes arbitrary, so
-    # a pair with 2 solvable rows takes the intercept-only path
+    # a (problem, tau) cell with 2 solvable rows takes the intercept-only path
     two = _two_solvable_rows(problems[0])
     tau = 0.5
-    _, solvable = inverse_midquantile_targets(two, tau)
+    _, solvable = targets_at(two, tau)
     assert solvable.sum() == 2
     path = lone_path(two, tau, [0.5, 0.01, 0.0001])
-    start = penalized._link_forward(marginal_mid_quantile(two.y, tau), two.link)
+    start = penalized._link_transform(marginal_mid_quantile(two.y, tau), two)
     assert np.all(path.intercepts == start)
     assert np.all(path.betas == 0.0)
     assert np.all(path.work == 0)
     assert np.all(path.converged)
 
 
-def test_closed_form_and_solved_pairs_interleaved_equal_each_pair_alone(problems):
-    # the closed-form rows and the rows of the one kernel call are both
-    # written by pair index: each row of a mixed batch is its pair's path
-    pairs = [(problems[1], 0.25), (_two_solvable_rows(problems[0]), 0.5),
-             (problems[2], 0.5), (problems[3], 0.75),
-             (_two_solvable_rows(problems[5]), 0.5), (problems[4], 0.5)]
+def test_one_grid_call_equals_each_cell_alone(problems):
+    # the closed-form cells and the cells of the one kernel call are both
+    # written by grid index: each cell of a mixed grid is its path alone
+    two = _two_solvable_rows
+    grid = [problems[1], two(problems[0]), problems[2], problems[3], two(problems[5]),
+            problems[4]]
+    taus = [0.25, 0.5, 0.75]
     lambdas = [0.5, 0.05, 0.005]
-    batch = fit_lambda_paths(pairs, lambdas)
-    assert len({field.tobytes() for field in batch[0]}) == len(pairs)
-    assert [batch[2][i].any() for i in range(len(pairs))] == [True, False, True,
-                                                               True, False, True]
-    for i, pair in enumerate(pairs):
-        for name, got, want in zip(PATH_FIELDS, batch, fit_lambda_paths([pair], lambdas)):
-            assert np.array_equal(got[i], want[0]), (i, name)
+    fields = fit_lambda_paths(grid, taus, lambdas)
+    cells = fields[0].reshape(-1, len(lambdas))
+    assert len({cell.tobytes() for cell in cells}) == len(grid) * len(taus)
+    solved = [True, False, True, True, False, True]
+    assert np.array_equal(fields[2].any(axis=2), np.repeat([solved], 3, axis=0).T)
+    for j, problem in enumerate(grid):
+        for t, tau in enumerate(taus):
+            alone = fit_lambda_paths([problem], [tau], lambdas)
+            for name, got, want in zip(PATH_FIELDS, fields, alone):
+                assert np.array_equal(got[j, t], want[0, 0]), (j, t, name)
 
 
 def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):
     # rows with tied mid-probabilities, tau exactly on knots and tau outside
-    # every row's range, against the per-row np.interp loop
+    # every row's range, all in one call, against the per-row np.interp loop
     pr = problems[0]
     rng = np.random.default_rng(8)
     k = 6
@@ -640,15 +650,46 @@ def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):
     custom = replace(pr, y=np.zeros(40), X=X, link="identity", pi=pi, logits=logits)
     taus = np.concatenate((np.unique(pi), [1e-9, 0.03, 0.41, 0.999]))
     taus = taus[(taus > 0) & (taus < 1)]
-    for tau in taus:
-        t, _ = inverse_midquantile_targets(custom, float(tau))
+    targets, _ = inverse_midquantile_targets(custom, taus)
+    assert targets.shape == (taus.size, 40)
+    for t, tau in zip(targets, taus):
         ref = np.array([np.interp(tau, pi[i], z) for i in range(40)])
         assert np.array_equal(t.view(np.int64), ref.view(np.int64)), tau
-    for tau in (0.0625, 0.5, 0.9375):
-        t, _ = inverse_midquantile_targets(replace(pr, link="identity"), tau)
+    taus = (0.0625, 0.5, 0.9375)
+    targets, _ = inverse_midquantile_targets(replace(pr, link="identity"), taus)
+    for t, tau in zip(targets, taus):
         ref = np.array([np.interp(tau, row, pr.logits.thresholds)
                         for row in pr.pi])
         assert np.array_equal(t.view(np.int64), ref.view(np.int64)), tau
+
+
+def test_closed_form_log_intercepts_share_the_targets_floor():
+    # a count node that is 0 on 60% of the rows: at the low levels no row
+    # is solvable and the marginal mid-quantile is 0, so the closed-form
+    # intercept is the floored log, log(0.5 * smallest positive
+    # threshold), the value of every target there too
+    rng = np.random.default_rng(5)
+    n = 200
+    x = rng.normal(size=(n, 3))
+    count = np.where(rng.random(n) < 0.6, 0.0, rng.poisson(np.exp(0.5 + 0.5 * x[:, 0])))
+    schema = tuple(VariableSpec(f"x{i}", "continuous") for i in (1, 2, 3)) + (
+        VariableSpec("c1", "count"),)
+    ds = validate_and_standardize(Dataset(np.column_stack([x, count]), schema))
+    grid = standard_levels(7)
+    cube = fit_qmgm(ds, grid, default_lambda_grid(0.001, 5.0, 30))
+    pr = build_problems(ds)[3]
+    assert pr.link == "log"
+    z = pr.logits.thresholds
+    half = 0.5 * z[z > 0][0]
+    floor = np.log(half)
+    targets, solvable = inverse_midquantile_targets(pr, grid.levels)
+    closed = np.flatnonzero(solvable.sum(axis=1) < penalized.MIN_SOLVABLE_ROWS)
+    assert closed.tolist() == [0, 1]
+    for l in closed:
+        assert marginal_mid_quantile(pr.y, grid.levels[l]) < half
+        assert np.all(cube.intercepts[3, l] == floor)
+        assert np.all(cube.iterations[3, l] == 0)
+        assert np.all(targets[l] == floor)
 
 
 def test_config_validation():

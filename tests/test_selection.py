@@ -340,9 +340,9 @@ def test_nested_level_grids_fit_each_distinct_path_once(dgp_500, monkeypatch):
     calls = []
     real = selection.fit_lambda_paths
 
-    def counted(pairs, *args, **kwargs):
-        calls.extend((problem.node, tau) for problem, tau in pairs)
-        return real(pairs, *args, **kwargs)
+    def counted(problems, taus, *args, **kwargs):
+        calls.extend((problem.node, tau) for problem in problems for tau in taus)
+        return real(problems, taus, *args, **kwargs)
 
     monkeypatch.setattr(selection, "fit_lambda_paths", counted)
     problems = build_problems(ds)

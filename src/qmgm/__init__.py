@@ -10,7 +10,7 @@ from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
                    standard_levels, validate_and_standardize)
 from .io import (GraphDocument, document_from_adjacency, document_from_graph,
                  export_graph, load_csv, load_schema, parse_schema, save_csv)
-from .mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
+from .mgm import deviance_losses, fit_mgm, glm_deviance
 from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
                      marginal_mid_quantile, rearrange_monotone)
 from .penalized import (NodeProblem, fit_lambda_paths,

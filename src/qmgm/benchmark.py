@@ -224,12 +224,11 @@ def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
         losses = deviance_losses(cube, dataset)
     adjacencies = edge_adjacencies(cube, nonzero_tol)
     _, auc = roc_curve(truth, adjacencies)
+    crits = [SelectionCriterion.from_name(cname, dataset.p) for cname in criteria]
+    scores = score_path(cube, losses, crits, dataset.n, nonzero_tol=nonzero_tol)
     by_criterion = {}
-    for cname in criteria:
-        crit = SelectionCriterion.from_name(cname, dataset.p)
-        scores = score_path(cube, losses, crit, dataset.n,
-                            nonzero_tol=nonzero_tol)
-        mi, lam = select_lambda(scores, lambdas)
+    for cname, row in zip(criteria, scores):
+        mi, lam = select_lambda(row, lambdas)
         rec = asdict(confusion_metrics(truth, adjacencies[mi]))
         rec["edges"] = int(np.triu(adjacencies[mi], 1).sum())
         rec["lambda"] = lam

@@ -119,11 +119,11 @@ def _write_text(path, text):
 
 
 def _check_output_file(path) -> None:
-    """DataError when ``path`` is given and names a directory, or its
-    directory does not exist."""
+    """DataError when ``path`` is given and is empty, names a directory, or
+    its directory does not exist."""
     if path is not None:
         folder = os.path.dirname(path) or "."
-        if os.path.isdir(path) or not os.path.isdir(folder):
+        if not path or os.path.isdir(path) or not os.path.isdir(folder):
             raise DataError(f"cannot write a file at {path!r}")
 
 
@@ -144,9 +144,9 @@ def _cmd_fit(args) -> int:
     criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
     criterion.complexity(dataset.n, dataset.p)    # not finite: exit 2 before fitting
     cube = fit_qmgm(dataset, grid, lambdas)
-    scores = score_path(cube, quantile_losses(cube, dataset), criterion,
+    scores = score_path(cube, quantile_losses(cube, dataset), [criterion],
                         dataset.n, nonzero_tol=args.tolerance)
-    index, lam = select_lambda(scores, lambdas)
+    index, lam = select_lambda(scores[0], lambdas)
     graph = estimate_edge_set(cube, index, args.tolerance)
     meta = {
         "n": dataset.n,

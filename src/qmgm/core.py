@@ -248,9 +248,12 @@ def standard_levels(count: int) -> QuantileGrid:
     return QuantileGrid(tuple(levels))
 
 
-def quantile_loss(u, tau: float):
-    """Asymmetric absolute loss u * (tau - 1{u < 0}); vectorized in u."""
-    if not 0.0 < tau < 1.0:
+def quantile_loss(u, tau):
+    """Asymmetric absolute loss u * (tau - 1{u < 0}), elementwise over u and
+    the levels tau, which broadcast against each other; every level must
+    lie inside (0, 1)."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((0.0 < tau) & (tau < 1.0)):
         raise DataError(f"tau must be inside (0, 1), got {tau}")
     u = np.asarray(u, dtype=float)
     out = u * (tau - (u < 0))
@@ -367,12 +370,11 @@ class CoefficientCube:
 
     def linear_predictors(self, dataset: Dataset, j: int):
         """Node j's response y (n,) and its linear predictors
-        lp[l, m] = b0 + X_j @ beta (L, M, n) on the rows of ``dataset``.
-
-        Each block keeps its own ``X_j @ beta`` product: one product over
-        all blocks would round differently."""
+        lp[l, m] = b0 + X_j @ beta (L, M, n) on the rows of ``dataset``,
+        from one stacked matrix-vector product over all blocks; each block
+        gets the bits of its own ``X_j @ beta``."""
         X = np.delete(dataset.values, j, axis=1)
-        fitted = np.array([[X @ beta for beta in level] for level in self.betas[j]])
+        fitted = np.matmul(X, self.betas[j][..., None])[..., 0]
         return dataset.values[:, j], self.intercepts[j][..., None] + fitted
 
 

@@ -58,7 +58,7 @@ def parse_schema(text: str) -> tuple:
 
 
 def load_schema(path) -> tuple:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_schema(fh.read())
 
 
@@ -67,10 +67,11 @@ def load_csv(path, schema, missing_token: str = DEFAULT_MISSING_TOKEN) -> Datase
 
     The header must carry exactly the schema's column names (any order;
     columns follow the file order).  Cells equal to the missing token are
-    masked; anything else must parse as a number.
+    masked; anything else must parse as a number.  A UTF-8 byte-order mark
+    at the start of the file is skipped.
     """
     by_name = {s.name: s for s in schema}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -178,7 +179,7 @@ class GraphDocument:
 
     @classmethod
     def load(cls, path) -> "GraphDocument":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls.from_json(fh.read())
 
     def node_names(self) -> list:

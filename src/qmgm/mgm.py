@@ -5,8 +5,6 @@ scoring machinery applies unchanged.  ``fit_mgm`` is the one entry point."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit, xlogy
 
@@ -25,44 +23,31 @@ FAMILY_BY_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class GlmFamily:
-    """Exponential family with its canonical link."""
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in ("gaussian", "binomial", "poisson"):
-            raise DataError(f"unknown GLM family {self.name!r}")
-
-    def mean(self, lp: np.ndarray) -> np.ndarray:
-        if self.name == "gaussian":
-            return lp
-        if self.name == "binomial":
-            return expit(np.clip(lp, -LP_CLIP, LP_CLIP))
-        return np.exp(np.clip(lp, -LP_CLIP, LP_CLIP))
+def _count_mean(binomial, lp: np.ndarray) -> np.ndarray:
+    """Mean of a count node at linear predictor lp: the inverse canonical
+    link of the clipped predictor, expit where ``binomial`` is true (it
+    broadcasts against lp) and exp, the poisson one, elsewhere."""
+    clipped = np.clip(lp, -LP_CLIP, LP_CLIP)
+    return np.where(binomial, expit(clipped), np.exp(clipped))
 
 
-def family_for(kind: str) -> GlmFamily:
-    """Family assignment is a pure function of the variable kind."""
-    if kind not in FAMILY_BY_KIND:
-        raise DataError(f"unknown variable kind {kind!r}")
-    return GlmFamily(FAMILY_BY_KIND[kind])
-
-
-def glm_deviance(family: GlmFamily, y: np.ndarray, mu: np.ndarray):
-    """Family deviance between observations y (n,) and fitted means mu
-    (..., n), summed over the last axis: one deviance per row of mu."""
+def glm_deviance(family: str, y: np.ndarray, mu: np.ndarray):
+    """Deviance of the family named ``family`` (gaussian, binomial or
+    poisson) between observations y (n,) and fitted means mu (..., n),
+    summed over the last axis: one deviance per row of mu.  Any other name
+    raises DataError."""
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    if family.name == "gaussian":
+    if family == "gaussian":
         return np.sum((y - mu) ** 2, axis=-1)
-    if family.name == "binomial":
+    if family == "binomial":
         mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
         dev = xlogy(y, y / mu) + xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))
         return 2.0 * np.sum(dev, axis=-1)
-    mu = np.clip(mu, 1e-10, None)
-    return 2.0 * np.sum(xlogy(y, y / mu) - (y - mu), axis=-1)
+    if family == "poisson":
+        mu = np.clip(mu, 1e-10, None)
+        return 2.0 * np.sum(xlogy(y, y / mu) - (y - mu), axis=-1)
+    raise DataError(f"unknown GLM family {family!r}")
 
 
 def _gaussian_paths(X, y, families, lambdas):
@@ -98,8 +83,7 @@ def _count_paths(X, y, families, lambdas):
         run = np.arange(P)
         for it in range(1, OUTER_MAX_ITER + 1):
             lp = b0[run, None] + np.matmul(X[run], beta[run, :, None])[:, :, 0]
-            clipped = np.clip(lp, -LP_CLIP, LP_CLIP)
-            mu = np.where(binomial[run, None], expit(clipped), np.exp(clipped))
+            mu = _count_mean(binomial[run, None], lp)
             w = np.clip(np.where(binomial[run, None], mu * (1.0 - mu), mu), 1e-6, None)
             nbeta = beta[run]
             nb0, _, inner_conv = penalized_wls(X[run], w, lp + (y[run] - mu) / w, nbeta, lam)
@@ -128,7 +112,7 @@ def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
     p, M, values = dataset.p, lambdas.size, dataset.values
-    families = np.array([family_for(spec.kind).name for spec in dataset.schema])
+    families = np.array([FAMILY_BY_KIND[spec.kind] for spec in dataset.schema])
     # node j regresses column j, a strided row of values.T, on the others
     X = np.array([np.delete(values, j, axis=1) for j in range(p)])
     fields = (np.zeros((p, 1, M)), np.zeros((p, 1, M, p - 1)),
@@ -143,10 +127,13 @@ def fit_mgm(dataset: Dataset, lambdas) -> CoefficientCube:
 
 def deviance_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
     """loss[j, 0, m]: family deviance of node j's regression at lambda m, the
-    block loss the shared information criteria use for this baseline."""
+    block loss the shared information criteria use for this baseline; the
+    fitted means are the linear predictors for a gaussian node and
+    ``_count_mean`` of them for a count node."""
     loss = np.zeros(cube.intercepts.shape)
-    for j in range(cube.p):
-        family = family_for(dataset.schema[j].kind)
+    for j, spec in enumerate(dataset.schema):
+        family = FAMILY_BY_KIND[spec.kind]
         y, lp = cube.linear_predictors(dataset, j)
-        loss[j] = glm_deviance(family, y, family.mean(lp))
+        mu = lp if family == "gaussian" else _count_mean(family == "binomial", lp)
+        loss[j] = glm_deviance(family, y, mu)
     return loss

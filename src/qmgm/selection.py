@@ -183,32 +183,34 @@ def estimate_edge_set(cube: CoefficientCube, lambda_index: int,
 def quantile_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:
     """loss[j, l, m]: summed quantile loss of node j's regression at level l
     and lambda m, with residuals against the bare linear predictor
-    (``CoefficientCube.linear_predictors``)."""
+    (``CoefficientCube.linear_predictors``); one loss expression per node
+    covers all its levels."""
+    taus = cube.tau_levels[:, None, None]
     loss = np.zeros((cube.p, cube.n_levels, cube.n_lambdas))
     for j in range(cube.p):
         y, lp = cube.linear_predictors(dataset, j)
-        for l, tau in enumerate(cube.tau_levels):
-            loss[j, l] = quantile_loss(y - lp[l], float(tau)).sum(axis=1)
+        loss[j] = quantile_loss(y - lp, taus).sum(axis=-1)
     return loss
 
 
-def score_path(cube: CoefficientCube, losses: np.ndarray,
-               criterion: SelectionCriterion, n: int, *,
+def score_path(cube: CoefficientCube, losses: np.ndarray, criteria, n: int, *,
                nonzero_tol: float = NONZERO_TOL) -> np.ndarray:
-    """Criterion scores along the whole lambda grid from the block losses
-    ``losses[j, l, m]`` of an n-row fit (``quantile_losses``, or
-    ``mgm.deviance_losses`` for the mean-based baseline).
+    """Scores (C, M) of C criteria along the whole lambda grid, from the
+    block losses ``losses[j, l, m]`` of an n-row fit (``quantile_losses``,
+    or ``mgm.deviance_losses`` for the mean-based baseline).
 
     Per (node, level) block: the log of its loss plus nu times the
-    complexity per coefficient, where nu is the block's active-set size;
-    that is ``criterion.complexity(n, p)``.
+    criterion's complexity per coefficient, where nu is the block's
+    active-set size (``SelectionCriterion.complexity(n, p)``).  The supports
+    and logs are taken once for all criteria.
     """
-    per_coef = criterion.complexity(n, cube.p)
-    nu = np.count_nonzero(np.abs(cube.betas) > nonzero_tol, axis=3)
-    blocks = (np.log(losses + BIC_EPS_GUARD) + nu * per_coef).reshape(-1, cube.n_lambdas)
+    per_coef = np.array([crit.complexity(n, cube.p) for crit in criteria], dtype=float)
+    shape = (cube.p * cube.n_levels, cube.n_lambdas)
+    nu = np.count_nonzero(np.abs(cube.betas) > nonzero_tol, axis=3).reshape(shape)
+    blocks = np.log(losses + BIC_EPS_GUARD).reshape(shape) + nu * per_coef[:, None, None]
     # A running sum adds the blocks node by node, level by level, at every
     # grid size; a plain sum turns pairwise when there is a single lambda.
-    return np.cumsum(blocks, axis=0)[-1]
+    return np.cumsum(blocks, axis=1)[:, -1]
 
 
 def select_lambda(scores, lambda_grid):

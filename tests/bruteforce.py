@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import expit
 
 from qmgm.core import derive_threshold_grid, quantile_loss
-from qmgm.mgm import family_for, glm_deviance
+from qmgm.mgm import FAMILY_BY_KIND, LP_CLIP, glm_deviance
 from qmgm.midcdf import ThresholdLogitSet, build_field
 from qmgm.penalized import NodeProblem
 from descent import _link_inverse
@@ -287,8 +287,11 @@ def deviance_losses_reference(dataset):
     """Per-block family deviance of the mean-based baseline, for
     ``score_reference``."""
     def loss(j, l, intercept, beta):
-        family = family_for(dataset.schema[j].kind)
+        family = FAMILY_BY_KIND[dataset.schema[j].kind]
         X = np.delete(dataset.values, j, axis=1)
-        mu = family.mean(intercept + X @ beta)
+        mu = intercept + X @ beta
+        if family != "gaussian":
+            mu = np.clip(mu, -LP_CLIP, LP_CLIP)
+            mu = expit(mu) if family == "binomial" else np.exp(mu)
         return glm_deviance(family, dataset.values[:, j], mu)
     return loss

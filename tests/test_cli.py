@@ -106,6 +106,7 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["fit_data", "fit_schema", "impute_data",
                                   "fit_output_dir", "fit_dot_dir", "fit_output_is_dir",
+                                  "fit_output_empty", "fit_dot_empty",
                                   "simulate_output_file", "simulate_output_under_file"])
 def test_file_errors_exit_2(small_csv, tmp_path, capsys, no_fitting, case):
     # each is found before stage 1 or the first replication starts
@@ -125,6 +126,12 @@ def test_file_errors_exit_2(small_csv, tmp_path, capsys, no_fitting, case):
                               "--output", str(tmp_path / "g.json"), "--dot", missing],
         "fit_output_is_dir": fit + [str(csv_path), "--schema", str(schema_path),
                                     "--output", str(tmp_path)],
+        # an empty path used to fail only when the fitted graph was written,
+        # and an empty --dot wrote nothing and exited 0
+        "fit_output_empty": fit + [str(csv_path), "--schema", str(schema_path),
+                                   "--output", ""],
+        "fit_dot_empty": fit + [str(csv_path), "--schema", str(schema_path),
+                                "--output", str(tmp_path / "g.json"), "--dot", ""],
         "simulate_output_file": ["simulate", "--n", "60", "--R", "1",
                                  "--learners", "mgm", "--lambda-count", "2",
                                  "--output", str(taken)],
@@ -238,7 +245,7 @@ def no_loading(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["fit_knn_k", "fit_lambda_count", "impute_output_dir",
-                                  "impute_knn_k"])
+                                  "impute_output_empty", "impute_knn_k"])
 def test_bad_options_exit_2_before_loading_data(small_csv, tmp_path, capsys,
                                                 no_loading, no_fitting, case):
     csv_path, schema_path = small_csv
@@ -253,6 +260,7 @@ def test_bad_options_exit_2_before_loading_data(small_csv, tmp_path, capsys,
                              "lambda grid needs at least one value"),
         "impute_output_dir": (impute[:-1] + [str(tmp_path / "missing" / "x.csv")],
                               "cannot write a file"),
+        "impute_output_empty": (impute[:-1] + [""], "cannot write a file"),
         "impute_knn_k": (impute + ["--knn-k", "0"], "k must be >= 1"),
     }[case]
     assert main(argv) == 2
@@ -381,6 +389,30 @@ def test_fit_writes_document(small_csv, tmp_path, capsys):
     assert doc.meta["criterion"] == "bicp"
     assert doc.meta["tau_levels"] == [0.25, 0.5, 0.75]
     assert dot.read_text().startswith("graph")
+
+
+def _with_bom(path, out):
+    """Copy of a UTF-8 text file at ``out`` that starts with a byte-order mark."""
+    out.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return out
+
+
+def test_fit_and_metrics_read_files_with_a_byte_order_mark(small_csv, tmp_path, capsys):
+    # a data, schema or graph file saved with a UTF-8 byte-order mark reads
+    # as the same file without one; the mark used to become part of the
+    # first column, node or JSON token and exit 2
+    csv_path, schema_path = small_csv
+    fit = ["fit", "--tau-levels", "1", "--lambda-count", "4", "--output"]
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    assert main(fit + [str(plain), str(csv_path), "--schema", str(schema_path)]) == 0
+    assert main(fit + [str(marked), str(_with_bom(csv_path, tmp_path / "bom.csv")),
+                       "--schema", str(_with_bom(schema_path, tmp_path / "bom.schema"))]) == 0
+    assert marked.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    assert main(["metrics", "--truth", str(_with_bom(plain, tmp_path / "bom.json")),
+                 "--estimate", str(plain)]) == 0
+    table = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:])
+    assert float(table["accuracy"]) == 1.0
 
 
 @pytest.fixture()

@@ -1,10 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qmgm.core import (DataError, Dataset, QuantileGrid, VariableSpec,
-                       derive_threshold_grid, quantile_loss, standard_levels,
-                       validate_and_standardize)
+from qmgm.core import (CoefficientCube, DataError, Dataset, QuantileGrid, VariableSpec,
+                       _one_blas_thread, derive_threshold_grid, quantile_loss,
+                       standard_levels, validate_and_standardize)
 
 
 def make_dataset(cols, kinds, mask=None):
@@ -16,6 +18,12 @@ def test_quantile_loss_examples():
     assert quantile_loss(0.0, 0.5) == 0.0
     assert quantile_loss(-2.0, 0.25) == pytest.approx(1.5)
     assert quantile_loss(4.0, 0.75) == pytest.approx(3.0)
+    # a column of levels broadcasts: each row gets the bits of its level alone
+    u = np.random.default_rng(4).normal(size=(3, 5, 7))
+    taus = np.array([0.125, 0.5, 0.875])
+    stacked = quantile_loss(u, taus[:, None, None])
+    for l, tau in enumerate(taus):
+        assert np.array_equal(stacked[l], quantile_loss(u[l], float(tau)))
 
 
 def test_quantile_loss_rejects_bad_tau():
@@ -23,6 +31,9 @@ def test_quantile_loss_rejects_bad_tau():
         quantile_loss(1.0, 0.0)
     with pytest.raises(DataError):
         quantile_loss(1.0, 1.0)
+    # every level of a broadcast array is checked
+    with pytest.raises(DataError):
+        quantile_loss(np.ones((2, 3)), np.array([[0.5], [1.0]]))
 
 
 @given(u=st.floats(-1e6, 1e6), tau=st.floats(0.01, 0.99))
@@ -154,3 +165,32 @@ def test_standard_levels():
     assert len(lv17) == 17
     assert lv17[0] == pytest.approx(0.1)
     assert lv17[-1] == pytest.approx(0.9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 8), L=st.integers(1, 7), M=st.integers(1, 12),
+       n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), one_thread=st.booleans(),
+       fortran=st.booleans())
+def test_linear_predictors_equal_the_block_products_bit_for_bit(p, L, M, n, seed,
+                                                                one_thread, fortran):
+    # the one stacked matrix-vector product per node gives every (level,
+    # lambda) block the bits of its own X_j @ beta, at one BLAS thread and
+    # at the default, for sparse slopes in either memory layout
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, p) + rng.normal(size=p)
+    ds = Dataset(values, tuple(VariableSpec(f"v{i}", "continuous") for i in range(p)))
+    shape = (p, L, M, p - 1)
+    betas = rng.normal(size=shape) * (rng.random(shape) < 0.6)
+    cube = CoefficientCube(rng.normal(size=(p, L, M)),
+                           np.array(betas, order="F" if fortran else "C"),
+                           np.linspace(5.0, 0.01, M), np.linspace(0.1, 0.9, L),
+                           np.ones((p, L, M), dtype=bool), np.ones((p, L, M), dtype=int))
+    with _one_blas_thread() if one_thread else contextlib.nullcontext():
+        for j in range(p):
+            y, lp = cube.linear_predictors(ds, j)
+            X = np.delete(ds.values, j, axis=1)
+            assert np.array_equal(y, ds.values[:, j])
+            for l in range(L):
+                for m in range(M):
+                    want = cube.intercepts[j, l, m] + X @ cube.betas[j, l, m]
+                    assert np.array_equal(lp[l, m], want), (j, l, m)

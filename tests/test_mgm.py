@@ -7,7 +7,7 @@ import pytest
 from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
 from qmgm.core import (DataError, Dataset, VariableSpec, standard_levels,
                        validate_and_standardize)
-from qmgm.mgm import GlmFamily, deviance_losses, family_for, fit_mgm, glm_deviance
+from qmgm.mgm import FAMILY_BY_KIND, deviance_losses, fit_mgm, glm_deviance
 from qmgm.selection import SelectionCriterion, estimate_edge_set, fit_qmgm, \
     select_lambda, score_path
 
@@ -22,26 +22,26 @@ def node_lambda_max(y, X):
 
 
 def test_family_assignment():
-    assert family_for("continuous").name == "gaussian"
-    assert family_for("count").name == "poisson"
-    assert family_for("binary").name == "binomial"
+    assert FAMILY_BY_KIND["continuous"] == "gaussian"
+    assert FAMILY_BY_KIND["count"] == "poisson"
+    assert FAMILY_BY_KIND["binary"] == "binomial"
+    # a kind with no family never reaches the baseline
     with pytest.raises(DataError):
-        family_for("nominal")
+        VariableSpec("x", "nominal")
 
 
 def test_deviance_examples():
-    g = GlmFamily("gaussian")
     y = np.array([1.0, 2.0, 3.0])
-    assert glm_deviance(g, y, y) == 0.0
-    b = GlmFamily("binomial")
+    assert glm_deviance("gaussian", y, y) == 0.0
     labels = np.array([0.0, 1.0] * 25)
-    assert glm_deviance(b, labels, np.full(50, 0.5)) == pytest.approx(
+    assert glm_deviance("binomial", labels, np.full(50, 0.5)) == pytest.approx(
         2 * 50 * np.log(2))
-    p = GlmFamily("poisson")
     rng = np.random.default_rng(0)
     counts = rng.poisson(3.0, 100).astype(float)
-    assert glm_deviance(p, counts, np.full(100, counts.mean())) >= 0.0
-    assert glm_deviance(p, counts, counts + 1e-12) == pytest.approx(0.0, abs=1e-6)
+    assert glm_deviance("poisson", counts, np.full(100, counts.mean())) >= 0.0
+    assert glm_deviance("poisson", counts, counts + 1e-12) == pytest.approx(0.0, abs=1e-6)
+    with pytest.raises(DataError, match="unknown GLM family 'gamma'"):
+        glm_deviance("gamma", y, y)
 
 
 def test_orthogonal_design_soft_threshold_identity():
@@ -89,10 +89,10 @@ def test_fit_mgm_cube_contract(tiny_mixed):
     losses = deviance_losses(cube, tiny_mixed)
     assert losses.shape == (4, 1, 6)
     crit = SelectionCriterion.from_name("bic", 4)
-    scores = score_path(cube, losses, crit, tiny_mixed.n)
+    scores = score_path(cube, losses, [crit], tiny_mixed.n)[0]
     idx, lam = select_lambda(scores, lambdas)
     assert 0 <= idx < 6
-    aic = score_path(cube, losses, SelectionCriterion("aic"), tiny_mixed.n)
+    aic = score_path(cube, losses, [SelectionCriterion("aic")], tiny_mixed.n)
     assert np.all(np.isfinite(aic))
 
 
@@ -100,13 +100,10 @@ def test_path_objectives_nonincreasing_in_lambda(tiny_mixed):
     # smaller penalties can only improve the deviance part
     lambdas = default_lambda_grid(count=10)
     cube = fit_mgm(tiny_mixed, lambdas)
+    deviances = deviance_losses(cube, tiny_mixed)
     for j, kind in ((0, "gaussian"), (2, "poisson"), (3, "binomial")):
-        y = tiny_mixed.values[:, j]
-        X = np.delete(tiny_mixed.values, j, axis=1)
-        fam = family_for(tiny_mixed.schema[j].kind)
-        assert fam.name == kind
-        dev = [glm_deviance(fam, y, fam.mean(b0 + X @ beta))
-               for b0, beta in zip(cube.intercepts[j, 0], cube.betas[j, 0])]
+        assert FAMILY_BY_KIND[tiny_mixed.schema[j].kind] == kind
+        dev = deviances[j, 0]
         assert all(d1 <= d0 + 1e-6 for d0, d1 in zip(dev, dev[1:]))
 
 
@@ -152,7 +149,7 @@ def _node_stacks(dataset):
     family names (p,)."""
     values = dataset.values
     X = np.array([np.delete(values, j, axis=1) for j in range(dataset.p)])
-    return X, values.T, np.array([family_for(spec.kind).name for spec in dataset.schema])
+    return X, values.T, np.array([FAMILY_BY_KIND[spec.kind] for spec in dataset.schema])
 
 
 def _paths_batch_vs_alone(paths, dataset, lambdas, family_names):
@@ -253,10 +250,10 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
         mp.setattr(mgm, "wls_paths", uncertified_paths)
         cut = fit_mgm(tiny_mixed, lambdas)
     for j in (0, 2, 3):
-        fam = family_for(tiny_mixed.schema[j].kind)
-        assert not cut.converged[j, 0, -1], fam.name
-        if fam.name != "gaussian":
-            assert cut.iterations[j, 0, -1] < mgm.OUTER_MAX_ITER, fam.name
+        fam = FAMILY_BY_KIND[tiny_mixed.schema[j].kind]
+        assert not cut.converged[j, 0, -1], fam
+        if fam != "gaussian":
+            assert cut.iterations[j, 0, -1] < mgm.OUTER_MAX_ITER, fam
 
 
 def test_fit_mgm_rejects_a_bad_grid(tiny_mixed):

@@ -163,8 +163,8 @@ def test_bic_complexity_increment():
     B[2, 0, 0] = 2e-6          # counted as active, numerically irrelevant
     cube1 = cube_from_B(B, taus=[0.5])
     crit = SelectionCriterion.from_name("bicp", p)
-    s0 = score_path(cube0, quantile_losses(cube0, ds), crit, n)[0]
-    s1 = score_path(cube1, quantile_losses(cube1, ds), crit, n)[0]
+    s0 = score_path(cube0, quantile_losses(cube0, ds), [crit], n)[0, 0]
+    s1 = score_path(cube1, quantile_losses(cube1, ds), [crit], n)[0, 0]
     expected = np.log(n) * np.log(p - 1) * crit.cn / (2 * n)
     assert s1 - s0 == pytest.approx(expected, rel=1e-4)
 
@@ -174,7 +174,7 @@ def test_bic_guard_for_zero_residuals():
     B = np.zeros((3, 1, 3))
     cube = cube_from_B(B, taus=[0.5])
     crit = SelectionCriterion("bic", 1.0)
-    score = score_path(cube, np.zeros((3, 1, 1)), crit, ds.n)[0]
+    score = score_path(cube, np.zeros((3, 1, 1)), [crit], ds.n)[0, 0]
     assert score == pytest.approx(3 * np.log(1e-12))
 
 
@@ -197,14 +197,14 @@ def test_aic_examples():
     cube = cube_from_B(B, taus=[0.5])
     aic = SelectionCriterion("aic")
     unit_loss = np.ones((3, 1, 1))
-    assert score_path(cube, unit_loss, aic, ds.n)[0] == pytest.approx(0.0, abs=1e-9)
-    assert score_path(cube, np.full((3, 1, 1), 7.5), aic, ds.n)[0] == pytest.approx(
+    assert score_path(cube, unit_loss, [aic], ds.n)[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert score_path(cube, np.full((3, 1, 1), 7.5), [aic], ds.n)[0, 0] == pytest.approx(
         3 * np.log(7.5), abs=1e-9)
     # one active coefficient costs 2/(2n) per block
     B[0, 0, 1] = 1.0
     cube1 = cube_from_B(B, taus=[0.5])
-    delta = (score_path(cube1, unit_loss, aic, ds.n)[0]
-             - score_path(cube, unit_loss, aic, ds.n)[0])
+    delta = (score_path(cube1, unit_loss, [aic], ds.n)[0, 0]
+             - score_path(cube, unit_loss, [aic], ds.n)[0, 0])
     assert delta == pytest.approx(1.0 / ds.n, abs=1e-12)
 
 
@@ -217,9 +217,10 @@ def _last_lambda(cube):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_score_path_equals_blockwise_reference(seed):
-    # one loss pass per cube scores every criterion exactly as the
-    # block-by-block sum did, for the quantile and deviance losses, on a
-    # short grid and on a one-lambda grid, at two edge tolerances
+    # one loss pass and one scoring call per cube score every criterion
+    # exactly as the block-by-block sum did, for the quantile and deviance
+    # losses, on a short grid and on a one-lambda grid, at two edge
+    # tolerances
     ds, _ = generate_sample(DgpVariant("main", 200, seed))
     ds = validate_and_standardize(ds)
     lambdas = default_lambda_grid(count=4)
@@ -228,14 +229,16 @@ def test_score_path_equals_blockwise_reference(seed):
              quantile_losses, None) for L in (1, 3, 7)]
     fits.append((fit_mgm(ds, lambdas), deviance_losses,
                  deviance_losses_reference(ds)))
+    crits = [SelectionCriterion.from_name(name, ds.p) for name in CRITERION_NAMES]
     checked = 0
     for full, losses_of, block_loss in fits:
         for cube in (full, _last_lambda(full)):
             losses = losses_of(cube, ds)
-            for name in CRITERION_NAMES:
-                crit = SelectionCriterion.from_name(name, ds.p)
-                for tol in (NONZERO_TOL, 0.05):
-                    got = score_path(cube, losses, crit, ds.n, nonzero_tol=tol)
+            assert score_path(cube, losses, [], ds.n).shape == (0, cube.n_lambdas)
+            for tol in (NONZERO_TOL, 0.05):
+                scores = score_path(cube, losses, crits, ds.n, nonzero_tol=tol)
+                assert scores.shape == (len(crits), cube.n_lambdas)
+                for name, crit, got in zip(CRITERION_NAMES, crits, scores):
                     want = [score_reference(cube, mi, ds, crit.kind, crit.cn,
                                             block_loss, False, tol)
                             for mi in range(cube.n_lambdas)]
@@ -305,7 +308,7 @@ def test_fit_qmgm_cube_shape_and_selection(dgp_500):
     assert cube.betas.shape == (10, 3, 8, 9)
     assert np.all(np.isfinite(cube.intercepts)) and np.all(np.isfinite(cube.betas))
     crit = SelectionCriterion.from_name("bicp", ds.p)
-    scores = score_path(cube, quantile_losses(cube, ds), crit, ds.n)
+    scores = score_path(cube, quantile_losses(cube, ds), [crit], ds.n)[0]
     idx, lam = select_lambda(scores, lambdas)
     assert 0 <= idx < 8
     # the largest grid value keeps every model empty on standardized data

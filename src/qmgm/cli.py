@@ -174,7 +174,9 @@ def _cmd_simulate(args) -> int:
     variant = DgpVariant(n=args.n, seed=args.seed)
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max,
                                   args.lambda_count)
-    outdir = args.output or "qmgm-simulate"
+    outdir = "qmgm-simulate" if args.output is None else args.output
+    if not outdir:
+        raise DataError("cannot make a directory at ''")
     head = os.path.abspath(outdir)      # write_outputs makes the missing parents too
     while not os.path.exists(head):
         head = os.path.dirname(head)

@@ -12,7 +12,10 @@ import numpy as np
 
 KINDS = ("continuous", "count", "binary")
 LINKS = ("identity", "log", "logit")
-DEFAULT_LINKS = {"continuous": "identity", "count": "log", "binary": "logit"}
+# The links each kind may use, its default first.  A continuous column is
+# standardized before it is fitted, so a log or logit link would see
+# standardized values: only identity is allowed.
+KIND_LINKS = {"continuous": ("identity",), "count": ("log", "identity"), "binary": ("logit",)}
 
 # Largest number of threshold points retained per node; columns with more
 # distinct values are thinned to equally spaced empirical percentiles.
@@ -141,13 +144,11 @@ class VariableSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DataError(f"unknown variable kind {self.kind!r} for {self.name!r}")
-        link = self.link or DEFAULT_LINKS[self.kind]
+        link = self.link or KIND_LINKS[self.kind][0]
         if link not in LINKS:
             raise DataError(f"unknown link {link!r} for {self.name!r}")
-        if self.kind == "binary" and link != "logit":
-            raise DataError(f"binary variable {self.name!r} requires the logit link")
-        if self.kind == "count" and link == "logit":
-            raise DataError(f"count variable {self.name!r} cannot use the logit link")
+        if link not in KIND_LINKS[self.kind]:
+            raise DataError(f"{self.kind} variable {self.name!r} cannot use the {link} link")
         object.__setattr__(self, "link", link)
         if self.threshold_grid is not None:
             grid = np.asarray(self.threshold_grid, dtype=float)
@@ -227,9 +228,6 @@ class QuantileGrid:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DataError("quantile levels must be strictly increasing")
         object.__setattr__(self, "levels", levels)
-
-    def __len__(self):
-        return len(self.levels)
 
 
 def standard_levels(count: int) -> QuantileGrid:

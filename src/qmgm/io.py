@@ -200,6 +200,8 @@ class GraphDocument:
         attained = np.full((p, p), -1, dtype=int)
         for e in self.edges:
             a, b = index[e["source"]], index[e["target"]]
+            if adj[a, b]:
+                raise DataError(f"edge {e['source']} -- {e['target']} is listed twice")
             adj[a, b] = adj[b, a] = True
             try:
                 strength[a, b] = strength[b, a] = e["strength"]
@@ -210,6 +212,8 @@ class GraphDocument:
             except (KeyError, TypeError, ValueError):
                 raise DataError(f"edge {e['source']} -- {e['target']} needs a numeric strength "
                                 "and tau, and a positive, negative or undefined sign") from None
+        if not np.isfinite(strength).all():
+            raise DataError("edge strengths must be finite")
         return EstimatedGraph(adj, strength, sign, prov_tau, attained)
 
 

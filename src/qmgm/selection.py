@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
-                   NONZERO_TOL, QuantileGrid, SIGN_ABSENT, SIGN_UNDEFINED,
+                   NONZERO_TOL, QuantileGrid, SIGN_UNDEFINED,
                    _check_lambda_grid, _check_tolerance, _one_blas_thread,
                    _readonly, quantile_loss)
 from .midcdf import build_field, fit_threshold_logits
@@ -141,43 +141,28 @@ def edge_adjacencies(cube: CoefficientCube, tolerance: float) -> np.ndarray:
 
 def estimate_edge_set(cube: CoefficientCube, lambda_index: int,
                       tolerance: float = NONZERO_TOL) -> EstimatedGraph:
-    """Edge (j, k) is present when either direction's coefficient exceeds
-    the tolerance in absolute value at any level (max/OR rule); the edge
-    strength is that maximum and the sign comes from the attaining
-    coefficients (undefined when the two directions disagree).  A negative
-    or non-finite tolerance raises DataError."""
+    """Edge (j, k) is present when either direction's |coefficient| exceeds
+    the tolerance at some level (max/OR rule); its strength is that maximum.
+    A direction counts when it exceeds the tolerance, with the sign at its
+    first maximising level; the edge takes the counting directions' common
+    sign, or undefined when they disagree.  The direction that attains the
+    maximum (the smaller node on a tie) and its first maximising level give
+    ``attained_by`` and ``prov_tau``.  A bad tolerance raises DataError."""
     _check_tolerance(tolerance)
     B = _coefficient_tensor(cube.betas[:, :, lambda_index])
-    p = cube.p
     absB = np.abs(B)
-    D = absB.max(axis=0)                      # (p, p) directional max over levels
-    arg_l = absB.argmax(axis=0)               # attaining level per direction
-    rows = np.arange(p)[:, None]
-    cols = np.arange(p)[None, :]
-    at_max = B[arg_l, rows, cols]             # attaining signed coefficient
-    sgn_dir = np.sign(at_max).astype(np.int8)
-
+    D, level = absB.max(axis=0), absB.argmax(axis=0)        # (p, p) per direction
+    s = np.where(D > tolerance, np.sign(np.take_along_axis(B, level[None], 0)[0]), 0)
+    s = s.astype(np.int8)
+    sign = np.where(s == s.T, s, np.where(s * s.T < 0, SIGN_UNDEFINED, s + s.T))
     strength = np.maximum(D, D.T)
     adjacency = strength > tolerance
-    strength = np.where(adjacency, strength, 0.0)
-
-    exceeds = D > tolerance
-    sign = np.full((p, p), SIGN_ABSENT, dtype=np.int8)
-    both = exceeds & exceeds.T
-    agree = sgn_dir == sgn_dir.T
-    sign[both & agree] = sgn_dir[both & agree]
-    sign[both & ~agree] = SIGN_UNDEFINED
-    fwd_only = exceeds & ~exceeds.T
-    sign[fwd_only] = sgn_dir[fwd_only]
-    sign[fwd_only.T] = sgn_dir.T[fwd_only.T]
-
-    J = np.broadcast_to(rows, (p, p))
-    K = np.broadcast_to(cols, (p, p))
-    attained = np.where(D > D.T, J, np.where(D.T > D, K, np.minimum(J, K)))
-    attained = np.where(adjacency, attained, -1)
-    level_at = np.where(attained == J, arg_l, arg_l.T)
-    prov_tau = np.where(adjacency, cube.tau_levels[level_at], np.nan)
-    return EstimatedGraph(adjacency, strength, sign, prov_tau, attained)
+    J, K = np.indices(D.shape)
+    own = (D > D.T) | ((D == D.T) & (J <= K))     # direction j attains the pair's max
+    prov_tau = np.where(adjacency, cube.tau_levels[np.where(own, level, level.T)], np.nan)
+    attained_by = np.where(adjacency, np.where(own, J, K), -1)
+    return EstimatedGraph(adjacency, np.where(adjacency, strength, 0.0), sign, prov_tau,
+                          attained_by)
 
 
 def quantile_losses(cube: CoefficientCube, dataset: Dataset) -> np.ndarray:

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 from scipy.special import expit
 
-from qmgm.core import derive_threshold_grid, quantile_loss
+from qmgm.core import SIGN_UNDEFINED, derive_threshold_grid, quantile_loss
 from qmgm.mgm import FAMILY_BY_KIND, LP_CLIP, glm_deviance
 from qmgm.midcdf import ThresholdLogitSet, build_field
 from qmgm.penalized import NodeProblem
@@ -295,3 +295,39 @@ def deviance_losses_reference(dataset):
             mu = expit(mu) if family == "binomial" else np.exp(mu)
         return glm_deviance(family, dataset.values[:, j], mu)
     return loss
+
+
+def edge_set_reference(cube, lambda_index, tol):
+    """The max/OR edge set at one lambda, one pair at a time: the five
+    ``EstimatedGraph`` fields (adjacency, strength, sign, prov_tau,
+    attained_by) by name.  Node k's coefficient in node j's regression is
+    predictor k (k < j) or k - 1 (k > j)."""
+    p = cube.p
+    fields = {"adjacency": np.zeros((p, p), bool), "strength": np.zeros((p, p)),
+              "sign": np.zeros((p, p), np.int8), "prov_tau": np.full((p, p), np.nan),
+              "attained_by": np.full((p, p), -1)}
+
+    def direction(j, k):
+        """(max |coefficient| over levels, first level attaining it, its sign)."""
+        coefs = [float(cube.betas[j, l, lambda_index, k if k < j else k - 1])
+                 for l in range(cube.n_levels)]
+        top = max(abs(c) for c in coefs)
+        level = next(l for l, c in enumerate(coefs) if abs(c) == top)
+        return top, level, (coefs[level] > 0) - (coefs[level] < 0)
+
+    for j in range(p):
+        for k in range(p):
+            if j == k:
+                continue
+            ends = {j: direction(j, k), k: direction(k, j)}
+            top = max(ends[j][0], ends[k][0])
+            if not top > tol:
+                continue
+            signs = {ends[i][2] for i in (j, k) if ends[i][0] > tol}
+            owner = j if ends[j][0] > ends[k][0] else k if ends[k][0] > ends[j][0] else min(j, k)
+            fields["adjacency"][j, k] = True
+            fields["strength"][j, k] = top
+            fields["sign"][j, k] = signs.pop() if len(signs) == 1 else SIGN_UNDEFINED
+            fields["prov_tau"][j, k] = cube.tau_levels[ends[owner][1]]
+            fields["attained_by"][j, k] = owner
+    return fields

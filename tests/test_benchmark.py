@@ -212,7 +212,7 @@ def test_roc_matches_bruteforce_and_envelope_monotone():
 def test_learner_config_parsing():
     assert LearnerConfig.from_name("mgm").kind == "mgm"
     lc = LearnerConfig.from_name("qmgm7")
-    assert lc.kind == "qmgm" and len(lc.levels) == 7
+    assert lc.kind == "qmgm" and len(lc.levels.levels) == 7
     assert LearnerConfig.from_name("QMGM3").name == "qmgm3"
     with pytest.raises(DataError):
         LearnerConfig.from_name("qmgmX")

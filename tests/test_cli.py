@@ -146,6 +146,32 @@ def test_file_errors_exit_2(small_csv, tmp_path, capsys, no_fitting, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["fit", "impute", "simulate", "metrics", "centrality",
+                                     "hamming"])
+def test_empty_output_exits_2_and_writes_nothing(small_csv, tmp_path, monkeypatch, capsys,
+                                                 no_fitting, command):
+    # simulate used to take "" for its default directory and write there
+    csv_path, schema_path = small_csv
+    graph = tmp_path / "g.json"
+    graph.write_text(_document_text([EDGE]), encoding="utf-8")
+    argv = {
+        "fit": ["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", "1",
+                "--lambda-count", "2"],
+        "impute": ["impute", str(csv_path), "--schema", str(schema_path)],
+        "simulate": ["simulate", "--n", "60", "--R", "1", "--learners", "mgm",
+                     "--lambda-count", "2"],
+        "metrics": ["metrics", "--truth", str(graph), "--estimate", str(graph)],
+        "centrality": ["centrality", str(graph)],
+        "hamming": ["hamming", str(graph), str(graph)],
+    }[command]
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(argv + ["--output", ""]) == 2
+    assert capsys.readouterr().err.startswith("qmgm: data error: ")
+    assert list(workdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("cn", ["inf", "1e308"])
 def test_fit_cn_with_infinite_complexity_exits_2(small_csv, tmp_path, capsys,
                                                  no_fitting, cn):
@@ -601,11 +627,15 @@ EDGE = {"source": "a", "target": "b", "strength": 1.0, "sign": "positive",
     ("hamming", _document_text([{k: v for k, v in EDGE.items() if k != "strength"}])),
     ("metrics", _document_text([dict(EDGE, target="a")])),
     ("hamming", _document_text([dict(EDGE, target="a")])),
+    ("centrality", _document_text([EDGE, dict(EDGE, source="b", target="a", strength=2.0,
+                                              sign="negative")])),
+    ("centrality", _document_text([dict(EDGE, strength=float("inf"))])),
 ], ids=["no_nodes", "not_an_object", "metrics_unknown_node", "hamming_unknown_node",
         "duplicate_node", "unknown_sign", "text_strength", "no_strength",
         "metrics_unknown_sign", "hamming_unknown_sign", "metrics_text_strength",
         "hamming_text_strength", "metrics_no_strength", "hamming_no_strength",
-        "metrics_self_loop", "hamming_self_loop"])
+        "metrics_self_loop", "hamming_self_loop", "pair_listed_twice",
+        "infinite_strength"])
 def test_malformed_graph_document_is_a_data_error(tmp_path, capsys, command, text):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(_document_text([EDGE]), encoding="utf-8")

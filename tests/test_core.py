@@ -153,7 +153,7 @@ def test_quantile_grid_validation():
         QuantileGrid((0.5, 0.25))
     with pytest.raises(DataError):
         QuantileGrid((0.0, 0.5))
-    assert len(QuantileGrid((0.25, 0.5))) == 2
+    assert len(QuantileGrid((0.25, 0.5)).levels) == 2
 
 
 def test_standard_levels():

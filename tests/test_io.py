@@ -36,6 +36,14 @@ def test_parse_schema_errors():
         parse_schema("x binary identity\ny count\n")  # binary needs logit
 
 
+@pytest.mark.parametrize("link", ["log", "logit"])
+def test_continuous_column_takes_only_the_identity_link(link):
+    # a continuous column is standardized before its fit, so a log or logit
+    # link would floor or clip the standardized values
+    with pytest.raises(DataError, match=f"continuous variable 'x' cannot use the {link} link"):
+        parse_schema(f"x continuous {link}\ny count\n")
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")

@@ -13,7 +13,7 @@ from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
                             edge_adjacencies, estimate_edge_set, fit_qmgm,
                             quantile_losses, score_path, select_lambda)
 
-from bruteforce import deviance_losses_reference, score_reference
+from bruteforce import deviance_losses_reference, edge_set_reference, score_reference
 
 
 def cube_from_B(B, lambdas=(1.0,), taus=None):
@@ -120,6 +120,36 @@ def test_adjacency_stack_equals_the_graph_at_every_lambda(p, tol):
                                np.linspace(0.25, 0.75, L), np.ones((p, L, M), bool),
                                np.ones((p, L, M), int))
         assert_stack_equals_graphs(cube, tol)
+
+
+def test_edge_set_tie_rules():
+    # node 0's two levels tie at |0.5| with opposite signs; node 1's
+    # maximum equals node 0's, so the pair's maximum is attained both ways
+    B = np.zeros((2, 2, 2))
+    B[0, :, 1] = [-0.5, 0.5]
+    B[1, :, 0] = [0.25, 0.5]
+    g = estimate_edge_set(cube_from_B(B, taus=[0.25, 0.75]), 0, 1e-6)
+    assert g.attained_by[0, 1] == g.attained_by[1, 0] == 0     # the smaller index
+    assert g.prov_tau[0, 1] == 0.25                            # node 0's first level
+    assert SIGN_LABELS[int(g.sign[0, 1])] == "undefined"       # -1 there against node 1's +1
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+@pytest.mark.parametrize("tol", [0.0, NONZERO_TOL, 0.5])
+def test_edge_set_equals_the_per_pair_reference(p, tol):
+    # the tie-heavy cubes of the adjacency-stack test above, every field
+    rng = np.random.default_rng(10 + p)
+    values = np.array([0.0, tol, -tol, 0.5, -0.5, 1e-300])
+    for L, M in ((1, 1), (3, 5), (7, 4)):
+        betas = values[rng.integers(0, values.size, (p, L, M, p - 1))]
+        cube = CoefficientCube(np.zeros((p, L, M)), betas, default_lambda_grid(count=M),
+                               np.linspace(0.25, 0.75, L), np.ones((p, L, M), bool),
+                               np.ones((p, L, M), int))
+        for mi in range(M):
+            g, want = estimate_edge_set(cube, mi, tol), edge_set_reference(cube, mi, tol)
+            assert g.sign.dtype == np.int8
+            for name, field in want.items():
+                assert np.array_equal(getattr(g, name), field, equal_nan=True), (L, mi, name)
 
 
 def test_adjacency_stack_hand_cases():

@@ -6,8 +6,8 @@ from .benchmark import (BenchmarkRun, DgpVariant, LearnerConfig, RecoveryMetrics
                         confusion_metrics, default_lambda_grid, generate_sample,
                         roc_curve, run_replications, true_graph)
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
-                   NumericalError, QuantileGrid, VariableSpec, quantile_loss,
-                   standard_levels, validate_and_standardize)
+                   QuantileGrid, VariableSpec, quantile_loss, standard_levels,
+                   validate_and_standardize)
 from .io import (GraphDocument, document_from_adjacency, document_from_graph,
                  export_graph, load_csv, load_schema, parse_schema, save_csv)
 from .mgm import deviance_losses, fit_mgm, glm_deviance
@@ -16,7 +16,7 @@ from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
 from .penalized import (NodeProblem, fit_lambda_paths,
                         inverse_midquantile_targets, penalized_wls)
 from .selection import (SelectionCriterion, build_problems,
-                        estimate_edge_set, fit_qmgm, quantile_losses,
+                        estimate_edge_set, fit_cube, fit_qmgm, quantile_losses,
                         score_path, select_lambda)
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    standard_levels, validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
 from .selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                        edge_adjacencies, fit_qmgm, quantile_losses, score_path,
-                        select_lambda)
+                        edge_adjacencies, fit_cube, fit_qmgm, quantile_losses,
+                        score_path, select_lambda)
 
 # The generator's variables: Y1-Y5 continuous, Y6-Y10 counts.
 GENERATOR_SCHEMA = tuple(VariableSpec(f"Y{j}", "continuous" if j <= 5 else "count")
@@ -213,11 +213,13 @@ def default_lambda_grid(lo: float = 0.001, hi: float = 5.0, count: int = 50) -> 
 
 def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
                 lambdas, criteria=CRITERION_NAMES, *,
-                nonzero_tol: float = NONZERO_TOL, problems=None) -> dict:
-    """Fit one learner on one dataset: path AUC plus per-criterion selection."""
+                nonzero_tol: float = NONZERO_TOL, fitted=None) -> dict:
+    """Fit one learner on one dataset: path AUC plus per-criterion selection.
+    A qmgm learner slices ``fitted``, a cube of the dataset at a superset of
+    its levels, when given (``fit_qmgm``); ``seconds`` excludes fitting it."""
     start = time.perf_counter()
     if learner.kind == "qmgm":
-        cube = fit_qmgm(dataset, learner.levels, lambdas, problems=problems)
+        cube = fit_qmgm(dataset, learner.levels, lambdas, fitted=fitted)
         losses = quantile_losses(cube, dataset)
     else:
         cube = fit_mgm(dataset, lambdas)
@@ -242,10 +244,10 @@ def _replication_worker(args):
     try:
         dataset, truth = (sample_fn or generate_sample)(variant)
         dataset = validate_and_standardize(dataset)
-        problems = (build_problems(dataset)
-                    if any(lc.kind == "qmgm" for lc in learners) else None)
+        levels = sorted({tau for lc in learners if lc.kind == "qmgm" for tau in lc.levels.levels})
+        fitted = fit_cube(build_problems(dataset), levels, lambdas) if levels else None
         record = {lc.name: run_learner(dataset, truth, lc, lambdas, criteria,
-                                       nonzero_tol=nonzero_tol, problems=problems)
+                                       nonzero_tol=nonzero_tol, fitted=fitted)
                   for lc in learners}
         return index, variant.seed, record, None
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal

@@ -15,8 +15,8 @@ from .analysis import (_check_knn_k, centrality, hamming_distance, knn_impute,
                        weighted_centrality)
 from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
                         run_replications, write_outputs)
-from .core import DataError, NumericalError, QuantileGrid, _check_threads, \
-    _check_tolerance, standard_levels, validate_and_standardize
+from .core import DataError, QuantileGrid, _check_threads, _check_tolerance, \
+    standard_levels, validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
                  render_dot, save_csv)
 from .selection import (CRITERION_NAMES, SelectionCriterion, estimate_edge_set,
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"qmgm: data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"qmgm: numerical failure: {exc}", file=sys.stderr)
         return 3
 

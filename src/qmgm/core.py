@@ -41,10 +41,6 @@ class DataError(ValueError):
     """Invalid input data or schema (CLI exit code 2)."""
 
 
-class NumericalError(RuntimeError):
-    """Unrecoverable numerical failure (CLI exit code 3)."""
-
-
 def _check_tolerance(tol) -> None:
     """DataError unless the edge tolerance ``tol`` is finite and >= 0."""
     if not 0.0 <= tol < np.inf:

@@ -206,12 +206,15 @@ class GraphDocument:
             try:
                 strength[a, b] = strength[b, a] = e["strength"]
                 sign[a, b] = sign[b, a] = SIGN_CODES[e["sign"]]
-                tau = e.get("tau")
+                tau, owner = e.get("tau"), e.get("attained_by")
+                if tau is not None and not 0.0 < tau < 1.0:
+                    raise ValueError
                 prov_tau[a, b] = prov_tau[b, a] = np.nan if tau is None else tau
-                attained[a, b] = attained[b, a] = index.get(e.get("attained_by"), -1)
+                attained[a, b] = attained[b, a] = -1 if owner is None else index[owner]
             except (KeyError, TypeError, ValueError):
-                raise DataError(f"edge {e['source']} -- {e['target']} needs a numeric strength "
-                                "and tau, and a positive, negative or undefined sign") from None
+                raise DataError(f"edge {e['source']} -- {e['target']} needs a numeric strength, "
+                                "a positive, negative or undefined sign, a null tau or one "
+                                "inside (0, 1), and a null attained_by or a node") from None
         if not np.isfinite(strength).all():
             raise DataError("edge strengths must be finite")
         return EstimatedGraph(adj, strength, sign, prov_tau, attained)

@@ -44,10 +44,10 @@ MIN_SOLVABLE_ROWS = 3
 
 @dataclass(frozen=True, eq=False)
 class NodeProblem:
-    """Everything step two needs for one node: response, predictors, link,
-    the mid-probabilities ``pi[i, h]`` of row i at threshold
-    ``logits.thresholds[h]`` (``midcdf.build_field``) and the threshold
-    logits they come from."""
+    """Everything step two needs for one node, read-only and nothing more:
+    response, predictors, link, the mid-probabilities ``pi[i, h]`` of row i
+    at threshold ``logits.thresholds[h]`` (``midcdf.build_field``) and the
+    threshold logits they come from."""
 
     node: int
     y: np.ndarray                 # (n,)
@@ -57,10 +57,6 @@ class NodeProblem:
     logits: ThresholdLogitSet
 
     def __post_init__(self):
-        # the read-only (intercepts, betas, work, converged) rows of the
-        # lambda paths already fitted, keyed by (tau, lambdas bytes); only
-        # ``selection.fit_qmgm`` fills it
-        object.__setattr__(self, "_paths", {})
         object.__setattr__(self, "y", _readonly(self.y))
         object.__setattr__(self, "pi", _readonly(self.pi))
         # one layout for every column order: numpy reductions add in an

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CoefficientCube, DataError, Dataset, EstimatedGraph,
-                   NONZERO_TOL, QuantileGrid, SIGN_UNDEFINED,
-                   _check_lambda_grid, _check_tolerance, _one_blas_thread,
-                   _readonly, quantile_loss)
+                   NONZERO_TOL, QuantileGrid, SIGN_UNDEFINED, _check_lambda_grid,
+                   _check_tolerance, _one_blas_thread, quantile_loss)
 from .midcdf import build_field, fit_threshold_logits
 from .penalized import NodeProblem, fit_lambda_paths
 
@@ -86,39 +85,40 @@ def build_problems(dataset: Dataset) -> list:
     return problems
 
 
+def fit_cube(problems: list, levels, lambdas) -> CoefficientCube:
+    """The cube of every problem's lambda paths at ``levels``, from one
+    ``penalized.fit_lambda_paths`` call; a ``simulate`` replication fits the
+    union of its learners' levels with it, and each learner takes a slice."""
+    intercepts, betas, work, converged = fit_lambda_paths(problems, levels, lambdas)
+    return CoefficientCube(intercepts, betas, lambdas, levels, converged, work)
+
+
 def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
-             problems: list | None = None) -> CoefficientCube:
+             fitted: CoefficientCube | None = None) -> CoefficientCube:
     """Fit penalized mid-quantile regressions for every node, level and
     lambda; lambdas must be finite, nonnegative and strictly decreasing
     (paths are warm-started), which is checked before any fitting.
 
-    ``problems`` may carry prebuilt per-node mid-CDF fits so several level
-    grids can share the expensive first step; without them the first step
-    runs here, once over all nodes (``build_problems``).  Shared problems
-    also share lambda paths: each problem keeps the paths fitted on it, and
-    a (node, level) path already fitted on the same lambda grid is reused,
-    not refitted, so nested level grids fit each distinct path once.
-    The levels some problem lacks are solved by the inverse route in one
-    ``penalized.fit_lambda_paths`` call on the (node, level) grid in this
-    process; each problem keeps its cells' four rows read-only, so a cached
-    path cannot change, and the cube stacks them by node and level.
+    Without ``fitted`` the first step (``build_problems``) and ``fit_cube``
+    run here.  Otherwise the cube is the slice of ``fitted``, a cube of the
+    same dataset, at the grid's levels: bit for bit the grid's own fit, as
+    a path depends only on its node, level and lambda grid.  A level or a
+    lambda grid that ``fitted`` lacks raises DataError.
     """
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
     levels = list(grid.levels)
-    if problems is None:
-        problems = build_problems(dataset)
-    keys = [(float(tau), lambdas.tobytes()) for tau in levels]
-    todo = [k for k in keys if any(k not in pr._paths for pr in problems)]
-    if todo:
-        fields = [_readonly(f) for f in fit_lambda_paths(problems, [k[0] for k in todo], lambdas)]
-        for j, pr in enumerate(problems):
-            for t, k in enumerate(todo):
-                pr._paths[k] = tuple(f[j, t] for f in fields)
-    intercepts, betas, work, converged = (
-        np.array([[pr._paths[k][f] for k in keys] for pr in problems]) for f in range(4))
-    return CoefficientCube(intercepts, betas, lambdas, levels, converged, work)
+    if fitted is None:
+        return fit_cube(build_problems(dataset), levels, lambdas)
+    if not np.array_equal(fitted.lambda_grid, lambdas):
+        raise DataError("the fitted cube has another lambda grid")
+    index = {float(tau): l for l, tau in enumerate(fitted.tau_levels)}
+    if not set(levels) <= set(index):
+        raise DataError(f"the fitted cube lacks levels {sorted(set(levels) - set(index))}")
+    at = [index[tau] for tau in levels]
+    return CoefficientCube(fitted.intercepts[:, at], fitted.betas[:, at], lambdas, levels,
+                           fitted.converged[:, at], fitted.iterations[:, at])
 
 
 def _coefficient_tensor(coefs: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from qmgm.core import DataError, NONZERO_TOL, NumericalError, _readonly
+from qmgm.core import DataError, NONZERO_TOL, _readonly
 from qmgm.midcdf import marginal_mid_quantile
 from qmgm.penalized import _link_transform
 
@@ -43,6 +43,10 @@ MAX_BACKTRACKS = 70
 
 # Output clamp for the interpolator when extrapolating beyond the grid.
 INTERP_CLIP = 1e-6
+
+
+class NumericalError(RuntimeError):
+    """The oracle's objective went non-finite: its fit cannot be trusted."""
 
 
 def segments(z: np.ndarray, pi: np.ndarray, eta: np.ndarray):

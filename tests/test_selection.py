@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import expit, xlogy
 
-from qmgm.benchmark import DgpVariant, default_lambda_grid, generate_sample
+from qmgm.benchmark import (DgpVariant, LearnerConfig, default_lambda_grid, generate_sample,
+                            run_replications)
 from qmgm.core import (CoefficientCube, DataError, Dataset, NONZERO_TOL,
                        SIGN_LABELS, VariableSpec, quantile_loss, standard_levels,
                        validate_and_standardize)
 from qmgm.mgm import deviance_losses, fit_mgm
-from qmgm import mgm, selection
+from qmgm import benchmark, mgm, selection
 from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                            edge_adjacencies, estimate_edge_set, fit_qmgm,
+                            edge_adjacencies, estimate_edge_set, fit_cube, fit_qmgm,
                             quantile_losses, score_path, select_lambda)
 
 from bruteforce import deviance_losses_reference, edge_set_reference, score_reference
@@ -254,8 +255,8 @@ def test_score_path_equals_blockwise_reference(seed):
     ds, _ = generate_sample(DgpVariant("main", 200, seed))
     ds = validate_and_standardize(ds)
     lambdas = default_lambda_grid(count=4)
-    problems = build_problems(ds)
-    fits = [(fit_qmgm(ds, standard_levels(L), lambdas, problems=problems),
+    octiles = fit_cube(build_problems(ds), standard_levels(7).levels, lambdas)
+    fits = [(fit_qmgm(ds, standard_levels(L), lambdas, fitted=octiles),
              quantile_losses, None) for L in (1, 3, 7)]
     fits.append((fit_mgm(ds, lambdas), deviance_losses,
                  deviance_losses_reference(ds)))
@@ -333,8 +334,7 @@ def test_select_lambda_affine_invariance(a, b):
 def test_fit_qmgm_cube_shape_and_selection(dgp_500):
     ds, _ = dgp_500
     lambdas = default_lambda_grid(count=8)
-    problems = build_problems(ds)
-    cube = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
+    cube = fit_qmgm(ds, standard_levels(3), lambdas)
     assert cube.betas.shape == (10, 3, 8, 9)
     assert np.all(np.isfinite(cube.intercepts)) and np.all(np.isfinite(cube.betas))
     crit = SelectionCriterion.from_name("bicp", ds.p)
@@ -348,8 +348,7 @@ def test_fit_qmgm_cube_shape_and_selection(dgp_500):
 def test_fit_qmgm_single_level_matches_grid_object(dgp_500):
     ds, _ = dgp_500
     lambdas = default_lambda_grid(count=4)
-    problems = build_problems(ds)
-    c1 = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems)
+    c1 = fit_qmgm(ds, standard_levels(1), lambdas)
     assert c1.tau_levels == pytest.approx([0.5])
     assert c1.betas.shape[1] == 1
 
@@ -362,42 +361,48 @@ def assert_same_cube(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_nested_level_grids_fit_each_distinct_path_once(dgp_500, monkeypatch):
-    # qmgm1, qmgm3 and qmgm7 on shared problems: the cubes equal fits on
-    # fresh problems bit for bit, and only the 7 distinct levels of the
-    # nested grids are fitted per node
-    ds, _ = dgp_500
-    lambdas = default_lambda_grid(count=5)
-    grids = [standard_levels(k) for k in (1, 3, 7)]
-    fresh = [fit_qmgm(ds, g, lambdas, problems=build_problems(ds)) for g in grids]
-    calls = []
-    real = selection.fit_lambda_paths
+@pytest.mark.parametrize("learners", [("qmgm1", "qmgm3", "qmgm7", "mgm"), ("qmgm7", "qmgm5")],
+                         ids=["nested", "not_nested"])
+def test_replication_fits_the_union_of_its_levels_once(learners, monkeypatch):
+    # one fit_lambda_paths call at the sorted union of the learners' levels,
+    # then one fit_qmgm call per qmgm learner, in learner order, each giving
+    # the cube a fresh fit on its own grid gives, in all four fields
+    variant, lambdas = DgpVariant("main", 200, 3), default_lambda_grid(count=4)
+    ds = validate_and_standardize(generate_sample(variant)[0])
+    grids = [LearnerConfig.from_name(name).levels for name in learners if name != "mgm"]
+    fresh = [fit_qmgm(ds, grid, lambdas) for grid in grids]
+    taus, cubes = [], []
+    real_paths, real_fit = selection.fit_lambda_paths, benchmark.fit_qmgm
 
-    def counted(problems, taus, *args, **kwargs):
-        calls.extend((problem.node, tau) for problem in problems for tau in taus)
-        return real(problems, taus, *args, **kwargs)
+    def counted(problems, levels, *args):
+        taus.append(list(levels))
+        return real_paths(problems, levels, *args)
+
+    def kept(dataset, grid, *args, **kwargs):
+        cubes.append(real_fit(dataset, grid, *args, **kwargs))
+        return cubes[-1]
 
     monkeypatch.setattr(selection, "fit_lambda_paths", counted)
-    problems = build_problems(ds)
-    for grid, want in zip(grids, fresh):
-        assert_same_cube(fit_qmgm(ds, grid, lambdas, problems=problems), want)
-    assert len(calls) == len(set(calls)) == ds.p * 7
-    # another lambda grid is another path
-    fit_qmgm(ds, grids[0], lambdas[:3], problems=problems)
-    assert len(calls) == ds.p * 8
+    monkeypatch.setattr(benchmark, "fit_qmgm", kept)
+    run = run_replications(learners, variant, 1, lambdas=lambdas, criteria=("bic",))
+    assert not run.failures
+    assert taus == [sorted({tau for grid in grids for tau in grid.levels})]
+    assert [cube.tau_levels.tolist() for cube in cubes] == [list(g.levels) for g in grids]
+    for cube, want in zip(cubes, fresh):
+        assert_same_cube(cube, want)
 
 
-def test_memoized_paths_serve_a_later_fit(dgp_500, monkeypatch):
+def test_fitted_cube_without_the_levels_or_lambdas_is_a_data_error(dgp_500):
     ds, _ = dgp_500
-    lambdas = default_lambda_grid(count=5)
-    problems = build_problems(ds)
-    first = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
-    monkeypatch.setattr(selection, "fit_lambda_paths", None)   # nothing is refitted
-    again = fit_qmgm(ds, standard_levels(3), lambdas, problems=problems)
-    assert_same_cube(first, again)
-    median = fit_qmgm(ds, standard_levels(1), lambdas, problems=problems)
-    for name in CUBE_FIELDS:
-        assert np.array_equal(getattr(median, name), getattr(again, name)[:, 1:2]), name
+    lambdas = default_lambda_grid(count=3)
+    fitted = fit_cube(build_problems(ds), standard_levels(3).levels, lambdas)
+    assert_same_cube(fit_qmgm(ds, standard_levels(1), lambdas, fitted=fitted),
+                     fit_qmgm(ds, standard_levels(1), lambdas))
+    with pytest.raises(DataError, match=r"lacks levels \[0.125, 0.375"):
+        fit_qmgm(ds, standard_levels(7), lambdas, fitted=fitted)
+    for other in (lambdas[:2], 0.5 * lambdas):
+        with pytest.raises(DataError, match="another lambda grid"):
+            fit_qmgm(ds, standard_levels(1), other, fitted=fitted)
 
 
 def test_independent_appendix_columns_stay_disconnected():

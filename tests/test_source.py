@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import builtins
 import dataclasses
 import importlib
 import pathlib
@@ -235,3 +236,121 @@ def test_unresolved_names_are_found():
 def test_readme_names_resolve():
     # a README that names a removed function or record misleads its reader
     assert unresolved_names(README.read_text(encoding="utf-8")) == []
+
+
+def _names_of(node) -> set:
+    """Class names a raise or base-class expression names: E, E(...) or m.E."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def unraised_exceptions(trees: dict) -> list:
+    """(file, class) for every exception class defined in ``trees`` (file
+    name -> parsed source) that no ``raise`` in ``trees`` raises.  A class is
+    an exception class when a base is a builtin exception or another
+    exception class of ``trees``."""
+    classes = [(file, node) for file, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
+    grown = True
+    while grown:
+        found = {node.name for _, node in classes
+                 if any(_names_of(base) & exceptions for base in node.bases)}
+        grown = not found <= exceptions
+        exceptions |= found
+    raised = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                raised |= _names_of(n.exc)
+    return sorted((file, node.name) for file, node in classes
+                  if node.name in exceptions and node.name not in raised)
+
+
+def test_unraised_exceptions_are_found():
+    trees = {"a.py": ast.parse("class AError(ValueError):\n    pass\n"
+                               "class BError(AError):\n    pass\n"
+                               "class Lone(RuntimeError):\n    pass\n"
+                               "class Plain:\n    pass\n"
+                               "def f():\n    raise AError('x')\n"),
+             "b.py": ast.parse("import a\ndef g():\n    raise a.BError\n"
+                               "class Unused(a.AError):\n    pass\n")}
+    assert unraised_exceptions(trees) == [("a.py", "Lone"), ("b.py", "Unused")]
+
+
+def test_every_exception_class_is_raised_in_the_package():
+    # an error class that only tests raise belongs in the tests
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SOURCE.glob("*.py"))}
+    assert unraised_exceptions(trees) == []
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and _names_of(d.func) == {"dataclass"}
+               and any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                       and k.value.value is True for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def undeclared_frozen_attributes(trees: dict) -> list:
+    """(file, class, attribute) for every ``object.__setattr__`` in a frozen
+    dataclass of ``trees`` (file name -> parsed source) that sets no
+    declared field.  The attribute is a string constant or a loop variable
+    over a literal tuple or list of them; any other name expression is
+    reported as ``?``."""
+    found = []
+    for file, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_frozen_dataclass(cls)):
+                continue
+            fields = {n.target.id for n in cls.body
+                      if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+            loops = {n.target.id: [e.value for e in n.iter.elts]
+                     for n in ast.walk(cls)
+                     if isinstance(n, ast.For) and isinstance(n.target, ast.Name)
+                     and isinstance(n.iter, (ast.Tuple, ast.List))
+                     and all(isinstance(e, ast.Constant) for e in n.iter.elts)}
+            for n in ast.walk(cls):
+                if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "__setattr__" and _names_of(n.func.value) == {"object"}
+                        and len(n.args) >= 2):
+                    continue
+                name = n.args[1]
+                if isinstance(name, ast.Constant):
+                    names = [name.value]
+                elif isinstance(name, ast.Name) and name.id in loops:
+                    names = loops[name.id]
+                else:
+                    names = ["?"]
+                found += [(file, cls.name, attr) for attr in names if attr not in fields]
+    return sorted(found)
+
+
+def test_undeclared_frozen_attributes_are_found():
+    trees = {"a.py": ast.parse(
+        "@dataclass(frozen=True, eq=False)\nclass A:\n    x: int\n    y: int\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "        object.__setattr__(self, '_memo', {})\n"
+        "        for name in ('y', 'z'):\n"
+        "            object.__setattr__(self, name, 0)\n"
+        "        object.__setattr__(self, 'y' + '', 0)\n"
+        "@dataclass\nclass B:\n    x: int\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, '_free', 0)\n")}
+    assert undeclared_frozen_attributes(trees) == [("a.py", "A", "?"), ("a.py", "A", "_memo"),
+                                                   ("a.py", "A", "z")]
+
+
+def test_frozen_dataclasses_set_only_their_fields():
+    # a frozen record holds its declared fields; a cache planted beside
+    # them is state that its equality and its readers do not see
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SOURCE.glob("*.py"))}
+    assert undeclared_frozen_attributes(trees) == []

@@ -24,6 +24,14 @@ MAX_THRESHOLDS = 100
 # |beta| above this counts as a nonzero coefficient (edge evidence).
 NONZERO_TOL = 1e-6
 
+# Newton/IRLS safeguards shared by stage 1 and the mgm count nodes: the
+# iteration cap, the largest |step| that settles a fit, how far fitted
+# means stay inside their range, and the linear predictor's clip before exp.
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-8
+MU_CLIP = 1e-10
+LP_CLIP = 30.0
+
 SIGN_ABSENT = 0
 SIGN_POSITIVE = 1
 SIGN_NEGATIVE = -1

@@ -204,14 +204,18 @@ class GraphDocument:
                 raise DataError(f"edge {e['source']} -- {e['target']} is listed twice")
             adj[a, b] = adj[b, a] = True
             try:
-                strength[a, b] = strength[b, a] = e["strength"]
+                # a JSON number: not text numpy would parse, nor a bool
+                value = e["strength"]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError
+                strength[a, b] = strength[b, a] = value
                 sign[a, b] = sign[b, a] = SIGN_CODES[e["sign"]]
                 tau, owner = e.get("tau"), e.get("attained_by")
                 if tau is not None and not 0.0 < tau < 1.0:
                     raise ValueError
                 prov_tau[a, b] = prov_tau[b, a] = np.nan if tau is None else tau
                 attained[a, b] = attained[b, a] = -1 if owner is None else index[owner]
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise DataError(f"edge {e['source']} -- {e['target']} needs a numeric strength, "
                                 "a positive, negative or undefined sign, a null tau or one "
                                 "inside (0, 1), and a null attained_by or a node") from None

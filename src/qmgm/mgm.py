@@ -1,20 +1,20 @@
 """Mean-based mixed graphical model baseline: per-node L1-penalized GLM
 neighborhood regressions (gaussian, binomial or poisson by variable kind),
 stored as a one-level coefficient cube so the shared edge-extraction and
-scoring machinery applies unchanged.  ``fit_mgm`` is the one entry point."""
+scoring machinery applies unchanged.  ``fit_mgm`` is the one entry point.
+The count nodes' proximal Newton shares its iteration cap, tolerance and
+clips with stage 1's threshold logits (``core.IRLS_MAX_ITER``,
+``IRLS_TOL``, ``MU_CLIP`` and ``LP_CLIP``)."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .core import CoefficientCube, DataError, Dataset, _check_lambda_grid
+from .core import (IRLS_MAX_ITER, IRLS_TOL, LP_CLIP, MU_CLIP, CoefficientCube, DataError,
+                   Dataset, _check_lambda_grid)
 from .lasso import wls_gram, wls_paths
 from .penalized import penalized_wls
-
-OUTER_MAX_ITER = 100
-OUTER_TOL = 1e-8
-LP_CLIP = 30.0
 
 FAMILY_BY_KIND = {
     "continuous": "gaussian",
@@ -41,11 +41,11 @@ def glm_deviance(family: str, y: np.ndarray, mu: np.ndarray):
     if family == "gaussian":
         return np.sum((y - mu) ** 2, axis=-1)
     if family == "binomial":
-        mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
+        mu = np.clip(mu, MU_CLIP, 1.0 - MU_CLIP)
         dev = xlogy(y, y / mu) + xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))
         return 2.0 * np.sum(dev, axis=-1)
     if family == "poisson":
-        mu = np.clip(mu, 1e-10, None)
+        mu = np.clip(mu, MU_CLIP, None)
         return 2.0 * np.sum(xlogy(y, y / mu) - (y - mu), axis=-1)
     raise DataError(f"unknown GLM family {family!r}")
 
@@ -74,14 +74,14 @@ def _count_paths(X, y, families, lambdas):
     X, y, binomial = X[count], y[count], families[count] == "binomial"
     P, M, m = len(X), lambdas.size, X.shape[2]
     intercepts, betas = np.zeros((P, M)), np.zeros((P, M, m))
-    work, converged = np.full((P, M), OUTER_MAX_ITER), np.zeros((P, M), dtype=bool)
+    work, converged = np.full((P, M), IRLS_MAX_ITER), np.zeros((P, M), dtype=bool)
     # start at the intercept-only fits: the canonical link of each clamped mean
-    mean = np.clip(y.mean(axis=1), 1e-10, np.where(binomial, 1 - 1e-10, np.inf))
+    mean = np.clip(y.mean(axis=1), MU_CLIP, np.where(binomial, 1 - MU_CLIP, np.inf))
     b0 = np.log(mean / np.where(binomial, 1 - mean, 1.0))
     beta = np.zeros((P, m))
     for i, lam in enumerate(lambdas):
         run = np.arange(P)
-        for it in range(1, OUTER_MAX_ITER + 1):
+        for it in range(1, IRLS_MAX_ITER + 1):
             lp = b0[run, None] + np.matmul(X[run], beta[run, :, None])[:, :, 0]
             mu = _count_mean(binomial[run, None], lp)
             w = np.clip(np.where(binomial[run, None], mu * (1.0 - mu), mu), 1e-6, None)
@@ -90,7 +90,7 @@ def _count_paths(X, y, families, lambdas):
             delta = np.maximum(np.abs(nb0 - b0[run]),
                                np.abs(nbeta - beta[run]).max(axis=1, initial=0.0))
             b0[run], beta[run] = nb0, nbeta
-            settled = delta < OUTER_TOL
+            settled = delta < IRLS_TOL
             converged[run[settled], i] = inner_conv[settled]
             work[run[settled], i] = it
             run = run[~settled]

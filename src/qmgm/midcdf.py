@@ -12,6 +12,11 @@ whose piecewise-linear interpolation over the thresholds is the continuous
 mid-CDF surrogate used by the penalized fit.  ``fit_threshold_logits`` fits
 every node of a dataset in one stacked solve, and ``build_field`` returns
 the (n, k) mid-probability array of one node's rows.
+
+The Newton loop shares its iteration cap, tolerance and clips with the
+mgm count nodes (``core.IRLS_MAX_ITER``, ``IRLS_TOL``, ``MU_CLIP`` and
+``LP_CLIP``) and solves its stacked steps with the lasso kernel's
+``_stacked_solve``; its ridge and its CDF clip are its own.
 """
 
 from __future__ import annotations
@@ -21,16 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import DataError, Dataset, _readonly
+from .core import IRLS_MAX_ITER, IRLS_TOL, LP_CLIP, MU_CLIP, DataError, Dataset, _readonly
+from .lasso import _stacked_solve
 
-IRLS_MAX_ITER = 100
-IRLS_TOL = 1e-8
 IRLS_RIDGE = 1e-6
-
-# The Newton loop keeps fitted probabilities this far inside (0, 1), and
-# clips the linear predictor to +-EXP_CLIP before exponentiating it.
-MU_CLIP = 1e-10
-EXP_CLIP = 40.0
 
 # Fitted CDF values are kept this far inside (0, 1); the degenerate top
 # threshold (indicator identically one) is stored as exactly 1.
@@ -130,9 +129,9 @@ def _logit_set(node, z, degenerate, coefs, converged) -> ThresholdLogitSet:
 def _clipped_sigmoid(eta):
     """Overwrite eta with 1 / (1 + exp(-eta)) clipped to [MU_CLIP,
     1 - MU_CLIP], and return it: np.clip(expit(eta), ...) within 2 ulp, on
-    NumPy's vectorized exp.  Past +-EXP_CLIP the result already sits at a
+    NumPy's vectorized exp.  Past +-LP_CLIP the result already sits at a
     clip bound, so eta is clipped there first and exp cannot overflow."""
-    np.clip(eta, -EXP_CLIP, EXP_CLIP, out=eta)
+    np.clip(eta, -LP_CLIP, LP_CLIP, out=eta)
     np.negative(eta, out=eta)
     np.exp(eta, out=eta)
     eta += 1.0
@@ -152,9 +151,11 @@ def _stacked_newton(X1, T, pinned):
     damps each step without moving the maximum-likelihood fixed point (the
     step solves (X1'WX1 + ridge I) d = X1'(t - mu)).  ``pinned[r]`` is a
     column that row r holds at exactly zero: an identity row and column in
-    its Hessian and a zero gradient entry.  A row stops on
-    its own step size; one that reaches IRLS_MAX_ITER keeps its last
-    iterate and is flagged unconverged.
+    its Hessian and a zero gradient entry.  The steps come from one
+    ``_stacked_solve``; a row whose Hessian it finds singular (a NaN step)
+    takes the least-squares step instead.  A row stops on its own step
+    size; one that reaches IRLS_MAX_ITER keeps its last iterate and is
+    flagged unconverged.
     """
     rows, n = T.shape
     q = X1.shape[1]
@@ -189,7 +190,10 @@ def _stacked_newton(X1, T, pinned):
         H[at, :, pinned] = 0.0
         H[at, pinned, pinned] = 1.0
         g[at, pinned] = 0.0
-        step = _newton_steps(H, g)
+        step = _stacked_solve(H, g)
+        # a singular Hessian's step is NaN throughout: one column tells
+        for s in np.flatnonzero(np.isnan(step[:, 0])):
+            step[s] = np.linalg.lstsq(H[s], g[s], rcond=None)[0]
         C += step
         done = np.max(np.abs(step), axis=1) < IRLS_TOL
         if done.any():
@@ -199,22 +203,6 @@ def _stacked_newton(X1, T, pinned):
             live, C, T, pinned = live[keep], C[keep], T[keep], pinned[keep]
     coefs[live] = C
     return coefs, converged
-
-
-def _newton_steps(H, g):
-    """Solve H[s] d[s] = g[s] for every slice; a singular slice falls back
-    to least squares."""
-    try:
-        return np.linalg.solve(H, g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
-    steps = np.empty_like(g)
-    for s in range(g.shape[0]):
-        try:
-            steps[s] = np.linalg.solve(H[s], g[s])
-        except np.linalg.LinAlgError:
-            steps[s] = np.linalg.lstsq(H[s], g[s], rcond=None)[0]
-    return steps
 
 
 def _raw_cdf_matrix(logits: ThresholdLogitSet, X: np.ndarray) -> np.ndarray:

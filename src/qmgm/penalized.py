@@ -49,7 +49,6 @@ class NodeProblem:
     at threshold ``logits.thresholds[h]`` (``midcdf.build_field``) and the
     threshold logits they come from."""
 
-    node: int
     y: np.ndarray                 # (n,)
     X: np.ndarray                 # (n, m)
     link: str

@@ -80,7 +80,7 @@ def build_problems(dataset: Dataset) -> list:
         for logits in fit_threshold_logits(dataset):
             j = logits.node
             X = np.delete(values, j, axis=1)
-            problems.append(NodeProblem(j, values[:, j], X, dataset.schema[j].link,
+            problems.append(NodeProblem(values[:, j], X, dataset.schema[j].link,
                                         build_field(logits, X), logits))
     return problems
 

@@ -243,7 +243,7 @@ def intercept_only_problem(sample, link):
     X = np.zeros((y.size, 0))
     z = derive_threshold_grid(y)
     logits = ThresholdLogitSet(0, z, *logistic_irls_reference(y, X, z))
-    return NodeProblem(0, y, X, link, build_field(logits, X), logits)
+    return NodeProblem(y, X, link, build_field(logits, X), logits)
 
 
 BIC_EPS_GUARD = 1e-12

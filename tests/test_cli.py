@@ -630,6 +630,9 @@ EDGE = {"source": "a", "target": "b", "strength": 1.0, "sign": "positive",
     ("centrality", _document_text([EDGE, dict(EDGE, source="b", target="a", strength=2.0,
                                               sign="negative")])),
     ("centrality", _document_text([dict(EDGE, strength=float("inf"))])),
+    ("centrality", _document_text([dict(EDGE, strength="0.7")])),
+    ("centrality", _document_text([dict(EDGE, strength=True)])),
+    ("centrality", _document_text([dict(EDGE, strength=10 ** 400)])),
     ("centrality", _document_text([dict(EDGE, tau=7.5)])),
     ("centrality", _document_text([dict(EDGE, tau=0.0)])),
     ("centrality", _document_text([dict(EDGE, tau=1.0)])),
@@ -642,7 +645,8 @@ EDGE = {"source": "a", "target": "b", "strength": 1.0, "sign": "positive",
         "metrics_unknown_sign", "hamming_unknown_sign", "metrics_text_strength",
         "hamming_text_strength", "metrics_no_strength", "hamming_no_strength",
         "metrics_self_loop", "hamming_self_loop", "pair_listed_twice",
-        "infinite_strength", "tau_above_one", "tau_zero", "tau_one", "nan_tau", "text_tau",
+        "infinite_strength", "numeric_text_strength", "boolean_strength",
+        "huge_integer_strength", "tau_above_one", "tau_zero", "tau_one", "nan_tau", "text_tau",
         "unknown_attained_by", "numeric_attained_by"])
 def test_malformed_graph_document_is_a_data_error(tmp_path, capsys, command, text):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -253,7 +253,7 @@ def test_path_unconverged_when_inner_solves_stop_early(tiny_mixed, monkeypatch):
         fam = FAMILY_BY_KIND[tiny_mixed.schema[j].kind]
         assert not cut.converged[j, 0, -1], fam
         if fam != "gaussian":
-            assert cut.iterations[j, 0, -1] < mgm.OUTER_MAX_ITER, fam
+            assert cut.iterations[j, 0, -1] < mgm.IRLS_MAX_ITER, fam
 
 
 def test_fit_mgm_rejects_a_bad_grid(tiny_mixed):

@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.special import expit
 
 from qmgm.benchmark import DgpVariant, generate_sample
-from qmgm.core import Dataset, VariableSpec, validate_and_standardize
+from qmgm.core import LP_CLIP, Dataset, VariableSpec, validate_and_standardize
 from qmgm.midcdf import (ThresholdLogitSet, _clipped_sigmoid, build_field,
                          fit_threshold_logits, marginal_mid_cdf,
                          marginal_mid_quantile, rearrange_monotone)
@@ -309,6 +309,12 @@ def test_stacked_threshold_logits_match_reference(case, monkeypatch):
 
 # where the logistic function is within MU_CLIP of 0 or 1, the clip binds
 CLIP_BINDS = 23.1
+
+
+def test_shared_lp_clip_sits_where_the_mean_clip_binds():
+    # stage 1 clips its linear predictor at the LP_CLIP it shares with the
+    # mgm count nodes; any clip at or past CLIP_BINDS gives the same bits
+    assert LP_CLIP >= CLIP_BINDS
 
 
 @given(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40))

@@ -204,21 +204,20 @@ def test_path_empties_exactly_at_max_abs_c(problems):
     for pr in problems:
         for tau in (0.125, 0.25, 0.5, 0.75, 0.875):
             t, solvable = targets_at(pr, tau)
-            assert solvable.sum() >= 2, (pr.node, tau)
+            assert solvable.sum() >= 2, (pr.logits.node, tau)
             _, c, ok, _, _ = wls_gram(pr.X[None], solvable[None].astype(float), t[None])
             lmax = float(np.abs(c[ok]).max())
             at = lone_path(pr, tau, [lmax]).betas[0]
-            assert not at.any(), (pr.node, tau)
+            assert not at.any(), (pr.logits.node, tau)
             below = lone_path(pr, tau, [lmax * (1 - 1e-6)]).betas[0]
-            assert np.count_nonzero(below) == 1, (pr.node, tau)
+            assert np.count_nonzero(below) == 1, (pr.logits.node, tau)
 
 
 def test_permutation_equivariance(problems):
     pr = problems[3]
     rng = np.random.default_rng(9)
     perm = rng.permutation(pr.m)
-    permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.pi,
-                           pr.logits)
+    permuted = NodeProblem(pr.y, pr.X[:, perm], pr.link, pr.pi, pr.logits)
     # production route: the convex subproblem has a unique optimum
     a = lone_path(pr, 0.5, [0.05])
     b = lone_path(permuted, 0.5, [0.05])
@@ -252,12 +251,10 @@ def test_column_layout_and_order_do_not_steer_arithmetic(problems):
     # a Fortran-ordered X must be stored like a C-ordered one: numpy's
     # reductions add in an order that follows the memory layout
     pr = problems[3]
-    fortran = NodeProblem(pr.node, pr.y, np.asfortranarray(pr.X), pr.link,
-                          pr.pi, pr.logits)
+    fortran = NodeProblem(pr.y, np.asfortranarray(pr.X), pr.link, pr.pi, pr.logits)
     rng = np.random.default_rng(21)
     perm = rng.permutation(pr.m)
-    permuted = NodeProblem(pr.node, pr.y, pr.X[:, perm], pr.link, pr.pi,
-                           pr.logits)
+    permuted = NodeProblem(pr.y, pr.X[:, perm], pr.link, pr.pi, pr.logits)
     base = null_fit(pr, 0.5).intercept
     for zeros in (0, 3, 6):
         b0 = base + rng.normal(scale=0.05)

@@ -354,3 +354,50 @@ def test_frozen_dataclasses_set_only_their_fields():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(SOURCE.glob("*.py"))}
     assert undeclared_frozen_attributes(trees) == []
+
+
+def solve_calls(trees: dict) -> list:
+    """(file, function, line) of every ``np.linalg.solve`` call (any
+    ``<module>.linalg.solve(...)``) in ``trees`` (file name -> parsed
+    source), in source order; ``function`` is the dotted name of the
+    innermost enclosing def or class, ``<module>`` at the top level."""
+    found = []
+
+    def visit(node, file, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, file, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "solve"
+                    and isinstance(child.func.value, ast.Attribute)
+                    and child.func.value.attr == "linalg"):
+                found.append((file, where, child.lineno))
+            visit(child, file, where)
+
+    for file, tree in trees.items():
+        visit(tree, file, "<module>")
+    return found
+
+
+def test_solve_calls_are_found():
+    trees = {"a.py": ast.parse("import numpy as np\n"
+                               "def f(A, b):\n    return np.linalg.solve(A, b)\n"
+                               "class K:\n"
+                               "    def m(self, A, b):\n"
+                               "        def inner():\n"
+                               "            return numpy.linalg.solve(A, np.linalg.solve(A, b))\n"
+                               "        return inner\n"
+                               "x = np.linalg.solve(A, b)\n"
+                               "def g(A, b):\n    return np.linalg.lstsq(A, b), solve(A, b)\n")}
+    assert solve_calls(trees) == [("a.py", "f", 3), ("a.py", "K.m.inner", 7),
+                                  ("a.py", "K.m.inner", 7), ("a.py", "<module>", 9)]
+
+
+def test_every_linear_solve_is_the_kernels_stacked_solve():
+    # stage 1 and the lasso kernel share one stacked solve and its
+    # singular-block handling; a second copy would drift from it
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SOURCE.glob("*.py"))}
+    calls = solve_calls(trees)
+    assert calls and all(call[:2] == ("lasso.py", "_stacked_solve") for call in calls)

@@ -212,11 +212,11 @@ def default_lambda_grid(lo: float = 0.001, hi: float = 5.0, count: int = 50) -> 
 
 
 def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
-                lambdas, criteria=CRITERION_NAMES, *,
-                nonzero_tol: float = NONZERO_TOL, fitted=None) -> dict:
-    """Fit one learner on one dataset: path AUC plus per-criterion selection.
-    A qmgm learner slices ``fitted``, a cube of the dataset at a superset of
-    its levels, when given (``fit_qmgm``); ``seconds`` excludes fitting it."""
+                lambdas, *, nonzero_tol: float, fitted) -> dict:
+    """Fit one learner on one dataset: path AUC plus the selection of every
+    criterion in ``CRITERION_NAMES``.  A qmgm learner slices ``fitted``, a
+    cube of the dataset at a superset of its levels, when given
+    (``fit_qmgm``); ``seconds`` excludes fitting it."""
     start = time.perf_counter()
     if learner.kind == "qmgm":
         cube = fit_qmgm(dataset, learner.levels, lambdas, fitted=fitted)
@@ -226,10 +226,10 @@ def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
         losses = deviance_losses(cube, dataset)
     adjacencies = edge_adjacencies(cube, nonzero_tol)
     _, auc = roc_curve(truth, adjacencies)
-    crits = [SelectionCriterion.from_name(cname, dataset.p) for cname in criteria]
+    crits = [SelectionCriterion.from_name(cname, dataset.p) for cname in CRITERION_NAMES]
     scores = score_path(cube, losses, crits, dataset.n, nonzero_tol=nonzero_tol)
     by_criterion = {}
-    for cname, row in zip(criteria, scores):
+    for cname, row in zip(CRITERION_NAMES, scores):
         mi, lam = select_lambda(row, lambdas)
         rec = asdict(confusion_metrics(truth, adjacencies[mi]))
         rec["edges"] = int(np.triu(adjacencies[mi], 1).sum())
@@ -240,13 +240,13 @@ def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
 
 
 def _replication_worker(args):
-    index, variant, learners, lambdas, criteria, nonzero_tol, sample_fn = args
+    index, variant, learners, lambdas, nonzero_tol, sample_fn = args
     try:
         dataset, truth = (sample_fn or generate_sample)(variant)
         dataset = validate_and_standardize(dataset)
         levels = sorted({tau for lc in learners if lc.kind == "qmgm" for tau in lc.levels.levels})
         fitted = fit_cube(build_problems(dataset), levels, lambdas) if levels else None
-        record = {lc.name: run_learner(dataset, truth, lc, lambdas, criteria,
+        record = {lc.name: run_learner(dataset, truth, lc, lambdas,
                                        nonzero_tol=nonzero_tol, fitted=fitted)
                   for lc in learners}
         return index, variant.seed, record, None
@@ -287,7 +287,6 @@ class BenchmarkRun:
     variant: DgpVariant    # replication r ran on seed variant.seed + r
     R: int
     learner_names: tuple
-    criteria: tuple
     lambdas: np.ndarray
     tolerance: float       # edge tolerance of every edge set and score
     records: list          # (index, seed, record) for successes
@@ -311,7 +310,7 @@ class BenchmarkRun:
             rows.append(self._row(learner, "path", "auc", lambda r: r["auc"]))
             rows += [self._row(learner, cname, metric,
                                lambda r: r["criteria"][cname][metric])
-                     for cname in self.criteria for metric in METRIC_FIELDS]
+                     for cname in CRITERION_NAMES for metric in METRIC_FIELDS]
         return rows
 
     def timing_rows(self) -> list:
@@ -327,7 +326,7 @@ class BenchmarkRun:
                 rows.append({"replication": index, "seed": seed,
                              "learner": learner, "criterion": "path",
                              "metric": "auc", "value": rec[learner]["auc"]})
-                for cname in self.criteria:
+                for cname in CRITERION_NAMES:
                     crit = rec[learner]["criteria"][cname]
                     for metric in METRIC_FIELDS + ("lambda",):
                         rows.append({"replication": index, "seed": seed,
@@ -340,7 +339,7 @@ class BenchmarkRun:
             "variant": self.variant.kind, "n": self.variant.n,
             "seed": self.variant.seed,
             "R": self.R, "learners": list(self.learner_names),
-            "criteria": list(self.criteria),
+            "criteria": list(CRITERION_NAMES),
             "lambdas": [float(v) for v in self.lambdas],
             "tolerance": self.tolerance,
         }
@@ -377,7 +376,7 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
         f"R: {run.R}",
         f"base_seed: {seed}",
         f"learners: {','.join(run.learner_names)}",
-        f"criteria: {','.join(run.criteria)}",
+        f"criteria: {','.join(CRITERION_NAMES)}",
         f"lambda_grid: max={lam[0]:.12g} min={lam[-1]:.12g} count={lam.size}",
         f"tolerance: {run.tolerance:.12g}",
         f"threads: {threads}",
@@ -390,11 +389,11 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
         fh.write("\n".join(manifest) + "\n")
 
 
-def run_replications(learner_names, variant: DgpVariant, R: int, *,
-                     lambdas=None, criteria=CRITERION_NAMES,
+def run_replications(learner_names, variant: DgpVariant, R: int, *, lambdas,
                      nonzero_tol: float = NONZERO_TOL, threads: int = 1,
                      sample_fn=None) -> BenchmarkRun:
-    """Run R Monte Carlo replications (replication r uses seed base + r).
+    """Run R Monte Carlo replications (replication r uses seed base + r),
+    each scoring every criterion in ``CRITERION_NAMES`` along ``lambdas``.
 
     Individual replication failures are recorded and excluded from the
     summaries.  With ``threads`` > 1 the replications run in a process pool
@@ -406,18 +405,17 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *,
     _check_tolerance(nonzero_tol)
     if R < 1:
         raise DataError("R must be >= 1")
-    lambdas = default_lambda_grid() if lambdas is None else _check_lambda_grid(lambdas)
+    lambdas = _check_lambda_grid(lambdas)
     learners = tuple(LearnerConfig.from_name(nm) for nm in learner_names)
     if len({lc.name for lc in learners}) < len(learners):
         raise DataError(f"a learner is given more than once: {','.join(learner_names)}")
-    criteria = tuple(criteria)
     tasks = [(r, replace(variant, seed=variant.seed + r), learners, lambdas,
-              criteria, nonzero_tol, sample_fn) for r in range(R)]
+              nonzero_tol, sample_fn) for r in range(R)]
     records, failures = [], []
     for index, seed, record, error in _pool_map(_replication_worker, tasks, threads):
         if error is None:
             records.append((index, seed, record))
         else:
             failures.append((index, seed, error))
-    return BenchmarkRun(variant, R, tuple(lc.name for lc in learners), criteria,
-                        lambdas, float(nonzero_tol), records, failures)
+    return BenchmarkRun(variant, R, tuple(lc.name for lc in learners), lambdas,
+                        float(nonzero_tol), records, failures)

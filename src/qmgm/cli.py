@@ -15,8 +15,8 @@ from .analysis import (_check_knn_k, centrality, hamming_distance, knn_impute,
                        weighted_centrality)
 from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
                         run_replications, write_outputs)
-from .core import DataError, QuantileGrid, _check_threads, _check_tolerance, \
-    standard_levels, validate_and_standardize
+from .core import DataError, NONZERO_TOL, QuantileGrid, _check_threads, \
+    _check_tolerance, standard_levels, validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
                  render_dot, save_csv)
 from .selection import (CRITERION_NAMES, SelectionCriterion, estimate_edge_set,
@@ -47,7 +47,7 @@ def _add_shared(parser, lambda_count: int):
     parser.add_argument("--lambda-max", type=float, default=5.0)
     parser.add_argument("--lambda-count", type=int, default=lambda_count)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--tolerance", type=float, default=1e-6,
+    parser.add_argument("--tolerance", type=float, default=NONZERO_TOL,
                         help="absolute coefficient size that counts as an edge")
     parser.add_argument("--output", default=None)
 

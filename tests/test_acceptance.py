@@ -90,7 +90,7 @@ def _null_sample(variant):
 def test_criterion_4_null_structure():
     run = run_replications(["qmgm7"], DgpVariant("main", 1000, 100), 20,
                            lambdas=default_lambda_grid(0.001, 5.0, 50),
-                           criteria=("bicp",), threads=2,
+                           threads=2,
                            sample_fn=_null_sample)
     assert not run.failures
     edges = summary_value(run, "qmgm7", "bicp", "edges")

@@ -246,7 +246,7 @@ def test_default_lambda_grid_rejects_non_finite_bounds(lo, hi):
 def test_run_replications_single_equals_summary():
     lambdas = default_lambda_grid(count=6)
     run = run_replications(["mgm"], DgpVariant("main", 120, 3), 1,
-                           lambdas=lambdas, criteria=("bicp",))
+                           lambdas=lambdas)
     rows = run.summary_rows()
     _, _, rec = run.records[0]
     auc_row = next(r for r in rows if r["metric"] == "auc")
@@ -256,7 +256,7 @@ def test_run_replications_single_equals_summary():
 
 def test_run_replications_deterministic_and_thread_invariant():
     lambdas = default_lambda_grid(count=5)
-    kw = dict(lambdas=lambdas, criteria=("aic", "bicp"))
+    kw = dict(lambdas=lambdas)
     a = run_replications(["qmgm1"], DgpVariant("main", 100, 9), 3, **kw)
     b = run_replications(["qmgm1"], DgpVariant("main", 100, 9), 3, **kw)
     c = run_replications(["qmgm1"], DgpVariant("main", 100, 9), 3, threads=2, **kw)
@@ -278,7 +278,7 @@ def _constant_column_sample(variant):
 def test_run_replications_records_failures():
     # every replication fails validation and is recorded rather than raised
     run = run_replications(["mgm"], DgpVariant("main", 60, 1), 2,
-                           lambdas=[0.5], criteria=("bic",),
+                           lambdas=[0.5],
                            sample_fn=_constant_column_sample)
     assert len(run.failures) == 2
     assert len(run.records) == 0
@@ -287,7 +287,7 @@ def test_run_replications_records_failures():
 
 def test_write_outputs_of_a_run_where_every_replication_failed(tmp_path):
     run = run_replications(["qmgm1", "mgm"], DgpVariant("main", 60, 4), 3,
-                           lambdas=[0.5], criteria=("bic",),
+                           lambdas=[0.5],
                            sample_fn=_constant_column_sample)
     write_outputs(run, tmp_path)
     header = "learner,criterion,metric,median,p10,p90\n"
@@ -313,7 +313,7 @@ def _report_blas_threads(variant):
 def test_replication_pool_pins_blas_to_one_thread_and_restores(blas_threads):
     counts = blas_threads()
     run = run_replications(["mgm"], DgpVariant("main", 60, 1), 2, threads=2,
-                           lambdas=[0.5], criteria=("bic",),
+                           lambdas=[0.5],
                            sample_fn=_report_blas_threads)
     pinned = f"RuntimeError: blas threads {[1] * len(counts)}"
     assert [msg for _, _, msg in run.failures] == [pinned] * 2
@@ -331,7 +331,7 @@ def _report_os_threads_after_stage_one(variant):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_replication_worker_runs_on_one_os_thread_after_stage_one(blas_threads):
     run = run_replications(["mgm"], DgpVariant("main", 60, 1), 2, threads=2,
-                           lambdas=[0.5], criteria=("bic",),
+                           lambdas=[0.5],
                            sample_fn=_report_os_threads_after_stage_one)
     assert [msg for _, _, msg in run.failures] == ["RuntimeError: os threads 1"] * 2
 

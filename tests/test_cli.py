@@ -710,6 +710,14 @@ def test_simulate_output_pinned(tmp_path, threads):
     _assert_simulate_pinned(tmp_path, "qmgm3,mgm", threads, PINNED_SIMULATE_SHA256)
 
 
+# The manifest's config digest of each pinned simulate configuration: a
+# sha256 over the settings of the run, so it holds on any numpy/BLAS build.
+PINNED_CONFIG_DIGESTS = {
+    "qmgm3,mgm": "c3a8d75e139689f464b95459ccf24ff0f77cd006b2e18f63cb4ed64737a89da8",
+    "qmgm1,qmgm3,qmgm7": "e3693fd4e03010488fe85ec81cdd2afd7e088b505d5cba903fc9d43c0f6c0230",
+}
+
+
 def _assert_simulate_pinned(tmp_path, learners, threads, pinned):
     out = tmp_path / "sim"
     rc = main(["simulate", "--n", "150", "--R", "3", "--learners", learners,
@@ -718,6 +726,8 @@ def _assert_simulate_pinned(tmp_path, learners, threads, pinned):
     assert rc == 0
     for name, digest in pinned.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert f"config_digest: {PINNED_CONFIG_DIGESTS[learners]}" in manifest
 
 
 # The same configuration with the nested level grids {1/2} within the

@@ -384,7 +384,7 @@ def test_replication_fits_the_union_of_its_levels_once(learners, monkeypatch):
 
     monkeypatch.setattr(selection, "fit_lambda_paths", counted)
     monkeypatch.setattr(benchmark, "fit_qmgm", kept)
-    run = run_replications(learners, variant, 1, lambdas=lambdas, criteria=("bic",))
+    run = run_replications(learners, variant, 1, lambdas=lambdas)
     assert not run.failures
     assert taus == [sorted({tau for grid in grids for tau in grid.levels})]
     assert [cube.tau_levels.tolist() for cube in cubes] == [list(g.levels) for g in grids]

@@ -101,11 +101,10 @@ def test_every_public_def_is_named_in_the_package():
     assert unnamed_public_defs(trees) == []
 
 
-# Defaulted parameters that no call in the package sets, kept on purpose.
+# Defaulted parameters that no call in the package sets, kept on purpose:
+# only the two seams through which the tests drive the package.
 UNSET_DEFAULTS_ALLOWED = {
     ("cli.py", "main", "argv"): "None reads sys.argv; the tests pass their own argv",
-    ("benchmark.py", "run_replications", "criteria"):
-        "every criterion by default; the tests score fewer to stay fast",
     ("benchmark.py", "run_replications", "sample_fn"):
         "the generator by default; the tests swap in edge-case samples",
 }

@@ -15,8 +15,7 @@ from .midcdf import (ThresholdLogitSet, fit_threshold_logits,
                      marginal_mid_quantile, rearrange_monotone)
 from .penalized import (NodeProblem, fit_lambda_paths,
                         inverse_midquantile_targets, penalized_wls)
-from .selection import (SelectionCriterion, build_problems,
-                        estimate_edge_set, fit_cube, fit_qmgm, quantile_losses,
-                        score_path, select_lambda)
+from .selection import (SelectionCriterion, build_problems, estimate_edge_set,
+                        fit_qmgm, quantile_losses, score_path, select_lambda)
 
 __version__ = "0.1.0"

@@ -24,9 +24,10 @@ from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
                    _one_blas_thread, _pin_blas_threads, _readonly,
                    standard_levels, validate_and_standardize)
 from .mgm import deviance_losses, fit_mgm
+from .penalized import fit_lambda_paths
 from .selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                        edge_adjacencies, fit_cube, fit_qmgm, quantile_losses,
-                        score_path, select_lambda)
+                        edge_adjacencies, fit_qmgm, quantile_losses, score_path,
+                        select_lambda)
 
 # The generator's variables: Y1-Y5 continuous, Y6-Y10 counts.
 GENERATOR_SCHEMA = tuple(VariableSpec(f"Y{j}", "continuous" if j <= 5 else "count")
@@ -245,7 +246,7 @@ def _replication_worker(args):
         dataset, truth = (sample_fn or generate_sample)(variant)
         dataset = validate_and_standardize(dataset)
         levels = sorted({tau for lc in learners if lc.kind == "qmgm" for tau in lc.levels.levels})
-        fitted = fit_cube(build_problems(dataset), levels, lambdas) if levels else None
+        fitted = fit_lambda_paths(build_problems(dataset), levels, lambdas) if levels else None
         record = {lc.name: run_learner(dataset, truth, lc, lambdas,
                                        nonzero_tol=nonzero_tol, fitted=fitted)
                   for lc in learners}

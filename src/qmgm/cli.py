@@ -142,7 +142,7 @@ def _cmd_fit(args) -> int:
         dataset = knn_impute(dataset, args.knn_k)
     dataset = validate_and_standardize(dataset)
     criterion = SelectionCriterion.from_name(args.criterion, dataset.p, args.cn)
-    criterion.complexity(dataset.n, dataset.p)    # not finite: exit 2 before fitting
+    per_coef = criterion.complexity(dataset.n, dataset.p)  # not finite: exit 2 before fitting
     cube = fit_qmgm(dataset, grid, lambdas)
     scores = score_path(cube, quantile_losses(cube, dataset), [criterion],
                         dataset.n, nonzero_tol=args.tolerance)
@@ -163,6 +163,13 @@ def _cmd_fit(args) -> int:
     _write_text(args.output, doc.to_json())
     if args.dot:
         _write_text(args.dot, render_dot(doc))
+    if per_coef == 0:
+        print(f"qmgm: criterion {args.criterion!r} has no complexity term at n = {dataset.n}, "
+              f"p = {dataset.p}: lambda is chosen on loss alone", file=sys.stderr)
+    uncertified = np.count_nonzero(~cube.converged)
+    if uncertified:
+        print(f"qmgm: {uncertified} of {cube.converged.size} (node, level, lambda) points "
+              f"are not certified converged", file=sys.stderr)
     print(f"selected lambda {lam:.6g} ({graph.n_edges} edges)", file=sys.stderr)
     return 0
 

@@ -67,8 +67,8 @@ def load_csv(path, schema, missing_token: str = DEFAULT_MISSING_TOKEN) -> Datase
 
     The header must carry exactly the schema's column names (any order;
     columns follow the file order).  Cells equal to the missing token are
-    masked; anything else must parse as a number.  A UTF-8 byte-order mark
-    at the start of the file is skipped.
+    masked; anything else must parse as a finite number.  A UTF-8
+    byte-order mark at the start of the file is skipped.
     """
     by_name = {s.name: s for s in schema}
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -110,8 +110,14 @@ def load_csv(path, schema, missing_token: str = DEFAULT_MISSING_TOKEN) -> Datase
             mask_rows.append(miss)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    values, mask = np.asarray(rows), np.asarray(mask_rows)
+    bad = np.argwhere(~(np.isfinite(values) | mask))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path}: non-finite cell at row {r + 2}, column {header[c]!r}: "
+                        f"{values[r, c]}")
     ordered = tuple(by_name[name] for name in header)
-    return Dataset(np.asarray(rows), ordered, np.asarray(mask_rows))
+    return Dataset(values, ordered, mask)
 
 
 def save_csv(dataset: Dataset, path, missing_token: str = DEFAULT_MISSING_TOKEN):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_lambda_grid, _readonly
+from .core import CoefficientCube, _check_lambda_grid, _readonly
 from .lasso import wls_gram, wls_paths, wls_step
 from .midcdf import ThresholdLogitSet, marginal_mid_quantile
 
@@ -137,15 +137,13 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_lambda_paths(problems, taus, lambdas):
-    """Fit a strictly decreasing lambda sequence with warm starts for every
-    problem at every level of ``taus`` by the inverse route: the
+def fit_lambda_paths(problems, taus, lambdas) -> CoefficientCube:
+    """The cube of the p node problems of one dataset (each with p - 1
+    predictors) at every level of ``taus`` and every lambda of a strictly
+    decreasing grid, fitted with warm starts by the inverse route: the
     per-row-inverted implicit equation is solved by penalized weighted
-    least squares (see the module docstring).  The problems must have the
-    same number of predictors.  Returns the paths on the grid of the p
-    problems, the T levels and the M lambdas, in order: intercepts
-    (p, T, M), betas (p, T, M, m), work (p, T, M) and converged (p, T, M);
-    ``work`` counts the kernel's linear solves plus any fallback sweeps.
+    least squares (see the module docstring).  Its ``iterations`` count
+    the kernel's linear solves plus any fallback sweeps.
 
     The (problem, level) cells with at least ``MIN_SOLVABLE_ROWS`` solvable
     rows advance together through one ``lasso.wls_paths`` call, on one
@@ -168,4 +166,4 @@ def fit_lambda_paths(problems, taus, lambdas):
         intercepts[j, ~kernel] = _link_transform(xi, problem)[:, None]
     intercepts[solved], betas[solved], work[solved], converged[solved] = (
         wls_paths([np.concatenate(field) for field in zip(*stacks)], lambdas))
-    return intercepts, betas, work, converged
+    return CoefficientCube(intercepts, betas, lambdas, taus, converged, work)

@@ -85,32 +85,25 @@ def build_problems(dataset: Dataset) -> list:
     return problems
 
 
-def fit_cube(problems: list, levels, lambdas) -> CoefficientCube:
-    """The cube of every problem's lambda paths at ``levels``, from one
-    ``penalized.fit_lambda_paths`` call; a ``simulate`` replication fits the
-    union of its learners' levels with it, and each learner takes a slice."""
-    intercepts, betas, work, converged = fit_lambda_paths(problems, levels, lambdas)
-    return CoefficientCube(intercepts, betas, lambdas, levels, converged, work)
-
-
 def fit_qmgm(dataset: Dataset, grid: QuantileGrid, lambdas, *,
              fitted: CoefficientCube | None = None) -> CoefficientCube:
     """Fit penalized mid-quantile regressions for every node, level and
     lambda; lambdas must be finite, nonnegative and strictly decreasing
     (paths are warm-started), which is checked before any fitting.
 
-    Without ``fitted`` the first step (``build_problems``) and ``fit_cube``
-    run here.  Otherwise the cube is the slice of ``fitted``, a cube of the
-    same dataset, at the grid's levels: bit for bit the grid's own fit, as
-    a path depends only on its node, level and lambda grid.  A level or a
-    lambda grid that ``fitted`` lacks raises DataError.
+    Without ``fitted`` both steps, ``build_problems`` and
+    ``penalized.fit_lambda_paths``, run here.  Otherwise the cube is the
+    slice of ``fitted``, a cube of the same dataset, at the grid's levels:
+    bit for bit the grid's own fit, as a path depends only on its node,
+    level and lambda grid.  A level or a lambda grid that ``fitted`` lacks
+    raises DataError.
     """
     lambdas = _check_lambda_grid(lambdas)
     if dataset.has_missing():
         raise DataError("fitting requires imputed (non-missing) data")
     levels = list(grid.levels)
     if fitted is None:
-        return fit_cube(build_problems(dataset), levels, lambdas)
+        return fit_lambda_paths(build_problems(dataset), levels, lambdas)
     if not np.array_equal(fitted.lambda_grid, lambdas):
         raise DataError("the fitted cube has another lambda grid")
     index = {float(tau): l for l, tau in enumerate(fitted.tau_levels)}

@@ -109,7 +109,7 @@ def test_criterion_5_midquantile_oracle_equivalence():
         else:
             sample = rng.poisson(8.0, size=150).astype(float)
         problem = intercept_only_problem(sample, "identity")
-        intercepts = fit_lambda_paths([problem], taus, [0.0])[0][0, :, 0]
+        intercepts = fit_lambda_paths([problem], taus, [0.0]).intercepts[0, :, 0]
         for tau, intercept in zip(taus, intercepts):
             oracle = mid_quantile_oracle(sample, tau)
             worst = max(worst, abs(intercept - oracle))

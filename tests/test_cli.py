@@ -402,6 +402,29 @@ def test_bad_csv_exits_2(tmp_path):
                  "--output", str(tmp_path / "out.csv")]) == 2
 
 
+@pytest.mark.parametrize("command", ["impute", "fit"])
+def test_non_finite_cells_exit_2(tmp_path, capsys, command):
+    # a 30-row table with one nan and one inf cell: loaded as values, both
+    # would distort the imputation distances and be written back
+    schema = tmp_path / "s.txt"
+    schema.write_text("a continuous\nb count\nc continuous\n", encoding="utf-8")
+    rows = ["a,b,c"] + [f"{i * 0.5},{i % 4},{(i * 7) % 11}" for i in range(30)]
+    rows[5], rows[9] = "2.0,nan,3", "1.0,2,inf"
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([command, str(data), "--schema", str(schema), "--output", str(out)])
+    assert rc == 2
+    assert "non-finite cell at row 6, column 'b': nan" in capsys.readouterr().err
+    assert not out.exists()
+    # with nan as the missing token that cell is missing, and the inf cell fails
+    rc = main([command, str(data), "--schema", str(schema), "--missing-token", "nan",
+               "--output", str(out)])
+    assert rc == 2
+    assert "non-finite cell at row 10, column 'c': inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_writes_document(small_csv, tmp_path, capsys):
     csv_path, schema_path = small_csv
     out = tmp_path / "graph.json"
@@ -475,6 +498,53 @@ def test_fit_p2_bic_fits(two_column_csv, tmp_path):
                "--criterion", "bic", "--output", str(out)])
     assert rc == 0
     assert GraphDocument.load(out).node_names() == ["a", "b"]
+
+
+def test_fit_says_when_the_criterion_has_no_complexity_term(two_column_csv, small_csv,
+                                                           tmp_path, capsys):
+    # every BIC has ln(p - 1) = 0 at p = 2, so it selects on loss alone
+    note = "has no complexity term"
+    csv_path, schema_path = two_column_csv
+    args = ["--tau-levels", "1", "--lambda-count", "4", "--output", str(tmp_path / "g.json")]
+    assert main(["fit", str(csv_path), "--schema", str(schema_path), *args]) == 0
+    err = capsys.readouterr().err
+    assert "criterion 'bic' has no complexity term at n = 80, p = 2: lambda is chosen on " \
+        "loss alone" in err
+    assert main(["fit", str(csv_path), "--schema", str(schema_path), *args,
+                 "--criterion", "aic"]) == 0
+    assert note not in capsys.readouterr().err
+    csv_path, schema_path = small_csv
+    assert main(["fit", str(csv_path), "--schema", str(schema_path), *args]) == 0
+    assert note not in capsys.readouterr().err
+
+
+def test_fit_reports_uncertified_points(small_csv, tmp_path, capsys, monkeypatch):
+    # an active set that never certifies leaves each kernel solve to one
+    # fallback sweep, which ends uncertified
+    from qmgm import lasso
+
+    csv_path, schema_path = small_csv
+    args = ["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", "3",
+            "--lambda-count", "4", "--output", str(tmp_path / "g.json")]
+    assert main(args) == 0
+    assert "not certified" not in capsys.readouterr().err
+    cubes = []
+
+    def kept(*fit_args, **kwargs):
+        cubes.append(cli_fit(*fit_args, **kwargs))
+        return cubes[-1]
+
+    cli_fit = cli.fit_qmgm
+    monkeypatch.setattr(cli, "fit_qmgm", kept)
+    monkeypatch.setattr(lasso, "_active_set",
+                        lambda G, c, *rest: (np.zeros(len(c), dtype=int),
+                                             np.zeros(len(c), dtype=bool)))
+    monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", 1)
+    assert main(args) == 0
+    uncertified = int(np.count_nonzero(~cubes[0].converged))
+    assert 0 < uncertified < 120
+    assert (f"{uncertified} of 120 (node, level, lambda) points are not certified converged"
+            in capsys.readouterr().err)
 
 
 def test_fit_is_byte_deterministic(small_csv, tmp_path):

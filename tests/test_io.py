@@ -103,6 +103,26 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "w.csv", "a,b\n"), schema)
 
 
+@pytest.mark.parametrize("cell, shown", [("nan", "nan"), ("inf", "inf"), ("-Inf", "-inf"),
+                                         ("1e400", "inf")])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell, shown):
+    # float() parses these; loaded as values, they would reach the
+    # imputation distances and the standardization
+    schema = parse_schema("a continuous\nb count\n")
+    path = write(tmp_path, "d.csv", f"a,b\n1,2\n3,4\n5,{cell}\n")
+    with pytest.raises(DataError, match=f"non-finite cell at row 4, column 'b': {shown}$"):
+        load_csv(path, schema)
+
+
+def test_load_csv_nan_missing_token_masks_only_nan_cells(tmp_path):
+    schema = parse_schema("a continuous\nb count\n")
+    ds = load_csv(write(tmp_path, "d.csv", "a,b\n1,nan\nnan,4\n"), schema, "nan")
+    assert np.array_equal(ds.missing_mask, [[False, True], [True, False]])
+    assert ds.values[0, 0] == 1.0 and ds.values[1, 1] == 4.0
+    with pytest.raises(DataError, match="non-finite cell at row 3, column 'a': -inf$"):
+        load_csv(write(tmp_path, "e.csv", "a,b\n1,nan\n-inf,4\n"), schema, "nan")
+
+
 def demo_graph():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = True

@@ -21,14 +21,15 @@ from qmgm.penalized import (NodeProblem, fit_lambda_paths,
                             inverse_midquantile_targets, penalized_wls)
 from qmgm.selection import build_problems, fit_qmgm
 
-PATH_FIELDS = ("intercepts", "betas", "work", "converged")
+PATH_FIELDS = ("intercepts", "betas", "iterations", "converged")
 
 
 def lone_path(problem, tau, lambdas):
-    """The path of one (problem, tau) cell by field name: cell (0, 0) of
-    each grid field of ``fit_lambda_paths``."""
-    fields = fit_lambda_paths([problem], [tau], lambdas)
-    return SimpleNamespace(**{name: field[0, 0] for name, field in zip(PATH_FIELDS, fields)})
+    """The path of one (problem, tau) cell by field name: cell (0, 0) of the
+    cube of ``fit_lambda_paths``.  A cube's nodes have p - 1 predictors, so
+    the cell sits among copies of its own problem."""
+    cube = fit_lambda_paths([problem] * (problem.m + 1), [tau], lambdas)
+    return SimpleNamespace(**{name: getattr(cube, name)[0, 0] for name in PATH_FIELDS})
 
 
 def targets_at(problem, tau):
@@ -182,10 +183,10 @@ def test_below_lambda_max_some_slope_moves(problems):
 
 
 def test_path_requires_decreasing_grid(problems):
-    with pytest.raises(DataError):
-        fit_lambda_paths([problems[0]], [0.5], [0.1, 0.2])
-    with pytest.raises(DataError):
-        fit_lambda_paths([problems[0]], [0.5], [])
+    with pytest.raises(DataError, match="strictly decreasing"):
+        fit_lambda_paths(problems, [0.5], [0.1, 0.2])
+    with pytest.raises(DataError, match="nonempty"):
+        fit_lambda_paths(problems, [0.5], [])
 
 
 def test_active_set_grows_down_the_path(problems):
@@ -447,7 +448,7 @@ def test_path_record_holds_the_kernel_path_bit_for_bit(problems, dgp_500):
     path = lone_path(pr, tau, lambdas)
     assert np.array_equal(path.intercepts, b0s)
     assert np.array_equal(path.betas, betas)
-    assert np.array_equal(path.work, work)
+    assert np.array_equal(path.iterations, work)
     assert np.array_equal(path.converged, converged)
     # fit_mgm's cube slice of a gaussian node holds the same kernel path,
     # one outer iteration per point
@@ -606,7 +607,7 @@ def test_two_solvable_rows_give_the_closed_form_intercept(problems):
     start = penalized._link_transform(marginal_mid_quantile(two.y, tau), two)
     assert np.all(path.intercepts == start)
     assert np.all(path.betas == 0.0)
-    assert np.all(path.work == 0)
+    assert np.all(path.iterations == 0)
     assert np.all(path.converged)
 
 
@@ -615,19 +616,19 @@ def test_one_grid_call_equals_each_cell_alone(problems):
     # written by grid index: each cell of a mixed grid is its path alone
     two = _two_solvable_rows
     grid = [problems[1], two(problems[0]), problems[2], problems[3], two(problems[5]),
-            problems[4]]
+            problems[4], *problems[6:]]
     taus = [0.25, 0.5, 0.75]
     lambdas = [0.5, 0.05, 0.005]
-    fields = fit_lambda_paths(grid, taus, lambdas)
-    cells = fields[0].reshape(-1, len(lambdas))
+    cube = fit_lambda_paths(grid, taus, lambdas)
+    cells = cube.intercepts.reshape(-1, len(lambdas))
     assert len({cell.tobytes() for cell in cells}) == len(grid) * len(taus)
-    solved = [True, False, True, True, False, True]
-    assert np.array_equal(fields[2].any(axis=2), np.repeat([solved], 3, axis=0).T)
+    solved = [True, False, True, True, False] + [True] * 5
+    assert np.array_equal(cube.iterations.any(axis=2), np.repeat([solved], 3, axis=0).T)
     for j, problem in enumerate(grid):
         for t, tau in enumerate(taus):
-            alone = fit_lambda_paths([problem], [tau], lambdas)
-            for name, got, want in zip(PATH_FIELDS, fields, alone):
-                assert np.array_equal(got[j, t], want[0, 0]), (j, t, name)
+            alone = lone_path(problem, tau, lambdas)
+            for name in PATH_FIELDS:
+                assert np.array_equal(getattr(cube, name)[j, t], getattr(alone, name)), (j, t, name)
 
 
 def test_inverse_targets_match_per_row_interp_bit_for_bit(problems):

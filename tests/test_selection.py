@@ -10,8 +10,9 @@ from qmgm.core import (CoefficientCube, DataError, Dataset, NONZERO_TOL,
                        validate_and_standardize)
 from qmgm.mgm import deviance_losses, fit_mgm
 from qmgm import benchmark, mgm, selection
+from qmgm.penalized import fit_lambda_paths
 from qmgm.selection import (CRITERION_NAMES, SelectionCriterion, build_problems,
-                            edge_adjacencies, estimate_edge_set, fit_cube, fit_qmgm,
+                            edge_adjacencies, estimate_edge_set, fit_qmgm,
                             quantile_losses, score_path, select_lambda)
 
 from bruteforce import deviance_losses_reference, edge_set_reference, score_reference
@@ -255,7 +256,7 @@ def test_score_path_equals_blockwise_reference(seed):
     ds, _ = generate_sample(DgpVariant("main", 200, seed))
     ds = validate_and_standardize(ds)
     lambdas = default_lambda_grid(count=4)
-    octiles = fit_cube(build_problems(ds), standard_levels(7).levels, lambdas)
+    octiles = fit_lambda_paths(build_problems(ds), standard_levels(7).levels, lambdas)
     fits = [(fit_qmgm(ds, standard_levels(L), lambdas, fitted=octiles),
              quantile_losses, None) for L in (1, 3, 7)]
     fits.append((fit_mgm(ds, lambdas), deviance_losses,
@@ -372,7 +373,7 @@ def test_replication_fits_the_union_of_its_levels_once(learners, monkeypatch):
     grids = [LearnerConfig.from_name(name).levels for name in learners if name != "mgm"]
     fresh = [fit_qmgm(ds, grid, lambdas) for grid in grids]
     taus, cubes = [], []
-    real_paths, real_fit = selection.fit_lambda_paths, benchmark.fit_qmgm
+    real_paths, real_fit = benchmark.fit_lambda_paths, benchmark.fit_qmgm
 
     def counted(problems, levels, *args):
         taus.append(list(levels))
@@ -382,6 +383,8 @@ def test_replication_fits_the_union_of_its_levels_once(learners, monkeypatch):
         cubes.append(real_fit(dataset, grid, *args, **kwargs))
         return cubes[-1]
 
+    # both bindings: the replication's union fit, and any fit in fit_qmgm
+    monkeypatch.setattr(benchmark, "fit_lambda_paths", counted)
     monkeypatch.setattr(selection, "fit_lambda_paths", counted)
     monkeypatch.setattr(benchmark, "fit_qmgm", kept)
     run = run_replications(learners, variant, 1, lambdas=lambdas)
@@ -395,7 +398,7 @@ def test_replication_fits_the_union_of_its_levels_once(learners, monkeypatch):
 def test_fitted_cube_without_the_levels_or_lambdas_is_a_data_error(dgp_500):
     ds, _ = dgp_500
     lambdas = default_lambda_grid(count=3)
-    fitted = fit_cube(build_problems(ds), standard_levels(3).levels, lambdas)
+    fitted = fit_lambda_paths(build_problems(ds), standard_levels(3).levels, lambdas)
     assert_same_cube(fit_qmgm(ds, standard_levels(1), lambdas, fitted=fitted),
                      fit_qmgm(ds, standard_levels(1), lambdas))
     with pytest.raises(DataError, match=r"lacks levels \[0.125, 0.375"):

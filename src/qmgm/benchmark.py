@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .analysis import pair_counts, stacked_pair_counts
 from .core import (DataError, Dataset, NONZERO_TOL, QuantileGrid,
@@ -91,9 +90,12 @@ def generate_sample(variant: DgpVariant):
     formulas in node order; the three discrete-uniform noise terms are drawn
     independently afterwards.  Identical seeds give bit-identical samples.
     The inverse CDFs are the ``scipy.special`` ufuncs that the
-    ``scipy.stats`` distributions call (t, gamma, normal), so this module
-    does not load ``scipy.stats``.
+    ``scipy.stats`` distributions call (t, gamma, normal).  They are
+    imported here, on the first draw, so importing qmgm loads no SciPy and
+    ``simulate`` loads ``scipy.special`` alone, never ``scipy.stats``.
     """
+    from scipy import special
+
     rng = np.random.default_rng(variant.seed)
     n = variant.n
     U = np.clip(rng.random((n, 10)), 1e-15, 1.0 - 1e-16)
@@ -215,9 +217,10 @@ def default_lambda_grid(lo: float = 0.001, hi: float = 5.0, count: int = 50) -> 
 def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
                 lambdas, *, nonzero_tol: float, fitted) -> dict:
     """Fit one learner on one dataset: path AUC plus the selection of every
-    criterion in ``CRITERION_NAMES``.  A qmgm learner slices ``fitted``, a
-    cube of the dataset at a superset of its levels, when given
-    (``fit_qmgm``); ``seconds`` excludes fitting it."""
+    criterion in ``CRITERION_NAMES``, and how many of the cube's ``points``
+    are ``uncertified`` (not certified converged).  A qmgm learner slices
+    ``fitted``, a cube of the dataset at a superset of its levels, when
+    given (``fit_qmgm``); ``seconds`` excludes fitting it."""
     start = time.perf_counter()
     if learner.kind == "qmgm":
         cube = fit_qmgm(dataset, learner.levels, lambdas, fitted=fitted)
@@ -237,7 +240,9 @@ def run_learner(dataset: Dataset, truth: np.ndarray, learner: LearnerConfig,
         rec["lambda"] = lam
         by_criterion[cname] = rec
     return {"auc": auc, "seconds": time.perf_counter() - start,
-            "criteria": by_criterion}
+            "criteria": by_criterion,
+            "uncertified": int(np.count_nonzero(~cube.converged)),
+            "points": int(cube.converged.size)}
 
 
 def _replication_worker(args):
@@ -355,7 +360,10 @@ DETAIL_FIELDS = ("replication", "seed", "learner", "criterion", "metric", "value
 def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
     """Write summary/timing/detail tables, the truth document and the
     manifest into a directory.  Wall-clock lives in its own file so the
-    summary stays byte-identical across reruns of the same config."""
+    summary stays byte-identical across reruns of the same config.  The
+    manifest's ``uncertified_points`` line gives each learner's (node,
+    level, lambda) points that are not certified converged, over all its
+    points, summed over the successful replications."""
     import os
 
     from .io import document_from_adjacency, export_graph, write_rows_csv
@@ -370,6 +378,10 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
     export_graph(document_from_adjacency(GENERATOR_SCHEMA, true_graph()),
                  os.path.join(outdir, "truth.json"))
     lam, seed = run.lambdas, run.variant.seed
+    uncertified = ",".join(
+        f"{name}={sum(rec[name]['uncertified'] for _, _, rec in run.records)}"
+        f"/{sum(rec[name]['points'] for _, _, rec in run.records)}"
+        for name in run.learner_names)
     manifest = [
         f"config_digest: {run.config_digest()}",
         f"variant: {run.variant.kind}",
@@ -382,6 +394,7 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
         f"tolerance: {run.tolerance:.12g}",
         f"threads: {threads}",
         f"replication_seeds: {','.join(str(seed + r) for r in range(run.R))}",
+        f"uncertified_points: {uncertified}",
         f"failures: {len(run.failures)}",
     ]
     manifest += [f"failure: replication={i} seed={s} error={msg}"

@@ -32,14 +32,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_tau_levels(text: str) -> QuantileGrid:
+    """A level count or comma-separated levels; text that parses but makes
+    no grid exits with the grid's own reason."""
     text = text.strip()
+    if text.isdecimal():
+        return standard_levels(int(text))
     try:
-        if text.isdecimal():
-            return standard_levels(int(text))
-        return QuantileGrid(tuple(float(t) for t in text.split(",")))
+        levels = tuple(float(t) for t in text.split(","))
     except ValueError:
         raise DataError("--tau-levels takes a level count or comma-separated "
                         f"levels, got {text!r}") from None
+    return QuantileGrid(levels)
 
 
 def _add_shared(parser, lambda_count: int):

@@ -9,7 +9,6 @@ clips with stage 1's threshold logits (``core.IRLS_MAX_ITER``,
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .core import (IRLS_MAX_ITER, IRLS_TOL, LP_CLIP, MU_CLIP, CoefficientCube, DataError,
                    Dataset, _check_lambda_grid)
@@ -27,6 +26,8 @@ def _count_mean(binomial, lp: np.ndarray) -> np.ndarray:
     """Mean of a count node at linear predictor lp: the inverse canonical
     link of the clipped predictor, expit where ``binomial`` is true (it
     broadcasts against lp) and exp, the poisson one, elsewhere."""
+    from scipy.special import expit  # imported here: `qmgm fit` loads no SciPy
+
     clipped = np.clip(lp, -LP_CLIP, LP_CLIP)
     return np.where(binomial, expit(clipped), np.exp(clipped))
 
@@ -36,6 +37,8 @@ def glm_deviance(family: str, y: np.ndarray, mu: np.ndarray):
     poisson) between observations y (n,) and fitted means mu (..., n),
     summed over the last axis: one deviance per row of mu.  Any other name
     raises DataError."""
+    from scipy.special import xlogy  # imported here: `qmgm fit` loads no SciPy
+
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if family == "gaussian":

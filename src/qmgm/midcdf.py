@@ -16,7 +16,9 @@ the (n, k) mid-probability array of one node's rows.
 The Newton loop shares its iteration cap, tolerance and clips with the
 mgm count nodes (``core.IRLS_MAX_ITER``, ``IRLS_TOL``, ``MU_CLIP`` and
 ``LP_CLIP``) and solves its stacked steps with the lasso kernel's
-``_stacked_solve``; its ridge and its CDF clip are its own.
+``_stacked_solve``; its ridge and its CDF clip are its own.  The fit and
+``build_field`` evaluate the logits with one sigmoid, ``_clipped_sigmoid``
+on NumPy's exp, so this module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import IRLS_MAX_ITER, IRLS_TOL, LP_CLIP, MU_CLIP, DataError, Dataset, _readonly
 from .lasso import _stacked_solve
@@ -129,8 +130,10 @@ def _logit_set(node, z, degenerate, coefs, converged) -> ThresholdLogitSet:
 def _clipped_sigmoid(eta):
     """Overwrite eta with 1 / (1 + exp(-eta)) clipped to [MU_CLIP,
     1 - MU_CLIP], and return it: np.clip(expit(eta), ...) within 2 ulp, on
-    NumPy's vectorized exp.  Past +-LP_CLIP the result already sits at a
-    clip bound, so eta is clipped there first and exp cannot overflow."""
+    NumPy's vectorized exp.  The Newton fit and ``_raw_cdf_matrix`` both
+    evaluate the threshold logits with it.  Past +-LP_CLIP the result
+    already sits at a clip bound, so eta is clipped there first and exp
+    cannot overflow."""
     np.clip(eta, -LP_CLIP, LP_CLIP, out=eta)
     np.negative(eta, out=eta)
     np.exp(eta, out=eta)
@@ -206,8 +209,9 @@ def _stacked_newton(X1, T, pinned):
 
 
 def _raw_cdf_matrix(logits: ThresholdLogitSet, X: np.ndarray) -> np.ndarray:
-    """Unrearranged fitted CDF values, rows x thresholds."""
-    F = expit(_design(X) @ logits.coefficients.T)
+    """Unrearranged fitted CDF values, rows x thresholds: the fit's own
+    sigmoid, then the CDF clip."""
+    F = _clipped_sigmoid(_design(X) @ logits.coefficients.T)
     np.clip(F, CDF_CLIP, 1.0 - CDF_CLIP, out=F)
     F[:, logits.degenerate] = 1.0
     return F

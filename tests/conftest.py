@@ -4,6 +4,11 @@ import pytest
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import (Dataset, VariableSpec, _blas_thread_controls,
                        validate_and_standardize)
+from qmgm.io import save_csv
+
+DGP_SCHEMA = "\n".join(
+    [f"Y{i} continuous" for i in range(1, 6)]
+    + [f"Y{i} count" for i in range(6, 11)]) + "\n"
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +16,17 @@ def dgp_500():
     """One validated main-variant sample, shared across tests."""
     dataset, truth = generate_sample(DgpVariant("main", 500, 1))
     return validate_and_standardize(dataset), truth
+
+
+@pytest.fixture()
+def small_csv(tmp_path):
+    """A generator sample (n=120, seed 2) as a CSV file and its schema file."""
+    dataset, _ = generate_sample(DgpVariant("main", 120, 2))
+    csv_path = tmp_path / "data.csv"
+    save_csv(dataset, csv_path)
+    schema_path = tmp_path / "schema.txt"
+    schema_path.write_text(DGP_SCHEMA, encoding="utf-8")
+    return csv_path, schema_path
 
 
 @pytest.fixture()

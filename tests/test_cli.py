@@ -12,25 +12,13 @@ import pytest
 
 import qmgm
 from qmgm import benchmark, cli, selection
-from qmgm.benchmark import GENERATOR_SCHEMA, DgpVariant, generate_sample, true_graph
+from qmgm.benchmark import GENERATOR_SCHEMA, true_graph
 from qmgm.cli import main
 from qmgm.core import CoefficientCube, VariableSpec
 from qmgm.selection import CRITERION_NAMES, estimate_edge_set
-from qmgm.io import GraphDocument, document_from_adjacency, export_graph, save_csv
+from qmgm.io import GraphDocument, document_from_adjacency, export_graph
 
-DGP_SCHEMA = "\n".join(
-    [f"Y{i} continuous" for i in range(1, 6)]
-    + [f"Y{i} count" for i in range(6, 11)]) + "\n"
-
-
-@pytest.fixture()
-def small_csv(tmp_path):
-    dataset, _ = generate_sample(DgpVariant("main", 120, 2))
-    csv_path = tmp_path / "data.csv"
-    save_csv(dataset, csv_path)
-    schema_path = tmp_path / "schema.txt"
-    schema_path.write_text(DGP_SCHEMA, encoding="utf-8")
-    return csv_path, schema_path
+from conftest import DGP_SCHEMA
 
 
 def test_fit_defaults_match_application_config():
@@ -369,6 +357,28 @@ def test_import_loads_neither_scipy_stats_nor_networkx():
     assert out.strip() == "[]"
 
 
+def test_import_and_fit_load_no_scipy(small_csv, tmp_path):
+    # scipy.special alone costs a fresh process about 200 ms and 26 MB;
+    # only the generator and the mgm baseline, both under simulate, call it
+    csv_path, schema_path = small_csv
+    src = os.path.dirname(os.path.dirname(qmgm.__file__))
+    argv = ["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", "3",
+            "--lambda-count", "4", "--output", str(tmp_path / "g.json")]
+    code = ("import sys\n"
+            "import qmgm\n"
+            "import qmgm.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            f"assert qmgm.cli.main({argv!r}) == 0\n"
+            "print(loaded())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
+    assert GraphDocument.load(tmp_path / "g.json").meta["tau_levels"] == [0.25, 0.5, 0.75]
+
+
 @pytest.mark.parametrize("levels", ["abc", "0.5,x", ""])
 def test_malformed_tau_levels_exits_2(small_csv, tmp_path, capsys, levels):
     csv_path, schema_path = small_csv
@@ -377,6 +387,24 @@ def test_malformed_tau_levels_exits_2(small_csv, tmp_path, capsys, levels):
     assert rc == 2
     err = capsys.readouterr().err
     assert "qmgm: data error: --tau-levels takes a level count" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("levels, reason", [
+    ("0.3,0.2", "strictly increasing"), ("0.5,0.5", "strictly increasing"),
+    ("0.5,1.5", "strictly inside (0, 1)"), ("nan", "strictly inside (0, 1)"),
+    ("0", "level count must be >= 1")])
+def test_tau_levels_that_make_no_grid_exit_2_with_the_reason(small_csv, tmp_path, capsys,
+                                                             levels, reason):
+    # DataError is a ValueError: the grid's own error must not be taken
+    # for a parse failure and replaced by the generic message
+    csv_path, schema_path = small_csv
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", levels, "--output", str(tmp_path / "g.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "takes a level count" not in err
     assert not (tmp_path / "g.json").exists()
 
 
@@ -594,6 +622,50 @@ def test_simulate_writes_tables(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "config_digest:" in manifest
     assert "failures: 0" in manifest
+
+
+def _manifest_line(out, key):
+    return next(line for line in (out / "manifest.txt").read_text().splitlines()
+                if line.startswith(f"{key}: "))
+
+
+def test_simulate_manifest_counts_no_uncertified_points_on_a_clean_run(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--n", "100", "--R", "2", "--learners", "qmgm3,mgm",
+                 "--lambda-count", "4", "--output", str(out)]) == 0
+    # 10 nodes x 3 levels x 4 lambdas x 2 replications, and 10 x 1 x 4 x 2
+    assert _manifest_line(out, "uncertified_points") == \
+        "uncertified_points: qmgm3=0/240,mgm=0/80"
+
+
+def test_simulate_manifest_counts_uncertified_points(tmp_path, monkeypatch):
+    # as in test_fit_reports_uncertified_points: an active set that never
+    # certifies leaves each kernel solve to one fallback sweep
+    from qmgm import lasso
+
+    cubes = {"qmgm": [], "mgm": []}
+
+    def kept(kind, fit):
+        def run(*fit_args, **kwargs):
+            cubes[kind].append(fit(*fit_args, **kwargs))
+            return cubes[kind][-1]
+        return run
+
+    monkeypatch.setattr(benchmark, "fit_qmgm", kept("qmgm", benchmark.fit_qmgm))
+    monkeypatch.setattr(benchmark, "fit_mgm", kept("mgm", benchmark.fit_mgm))
+    monkeypatch.setattr(lasso, "_active_set",
+                        lambda G, c, *rest: (np.zeros(len(c), dtype=int),
+                                             np.zeros(len(c), dtype=bool)))
+    monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", 1)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--n", "100", "--R", "2", "--learners", "qmgm3,mgm",
+                 "--lambda-count", "4", "--output", str(out)]) == 0
+    counts = {kind: sum(int(np.count_nonzero(~cube.converged)) for cube in kept_cubes)
+              for kind, kept_cubes in cubes.items()}
+    assert len(cubes["qmgm"]) == len(cubes["mgm"]) == 2
+    assert 0 < counts["qmgm"] < 240 and 0 < counts["mgm"] <= 80
+    assert _manifest_line(out, "uncertified_points") == \
+        f"uncertified_points: qmgm3={counts['qmgm']}/240,mgm={counts['mgm']}/80"
 
 
 def test_simulate_truth_document_has_the_generator_kinds(tmp_path):

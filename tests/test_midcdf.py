@@ -9,9 +9,10 @@ from scipy.special import expit
 
 from qmgm.benchmark import DgpVariant, generate_sample
 from qmgm.core import LP_CLIP, Dataset, VariableSpec, validate_and_standardize
-from qmgm.midcdf import (ThresholdLogitSet, _clipped_sigmoid, build_field,
-                         fit_threshold_logits, marginal_mid_cdf,
-                         marginal_mid_quantile, rearrange_monotone)
+from qmgm.io import load_csv, load_schema
+from qmgm.midcdf import (CDF_CLIP, ThresholdLogitSet, _clipped_sigmoid, _design,
+                         _raw_cdf_matrix, build_field, fit_threshold_logits,
+                         marginal_mid_cdf, marginal_mid_quantile, rearrange_monotone)
 from qmgm.selection import build_problems
 
 from bruteforce import (intercept_only_problem, logistic_irls_reference,
@@ -333,6 +334,25 @@ def test_clipped_sigmoid_does_not_overflow():
         warnings.simplefilter("error")
         got = _clipped_sigmoid(eta.copy())
     assert np.array_equal(got, np.clip(expit(eta), 1e-10, 1.0 - 1e-10))
+
+
+def test_field_sigmoid_within_2_ulp_of_clipped_expit(small_csv):
+    # build_field evaluates the threshold logits with stage 1's sigmoid; the
+    # CDF values and the mid-probabilities made from them stay within the
+    # 2 ulp that _clipped_sigmoid keeps to np.clip(expit(eta), ...)
+    seed0, _ = generate_sample(DgpVariant("main", 500, 0))
+    csv_path, schema_path = small_csv
+    table = load_csv(csv_path, load_schema(schema_path))
+    for dataset in (seed0, table):
+        for problem in build_problems(validate_and_standardize(dataset)):
+            logits = problem.logits
+            F = np.clip(expit(_design(problem.X) @ logits.coefficients.T),
+                        CDF_CLIP, 1.0 - CDF_CLIP)
+            F[:, logits.degenerate] = 1.0
+            np.testing.assert_array_max_ulp(_raw_cdf_matrix(logits, problem.X), F, maxulp=2)
+            F = rearrange_monotone(F)
+            np.testing.assert_array_max_ulp(
+                problem.pi, F - 0.5 * np.diff(F, prepend=0.0, axis=1), maxulp=2)
 
 
 def test_fit_requires_validated_data(tiny_mixed):

@@ -9,9 +9,9 @@ with an unpenalized intercept and one lam for every slope becomes, once
 the weighted means are profiled out, (1/2) b'Gb - c'b + lam sum_k |b_k|
 over the centered Gram matrix G and c (``wls_gram``), so a solve costs
 O(m^2) to O(m^3) for m predictors whatever n is.  A solve is an exact
-active-set method started at a warm start and accepted only with a
-certified KKT residual; coordinate-descent sweeps take over when an
-active block is singular or the step cap is hit.
+active-set method started at a warm start, which pivots out of singular
+active blocks, and each point is either certified, with a KKT residual
+within tolerance, or flagged and left at its warm start.
 
 The active-set method runs on P problems of equal width in lockstep: at
 each step it stacks the active blocks of every problem whose active set
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-WLS_SWEEP_MAX = 1000
-WLS_SWEEP_TOL = 1e-12
 # A column whose weighted variance is below this fraction of its weighted
 # mean square is constant on the weighted rows up to the rounding of the
 # centering; its slope is not identified beside the intercept and stays 0.
@@ -63,19 +61,15 @@ def wls_step(G, c, ok, xbar, zbar, beta, lam):
     """For each of P problems given by their stacked ``wls_gram`` form,
     minimize (1/2) b'G b - c'b + lam sum_k |b_k| over b with b_k = 0
     outside ``ok``, starting from beta (P, m), which is overwritten with
-    the solutions.  Returns the intercepts, the work (linear solves plus
-    fallback sweeps) and whether the KKT residual is at most WLS_KKT_TOL *
-    max(1, max |c|), each (P,).  Only the problems the active set leaves
-    uncertified run the sweeps, each from its own warm start."""
+    the certified solutions.  Returns the intercepts, the work (linear
+    solves) and whether the KKT residual is at most WLS_KKT_TOL *
+    max(1, max |c|), each (P,): each point is certified or flagged, and a
+    flagged problem keeps its start."""
     lam = float(lam)
     kkt_tol = WLS_KKT_TOL * np.maximum(1.0, np.abs(c).max(axis=1, initial=0.0))
     b = np.where(ok, beta, 0.0)
     work, converged = _active_set(G, c, ok, b, lam, kkt_tol)
     np.copyto(beta, b, where=converged[:, None])
-    for p in np.nonzero(~converged)[0]:
-        work[p] += _sweeps(G[p], c[p], ok[p], beta[p], lam)
-        gap = _kkt_gap(c[p] - G[p] @ beta[p], lam, beta[p])
-        converged[p] = gap[ok[p]].max(initial=0.0) <= kkt_tol[p]
     # one dot product per problem, as zbar - xbar @ beta alone
     return zbar - np.matmul(xbar[:, None, :], beta[:, :, None])[:, 0, 0], work, converged
 
@@ -122,15 +116,16 @@ def _active_set(G, c, ok, b, lam, kkt_tol):
     Per problem, the active set A starts as the support of b and the KKT
     violators, with signs s from b, or from the gradient for new entries;
     at lam = 0 it is every column, with no signs.  Each step solves
-    G_AA b_A = c_A - lam s_A.  If a coordinate would change sign, b moves
-    along the segment only up to the first zero crossing and that
-    coordinate leaves A; otherwise b takes the solution and the violators
-    of |c_k - (Gb)_k| <= lam enter A.  Flat columns never enter.  The
-    problems step together: the blocks of all problems whose active sets
-    have the same size go through one stacked solve.  Returns (linear
-    solves, certified), each (P,); a problem is not certified when its
-    G_AA is singular, the step cap is hit or its KKT residual exceeds
-    kkt_tol.
+    G_AA b_A = c_A - lam s_A.  If G_AA is singular, b pivots along a null
+    direction of it and a coordinate leaves A (``_pivot``).  If a
+    coordinate would change sign, b moves along the segment only up to the
+    first zero crossing and that coordinate leaves A; otherwise b takes the
+    solution and the violators of |c_k - (Gb)_k| <= lam enter A.  Flat
+    columns never enter.  The problems step together: the blocks of all
+    problems whose active sets have the same size go through one stacked
+    solve.  Returns (block solves, certified), each (P,): each point is
+    certified, or flagged when its KKT residual exceeds kkt_tol or it is
+    still running after 10 + 2m steps besides the pivots that shrink A.
     """
     P, m = c.shape
     tol = kkt_tol[:, None]
@@ -140,44 +135,58 @@ def _active_set(G, c, ok, b, lam, kkt_tol):
     active = ok & ((b != 0) | (not pen) | (np.abs(r) - lam > tol))
     fresh = active & (s == 0) & pen
     s[fresh] = np.sign(r[fresh])
-    solves = np.zeros(P, dtype=int)
+    solves, steps = np.zeros(P, dtype=int), np.zeros(P, dtype=int)
     certified = np.zeros(P, dtype=bool)
     running = np.ones(P, dtype=bool)
-    for _ in range(10 + 2 * m):
-        if not running.any():
-            break
+    while running.any():
         sizes = np.where(running, active.sum(axis=1), 0)
         check = running & (sizes == 0)
+        steps += running
         for k in set(sizes.tolist()) - {0}:
             grp = np.nonzero(sizes == k)[0]
             rows = grp[:, None]
             idx = np.nonzero(active[grp])[1].reshape(-1, k)
             sA = s[rows, idx]
-            # a singular block's x is NaN: its KKT gap is NaN and never
-            # certifies, so its path leaves the loop for the sweeps
-            x = _stacked_solve(G[rows[:, :, None], idx[:, :, None], idx[:, None, :]],
-                               c[rows, idx] - lam * sA)
+            GAA = G[rows[:, :, None], idx[:, :, None], idx[:, None, :]]
+            rhs = c[rows, idx] - lam * sA
+            x, singular = _block_solve(GAA, rhs, kkt_tol[grp])
             solves[grp] += 1
+            if singular.any():
+                for i in np.nonzero(singular)[0]:
+                    _pivot(b, active, grp[i], idx[i], GAA[i], rhs[i], sA[i], kkt_tol[grp[i]], pen)
+                # a pivot that shrinks A takes no step of the cap (one on a
+                # non-finite block may move nothing)
+                steps[grp[singular]] -= active[grp[singular]].sum(axis=1) < k
             cross = sA * x < 0
-            crossing = cross.any(axis=1)
+            crossing = cross.any(axis=1) & ~singular
             if crossing.any():
-                _step_to_crossing(b, active, rows[crossing], idx[crossing], x[crossing],
-                                  cross[crossing], sA[crossing])
-            solved = ~crossing
+                rc, ic = rows[crossing], idx[crossing]
+                _step_to_crossing(b, active, rc, ic, x[crossing] - b[rc, ic], cross[crossing],
+                                  sA[crossing])
+            solved = ~crossing & ~singular
             b[rows[solved], idx[solved]] = x[solved]
             check[grp[solved]] = True
-        if not check.any():
-            continue
-        # every problem's residual, but only the checked ones act on it
-        r = _residual(G, c, b)
-        gap = np.where(ok, _kkt_gap(r, lam, b), 0.0)
-        viol = ~active & (gap > tol) & check[:, None]
-        done = check & ~viol.any(axis=1)
-        certified |= done & (gap.max(axis=1, initial=0.0) <= kkt_tol)
-        running &= ~done
-        active |= viol
-        s = np.where(viol, np.sign(r), s)
+        if check.any():
+            # every problem's residual, but only the checked ones act on it
+            r = _residual(G, c, b)
+            gap = np.where(ok, _kkt_gap(r, lam, b), 0.0)
+            viol = ~active & (gap > tol) & check[:, None]
+            done = check & ~viol.any(axis=1)
+            certified |= done & (gap.max(axis=1, initial=0.0) <= kkt_tol)
+            running &= ~done
+            active |= viol
+            s = np.where(viol, np.sign(r), s)
+        running &= steps < 10 + 2 * m
     return solves, certified
+
+
+def _block_solve(A, rhs, kkt_tol):
+    """``_stacked_solve`` of A x = rhs, and which blocks are singular: their
+    x is NaN or misses its own equations by more than kkt_tol, so the point
+    it gives could never certify."""
+    x = _stacked_solve(A, rhs)
+    miss = np.abs(rhs - np.matmul(A, x[:, :, None])[:, :, 0]).max(axis=1)
+    return x, ~(miss <= kkt_tol)
 
 
 def _stacked_solve(A, rhs):
@@ -199,52 +208,40 @@ def _stacked_solve(A, rhs):
         return x
 
 
-def _step_to_crossing(b, active, rows, idx, x, cross, sA):
-    """Move each given problem's active coordinates b[rows, idx] toward its
-    solution x only up to the first zero crossing of a sign; the first
-    crossers, and any coordinate rounding pushed past zero, leave the
-    active set at exactly zero."""
+def _pivot(b, active, p, idx, GAA, rhs, sA, kkt_tol, pen):
+    """Move problem p's active coordinates b[p, idx] along a null direction
+    d of their singular block GAA, with sA . d <= 0, until a coordinate
+    reaches zero or an entering one would move against its sign; that
+    coordinate leaves the active set.  The move leaves G b as it is and,
+    up to that crossing, does not raise the penalty, so the point is no
+    worse and A loses a column (Tibshirani 2013).  Column j ends the
+    first singular leading block (``_block_solve`` on rhs), so it is a
+    combination of the columns B before it and d = (G_BB^-1 G_Bj, -1).
+    At lam = 0 there are no signs, and column j leaves."""
+    k = len(idx)
+    j = next((j for j in range(1, k)
+              if _block_solve(GAA[None, :j + 1, :j + 1], rhs[None, :j + 1], kkt_tol)[1][0]),
+             k - 1)
+    d = np.zeros(k)
+    d[:j], d[j] = _stacked_solve(GAA[None, :j, :j], GAA[None, :j, j])[0], -1.0
+    if sA @ d > 0:
+        d = -d
+    cross = sA * d < 0 if pen else np.arange(k) == j
+    _step_to_crossing(b, active, np.array([[p]]), idx[None], d[None], cross[None], sA[None])
+
+
+def _step_to_crossing(b, active, rows, idx, d, cross, sA):
+    """Move each given problem's active coordinates b[rows, idx] along d,
+    toward its solution x with d = x - b or along a null direction, only
+    up to the first zero crossing of a sign; the first crossers, and any
+    coordinate rounding pushed past zero, leave the active set at exactly
+    zero."""
     bA = b[rows, idx]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(cross, bA / (bA - x), np.inf)
+        t = np.where(cross, bA / -d, np.inf)
     tmin = t.min(axis=1, keepdims=True)
-    bA = bA + tmin * (x - bA)
+    bA = bA + tmin * d
     gone = (sA * bA < 0) | (cross & (t <= tmin))
     bA[gone] = 0.0
     b[rows, idx] = bA
     active[rows, idx] = ~gone
-
-
-def _sweeps(G, c, ok, beta, lam):
-    """Coordinate descent over plain Python floats with a running G beta
-    (soft-threshold updates), overwriting beta; stops when no slope moves
-    by WLS_SWEEP_TOL or more, or after WLS_SWEEP_MAX sweeps (both read at
-    each call).  Returns the number of sweeps."""
-    m = c.size
-    diag = np.where(ok, np.diag(G), 0.0).tolist()
-    Gb = (G @ beta).tolist()
-    G, c = G.tolist(), c.tolist()
-    b = beta.tolist()
-    sweeps = 0
-    for sweeps in range(1, WLS_SWEEP_MAX + 1):
-        delta = 0.0
-        for k in range(m):
-            old = b[k]
-            gkk = diag[k]
-            new = 0.0
-            if gkk > 0.0:
-                rho = c[k] - Gb[k] + gkk * old
-                if rho > lam:
-                    new = (rho - lam) / gkk
-                elif rho < -lam:
-                    new = (rho + lam) / gkk
-            if new != old:
-                step = new - old
-                Gb = [gb + gk * step for gb, gk in zip(Gb, G[k])]
-                b[k] = new
-                if abs(step) > delta:
-                    delta = abs(step)
-        if delta < WLS_SWEEP_TOL:
-            break
-    beta[:] = b
-    return sweeps

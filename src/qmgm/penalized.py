@@ -75,9 +75,10 @@ def penalized_wls(X, w, z, beta, lam):
     with an unpenalized intercept, one per row of X (P, n, m), w and z
     (P, n), each with row weights of positive sum: one ``lasso.wls_step``
     on their stacked ``lasso.wls_gram`` form from the starts beta (P, m),
-    which are overwritten with the slopes.  Returns the intercepts, the
-    work (linear solves plus fallback sweeps) and whether each KKT residual
-    is certified, each (P,); each problem gets the bits it gets alone.
+    which are overwritten with the certified slopes.  Returns the
+    intercepts, the work (linear solves) and whether each KKT residual is
+    certified, each (P,): a flagged problem keeps its start, and each
+    problem gets the bits it gets alone.
     """
     return wls_step(*wls_gram(X, w, z), beta, lam)
 
@@ -143,7 +144,8 @@ def fit_lambda_paths(problems, taus, lambdas) -> CoefficientCube:
     decreasing grid, fitted with warm starts by the inverse route: the
     per-row-inverted implicit equation is solved by penalized weighted
     least squares (see the module docstring).  Its ``iterations`` count
-    the kernel's linear solves plus any fallback sweeps.
+    the kernel's linear solves, and a point it flags keeps the slopes of
+    the point before it (zero at the first lambda).
 
     The (problem, level) cells with at least ``MIN_SOLVABLE_ROWS`` solvable
     rows advance together through one ``lasso.wls_paths`` call, on one

@@ -546,11 +546,22 @@ def test_fit_says_when_the_criterion_has_no_complexity_term(two_column_csv, smal
     assert note not in capsys.readouterr().err
 
 
-def test_fit_reports_uncertified_points(small_csv, tmp_path, capsys, monkeypatch):
-    # an active set that never certifies leaves each kernel solve to one
-    # fallback sweep, which ends uncertified
+def _flag_the_smallest_lambda(monkeypatch, count):
+    """Make the kernel flag every point at the smallest lambda of the
+    default grid of ``count`` lambdas, and certify the others as it does."""
     from qmgm import lasso
 
+    active_set, smallest = lasso._active_set, benchmark.default_lambda_grid(count=count)[-1]
+
+    def flagged(G, c, ok, b, lam, kkt_tol):
+        solves, certified = active_set(G, c, ok, b, lam, kkt_tol)
+        return solves, certified & (lam != smallest)
+
+    monkeypatch.setattr(lasso, "_active_set", flagged)
+
+
+def test_fit_reports_uncertified_points(small_csv, tmp_path, capsys, monkeypatch):
+    # a kernel that flags the points of one lambda leaves them uncertified
     csv_path, schema_path = small_csv
     args = ["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", "3",
             "--lambda-count", "4", "--output", str(tmp_path / "g.json")]
@@ -564,13 +575,10 @@ def test_fit_reports_uncertified_points(small_csv, tmp_path, capsys, monkeypatch
 
     cli_fit = cli.fit_qmgm
     monkeypatch.setattr(cli, "fit_qmgm", kept)
-    monkeypatch.setattr(lasso, "_active_set",
-                        lambda G, c, *rest: (np.zeros(len(c), dtype=int),
-                                             np.zeros(len(c), dtype=bool)))
-    monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", 1)
+    _flag_the_smallest_lambda(monkeypatch, 4)
     assert main(args) == 0
     uncertified = int(np.count_nonzero(~cubes[0].converged))
-    assert 0 < uncertified < 120
+    assert 0 < uncertified < 120 and cubes[0].converged[..., :-1].all()
     assert (f"{uncertified} of 120 (node, level, lambda) points are not certified converged"
             in capsys.readouterr().err)
 
@@ -639,10 +647,8 @@ def test_simulate_manifest_counts_no_uncertified_points_on_a_clean_run(tmp_path)
 
 
 def test_simulate_manifest_counts_uncertified_points(tmp_path, monkeypatch):
-    # as in test_fit_reports_uncertified_points: an active set that never
-    # certifies leaves each kernel solve to one fallback sweep
-    from qmgm import lasso
-
+    # as in test_fit_reports_uncertified_points: a kernel that flags the
+    # points of one lambda
     cubes = {"qmgm": [], "mgm": []}
 
     def kept(kind, fit):
@@ -653,10 +659,7 @@ def test_simulate_manifest_counts_uncertified_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(benchmark, "fit_qmgm", kept("qmgm", benchmark.fit_qmgm))
     monkeypatch.setattr(benchmark, "fit_mgm", kept("mgm", benchmark.fit_mgm))
-    monkeypatch.setattr(lasso, "_active_set",
-                        lambda G, c, *rest: (np.zeros(len(c), dtype=int),
-                                             np.zeros(len(c), dtype=bool)))
-    monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", 1)
+    _flag_the_smallest_lambda(monkeypatch, 4)
     out = tmp_path / "sim"
     assert main(["simulate", "--n", "100", "--R", "2", "--learners", "qmgm3,mgm",
                  "--lambda-count", "4", "--output", str(out)]) == 0
@@ -666,6 +669,22 @@ def test_simulate_manifest_counts_uncertified_points(tmp_path, monkeypatch):
     assert 0 < counts["qmgm"] < 240 and 0 < counts["mgm"] <= 80
     assert _manifest_line(out, "uncertified_points") == \
         f"uncertified_points: qmgm3={counts['qmgm']}/240,mgm={counts['mgm']}/80"
+
+
+def test_simulate_certifies_every_point_at_small_n(tmp_path):
+    # at n = 10 the solvable rows span fewer dimensions than the 9
+    # predictors, so active blocks turn singular; the kernel pivots out of
+    # them and certifies every point, at either thread count
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["simulate", "--n", "10", "--R", "2", "--lambda-count", "12",
+                     "--learners", "qmgm7,mgm", "--seed", "0", "--threads", threads,
+                     "--output", str(out)]) == 0
+        assert _manifest_line(out, "uncertified_points") == \
+            "uncertified_points: qmgm7=0/1680,mgm=0/240"
+        tables.append([(out / name).read_bytes() for name in ("summary.csv", "details.csv")])
+    assert tables[0] == tables[1]
 
 
 def test_simulate_truth_document_has_the_generator_kinds(tmp_path):

@@ -107,34 +107,6 @@ def test_path_objectives_nonincreasing_in_lambda(tiny_mixed):
         assert all(d1 <= d0 + 1e-6 for d0, d1 in zip(dev, dev[1:]))
 
 
-def test_coordinate_descent_monotone_per_sweep(tiny_mixed, monkeypatch):
-    # the fallback sweeps, reached through an active set that never
-    # certifies, so that WLS_SWEEP_MAX caps every solve
-    from qmgm import lasso
-
-    monkeypatch.setattr(lasso, "_active_set",
-                        lambda G, c, *args: (np.zeros(len(c), dtype=int),
-                                             np.zeros(len(c), dtype=bool)))
-    y = tiny_mixed.values[:, 1]
-    X = np.delete(tiny_mixed.values, 1, axis=1)
-    n = y.size
-    w = np.ones(n)
-    lam = 0.05
-
-    def objective(b0, beta):
-        r = y - b0 - X @ beta
-        return float((w * r ** 2).sum() / (2 * n) + lam * np.abs(beta).sum())
-
-    gram = lasso.wls_gram(X[None], w[None], y[None])
-    vals = []
-    for sweeps in range(1, 8):
-        monkeypatch.setattr(lasso, "WLS_SWEEP_MAX", sweeps)
-        beta = np.zeros((1, X.shape[1]))
-        b0 = lasso.wls_step(*gram, beta, lam)[0][0]
-        vals.append(objective(b0, beta[0]))
-    assert all(v1 <= v0 + 1e-12 for v0, v1 in zip(vals, vals[1:]))
-
-
 def test_warm_start_matches_cold_single(tiny_mixed):
     lambdas = default_lambda_grid(count=8)
     path = fit_mgm(tiny_mixed, lambdas)

@@ -321,18 +321,32 @@ def test_penalized_wls_matches_lstsq_at_zero_lambda():
     assert beta[0] == pytest.approx(ref[1:], abs=1e-6)
 
 
+def _wls_objective(X, w, z, b0, beta, lam):
+    r = z - b0 - X @ beta
+    return (w * r ** 2).sum() / (2 * z.size) + lam * np.abs(beta).sum()
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(12, 60), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        binary_rows=st.booleans(), log10_lam=st.floats(-4.0, np.log10(0.5)),
-       correlated=st.booleans())
+       correlated=st.booleans(), few_rows=st.booleans())
 # near-collinear columns on which the plain coordinate descent of the
 # reference had not converged after its 10^5 sweeps
-@example(n=12, m=3, seed=3073244, binary_rows=True, log10_lam=-3.0, correlated=True)
-@example(n=38, m=5, seed=57, binary_rows=False, log10_lam=-3.0, correlated=True)
+@example(n=12, m=3, seed=3073244, binary_rows=True, log10_lam=-3.0, correlated=True,
+         few_rows=False)
+@example(n=38, m=5, seed=57, binary_rows=False, log10_lam=-3.0, correlated=True,
+         few_rows=False)
+# at most m weighted rows, where active blocks turn singular and a
+# coordinate-descent fallback for them had left the point uncertified
+@example(n=21, m=6, seed=872773382, binary_rows=False, log10_lam=-3.0, correlated=True,
+         few_rows=True)
+@example(n=16, m=4, seed=866262348, binary_rows=False, log10_lam=-4.0, correlated=False,
+         few_rows=True)
 def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_rows,
-                                                           log10_lam, correlated):
+                                                           log10_lam, correlated, few_rows):
     # small lambdas on strongly correlated columns are where coordinate
-    # sweeps crawl toward the optimum
+    # sweeps crawl toward the optimum; with at most m weighted rows G has
+    # rank below m, and active blocks turn singular
     rng = np.random.default_rng(seed)
     lam = 10.0 ** log10_lam
     raw = rng.normal(size=(n, m))
@@ -340,9 +354,10 @@ def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_ro
         raw = rng.normal(size=(n, 1)) + 0.15 * raw
     X = raw * rng.uniform(0.3, 3.0, m) + rng.normal(size=m)
     z = X @ (rng.normal(size=m) * rng.binomial(1, 0.5, m)) + rng.normal(size=n)
-    if binary_rows:
+    if binary_rows or few_rows:
         w = np.zeros(n)
-        w[rng.choice(n, rng.integers(m + 5, n + 1), replace=False)] = 1.0
+        rows = rng.integers(min(3, m), m + 1) if few_rows else rng.integers(m + 5, n + 1)
+        w[rng.choice(n, rows, replace=False)] = 1.0
     else:
         w = rng.uniform(0.05, 2.0, n)
     beta = np.zeros((1, m))
@@ -351,6 +366,17 @@ def test_penalized_wls_matches_reference_and_certifies_kkt(n, m, seed, binary_ro
     # the residual-form reference crawls when a column's mean dwarfs its spread
     rb0, rbeta, _, rconv = penalized_wls_reference(X, w, z, 0.3, np.zeros(m), lam,
                                                    max_sweeps=10**5)
+    if few_rows:
+        # the optimum need not be unique: the kernel's is certified, as good
+        # as the reference's, and its support's columns are independent on
+        # the weighted rows
+        assert conv[0]
+        assert _wls_objective(X, w, z, b0, beta, lam) <= \
+            _wls_objective(X, w, z, rb0, rbeta, lam) * (1 + 1e-9)
+        on = w > 0
+        support = np.column_stack([np.ones(on.sum()), X[on][:, beta != 0]])
+        assert np.linalg.matrix_rank(support) == support.shape[1]
+        return
     assert rconv
     assert np.array_equal(beta != 0, rbeta != 0)
     assert np.abs(beta - rbeta).max() <= 1e-8
@@ -373,20 +399,20 @@ def test_penalized_wls_flat_column():
     assert kkt_residual(X, w, z, b0[0], beta[0], 0.0) <= 1e-10
 
 
-def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
+def test_penalized_wls_singular_active_set_pivots(monkeypatch):
     # a column and its scaled duplicate make every active set holding both
     # singular; the duplicate buys the same fit at a quarter of the
     # penalty, so the optimum is unique (the duplicate carries the shared
-    # slope) and the reference must find it too
+    # slope), the pivot must reach it and the reference must find it too
     from qmgm import lasso
 
-    sweeps, calls = lasso._sweeps, []
+    pivot, calls = lasso._pivot, []
 
     def spy(*args):
         calls.append(1)
-        return sweeps(*args)
+        return pivot(*args)
 
-    monkeypatch.setattr(lasso, "_sweeps", spy)
+    monkeypatch.setattr(lasso, "_pivot", spy)
     rng = np.random.default_rng(2)
     n, m = 40, 4
     X = rng.normal(size=(n, m))
@@ -408,16 +434,40 @@ def test_penalized_wls_singular_active_set_falls_back_to_sweeps(monkeypatch):
         assert kkt_residual(X, w, z, b0, beta, lam) <= 1e-8
 
 
+def test_active_set_ends_on_a_non_finite_gram_form(monkeypatch):
+    # a pivot on a non-finite block can leave every coordinate in place; it
+    # then takes a step of the cap, so the solve still ends, flagged, and
+    # keeps its warm start
+    from qmgm import lasso
+
+    pivot, calls = lasso._pivot, []
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) < 1000, "the pivots never end"
+        return pivot(*args)
+
+    monkeypatch.setattr(lasso, "_pivot", counted)
+    G = np.eye(3)[None].copy()
+    G[0, :2, 2] = G[0, 2, :2] = np.inf
+    beta = np.full((1, 3), 0.5)
+    with np.errstate(all="ignore"):
+        _, _, converged = lasso.wls_step(G, np.ones((1, 3)), np.ones((1, 3), dtype=bool),
+                                         np.zeros((1, 3)), np.zeros(1), beta, 0.1)
+    assert calls and not converged[0]
+    assert np.all(beta == 0.5)
+
+
 def test_warm_path_equals_cold_single_lambda_solves(problems, monkeypatch):
     # each point of a warm-started path (one Gram matrix per path) is the
     # point a cold single-lambda solve reaches, and the active set certifies
-    # it without the fallback sweeps
+    # it without a pivot
     from qmgm import lasso
 
-    def no_sweeps(*args):
-        raise AssertionError("fallback sweeps ran")
+    def no_pivot(*args):
+        raise AssertionError("a singular active block was pivoted")
 
-    monkeypatch.setattr(lasso, "_sweeps", no_sweeps)
+    monkeypatch.setattr(lasso, "_pivot", no_pivot)
     pr = problems[4]
     tau = 0.25
     lambdas = np.exp(np.linspace(np.log(2.0), np.log(1e-4), 25))
@@ -523,7 +573,7 @@ def _batch_problems(seed, P=8, n=40, m=6):
 def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
     # a batch of paths is bit for bit the paths run alone, through sign
     # crossings, a flat column, lambda = 0 and a singular active block,
-    # which sends only its own path to the sweeps
+    # which pivots only its own path
     from qmgm import lasso
 
     problems = _batch_problems(4)
@@ -531,17 +581,17 @@ def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
     gram = wls_gram(*map(np.array, zip(*problems)))
     alone = [[field[0] for field in wls_paths(wls_gram(X[None], w[None], z[None]), lambdas)]
              for X, w, z in problems]
-    crossings, swept, mixed_singular = [], [], []
-    step, sweeps, stacked = lasso._step_to_crossing, lasso._sweeps, lasso._stacked_solve
+    crossings, pivoted, mixed_singular = [], [], []
+    step, pivot, stacked = lasso._step_to_crossing, lasso._pivot, lasso._stacked_solve
 
     def spy_step(b, active, rows, idx, *args):
         before = b[rows, idx]
         step(b, active, rows, idx, *args)
         crossings.append(int((b[rows, idx] != before).any(axis=1).sum()))
 
-    def spy_sweeps(G, c, *args):
-        swept.append([i for i, ci in enumerate(gram[1]) if np.array_equal(ci, c)])
-        return sweeps(G, c, *args)
+    def spy_pivot(b, active, p, *args):
+        pivoted.append(p)
+        return pivot(b, active, p, *args)
 
     def spy_stacked(A, rhs):
         x = stacked(A, rhs)
@@ -551,12 +601,12 @@ def test_wls_paths_batch_equals_each_path_alone(monkeypatch):
         return x
 
     monkeypatch.setattr(lasso, "_step_to_crossing", spy_step)
-    monkeypatch.setattr(lasso, "_sweeps", spy_sweeps)
+    monkeypatch.setattr(lasso, "_pivot", spy_pivot)
     monkeypatch.setattr(lasso, "_stacked_solve", spy_stacked)
     batch = list(zip(*wls_paths(gram, lambdas)))
     # some stacked crossing step moves two paths, each to its own first crossing
     assert max(crossings) >= 2
-    assert swept and all(found == [2] for found in swept)
+    assert pivoted and set(pivoted) == {2}
     assert mixed_singular and all(count == 1 for count in mixed_singular)
     assert len(batch) == len(problems)
     for i, (got, want) in enumerate(zip(batch, alone)):

@@ -284,61 +284,59 @@ def _pool_map(fn, tasks, threads: int) -> list:
 
 
 METRIC_FIELDS = ("precision", "tpr", "fpr", "f1", "mcc", "accuracy", "edges")
+SUMMARY_FIELDS = ("learner", "criterion", "metric", "median", "p10", "p90")
+DETAIL_FIELDS = ("replication", "seed", "learner", "criterion", "metric", "value")
 
 
 @dataclass
 class BenchmarkRun:
-    """Replication records plus summary helpers."""
+    """Replication records plus the tables read off them."""
 
     variant: DgpVariant    # replication r ran on seed variant.seed + r
     R: int
     learner_names: tuple
     lambdas: np.ndarray
     tolerance: float       # edge tolerance of every edge set and score
+    threads: int           # worker processes the replications ran on
     records: list          # (index, seed, record) for successes
     failures: list         # (index, seed, message)
 
-    def _row(self, learner, criterion, metric, getter) -> dict:
-        """Median, p10 and p90 of ``getter(record[learner])`` over the
-        successful replications."""
-        values = np.asarray([getter(rec[learner]) for _, _, rec in self.records])
-        return {"learner": learner, "criterion": criterion, "metric": metric,
-                "median": float(np.median(values)),
-                "p10": float(np.percentile(values, 10)),
-                "p90": float(np.percentile(values, 90))}
+    def facts(self):
+        """Every (replication, seed, learner, criterion, metric, value) of
+        the successful replications once, in record order: per learner the
+        path ``auc`` and ``seconds``, then each criterion's metrics and
+        ``lambda``."""
+        for index, seed, rec in self.records:
+            for learner in self.learner_names:
+                yield index, seed, learner, "path", "auc", rec[learner]["auc"]
+                yield index, seed, learner, "path", "seconds", rec[learner]["seconds"]
+                for cname in CRITERION_NAMES:
+                    for metric in METRIC_FIELDS + ("lambda",):
+                        yield (index, seed, learner, cname, metric,
+                               rec[learner]["criteria"][cname][metric])
+
+    def _quantile_rows(self, metrics) -> list:
+        """Median, p10 and p90 over the replications of each (learner,
+        criterion, metric) with a metric in ``metrics``, in fact order."""
+        values = {}
+        for _, _, learner, cname, metric, value in self.facts():
+            if metric in metrics:
+                values.setdefault((learner, cname, metric), []).append(value)
+        return [{"learner": learner, "criterion": cname, "metric": metric,
+                 "median": float(np.median(v)), "p10": float(np.percentile(v, 10)),
+                 "p90": float(np.percentile(v, 90))}
+                for (learner, cname, metric), v in values.items()]
 
     def summary_rows(self) -> list:
         """Per learner: path AUC row plus one row per criterion and metric."""
-        if not self.records:
-            return []
-        rows = []
-        for learner in self.learner_names:
-            rows.append(self._row(learner, "path", "auc", lambda r: r["auc"]))
-            rows += [self._row(learner, cname, metric,
-                               lambda r: r["criteria"][cname][metric])
-                     for cname in CRITERION_NAMES for metric in METRIC_FIELDS]
-        return rows
+        return self._quantile_rows(("auc",) + METRIC_FIELDS)
 
     def timing_rows(self) -> list:
-        if not self.records:
-            return []
-        return [self._row(learner, "path", "seconds", lambda r: r["seconds"])
-                for learner in self.learner_names]
+        return self._quantile_rows(("seconds",))
 
     def detail_rows(self) -> list:
-        rows = []
-        for index, seed, rec in self.records:
-            for learner in self.learner_names:
-                rows.append({"replication": index, "seed": seed,
-                             "learner": learner, "criterion": "path",
-                             "metric": "auc", "value": rec[learner]["auc"]})
-                for cname in CRITERION_NAMES:
-                    crit = rec[learner]["criteria"][cname]
-                    for metric in METRIC_FIELDS + ("lambda",):
-                        rows.append({"replication": index, "seed": seed,
-                                     "learner": learner, "criterion": cname,
-                                     "metric": metric, "value": crit[metric]})
-        return rows
+        return [dict(zip(DETAIL_FIELDS, fact)) for fact in self.facts()
+                if fact[4] != "seconds"]
 
     def config_digest(self) -> str:
         payload = {
@@ -353,11 +351,7 @@ class BenchmarkRun:
         return hashlib.sha256(blob).hexdigest()
 
 
-SUMMARY_FIELDS = ("learner", "criterion", "metric", "median", "p10", "p90")
-DETAIL_FIELDS = ("replication", "seed", "learner", "criterion", "metric", "value")
-
-
-def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
+def write_outputs(run: BenchmarkRun, outdir: str):
     """Write summary/timing/detail tables, the truth document and the
     manifest into a directory.  Wall-clock lives in its own file so the
     summary stays byte-identical across reruns of the same config.  The
@@ -392,7 +386,7 @@ def write_outputs(run: BenchmarkRun, outdir: str, *, threads: int = 1):
         f"criteria: {','.join(CRITERION_NAMES)}",
         f"lambda_grid: max={lam[0]:.12g} min={lam[-1]:.12g} count={lam.size}",
         f"tolerance: {run.tolerance:.12g}",
-        f"threads: {threads}",
+        f"threads: {run.threads}",
         f"replication_seeds: {','.join(str(seed + r) for r in range(run.R))}",
         f"uncertified_points: {uncertified}",
         f"failures: {len(run.failures)}",
@@ -432,4 +426,4 @@ def run_replications(learner_names, variant: DgpVariant, R: int, *, lambdas,
         else:
             failures.append((index, seed, error))
     return BenchmarkRun(variant, R, tuple(lc.name for lc in learners), lambdas,
-                        float(nonzero_tol), records, failures)
+                        float(nonzero_tol), threads, records, failures)

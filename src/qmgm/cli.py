@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
 from .core import DataError, NONZERO_TOL, QuantileGrid, _check_threads, \
     _check_tolerance, standard_levels, validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
-                 render_dot, save_csv)
+                 render_dot, rows_csv_text, save_csv)
 from .selection import (CRITERION_NAMES, SelectionCriterion, estimate_edge_set,
                         fit_qmgm, quantile_losses, score_path, select_lambda)
 
@@ -194,7 +195,7 @@ def _cmd_simulate(args) -> int:
         raise DataError(f"cannot make a directory at {outdir!r}: {head!r} is not one")
     run = run_replications(learners, variant, args.R, lambdas=lambdas,
                            nonzero_tol=args.tolerance, threads=args.threads)
-    write_outputs(run, outdir, threads=args.threads)
+    write_outputs(run, outdir)
     print(f"wrote {outdir}/summary.csv ({len(run.records)} of {run.R} "
           f"replications succeeded)")
     return 0
@@ -213,10 +214,8 @@ def _aligned_adjacencies(first_path, second_path):
 
 def _cmd_metrics(args) -> int:
     m = confusion_metrics(*_aligned_adjacencies(args.truth, args.estimate))
-    lines = ["metric,value"]
-    for name in ("precision", "tpr", "fpr", "f1", "mcc", "accuracy"):
-        lines.append(f"{name},{getattr(m, name):.12g}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    rows = [{"metric": name, "value": value} for name, value in asdict(m).items()]
+    _write_text(args.output, rows_csv_text(rows, ("metric", "value")))
     return 0
 
 
@@ -225,11 +224,10 @@ def _cmd_centrality(args) -> int:
     graph = doc.to_graph()
     report = (weighted_centrality if args.weighted else centrality)(
         graph, names=doc.node_names())
-    lines = ["node,degree,betweenness,closeness"]
-    for i, name in enumerate(report.names):
-        lines.append(f"{name},{report.degree[i]},"
-                     f"{report.betweenness[i]:.12g},{report.closeness[i]:.12g}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    fields = ("node", "degree", "betweenness", "closeness")
+    rows = [dict(zip(fields, row)) for row in zip(
+        report.names, report.degree, report.betweenness, report.closeness)]
+    _write_text(args.output, rows_csv_text(rows, fields))
     return 0
 
 

@@ -12,6 +12,7 @@ for reporting and dot colors.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -299,14 +300,19 @@ def export_graph(doc: GraphDocument, path):
         fh.write(doc.to_json())
 
 
+def rows_csv_text(rows, fieldnames) -> str:
+    """A report table as CSV text: a header of ``fieldnames``, then one line
+    per row mapping, floats written ``.12g``, ``\\n`` line ends and fields
+    quoted where the csv module needs it (a name with a comma, say)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([f"{row[key]:.12g}" if isinstance(row[key], float) else row[key]
+                      for key in fieldnames] for row in rows)
+    return out.getvalue()
+
+
 def write_rows_csv(rows, fieldnames, path):
-    """Small deterministic CSV writer for summary/detail tables."""
+    """Write ``rows_csv_text(rows, fieldnames)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            out = {}
-            for key in fieldnames:
-                v = row[key]
-                out[key] = f"{float(v):.12g}" if isinstance(v, float) else v
-            writer.writerow(out)
+        fh.write(rows_csv_text(rows, fieldnames))

@@ -304,6 +304,13 @@ def test_write_outputs_of_a_run_where_every_replication_failed(tmp_path):
     assert all("constant column" in line for line in failed)
 
 
+def test_write_outputs_manifest_reads_the_runs_threads(tmp_path):
+    run = run_replications(["mgm"], DgpVariant("main", 60, 4), 2, threads=2,
+                           lambdas=[0.5], sample_fn=_constant_column_sample)
+    write_outputs(run, tmp_path)
+    assert "threads: 2" in (tmp_path / "manifest.txt").read_text().splitlines()
+
+
 def _report_blas_threads(variant):
     """A sample function whose failure message carries the BLAS thread
     counts of the process that ran the replication."""

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -744,6 +746,19 @@ def test_centrality_command(tmp_path, capsys):
     assert out[0] == "node,degree,betweenness,closeness"
     row_b = out[2].split(",")
     assert row_b[0] == "b" and row_b[1] == "2"
+
+
+def test_centrality_command_quotes_a_node_name_with_a_comma(tmp_path, capsys):
+    schema = [VariableSpec(name, "continuous") for name in ("a,b", "c", "d")]
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
+    export_graph(document_from_adjacency(schema, adj), tmp_path / "g.json")
+    rc = main(["centrality", str(tmp_path / "g.json")])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows] == ["node", "a,b", "c", "d"]
+    assert rows[1][1:] == ["1", "0", f"{2 / 3:.12g}"]
 
 
 def test_weighted_centrality_command(tmp_path, capsys):

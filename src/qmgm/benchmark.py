@@ -9,10 +9,8 @@ penalty.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -275,6 +273,9 @@ def _pool_map(fn, tasks, threads: int) -> list:
     workers = min(threads, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    # imported here: a serial run, and `qmgm fit`, load no process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     # A forked worker inherits the count of 1 with OpenBLAS's thread server
     # stopped by the fork; the initializer sets only a count that differs, so
     # it starts no helper threads there and still pins a spawned worker.
@@ -339,6 +340,8 @@ class BenchmarkRun:
                 if fact[4] != "seconds"]
 
     def config_digest(self) -> str:
+        import hashlib  # imported here: `qmgm fit` loads no OpenSSL
+
         payload = {
             "variant": self.variant.kind, "n": self.variant.n,
             "seed": self.variant.seed,

@@ -138,6 +138,8 @@ def _cmd_fit(args) -> int:
     _check_knn_k(args.knn_k)
     _check_output_file(args.output)
     _check_output_file(args.dot)
+    if args.output and args.dot and os.path.realpath(args.output) == os.path.realpath(args.dot):
+        raise DataError(f"--output and --dot name the same file {args.dot!r}")
     grid = _parse_tau_levels(args.tau_levels)
     lambdas = default_lambda_grid(args.lambda_min, args.lambda_max, args.lambda_count)
     schema = load_schema(args.schema)

@@ -65,6 +65,41 @@ def test_impute_requires_enough_complete_rows():
         knn_impute(ds, 39)
 
 
+def _impute_by_np_median(ds, k):
+    """knn_impute as written with np.median: same neighbours, same binary tie rule."""
+    mask, values = ds.missing_mask, np.array(ds.values, copy=True)
+    complete = np.flatnonzero(~mask.any(axis=1))
+    kinds = [s.kind for s in ds.schema]
+    ranges = np.array([np.ptp(ds.column(c)) for c in range(ds.p)])
+    incomplete = np.flatnonzero(mask.any(axis=1))
+    dists = gower_distances(values[incomplete], ~mask[incomplete], values[complete],
+                            kinds, ranges)
+    for i, row in zip(incomplete, dists):
+        nearest = complete[np.argsort(row, kind="stable")[:k]]
+        for c in np.flatnonzero(mask[i]):
+            med = float(np.median(values[nearest, c]))
+            if kinds[c] == "binary" and med not in (0.0, 1.0):
+                med = 1.0 if np.sum(values[complete, c]) > complete.size / 2 else 0.0
+            values[i, c] = med
+    return values
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 13, 14])
+def test_impute_median_equals_np_median_bit_for_bit(k):
+    rng = np.random.default_rng(11)
+    n = 60
+    values = np.column_stack([rng.normal(size=n) * 3.7, rng.poisson(3.0, n).astype(float),
+                              (rng.random(n) < 0.5).astype(float), rng.uniform(-1, 1, n)])
+    mask = rng.random((n, 4)) < 0.08
+    values[mask] = np.nan
+    schema = (VariableSpec("a", "continuous"), VariableSpec("b", "count"),
+              VariableSpec("c", "binary"), VariableSpec("d", "continuous"))
+    ds = Dataset(values, schema, mask)
+    got, want = knn_impute(ds, k).values, _impute_by_np_median(ds, k)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_impute_deterministic():
     ds = missing_dataset()
     a = knn_impute(ds, 13)

@@ -1,10 +1,10 @@
+import concurrent.futures
 import os
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from qmgm import benchmark
 from qmgm.benchmark import (DgpVariant, LearnerConfig, _pool_map, confusion_metrics,
                             default_lambda_grid, generate_sample,
                             metrics_from_counts, pair_counts,
@@ -355,13 +355,13 @@ def test_pool_map_pins_blas_to_one_thread_and_restores(blas_threads, tiny_mixed,
                                                        monkeypatch):
     counts = blas_threads()
     parent_at_start = []
-    pool_class = benchmark.ProcessPoolExecutor
+    pool_class = concurrent.futures.ProcessPoolExecutor
 
     def spy(**kw):
         parent_at_start.append(blas_threads())
         return pool_class(**kw)
 
-    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     assert _pool_map(_worker_blas_threads, range(3), 2) == [[1] * len(counts)] * 3
     assert parent_at_start == [[1] * len(counts)]
     # a single task runs here, serially, with the parent's counts untouched
@@ -387,13 +387,13 @@ def test_pool_worker_runs_on_one_os_thread(blas_threads):
 
 def test_pool_is_sized_to_the_work(monkeypatch):
     sizes = []
-    pool_class = benchmark.ProcessPoolExecutor
+    pool_class = concurrent.futures.ProcessPoolExecutor
 
     def spy(max_workers, **kw):
         sizes.append(max_workers)
         return pool_class(max_workers=max_workers, **kw)
 
-    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     assert _pool_map(abs, [-1, -2], 4) == [1, 2]
     assert _pool_map(abs, [-3], 4) == [3]
     assert sizes == [2]

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -285,6 +286,24 @@ def test_bad_options_exit_2_before_loading_data(small_csv, tmp_path, capsys,
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+def test_fit_output_and_dot_on_one_file_exit_2_before_loading_data(
+        small_csv, tmp_path, capsys, no_loading, no_fitting, spelling):
+    # the DOT text used to overwrite the graph document, and the fit exited 0
+    csv_path, schema_path = small_csv
+    out = tmp_path / "g.json"
+    (tmp_path / "sub").mkdir()
+    if spelling == "symlink":
+        (tmp_path / "link.json").symlink_to(out)
+    dot = {"same": out, "dotdot": tmp_path / "sub" / ".." / "g.json",
+           "symlink": tmp_path / "link.json"}[spelling]
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", "1",
+               "--lambda-count", "2", "--output", str(out), "--dot", str(dot)])
+    assert rc == 2
+    assert "--output and --dot name the same file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_fit_bad_tolerance_exits_2_before_fitting(small_csv, tmp_path, capsys,
                                                   no_fitting, tol):
@@ -361,15 +380,23 @@ def test_import_loads_neither_scipy_stats_nor_networkx():
 
 def test_import_and_fit_load_no_scipy(small_csv, tmp_path):
     # scipy.special alone costs a fresh process about 200 ms and 26 MB;
-    # only the generator and the mgm baseline, both under simulate, call it
+    # only the generator and the mgm baseline, both under simulate, call it.
+    # Nor does a fit, imputation included, load simulate's process pool,
+    # hashlib (OpenSSL) or numpy.ma (which np.unique and np.median import).
     csv_path, schema_path = small_csv
+    lines = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = "," + lines[1].split(",", 1)[1]  # one missing cell, so knn_impute runs
+    data = tmp_path / "missing.csv"
+    data.write_text("".join(lines), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(qmgm.__file__))
-    argv = ["fit", str(csv_path), "--schema", str(schema_path), "--tau-levels", "3",
+    argv = ["fit", str(data), "--schema", str(schema_path), "--tau-levels", "3",
             "--lambda-count", "4", "--output", str(tmp_path / "g.json")]
+    unwanted = ("scipy.", "concurrent.futures.", "multiprocessing.", "hashlib.", "numpy.ma.")
     code = ("import sys\n"
             "import qmgm\n"
             "import qmgm.cli\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            f"                       if (m + '.').startswith({unwanted!r}))\n"
             "print(loaded())\n"
             f"assert qmgm.cli.main({argv!r}) == 0\n"
             "print(loaded())\n")
@@ -605,7 +632,7 @@ def _no_process_pool(*args, **kwargs):
 def test_fit_document_independent_of_threads(small_csv, tmp_path, monkeypatch):
     # a fit runs all its paths in one batch in this process, at any
     # --threads: it starts no pool, and the graph document is the same
-    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", _no_process_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_process_pool)
     csv_path, schema_path = small_csv
     outs = []
     for threads in ("1", "2"):

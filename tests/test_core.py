@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qmgm.core import (CoefficientCube, DataError, Dataset, QuantileGrid, VariableSpec,
-                       _one_blas_thread, derive_threshold_grid, quantile_loss,
+from qmgm.core import (MAX_THRESHOLDS, CoefficientCube, DataError, Dataset, QuantileGrid,
+                       VariableSpec, _one_blas_thread, derive_threshold_grid, quantile_loss,
                        standard_levels, validate_and_standardize)
 
 
@@ -89,6 +89,18 @@ def test_binary_outside_01_rejected():
         validate_and_standardize(ds)
 
 
+@pytest.mark.parametrize("value, accepted", [(0.5, False), (2.0, False), (-0.0, True)])
+def test_binary_check_accepts_exactly_zero_and_one(value, accepted):
+    # -0.0 == 0, so a binary column may hold it
+    ds = make_dataset([np.array([value, 1.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0])],
+                      ["binary", "continuous"])
+    if accepted:
+        assert np.array_equal(validate_and_standardize(ds).values[:, 0], [0, 1, 0, 1])
+    else:
+        with pytest.raises(DataError, match=r"^binary column 'v0' has values outside \{0, 1\}$"):
+            validate_and_standardize(ds)
+
+
 def test_negative_count_rejected():
     ds = make_dataset([np.array([1.0, -2.0, 3.0]), np.array([1.0, 2.0, 3.0])],
                       ["count", "continuous"])
@@ -126,6 +138,31 @@ def test_threshold_grid_cap_and_range():
     assert grid[0] == vals.min() and grid[-1] == vals.max()
     small = derive_threshold_grid(np.array([3.0, 1.0, 1.0, 2.0]))
     assert np.array_equal(small, [1.0, 2.0, 3.0])
+
+
+def _grid_by_np_unique(values):
+    """derive_threshold_grid as written with np.unique."""
+    distinct = np.unique(values)
+    if distinct.size <= MAX_THRESHOLDS:
+        return distinct
+    qs = np.linspace(0.0, 1.0, MAX_THRESHOLDS)
+    return np.unique(np.quantile(values, qs, method="lower"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]) | st.floats(-1e3, 1e3),
+                       min_size=1, max_size=400))
+@example(values=[0.0, -0.0, 1.0])
+@example(values=[-0.0, 0.0, 1.0])
+@example(values=[0.0] * 5 + [-0.0] * 5)
+@example(values=[-0.0] * 5 + [0.0] * 5 + [2.0, 2.0])
+@example(values=[float(v) for v in range(-150, 150)] + [-0.0] * 40 + [1.0] * 30)
+def test_threshold_grid_equals_np_unique_bit_for_bit(values):
+    # ties, both zeros in either order, and columns thinned past MAX_THRESHOLDS
+    values = np.array(values)
+    got, want = derive_threshold_grid(values), _grid_by_np_unique(values)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_variable_spec_defaults_and_checks():

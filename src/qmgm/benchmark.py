@@ -363,7 +363,7 @@ def write_outputs(run: BenchmarkRun, outdir: str):
     points, summed over the successful replications."""
     import os
 
-    from .io import document_from_adjacency, export_graph, write_rows_csv
+    from .io import document_from_adjacency, export_graph, write_rows_csv, write_text
 
     os.makedirs(outdir, exist_ok=True)
     write_rows_csv(run.summary_rows(), SUMMARY_FIELDS,
@@ -396,8 +396,7 @@ def write_outputs(run: BenchmarkRun, outdir: str):
     ]
     manifest += [f"failure: replication={i} seed={s} error={msg}"
                  for i, s, msg in run.failures]
-    with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    write_text(os.path.join(outdir, "manifest.txt"), "\n".join(manifest) + "\n")
 
 
 def run_replications(learner_names, variant: DgpVariant, R: int, *, lambdas,

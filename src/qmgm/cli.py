@@ -19,7 +19,7 @@ from .benchmark import (DgpVariant, confusion_metrics, default_lambda_grid,
 from .core import DataError, NONZERO_TOL, QuantileGrid, _check_threads, \
     _check_tolerance, standard_levels, validate_and_standardize
 from .io import (GraphDocument, document_from_graph, load_csv, load_schema,
-                 render_dot, rows_csv_text, save_csv)
+                 render_dot, rows_csv_text, save_csv, write_text)
 from .selection import (CRITERION_NAMES, SelectionCriterion, estimate_edge_set,
                         fit_qmgm, quantile_losses, score_path, select_lambda)
 
@@ -118,8 +118,7 @@ def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
 
 
 def _check_output_file(path) -> None:

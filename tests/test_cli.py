@@ -762,6 +762,16 @@ def test_metrics_and_hamming_commands(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(12 / 45)
 
 
+
+def test_hamming_output_to_dev_null_exits_0(tmp_path, capsys):
+    # not a regular file, so it is written but not cut to length
+    export_graph(document_from_adjacency(GENERATOR_SCHEMA, true_graph()),
+                 tmp_path / "truth.json")
+    rc = main(["hamming", str(tmp_path / "truth.json"), str(tmp_path / "truth.json"),
+               "--output", os.devnull])
+    assert rc == 0
+    assert capsys.readouterr().out == ""
+
 def test_centrality_command(tmp_path, capsys):
     schema = [VariableSpec(name, "continuous") for name in "abc"]
     adj = np.zeros((3, 3), dtype=bool)
@@ -933,6 +943,19 @@ def _assert_simulate_pinned(tmp_path, learners, threads, pinned):
     assert f"config_digest: {PINNED_CONFIG_DIGESTS[learners]}" in manifest
 
 
+
+def test_simulate_over_longer_files_writes_the_pinned_output(tmp_path):
+    # every file is rewritten in place; none may keep a tail of the old one
+    out = tmp_path / "sim"
+    out.mkdir()
+    stale = "stale,line\n" * 20000
+    for name in ("summary.csv", "timing.csv", "details.csv", "truth.json", "manifest.txt"):
+        (out / name).write_text(stale)
+    _assert_simulate_pinned(tmp_path, "qmgm3,mgm", "1", PINNED_SIMULATE_SHA256)
+    for name in ("timing.csv", "truth.json", "manifest.txt"):
+        assert "stale" not in (out / name).read_text(), name
+    assert (out / "manifest.txt").read_text().endswith("failures: 0\n")
+
 # The same configuration with the nested level grids {1/2} within the
 # quartiles within the octiles, whose learners share lambda paths.
 PINNED_NESTED_SIMULATE_SHA256 = {
@@ -1009,5 +1032,16 @@ def test_fit_output_pinned(small_csv, tmp_path, threads):
     rc = main(["fit", str(csv_path), "--schema", str(schema_path),
                "--tau-levels", "3", "--lambda-count", "8", "--criterion", "bicp",
                "--threads", threads, "--output", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FIT_SHA256
+
+
+def test_fit_over_a_longer_file_writes_the_pinned_document(small_csv, tmp_path):
+    csv_path, schema_path = small_csv
+    out = tmp_path / "graph.json"
+    out.write_text("stale\n" * 100000)
+    rc = main(["fit", str(csv_path), "--schema", str(schema_path),
+               "--tau-levels", "3", "--lambda-count", "8", "--criterion", "bicp",
+               "--threads", "1", "--output", str(out)])
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_FIT_SHA256

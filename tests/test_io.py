@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from qmgm.core import DataError, EstimatedGraph, SIGN_POSITIVE, \
     SIGN_UNDEFINED, VariableSpec
 from qmgm.io import (GraphDocument, document_from_adjacency,
                      document_from_graph, export_graph, load_csv, load_schema,
-                     parse_schema, render_dot, save_csv)
+                     parse_schema, render_dot, save_csv, write_text)
 
 SCHEMA_TEXT = """
 # demo schema
@@ -202,3 +204,40 @@ def test_export_formats(tmp_path):
     export_graph(doc, tmp_path / "g.json")
     assert (tmp_path / "g.json").read_text() == doc.to_json()
     assert GraphDocument.load(tmp_path / "g.json").to_graph().n_edges == 2
+
+
+def test_write_text_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"stale " * 1000)
+    write_text(path, "n\u00e9w\n")
+    assert path.read_bytes() == "n\u00e9w\n".encode("utf-8")
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_write_text_keeps_the_inode_of_a_hard_linked_file(tmp_path):
+    path, other = tmp_path / "out.txt", tmp_path / "link.txt"
+    path.write_text("old text, longer than the new\n")
+    os.link(path, other)
+    inode = path.stat().st_ino
+    write_text(path, "new\n")
+    assert path.stat().st_ino == inode
+    assert path.read_text() == other.read_text() == "new\n"
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old text, longer than the new\n")
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "new\n"
+
+
+def test_write_text_creates_a_file_with_the_umask_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_text(tmp_path / "new.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.txt").stat().st_mode & 0o777 == 0o666 & ~0o027

@@ -441,3 +441,70 @@ def test_every_linear_solve_is_the_kernels_stacked_solve():
              for p in sorted(SOURCE.glob("*.py"))}
     calls = solve_calls(trees)
     assert calls and all(call[:2] == ("lasso.py", "_stacked_solve") for call in calls)
+
+
+WRITE_MODE_CHARS = set("wax+")
+
+
+def file_writes(trees: dict) -> list:
+    """(file, function, line, call) of every ``os.open(...)`` call and every
+    ``open(...)`` / ``io.open(...)`` call whose mode writes, or is not a
+    literal, in ``trees`` (file name -> parsed source), in source order;
+    ``function`` is the dotted name of the innermost enclosing def or
+    class, ``<module>`` at the top level."""
+    found = []
+
+    def mode_of(call):
+        for kw in call.keywords:
+            if kw.arg == "mode":
+                return kw.value
+        return call.args[1] if len(call.args) > 1 else ast.Constant("r")
+
+    def visit(node, file, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, file, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else (
+                    f"{func.value.id}.{func.attr}"
+                    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    else None)
+                if name == "os.open":
+                    found.append((file, where, child.lineno, name))
+                elif name in ("open", "io.open"):
+                    mode = mode_of(child)
+                    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                            and not WRITE_MODE_CHARS & set(mode.value)):
+                        found.append((file, where, child.lineno, name))
+            visit(child, file, where)
+
+    for file, tree in trees.items():
+        visit(tree, file, "<module>")
+    return found
+
+
+def test_file_writes_are_found():
+    trees = {"a.py": ast.parse("import io, os\n"
+                               "def f(p):\n    return open(p), open(p, 'r'), open(p, 'rb')\n"
+                               "def g(p, m):\n"
+                               "    open(p, 'w'); open(p, mode='ab'); io.open(p, 'r+')\n"
+                               "    return open(p, m)\n"
+                               "class K:\n"
+                               "    def m(self, p):\n"
+                               "        return os.open(p, os.O_RDONLY), open(p, encoding='x')\n"
+                               "x = open('q', 'x')\n")}
+    assert file_writes(trees) == [("a.py", "g", 5, "open"), ("a.py", "g", 5, "open"),
+                                  ("a.py", "g", 5, "io.open"), ("a.py", "g", 6, "open"),
+                                  ("a.py", "K.m", 9, "os.open"), ("a.py", "<module>", 10, "open")]
+
+
+def test_every_file_write_is_io_write_text():
+    # one writer overwrites in place: an open(..., "w") truncates to zero
+    # first, which on ext4 stalls a rewrite for tens of milliseconds
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SOURCE.glob("*.py"))}
+    writes = file_writes(trees)
+    assert len(writes) == 1 and writes[0][:2] == ("io.py", "write_text")
+    assert writes[0][3] == "os.open"
